@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "sampling/bernoulli.h"
 #include "sampling/block.h"
-#include "sql/parser.h"
 
 namespace aqp {
 namespace core {
@@ -45,11 +44,7 @@ sql::SelectStmt FlattenStatement(const sql::SelectStmt& stmt,
   for (size_t a = 0; a < bound.aggregates.size(); ++a) {
     const sql::BoundAggregate& agg = bound.aggregates[a];
     if (agg.kind == AggKind::kCountStar) continue;
-    // Re-parse is unnecessary: the bound aggregate already carries the
-    // lowered engine expression, but the flattened statement needs SQL AST
-    // items; we reference the original AST via the display text is fragile,
-    // so instead we walk the original items to find the arg ASTs.
-    flat.items.push_back({nullptr, "__arg" + std::to_string(a)});
+    flat.items.push_back({agg.call->children[0], "__arg" + std::to_string(a)});
   }
   flat.from = stmt.from;
   flat.from.sample = SampleSpec{};  // Sampling happens via table substitution.
@@ -59,29 +54,6 @@ sql::SelectStmt FlattenStatement(const sql::SelectStmt& stmt,
   flat.items.push_back({ColumnExpr("__unit"), "__unit"});
   flat.items.push_back({ColumnExpr("__weight"), "__weight"});
   return flat;
-}
-
-// Finds the AST of each bound aggregate's argument by display text, walking
-// the select items and HAVING.
-void CollectAggAsts(const sql::SqlExprPtr& e,
-                    std::unordered_map<std::string, sql::SqlExprPtr>* out) {
-  if (e == nullptr) return;
-  if (e->kind == sql::SqlExpr::Kind::kAggCall) {
-    out->emplace(e->ToString(), e);
-    return;
-  }
-  for (const sql::SqlExprPtr& c : e->children) CollectAggAsts(c, out);
-}
-
-// Counts occurrences of each aggregate display inside one select item.
-void CountAggOccurrences(const sql::SqlExprPtr& e,
-                         std::unordered_map<std::string, int>* counts) {
-  if (e == nullptr) return;
-  if (e->kind == sql::SqlExpr::Kind::kAggCall) {
-    (*counts)[e->ToString()]++;
-    return;
-  }
-  for (const sql::SqlExprPtr& c : e->children) CountAggOccurrences(c, counts);
 }
 
 // Copies the sample's table and appends the design columns __unit / __weight.
@@ -151,13 +123,22 @@ ApproxExecutor::ApproxExecutor(const Catalog* catalog, AqpOptions options)
 
 Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
                                              obs::QueryTrace* parent_trace) {
+  AQP_ASSIGN_OR_RETURN(sql::PreparedQuery query,
+                       sql::Prepare(sql, *catalog_, parent_trace));
+  return Execute(query, parent_trace);
+}
+
+Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
+                                             obs::QueryTrace* parent_trace) {
   ++invocation_;
   const Clock::time_point start = Clock::now();
   const bool instrumented = obs::Enabled();
+  const sql::SelectStmt& stmt = query.stmt;
+  const sql::BoundQuery& bound = query.bound;
 
   ApproxResult result;
   obs::ExecutionProfile& prof = result.profile;
-  prof.query = std::string(sql);
+  prof.query = query.sql;
   prof.executor = "online-two-stage";
   // An externally owned parent trace (service tier) takes precedence over
   // the profile's local trace so the submission gets one span tree; the
@@ -165,13 +146,6 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
   const bool external_trace = parent_trace != nullptr;
   obs::QueryTrace* tr =
       external_trace ? parent_trace : (instrumented ? &prof.trace : nullptr);
-
-  obs::TraceSpan parse_span = obs::MaybeSpan(tr, "parse");
-  AQP_ASSIGN_OR_RETURN(sql::SelectStmt stmt, sql::Parse(sql));
-  parse_span.End();
-  obs::TraceSpan bind_span = obs::MaybeSpan(tr, "bind");
-  AQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *catalog_));
-  bind_span.End();
 
   if (stmt.error_spec.has_value()) {
     obs::ContractReport contract;
@@ -240,22 +214,18 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
     return result;
   };
 
-  if (!stmt.error_spec.has_value()) {
+  if (!query.shape.has_contract) {
     return fallback("no error contract (WITH ERROR clause) given");
   }
-  if (!bound.has_aggregates) {
+  if (!query.shape.has_aggregates) {
     return fallback("query has no aggregates to approximate");
   }
-  std::vector<AggKind> kinds;
-  for (const sql::BoundAggregate& agg : bound.aggregates) {
-    kinds.push_back(agg.kind);
-  }
-  if (!ContractCoversAggregates(kinds)) {
+  if (!query.shape.all_linear) {
     return fallback(
         "non-linear aggregate (MIN/MAX/COUNT DISTINCT/VAR/STDDEV) cannot "
         "carry a sampling error contract");
   }
-  if (stmt.having != nullptr) {
+  if (query.shape.has_having) {
     return fallback("HAVING is answered exactly");
   }
 
@@ -280,27 +250,7 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
                 ")"
           : "bernoulli-row";
 
-  // Flattened (pre-aggregation) statement; aggregate-argument items need
-  // their original ASTs.
-  sql::SelectStmt flat = FlattenStatement(stmt, bound);
-  {
-    std::unordered_map<std::string, sql::SqlExprPtr> agg_asts;
-    for (const sql::SelectItem& item : stmt.items) {
-      CollectAggAsts(item.expr, &agg_asts);
-    }
-    CollectAggAsts(stmt.having, &agg_asts);
-    size_t flat_idx = stmt.group_by.size();
-    for (size_t a = 0; a < bound.aggregates.size(); ++a) {
-      const sql::BoundAggregate& agg = bound.aggregates[a];
-      if (agg.kind == AggKind::kCountStar) continue;
-      auto it = agg_asts.find(agg.display);
-      if (it == agg_asts.end() || it->second->children.empty()) {
-        return Status::Internal("lost aggregate argument AST: " + agg.display);
-      }
-      flat.items[flat_idx].expr = it->second->children[0];
-      ++flat_idx;
-    }
-  }
+  const sql::SelectStmt flat = FlattenStatement(stmt, bound);
 
   // Estimation-side specs over the flattened output's column names.
   std::vector<ExprPtr> group_exprs;

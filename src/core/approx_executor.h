@@ -119,8 +119,12 @@ class ApproxExecutor {
   /// tree for the whole submission. The parent is never Finish()ed here —
   /// the caller owns its lifecycle — and `result.profile.trace` is left
   /// empty for the caller to fill (the service deep-copies the finished
-  /// parent in).
+  /// parent in). Parse and bind spans go to `parent_trace` only.
   Result<ApproxResult> Execute(std::string_view sql,
+                               obs::QueryTrace* parent_trace = nullptr);
+
+  /// Executes an already prepared query (same contract as above).
+  Result<ApproxResult> Execute(const sql::PreparedQuery& query,
                                obs::QueryTrace* parent_trace = nullptr);
 
  private:

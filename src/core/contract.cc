@@ -1,7 +1,6 @@
 #include "core/contract.h"
 
 #include "common/check.h"
-#include "engine/aggregate.h"
 
 namespace aqp {
 namespace core {
@@ -19,13 +18,6 @@ PerEstimateTarget AllocateContract(const sql::ErrorSpec& spec,
 double AllocateCompositeError(double relative_error, size_t num_factors) {
   AQP_CHECK(num_factors > 0);
   return relative_error / static_cast<double>(num_factors);
-}
-
-bool ContractCoversAggregates(const std::vector<AggKind>& kinds) {
-  for (AggKind kind : kinds) {
-    if (!IsLinearAgg(kind)) return false;
-  }
-  return true;
 }
 
 }  // namespace core

@@ -28,12 +28,6 @@ PerEstimateTarget AllocateContract(const sql::ErrorSpec& spec,
 /// rel_errs (to first order), so each factor gets an equal share.
 double AllocateCompositeError(double relative_error, size_t num_factors);
 
-/// True if every aggregate in the query is linearly estimable (SUM / COUNT /
-/// AVG) — the class a sampling-based contract can cover. MIN/MAX/COUNT
-/// DISTINCT/VAR force exact execution (or sketches, outside the contract
-/// path); this is the paper's central "no silver bullet" boundary.
-bool ContractCoversAggregates(const std::vector<AggKind>& kinds);
-
 }  // namespace core
 }  // namespace aqp
 

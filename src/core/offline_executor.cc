@@ -5,22 +5,14 @@
 
 #include "common/cancellation.h"
 #include "common/check.h"
-#include "core/contract.h"
 #include "core/result_assembly.h"
 #include "expr/eval.h"
 #include "expr/vector_eval.h"
 #include "obs/metrics.h"
-#include "sql/parser.h"
 
 namespace aqp {
 namespace core {
 namespace {
-
-// Base column name: the part after the last '.'.
-std::string BaseName(const std::string& name) {
-  size_t pos = name.rfind('.');
-  return pos == std::string::npos ? name : name.substr(pos + 1);
-}
 
 // Restricts a sample to the rows matching `predicate`, keeping the design
 // metadata intact (units that lose all rows simply stop contributing).
@@ -76,6 +68,24 @@ Result<Sample> FilterSample(const Sample& sample, const ExprPtr& predicate,
 
 }  // namespace
 
+Status CheckSampleAnswerable(const sql::QueryShape& shape) {
+  if (!shape.has_aggregates) {
+    return Status::Unimplemented("sample AQP answers aggregate queries only");
+  }
+  if (shape.has_joins) {
+    return Status::Unimplemented(
+        "sample AQP over joins needs a join synopsis; fall back");
+  }
+  if (shape.has_having) {
+    return Status::Unimplemented("HAVING unsupported over a sample; fall back");
+  }
+  if (!shape.all_linear) {
+    return Status::Unimplemented(
+        "non-linear aggregates unsupported over a sample; fall back");
+  }
+  return Status::OK();
+}
+
 OfflineExecutor::OfflineExecutor(const Catalog* catalog,
                                  const SampleCatalog* samples,
                                  ExecOptions exec)
@@ -87,46 +97,33 @@ OfflineExecutor::OfflineExecutor(const Catalog* catalog,
 Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
                                               double confidence,
                                               obs::QueryTrace* parent_trace) {
+  AQP_ASSIGN_OR_RETURN(sql::PreparedQuery query,
+                       sql::Prepare(sql, *catalog_, parent_trace));
+  return Execute(query, confidence, parent_trace);
+}
+
+Result<ApproxResult> OfflineExecutor::Execute(const sql::PreparedQuery& query,
+                                              double confidence,
+                                              obs::QueryTrace* parent_trace) {
   const auto start = std::chrono::steady_clock::now();
   AQP_RETURN_IF_ERROR(CheckCancelled(exec_.cancel));
+  AQP_RETURN_IF_ERROR(CheckSampleAnswerable(query.shape));
+  const sql::SelectStmt& stmt = query.stmt;
   const bool instrumented = obs::Enabled();
   ApproxResult result;
   obs::ExecutionProfile& prof = result.profile;
-  prof.query = std::string(sql);
+  prof.query = query.sql;
   prof.executor = "offline-sample";
   const bool external_trace = parent_trace != nullptr;
   obs::QueryTrace* tr =
       external_trace ? parent_trace : (instrumented ? &prof.trace : nullptr);
-
-  obs::TraceSpan bind_span = obs::MaybeSpan(tr, "parse+bind");
-  AQP_ASSIGN_OR_RETURN(sql::SelectStmt stmt, sql::Parse(sql));
-  AQP_ASSIGN_OR_RETURN(sql::BoundQuery bound, sql::Bind(stmt, *catalog_));
-  bind_span.End();
-  if (!bound.has_aggregates) {
-    return Status::Unimplemented("offline AQP answers aggregate queries only");
-  }
-  if (!stmt.joins.empty()) {
-    return Status::Unimplemented(
-        "offline AQP over joins needs a join synopsis; fall back");
-  }
-  if (stmt.having != nullptr) {
-    return Status::Unimplemented("HAVING unsupported offline; fall back");
-  }
-  std::vector<AggKind> kinds;
-  for (const sql::BoundAggregate& agg : bound.aggregates) {
-    kinds.push_back(agg.kind);
-  }
-  if (!ContractCoversAggregates(kinds)) {
-    return Status::Unimplemented(
-        "non-linear aggregates unsupported offline; fall back");
-  }
 
   // Pick the best stored sample: prefer one stratified on the GROUP BY
   // column (sample selection, the BlinkDB step).
   std::string preferred;
   if (stmt.group_by.size() == 1 &&
       stmt.group_by[0]->kind == sql::SqlExpr::Kind::kColumn) {
-    preferred = BaseName(stmt.group_by[0]->column);
+    preferred = sql::BaseName(stmt.group_by[0]->column);
   }
   obs::TraceSpan select_span = obs::MaybeSpan(tr, "select-sample");
   AQP_ASSIGN_OR_RETURN(const StoredSample* stored,
@@ -146,7 +143,7 @@ Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
   {
     std::vector<std::string> names;
     for (const Field& f : sample.table.schema().fields()) {
-      names.push_back(stmt.from.qualifier() + "." + BaseName(f.name));
+      names.push_back(stmt.from.qualifier() + "." + sql::BaseName(f.name));
     }
     AQP_RETURN_IF_ERROR(sample.table.RenameColumns(names));
   }
@@ -167,7 +164,7 @@ Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
     group_exprs.push_back(std::move(e));
   }
   std::vector<AggSpec> agg_specs;
-  for (const sql::BoundAggregate& agg : bound.aggregates) {
+  for (const sql::BoundAggregate& agg : query.bound.aggregates) {
     agg_specs.push_back({agg.kind, agg.arg, agg.internal_alias});
   }
   obs::TraceSpan estimate_span = obs::MaybeSpan(tr, "estimate");
@@ -179,7 +176,7 @@ Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
   obs::TraceSpan assemble_span = obs::MaybeSpan(tr, "assemble");
   AQP_ASSIGN_OR_RETURN(
       AssembledResult assembled,
-      AssembleOutput(stmt, bound, estimates, *catalog_, confidence));
+      AssembleOutput(stmt, query.bound, estimates, *catalog_, confidence));
   assemble_span.End();
   result.table = std::move(assembled.table);
   result.cis = std::move(assembled.cis);

@@ -23,6 +23,10 @@ namespace core {
 /// Supported queries: single-table SELECT with linear aggregates, optional
 /// WHERE / GROUP BY / ORDER BY / LIMIT. Joins, HAVING, and non-linear
 /// aggregates report Unimplemented, signalling the caller to fall back.
+///
+/// The stored sample is only one source: the governed ladder's rung 2 hands
+/// this executor a fresh reservoir sample of the current table instead, so
+/// both rungs share one filter → estimate → assemble path.
 class OfflineExecutor {
  public:
   /// Both registries must outlive the executor. `exec` controls
@@ -40,11 +44,20 @@ class OfflineExecutor {
   Result<ApproxResult> Execute(std::string_view sql, double confidence = 0.95,
                                obs::QueryTrace* parent_trace = nullptr);
 
+  /// Executes an already prepared query (same contract as above).
+  Result<ApproxResult> Execute(const sql::PreparedQuery& query,
+                               double confidence = 0.95,
+                               obs::QueryTrace* parent_trace = nullptr);
+
  private:
   const Catalog* catalog_;
   const SampleCatalog* samples_;
   ExecOptions exec_;
 };
+
+/// OK iff a sample of the FROM table can answer a query of this shape:
+/// aggregates, all linear, no join, no HAVING. Otherwise Unimplemented.
+Status CheckSampleAnswerable(const sql::QueryShape& shape);
 
 }  // namespace core
 }  // namespace aqp

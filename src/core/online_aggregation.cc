@@ -6,7 +6,6 @@
 #include "common/thread_pool.h"
 #include "expr/eval.h"
 #include "expr/vector_eval.h"
-#include "gov/fault_injector.h"
 #include "obs/metrics.h"
 
 namespace aqp {
@@ -20,7 +19,6 @@ Result<OnlineAggregator> OnlineAggregator::Create(const Table& table,
   if (measure == nullptr) {
     return Status::InvalidArgument("OLA requires a measure expression");
   }
-  AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail("ola.create"));
   AQP_RETURN_IF_ERROR(CheckCancelled(exec.cancel));
   OnlineAggregator ola;
   ola.exec_ = exec;

@@ -2,6 +2,7 @@
 #define AQP_CORE_RESULT_ASSEMBLY_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -21,6 +22,10 @@ struct AssembledResult {
   /// error-propagated for composite aggregate expressions.
   std::vector<std::vector<stats::ConfidenceInterval>> cis;
 };
+
+/// Counts occurrences of each aggregate call (by SQL text) inside `e`.
+void CountAggOccurrences(const sql::SqlExprPtr& e,
+                         std::unordered_map<std::string, int>* counts);
 
 /// Materializes per-group estimates into the aggregate node's output shape:
 /// bound.group_names columns, one column per aggregate (internal alias,

@@ -34,7 +34,7 @@ struct FaultSiteCounters {
 ///   engine.scan         — table fetch at the head of every Scan operator
 ///   sampler.bernoulli   — Bernoulli row-sample draw
 ///   sampler.block       — block-sample draw
-///   ola.create          — OnlineAggregator setup (measure eval + permutation)
+///   grace.sample        — rung-2 grace-sample draw (reservoir of the table)
 ///   pool.dispatch       — helper-task dispatch in ThreadPool::ParallelFor
 ///                         (wired through SetDispatchFaultHook when armed)
 ///   synopsis.build      — SynopsisCache stored-sample build (single-flight)

@@ -8,12 +8,12 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "common/memory_tracker.h"
 #include "common/str_util.h"
 #include "core/offline_executor.h"
-#include "core/online_aggregation.h"
+#include "gov/fault_injector.h"
 #include "obs/metrics.h"
 #include "sql/binder.h"
-#include "sql/parser.h"
 
 namespace aqp {
 namespace gov {
@@ -117,6 +117,14 @@ Result<core::ApproxResult> GovernedExecutor::Execute(std::string_view sql) {
 
 Result<core::ApproxResult> GovernedExecutor::ExecuteWithContext(
     std::string_view sql, QueryContext& ctx, obs::QueryTrace* trace) {
+  AQP_ASSIGN_OR_RETURN(sql::PreparedQuery query,
+                       sql::Prepare(sql, *catalog_, trace));
+  return ExecuteWithContext(query, ctx, trace);
+}
+
+Result<core::ApproxResult> GovernedExecutor::ExecuteWithContext(
+    const sql::PreparedQuery& query, QueryContext& ctx,
+    obs::QueryTrace* trace) {
   BumpCounter("gov.queries");
 
   RetryState retry;
@@ -132,14 +140,8 @@ Result<core::ApproxResult> GovernedExecutor::ExecuteWithContext(
       return Status::Internal("circuit open: rung 0 denied for table '" +
                               options_.gate_table + "'");
     }
-    return AttemptWithRetry(0, ctx, retry, [&] {
-      // The rung span's End() closes any spans the executor left open when it
-      // failed mid-stage, so a later rung's spans never nest under rung 0's.
-      obs::TraceSpan rung_span = obs::MaybeSpan(trace, "rung-0");
-      Result<core::ApproxResult> r = rung0.Execute(sql, trace);
-      rung_span.AddAttr("ok", r.ok() ? "true" : "false");
-      return r;
-    });
+    return AttemptWithRetry(0, ctx, retry, trace,
+                            [&] { return rung0.Execute(query, trace); });
   }();
   if (preferred.ok()) {
     core::ApproxResult result = std::move(preferred).value();
@@ -155,17 +157,24 @@ Result<core::ApproxResult> GovernedExecutor::ExecuteWithContext(
     return failure;
   }
   if (!IsDegradable(failure)) return failure;
-  return RunLadder(sql, ctx, std::move(failure), retry, trace);
+  return RunLadder(query, ctx, std::move(failure), retry, trace);
 }
 
 template <typename Fn>
 Result<core::ApproxResult> GovernedExecutor::AttemptWithRetry(
-    int rung, QueryContext& ctx, RetryState& retry, Fn&& attempt) {
+    int rung, QueryContext& ctx, RetryState& retry, obs::QueryTrace* trace,
+    Fn&& attempt) {
   const bool gated =
       options_.rung_gate != nullptr && !options_.gate_table.empty();
   bool retried_here = false;
   for (;;) {
+    // The rung span's End() closes any spans the executor left open when it
+    // failed mid-stage, so a later rung's spans never nest under this one's.
+    obs::TraceSpan rung_span =
+        obs::MaybeSpan(trace, "rung-" + std::to_string(rung));
     Result<core::ApproxResult> r = attempt();
+    rung_span.AddAttr("ok", r.ok() ? "true" : "false");
+    rung_span.End();
     const bool internal =
         !r.ok() && r.status().code() == StatusCode::kInternal;
     if (!internal || retry.attempts_left <= 0 || ctx.cancelled()) {
@@ -209,11 +218,9 @@ RungGate::Decision GovernedExecutor::GateAllow(int rung,
   return d;
 }
 
-Result<core::ApproxResult> GovernedExecutor::RunLadder(std::string_view sql,
-                                                       QueryContext& ctx,
-                                                       Status failure,
-                                                       RetryState& retry,
-                                                       obs::QueryTrace* trace) {
+Result<core::ApproxResult> GovernedExecutor::RunLadder(
+    const sql::PreparedQuery& query, QueryContext& ctx, Status failure,
+    RetryState& retry, obs::QueryTrace* trace) {
   // Rung 1: a pre-computed offline sample answers at cost proportional to
   // the (small) stored sample, no base-table scan. A synopsis the
   // DriftMonitor scored past the decline threshold is refused outright —
@@ -224,12 +231,10 @@ Result<core::ApproxResult> GovernedExecutor::RunLadder(std::string_view sql,
       options_.drift_decline_threshold > 0.0;
   if (drift_declined) BumpCounter("gov.drift_declined");
   if (samples_ != nullptr && !drift_declined && GateAllow(1, retry).allow) {
-    Result<core::ApproxResult> offline = AttemptWithRetry(1, ctx, retry, [&] {
-      obs::TraceSpan rung_span = obs::MaybeSpan(trace, "rung-1");
-      Result<core::ApproxResult> r = RunOfflineRung(sql, ctx, trace);
-      rung_span.AddAttr("ok", r.ok() ? "true" : "false");
-      return r;
-    });
+    Result<core::ApproxResult> offline =
+        AttemptWithRetry(1, ctx, retry, trace, [&] {
+          return RunSampleRung(query, *samples_, ctx, trace);
+        });
     if (offline.ok()) {
       core::ApproxResult result = std::move(offline).value();
       double raw_error = core::MaxRelativeCiHalfWidth(result.cis);
@@ -247,20 +252,16 @@ Result<core::ApproxResult> GovernedExecutor::RunLadder(std::string_view sql,
     }
   }
 
-  // Rung 2: an online-aggregation early answer over one bounded grace chunk.
+  // Rung 2: the same estimator over a bounded grace sample of current data.
   if (GateAllow(2, retry).allow) {
-    Result<core::ApproxResult> ola = AttemptWithRetry(2, ctx, retry, [&] {
-      obs::TraceSpan rung_span = obs::MaybeSpan(trace, "rung-2");
-      Result<core::ApproxResult> r = RunOlaRung(sql, ctx);
-      rung_span.AddAttr("ok", r.ok() ? "true" : "false");
-      return r;
-    });
-    if (ola.ok()) {
-      core::ApproxResult result = std::move(ola).value();
+    Result<core::ApproxResult> grace = AttemptWithRetry(
+        2, ctx, retry, trace, [&] { return RunGraceRung(query, ctx, trace); });
+    if (grace.ok()) {
+      core::ApproxResult result = std::move(grace).value();
       double raw_error = core::MaxRelativeCiHalfWidth(result.cis);
       WidenAllCis(&result, options_.degraded_ci_inflation);
       FinishProfile(&result, ctx, retry, /*rung=*/2,
-                    "degraded to online-aggregation early answer: " +
+                    "degraded to grace sample of current data: " +
                         failure.message(),
                     raw_error);
       BumpCounter("gov.degraded_rung2");
@@ -279,104 +280,47 @@ Result<core::ApproxResult> GovernedExecutor::RunLadder(std::string_view sql,
   return Status::ResourceExhausted(std::move(message));
 }
 
-Result<core::ApproxResult> GovernedExecutor::RunOfflineRung(
-    std::string_view sql, QueryContext& ctx, obs::QueryTrace* trace) {
+Result<core::ApproxResult> GovernedExecutor::RunSampleRung(
+    const sql::PreparedQuery& query, const core::SampleCatalog& samples,
+    QueryContext& ctx, obs::QueryTrace* trace) {
   // The context's token has already tripped (that is why we are here);
-  // rung 1 runs without it but keeps the memory budget honest — the stored
+  // rungs 1 and 2 run without it but keep the memory budget honest — the
   // sample is small, and if even it does not fit the ladder descends.
   ExecOptions exec = options_.aqp.exec;
   exec.cancel = nullptr;
   exec.memory = &ctx.memory();
-  core::OfflineExecutor offline(catalog_, samples_, exec);
-  return offline.Execute(sql, options_.confidence, trace);
+  core::OfflineExecutor offline(catalog_, &samples, exec);
+  return offline.Execute(query, options_.confidence, trace);
 }
 
-Result<core::ApproxResult> GovernedExecutor::RunOlaRung(std::string_view sql,
-                                                        QueryContext& ctx) {
-  AQP_ASSIGN_OR_RETURN(sql::SelectStmt stmt, sql::Parse(sql));
-  if (!stmt.joins.empty() || !stmt.group_by.empty() ||
-      stmt.having != nullptr || stmt.distinct || stmt.items.size() != 1) {
-    return Status::Unimplemented(
-        "online-aggregation rung answers single-aggregate single-table "
-        "queries only");
-  }
-  const sql::SelectItem& item = stmt.items[0];
-  if (item.expr == nullptr || item.expr->kind != sql::SqlExpr::Kind::kAggCall) {
-    return Status::Unimplemented("online-aggregation rung needs an aggregate");
-  }
-  AggKind kind = item.expr->agg_kind;
-  if (kind != AggKind::kSum && kind != AggKind::kAvg &&
-      kind != AggKind::kCountStar) {
-    return Status::Unimplemented(
-        "online-aggregation rung supports SUM/AVG/COUNT(*) only");
-  }
-
-  ExprPtr measure;
-  if (kind == AggKind::kCountStar) {
-    measure = Expr::MakeLiteral(Value(1.0));
-  } else {
-    AQP_ASSIGN_OR_RETURN(measure, sql::LowerSqlExpr(item.expr->children[0]));
-  }
-  ExprPtr predicate;
-  if (stmt.where != nullptr) {
-    AQP_ASSIGN_OR_RETURN(predicate, sql::LowerSqlExpr(stmt.where));
-  }
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
-                       catalog_->Get(stmt.from.table));
-
-  // No token: the grace chunk is the bounded cost we accept after the
-  // deadline. The memory budget stays bound so the OLA working set (order,
-  // measures, mask) is still accounted.
-  ExecOptions exec = options_.aqp.exec;
-  exec.cancel = nullptr;
-  exec.memory = &ctx.memory();
+Result<core::ApproxResult> GovernedExecutor::RunGraceRung(
+    const sql::PreparedQuery& query, QueryContext& ctx,
+    obs::QueryTrace* trace) {
+  AQP_RETURN_IF_ERROR(core::CheckSampleAnswerable(query.shape));
+  // The grace sample: ola_grace_rows rows of the CURRENT table drawn without
+  // replacement, the design of a uniform synopsis. Algorithm L skips between
+  // takes, so the draw costs O(k log(N/k)) after the deadline, not O(N).
+  obs::TraceSpan draw_span = obs::MaybeSpan(trace, "draw-sample");
+  AQP_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("grace.sample"));
   AQP_ASSIGN_OR_RETURN(
-      core::OnlineAggregator agg,
-      core::OnlineAggregator::Create(*table, measure, predicate,
-                                     options_.aqp.seed, exec));
-  core::OlaProgress progress =
-      agg.Step(options_.ola_grace_rows, options_.confidence);
-
-  stats::ConfidenceInterval ci;
-  switch (kind) {
-    case AggKind::kSum:
-      ci = progress.sum_ci;
-      break;
-    case AggKind::kAvg:
-      ci = progress.avg_ci;
-      break;
-    default:
-      ci = progress.count_ci;
-      break;
-  }
-
-  std::string name =
-      item.alias.empty() ? item.expr->ToString() : item.alias;
-  core::ApproxResult result;
-  if (kind == AggKind::kCountStar) {
-    Column col(DataType::kInt64);
-    col.AppendInt64(static_cast<int64_t>(std::llround(ci.estimate)));
-    AQP_ASSIGN_OR_RETURN(
-        result.table,
-        Table::Make(Schema({Field{name, DataType::kInt64}}), {std::move(col)}));
-  } else {
-    Column col(DataType::kDouble);
-    col.AppendDouble(ci.estimate);
-    AQP_ASSIGN_OR_RETURN(
-        result.table,
-        Table::Make(Schema({Field{name, DataType::kDouble}}),
-                    {std::move(col)}));
-  }
-  result.approximated = true;
-  result.sampled_table = stmt.from.table;
-  result.final_rate = progress.fraction;
-  result.cis = {{ci}};
-  result.profile = agg.Profile();
-  result.profile.query = std::string(sql);
-  result.profile.executor = "online-aggregation";
-  result.profile.approximated = true;
-  result.profile.sampled_table = stmt.from.table;
-  result.profile.sampled_fraction = progress.fraction;
+      core::StoredSample grace,
+      core::BuildUniformStoredSample(*catalog_, query.stmt.from.table,
+                                     options_.ola_grace_rows,
+                                     options_.aqp.seed));
+  AQP_ASSIGN_OR_RETURN(ScopedMemoryCharge charge,
+                       ScopedMemoryCharge::Make(&ctx.memory(),
+                                                grace.ApproxBytes(),
+                                                "grace sample"));
+  draw_span.AddAttr("rows", static_cast<uint64_t>(grace.sample.num_rows()));
+  draw_span.End();
+  core::SampleCatalog source;
+  AQP_RETURN_IF_ERROR(
+      source.Adopt(std::make_shared<const core::StoredSample>(std::move(grace))));
+  AQP_ASSIGN_OR_RETURN(core::ApproxResult result,
+                       RunSampleRung(query, source, ctx, trace));
+  result.profile.executor = "grace-sample";
+  result.profile.sampling_design =
+      "reservoir(rows=" + std::to_string(options_.ola_grace_rows) + ")";
   return result;
 }
 

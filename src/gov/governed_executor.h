@@ -68,9 +68,10 @@ struct GovernedOptions {
 
   /// Confidence used for degraded answers (rungs 1 and 2).
   double confidence = 0.95;
-  /// Rows the rung-2 online-aggregation answer may consume after the
-  /// deadline has already expired — the bounded "grace chunk" that buys an
-  /// honest early estimate instead of an error.
+  /// Rows in the rung-2 grace sample: a simple random sample of the current
+  /// table, drawn after the deadline has already expired and charged to the
+  /// query's memory budget — the bounded cost that buys an honest early
+  /// estimate instead of an error.
   size_t ola_grace_rows = 4096;
   /// Degraded confidence intervals are widened by this factor (half-width
   /// multiplier) to reflect that the answer came from a rung the query did
@@ -89,7 +90,7 @@ struct GovernedOptions {
   double drift_inflation_gain = 1.0;
   /// At or above this drift score rung 1 refuses to answer from the stored
   /// synopsis at all (PilotDB-style decline-when-unsafe): the ladder falls
-  /// through to the online-aggregation rung, which reads CURRENT data.
+  /// through to the grace-sample rung, which reads CURRENT data.
   double drift_decline_threshold = 0.5;
 
   /// Bounded retry with backoff for transient Internal rung failures.
@@ -109,10 +110,14 @@ struct GovernedOptions {
 ///
 ///   rung 0  exact / two-stage approximate (ApproxExecutor), governed
 ///   rung 1  pre-computed offline sample (SampleCatalog), cost ∝ sample size
-///   rung 2  online-aggregation early answer over one bounded grace chunk,
-///           CI widened by `degraded_ci_inflation`
+///   rung 2  grace sample: `ola_grace_rows` rows of the current table drawn
+///           without replacement, answered by rung 1's estimator; cost
+///           O(k log(N/k)), CI widened by `degraded_ci_inflation`
 ///   — else  Status::ResourceExhausted (nothing could answer)
 ///
+/// The query is parsed and bound once and every rung answers that one
+/// PreparedQuery. Rungs 1 and 2 share the filter → estimate → assemble path,
+/// so both answer single-table GROUP BY queries with linear aggregates.
 /// Degraded answers carry `degraded_reason` / `degradation_rung` in their
 /// ExecutionProfile and keep the exact query's output shape. The ladder is
 /// taken for deadline expiry, memory exhaustion, and runtime faults
@@ -139,6 +144,12 @@ class GovernedExecutor {
       std::string_view sql, QueryContext& ctx,
       obs::QueryTrace* trace = nullptr);
 
+  /// Executes an already prepared query: every rung answers this one
+  /// parse and bind (the service prepares once, before its caches).
+  Result<core::ApproxResult> ExecuteWithContext(
+      const sql::PreparedQuery& query, QueryContext& ctx,
+      obs::QueryTrace* trace = nullptr);
+
  private:
   /// Per-query retry accounting, shared by every rung attempt.
   struct RetryState {
@@ -148,20 +159,27 @@ class GovernedExecutor {
     int64_t retry_after_ms = 0;  // Worst gate hint seen (for fast-fail).
   };
 
-  Result<core::ApproxResult> RunLadder(std::string_view sql, QueryContext& ctx,
-                                       Status failure, RetryState& retry,
+  Result<core::ApproxResult> RunLadder(const sql::PreparedQuery& query,
+                                       QueryContext& ctx, Status failure,
+                                       RetryState& retry,
                                        obs::QueryTrace* trace);
-  Result<core::ApproxResult> RunOfflineRung(std::string_view sql,
-                                            QueryContext& ctx,
-                                            obs::QueryTrace* trace);
-  Result<core::ApproxResult> RunOlaRung(std::string_view sql,
-                                        QueryContext& ctx);
-  /// Runs `attempt`, retrying kInternal failures with backoff while the
-  /// shared attempt budget and the deadline allow. Reports the conclusive
-  /// outcome to the rung gate.
+  /// Answers `query` from `samples` through the offline executor: rung 1
+  /// passes the stored synopses, rung 2 its grace sample.
+  Result<core::ApproxResult> RunSampleRung(const sql::PreparedQuery& query,
+                                           const core::SampleCatalog& samples,
+                                           QueryContext& ctx,
+                                           obs::QueryTrace* trace);
+  Result<core::ApproxResult> RunGraceRung(const sql::PreparedQuery& query,
+                                          QueryContext& ctx,
+                                          obs::QueryTrace* trace);
+  /// Runs `attempt` under a "rung-N" span, retrying kInternal failures with
+  /// backoff while the shared attempt budget and the deadline allow.
+  /// Reports the conclusive outcome to the rung gate.
   template <typename Fn>
   Result<core::ApproxResult> AttemptWithRetry(int rung, QueryContext& ctx,
-                                              RetryState& retry, Fn&& attempt);
+                                              RetryState& retry,
+                                              obs::QueryTrace* trace,
+                                              Fn&& attempt);
   /// Gate consultation for one rung; {true, 0} when no gate is configured.
   RungGate::Decision GateAllow(int rung, RetryState& retry) const;
   void FinishProfile(core::ApproxResult* result, const QueryContext& ctx,

@@ -42,7 +42,7 @@ struct ParallelReport {
 struct ExecutionProfile {
   std::string query;
   /// Which execution strategy answered: "online-two-stage", "offline-sample",
-  /// "online-aggregation", or "exact".
+  /// "grace-sample", "online-aggregation", or "exact".
   std::string executor;
 
   bool approximated = false;
@@ -52,7 +52,7 @@ struct ExecutionProfile {
   /// strategy (deadline, memory budget, or a runtime fault), the governor
   /// descends a degradation ladder and records here which rung answered and
   /// why: rung 0 = preferred strategy, 1 = stored offline sample, 2 =
-  /// online-aggregation early answer (CI widened by the degradation
+  /// grace sample of the current table (CI widened by the degradation
   /// inflation). `degraded_reason` is empty for ungoverned / undegraded runs.
   std::string degraded_reason;
   int degradation_rung = 0;

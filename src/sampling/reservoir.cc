@@ -22,20 +22,28 @@ uint64_t ReservoirSampler::SkipLength() {
 }
 
 int64_t ReservoirSampler::Offer() {
-  uint64_t ordinal = count_++;
-  if (ordinal < k_) {
-    return static_cast<int64_t>(ordinal);  // Fill phase.
+  if (count_ >= k_ && count_ + 1 < next_take_) {
+    ++count_;
+    return -1;  // Inside a skip run.
   }
-  if (ordinal + 1 <= next_take_) {
-    if (ordinal + 1 < next_take_) return -1;  // Inside a skip run.
-    // ordinal + 1 == next_take_ (1-based): take this item.
-    int64_t slot = static_cast<int64_t>(rng_.UniformUint64(k_));
-    w_ *= std::exp(std::log(rng_.NextDouble() + 1e-300) /
-                   static_cast<double>(k_));
-    next_take_ = (ordinal + 1) + SkipLength() + 1;
-    return slot;
+  size_t slot = 0;
+  SkipToNextTake(&slot);
+  return static_cast<int64_t>(slot);
+}
+
+uint64_t ReservoirSampler::SkipToNextTake(size_t* slot) {
+  if (count_ < k_) {
+    *slot = count_;  // Fill phase.
+    return count_++;
   }
-  return -1;
+  // next_take_ is 1-based: the item at ordinal next_take_ - 1 is taken.
+  const uint64_t ordinal = next_take_ - 1;
+  count_ = next_take_;
+  *slot = rng_.UniformUint64(k_);
+  w_ *= std::exp(std::log(rng_.NextDouble() + 1e-300) /
+                 static_cast<double>(k_));
+  next_take_ = count_ + SkipLength() + 1;
+  return ordinal;
 }
 
 Result<Sample> ReservoirSample(const Table& table, size_t k, uint64_t seed) {
@@ -57,9 +65,11 @@ Result<Sample> ReservoirSample(const Table& table, size_t k, uint64_t seed) {
   }
   ReservoirSampler sampler(k, seed);
   std::vector<uint32_t> reservoir(k, 0);
-  for (size_t i = 0; i < n; ++i) {
-    int64_t slot = sampler.Offer();
-    if (slot >= 0) reservoir[static_cast<size_t>(slot)] = static_cast<uint32_t>(i);
+  for (;;) {
+    size_t slot = 0;
+    const uint64_t i = sampler.SkipToNextTake(&slot);
+    if (i >= n) break;
+    reservoir[slot] = static_cast<uint32_t>(i);
   }
   sample.table = table.Take(reservoir);
   double weight = static_cast<double>(n) / static_cast<double>(k);

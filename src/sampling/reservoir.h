@@ -22,6 +22,12 @@ class ReservoirSampler {
   /// it replaced, or -1 if not taken. Items must be offered in order.
   int64_t Offer();
 
+  /// Jumps straight to the next item Algorithm L takes, as if Offer() had
+  /// been called on every item before it (same RNG draws, same reservoir),
+  /// and returns that item's 0-based ordinal; `*slot` receives the slot it
+  /// replaces. A pass over n items thus costs O(k log(n/k)), not O(n).
+  uint64_t SkipToNextTake(size_t* slot);
+
   /// Number of items seen so far.
   uint64_t items_seen() const { return count_; }
   size_t capacity() const { return k_; }

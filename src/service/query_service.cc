@@ -11,7 +11,6 @@
 #include "gov/fault_injector.h"
 #include "obs/metrics.h"
 #include "service/synopsis_store.h"
-#include "sql/parser.h"
 
 namespace aqp {
 namespace service {
@@ -85,11 +84,6 @@ void RecordQueryMetrics(double wait_seconds, double exec_seconds,
   wait_ms->Observe(wait_seconds * 1e3);
   query_ms->Observe(exec_seconds * 1e3);
   reg.GetCounter(std::string("service.queries.") + outcome)->Increment();
-}
-
-std::string StripQualifier(const std::string& column) {
-  auto dot = column.rfind('.');
-  return dot == std::string::npos ? column : column.substr(dot + 1);
 }
 
 /// Applies the environment overlays that other members read during
@@ -314,33 +308,38 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     gopts.memory_budget_bytes = *submission.memory_budget_bytes;
   }
 
-  // A best-effort parse extracts the referenced tables (cache keys) and the
-  // GROUP BY column (stratified synopsis choice). Malformed SQL skips the
-  // caches and lets the executor produce the real error.
-  std::vector<std::string> tables;
+  // A failed submission logs one "failed" event and counts as failed,
+  // whether it failed to prepare or every rung failed to answer.
+  auto fail = [&](Status status) -> Result<core::ApproxResult> {
+    obs::QueryLogEvent e = MakeEvent(submission.sql, session.id(), "failed",
+                                     wait_seconds, queue_depth,
+                                     wait_seconds + SecondsSince(exec_start),
+                                     /*profile=*/nullptr);
+    e.retry_after_ms = RetryAfterMsFromStatus(status);
+    query_log_.Append(std::move(e));
+    RecordQueryMetrics(wait_seconds, SecondsSince(exec_start), "failed");
+    return status;
+  };
+
+  // Parse and bind once, before the caches: the referenced tables (cache
+  // keys, version pins, breaker gate) and the GROUP BY column (stratified
+  // synopsis choice) come from the same PreparedQuery every rung answers.
+  Result<sql::PreparedQuery> prepared =
+      sql::Prepare(submission.sql, *catalog_, trace);
+  if (!prepared.ok()) return fail(prepared.status());
+  const sql::PreparedQuery& query = prepared.value();
+  const std::vector<std::string>& tables = query.shape.tables;
+  // Stratified synopses only for single-table GROUP BY on a plain column:
+  // that is the case where uniform samples lose small groups and the
+  // BlinkDB-style stratified sample is the fix.
   std::string strata_column;
-  bool parsed = false;
-  if (Result<sql::SelectStmt> stmt = sql::Parse(submission.sql); stmt.ok()) {
-    parsed = true;
-    const sql::SelectStmt& s = stmt.value();
-    tables.push_back(s.from.table);
-    for (const auto& join : s.joins) {
-      if (std::find(tables.begin(), tables.end(), join.table.table) ==
-          tables.end()) {
-        tables.push_back(join.table.table);
-      }
-    }
-    // Stratified synopses only for single-table GROUP BY on a plain column:
-    // that is the case where uniform samples lose small groups and the
-    // BlinkDB-style stratified sample is the fix.
-    if (s.joins.empty() && s.group_by.size() == 1 &&
-        s.group_by[0]->kind == sql::SqlExpr::Kind::kColumn) {
-      strata_column = StripQualifier(s.group_by[0]->column);
-    }
+  if (!query.shape.has_joins && query.shape.num_group_keys == 1 &&
+      query.stmt.group_by[0]->kind == sql::SqlExpr::Kind::kColumn) {
+    strata_column = sql::BaseName(query.stmt.group_by[0]->column);
   }
 
   std::vector<std::pair<std::string, uint64_t>> versions;
-  bool versions_ok = parsed;
+  bool versions_ok = true;
   for (const std::string& table : tables) {
     Result<uint64_t> version = catalog_->Version(table);
     if (!version.ok()) {
@@ -498,7 +497,7 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
   gov::GovernedExecutor executor(catalog_, adopted ? &synopsis_view : nullptr,
                                  gopts);
   Result<core::ApproxResult> result =
-      executor.ExecuteWithContext(submission.sql, ctx, trace);
+      executor.ExecuteWithContext(query, ctx, trace);
   // MUST precede ctx going out of scope (and every return below): detaches
   // the context from the watchdog's view.
   watchdog_.Unregister(*ticket_out);
@@ -516,15 +515,7 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     breaker_.RecordQueryOutcome(fingerprint, poison);
   }
 
-  if (!result.ok()) {
-    obs::QueryLogEvent e =
-        MakeEvent(submission.sql, session.id(), "failed", wait_seconds,
-                  queue_depth, wall_seconds, /*profile=*/nullptr);
-    e.retry_after_ms = RetryAfterMsFromStatus(result.status());
-    query_log_.Append(std::move(e));
-    RecordQueryMetrics(wait_seconds, SecondsSince(exec_start), "failed");
-    return result;
-  }
+  if (!result.ok()) return fail(result.status());
 
   core::ApproxResult& r = result.value();
   std::string cache_source;

@@ -1,5 +1,6 @@
 #include "sql/binder.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -7,13 +8,13 @@
 
 namespace aqp {
 namespace sql {
-namespace {
 
-// Base column name: the part after the last '.'.
 std::string BaseName(const std::string& name) {
   size_t pos = name.rfind('.');
   return pos == std::string::npos ? name : name.substr(pos + 1);
 }
+
+namespace {
 
 // Wraps `scan` in a Project renaming each column to "<qualifier>.<base>".
 Result<PlanPtr> QualifiedScan(const TableRef& ref, const Catalog& catalog,
@@ -238,7 +239,7 @@ Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog) {
       }
       agg_specs.push_back({call->agg_kind, arg, internal});
       bound.aggregates.push_back(
-          {call->agg_kind, arg, internal, call->ToString()});
+          {call->agg_kind, arg, internal, call->ToString(), call});
       replacements[call->ToString()] = internal;
     }
     bound.group_names = group_names;
@@ -340,6 +341,35 @@ Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog) {
 Result<BoundQuery> BindSql(std::string_view sql, const Catalog& catalog) {
   AQP_ASSIGN_OR_RETURN(SelectStmt stmt, Parse(sql));
   return Bind(stmt, catalog);
+}
+
+Result<PreparedQuery> Prepare(std::string_view sql, const Catalog& catalog,
+                              obs::QueryTrace* trace) {
+  PreparedQuery query;
+  query.sql = std::string(sql);
+  obs::TraceSpan parse_span = obs::MaybeSpan(trace, "parse");
+  AQP_ASSIGN_OR_RETURN(query.stmt, Parse(sql));
+  parse_span.End();
+  obs::TraceSpan bind_span = obs::MaybeSpan(trace, "bind");
+  AQP_ASSIGN_OR_RETURN(query.bound, Bind(query.stmt, catalog));
+  bind_span.End();
+
+  QueryShape& shape = query.shape;
+  shape.has_contract = query.stmt.error_spec.has_value();
+  shape.has_aggregates = query.bound.has_aggregates;
+  for (const BoundAggregate& agg : query.bound.aggregates) {
+    shape.all_linear = shape.all_linear && IsLinearAgg(agg.kind);
+  }
+  shape.has_joins = !query.stmt.joins.empty();
+  shape.has_having = query.stmt.having != nullptr;
+  shape.num_group_keys = query.stmt.group_by.size();
+  for (const TableRef& ref : query.bound.tables) {
+    if (std::find(shape.tables.begin(), shape.tables.end(), ref.table) ==
+        shape.tables.end()) {
+      shape.tables.push_back(ref.table);
+    }
+  }
+  return query;
 }
 
 Result<ExprPtr> LowerSqlExpr(const SqlExprPtr& e) { return Lower(e); }

@@ -21,6 +21,7 @@ struct BoundAggregate {
   ExprPtr arg;                 // nullptr for COUNT(*).
   std::string internal_alias;  // Output column name in the aggregate node.
   std::string display;         // SQL text, e.g. "SUM(price)".
+  SqlExprPtr call;             // The aggregate call's AST (kAggCall).
 };
 
 /// A SELECT statement lowered to an executable plan, plus the AQP-relevant
@@ -46,6 +47,38 @@ Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog);
 
 /// Parse + bind in one step.
 Result<BoundQuery> BindSql(std::string_view sql, const Catalog& catalog);
+
+/// The query-shape facts every executor and rung decides on, classified
+/// once at Prepare time instead of re-derived from the AST at each site.
+struct QueryShape {
+  bool has_contract = false;    // A WITH ERROR clause was given.
+  bool has_aggregates = false;  // Aggregate calls or GROUP BY.
+  /// Every aggregate is SUM/COUNT/COUNT(*)/AVG — the class a sample can
+  /// estimate, and the paper's "no silver bullet" boundary: MIN/MAX/COUNT
+  /// DISTINCT/VAR force exact execution.
+  bool all_linear = true;
+  bool has_joins = false;
+  bool has_having = false;
+  size_t num_group_keys = 0;
+  std::vector<std::string> tables;  // Distinct referenced tables, FROM first.
+};
+
+/// One submission's SQL, parsed, bound, and shape-classified exactly once,
+/// then handed down the whole degradation ladder.
+struct PreparedQuery {
+  std::string sql;
+  SelectStmt stmt;
+  BoundQuery bound;
+  QueryShape shape;
+};
+
+/// Parses and binds `sql` against `catalog` and classifies its shape.
+/// `trace`, when non-null, receives one "parse" and one "bind" span.
+Result<PreparedQuery> Prepare(std::string_view sql, const Catalog& catalog,
+                              obs::QueryTrace* trace = nullptr);
+
+/// Base column name: the part after the last '.' ("l.price" -> "price").
+std::string BaseName(const std::string& name);
 
 /// Lowers a parser-level expression (no aggregate calls) to an engine
 /// expression. Exposed for executors that evaluate pieces of a statement

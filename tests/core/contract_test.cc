@@ -33,15 +33,6 @@ TEST(ContractTest, CompositeErrorSplit) {
   EXPECT_DOUBLE_EQ(AllocateCompositeError(0.06, 3), 0.02);
 }
 
-TEST(ContractTest, CoverageOfAggregateKinds) {
-  EXPECT_TRUE(ContractCoversAggregates(
-      {AggKind::kSum, AggKind::kAvg, AggKind::kCount, AggKind::kCountStar}));
-  EXPECT_FALSE(ContractCoversAggregates({AggKind::kSum, AggKind::kMin}));
-  EXPECT_FALSE(ContractCoversAggregates({AggKind::kCountDistinct}));
-  EXPECT_FALSE(ContractCoversAggregates({AggKind::kVar}));
-  EXPECT_TRUE(ContractCoversAggregates({}));
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace aqp

@@ -10,6 +10,7 @@
 
 #include "core/offline_executor.h"
 #include "gov/fault_injector.h"
+#include "sql/binder.h"
 #include "workload/datagen.h"
 
 namespace aqp {
@@ -78,15 +79,16 @@ TEST_F(GovernedExecutorTest, ZeroDeadlineDegradesToStoredSample) {
   ExpectValidCi(r);
 }
 
-TEST_F(GovernedExecutorTest, ZeroDeadlineWithoutSamplesDegradesToOla) {
+TEST_F(GovernedExecutorTest, ZeroDeadlineWithoutSamplesDegradesToGraceSample) {
   ScopedFaultInjection quiet;
   GovernedOptions opts = Options();
   opts.deadline_ms = 0;
   GovernedExecutor exec(&catalog_, /*samples=*/nullptr, opts);
   core::ApproxResult r = exec.Execute(kSumQuery).value();
   EXPECT_EQ(r.profile.degradation_rung, 2);
-  EXPECT_NE(r.profile.degraded_reason.find("online-aggregation"),
-            std::string::npos);
+  EXPECT_NE(r.profile.degraded_reason.find("grace sample"), std::string::npos);
+  EXPECT_EQ(r.profile.executor, "grace-sample");
+  EXPECT_EQ(r.profile.rows_scanned, opts.ola_grace_rows);
   EXPECT_TRUE(r.approximated);
   EXPECT_EQ(r.table.num_rows(), 1u);
   EXPECT_GT(r.table.column(0).DoubleAt(0), 0.0);
@@ -94,17 +96,77 @@ TEST_F(GovernedExecutorTest, ZeroDeadlineWithoutSamplesDegradesToOla) {
   ExpectValidCi(r);
 }
 
-TEST_F(GovernedExecutorTest, ZeroDeadlineGroupByWithoutSamplesExhausts) {
-  // GROUP BY is beyond the OLA rung and there is no stored sample: the
+TEST_F(GovernedExecutorTest, ZeroDeadlineGroupByWithoutSamplesUsesGraceSample) {
+  // No stored sample, but rung 2 runs rung 1's estimator over its grace
+  // sample, so GROUP BY keeps its groups and gets a CI per cell.
+  ScopedFaultInjection quiet;
+  GovernedOptions opts = Options();
+  opts.deadline_ms = 0;
+  GovernedExecutor exec(&catalog_, /*samples=*/nullptr, opts);
+  core::ApproxResult r = exec.Execute(kGroupQuery).value();
+  EXPECT_EQ(r.profile.degradation_rung, 2);
+  EXPECT_GT(r.table.num_rows(), 1u);
+  EXPECT_EQ(r.table.num_columns(), 2u);
+  EXPECT_EQ(r.cis.size(), r.table.num_rows());
+  for (const auto& row : r.cis) {
+    EXPECT_GT(row[1].high, row[1].low);  // A real interval, not a point.
+  }
+  EXPECT_EQ(r.profile.memory_leaked_bytes, 0u);
+  ExpectValidCi(r);
+}
+
+TEST_F(GovernedExecutorTest, ZeroDeadlineJoinWithoutSamplesExhausts) {
+  // A join is beyond both sample rungs and there is no stored sample: the
   // ladder runs out honestly instead of inventing an answer.
   ScopedFaultInjection quiet;
   GovernedOptions opts = Options();
   opts.deadline_ms = 0;
   GovernedExecutor exec(&catalog_, /*samples=*/nullptr, opts);
-  Result<core::ApproxResult> r = exec.Execute(kGroupQuery);
+  Result<core::ApproxResult> r = exec.Execute(
+      "SELECT SUM(l.quantity) AS q FROM lineitem AS l "
+      "JOIN orders AS o ON l.orderkey = o.orderkey "
+      "WITH ERROR 5% CONFIDENCE 95%");
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(r.status().message().find("degradation ladder"),
             std::string::npos);
+}
+
+TEST_F(GovernedExecutorTest, GraceSampleMemoryIsFlatInTableSize) {
+  // Rung 2 charges its grace sample, never the table: a 10x larger table
+  // costs (almost) the same peak bytes.
+  ScopedFaultInjection quiet;
+  GovernedOptions opts = Options();
+  opts.deadline_ms = 0;
+  auto peak = [&](const Catalog& catalog) {
+    GovernedExecutor exec(&catalog, /*samples=*/nullptr, opts);
+    core::ApproxResult r = exec.Execute(kGroupQuery).value();
+    EXPECT_EQ(r.profile.degradation_rung, 2);
+    return static_cast<double>(r.profile.memory_peak_bytes);
+  };
+  Catalog big = workload::GenerateLineitemLike(600000, 11).value();
+  const double small_peak = peak(catalog_);
+  const double big_peak = peak(big);
+  EXPECT_GT(small_peak, 0.0);
+  EXPECT_LE(big_peak, 1.25 * small_peak);
+}
+
+TEST_F(GovernedExecutorTest, GraceSampleOfSmallTableIsExact) {
+  // A table smaller than the grace sample is read whole: the answer is
+  // exact and every interval has zero width.
+  ScopedFaultInjection quiet;
+  Catalog small = workload::GenerateLineitemLike(1000, 5).value();
+  const double truth =
+      sql::ExecuteSql("SELECT SUM(extendedprice) AS s FROM lineitem", small)
+          .value()
+          .column(0)
+          .DoubleAt(0);
+  GovernedOptions opts = Options();
+  opts.deadline_ms = 0;
+  GovernedExecutor exec(&small, /*samples=*/nullptr, opts);
+  core::ApproxResult r = exec.Execute(kSumQuery).value();
+  EXPECT_EQ(r.profile.degradation_rung, 2);
+  EXPECT_NEAR(r.table.column(0).DoubleAt(0), truth, 1e-9 * truth);
+  EXPECT_EQ(r.cis[0][0].low, r.cis[0][0].high);
 }
 
 TEST_F(GovernedExecutorTest, ZeroDeadlineGroupByDegradesToStoredSample) {

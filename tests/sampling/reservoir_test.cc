@@ -84,6 +84,53 @@ TEST(ReservoirSampleTest, UniformInclusionProbability) {
   }
 }
 
+TEST(ReservoirSampleTest, SkippingMatchesOfferLoop) {
+  // ReservoirSample jumps between Algorithm L's takes; it must draw exactly
+  // the reservoir an Offer() per row would, so stored synopses (and their
+  // persisted sidecars) are unchanged by the skip.
+  for (size_t n : {1, 2, 7, 100, 1000, 50000}) {
+    std::vector<double> values(n);
+    for (size_t i = 0; i < n; ++i) values[i] = static_cast<double>(i);
+    Table t = testutil::DoubleTable(values);
+    for (size_t k : {size_t{1}, size_t{2}, size_t{10}, size_t{100}, n,
+                     n + 5}) {
+      for (uint64_t seed : {1, 7, 42}) {
+        std::vector<double> expected;
+        if (k >= n) {
+          expected = values;
+        } else {
+          ReservoirSampler sampler(k, seed);
+          expected.assign(k, 0.0);
+          for (size_t i = 0; i < n; ++i) {
+            int64_t slot = sampler.Offer();
+            if (slot >= 0) expected[static_cast<size_t>(slot)] = values[i];
+          }
+        }
+        Sample s = ReservoirSample(t, k, seed).value();
+        ASSERT_EQ(s.num_rows(), expected.size());
+        for (size_t i = 0; i < s.num_rows(); ++i) {
+          EXPECT_EQ(s.table.column(0).DoubleAt(i), expected[i])
+              << "n=" << n << " k=" << k << " seed=" << seed << " slot=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ReservoirSamplerTest, SkipToNextTakeMatchesOffer) {
+  ReservoirSampler offered(4, 9);
+  ReservoirSampler skipping(4, 9);
+  for (int take = 0; take < 50; ++take) {
+    size_t slot = 0;
+    const uint64_t ordinal = skipping.SkipToNextTake(&slot);
+    int64_t offered_slot = -1;
+    while (offered_slot < 0) offered_slot = offered.Offer();
+    EXPECT_EQ(offered.items_seen() - 1, ordinal);
+    EXPECT_EQ(static_cast<size_t>(offered_slot), slot);
+    EXPECT_EQ(skipping.items_seen(), offered.items_seen());
+  }
+}
+
 TEST(ReservoirSampleTest, HtSumUnbiased) {
   Table t = testutil::ZipfGroupedTable(10000, 20, 0.8, 5);
   double truth = testutil::ExactSum(t, "x");

@@ -167,7 +167,15 @@ TEST_F(QueryServiceTest, MalformedSqlSurfacesParserError) {
   auto session = service.OpenSession();
   auto r = service.Execute(session, {"SELEKT oops"});
   EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);  // The parser's.
   EXPECT_EQ(service.result_cache_stats().entries, 0u);
+  // A query that fails to prepare logs and counts like any other failure.
+  std::vector<obs::QueryLogEvent> events = service.query_log().Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].status, "failed");
+  EXPECT_EQ(events[0].sql, "SELEKT oops");
+  EXPECT_EQ(service.StatsSnapshot().queries_failed, 1u);
+  EXPECT_EQ(session->stats().failed, 1u);
 }
 
 TEST_F(QueryServiceTest, ConcurrentSessionsAllComplete) {

@@ -43,6 +43,12 @@ size_t CountSpans(const obs::SpanRecord& node) {
   return n;
 }
 
+size_t CountNamed(const obs::SpanRecord& node, const std::string& name) {
+  size_t n = node.name == name ? 1 : 0;
+  for (const auto& child : node.children) n += CountNamed(*child, name);
+  return n;
+}
+
 bool HasAttrInSubtree(const obs::SpanRecord& node, const std::string& attr) {
   for (const auto& [key, value] : node.attrs) {
     if (key == attr) return true;
@@ -179,6 +185,32 @@ TEST_P(TracePropagationTest, DegradedAnswerTraceShowsTheRungTaken) {
   const obs::SpanRecord* rung1 = FindSpan(root, "rung-1");
   ASSERT_NE(rung1, nullptr);
   EXPECT_NE(FindSpan(*rung1, "estimate"), nullptr);
+}
+
+TEST_P(TracePropagationTest, LadderDescentParsesAndBindsOnce) {
+  // Rung 0 fails on the expired deadline, rung 1 has no synopsis, rung 2
+  // answers: three executors, one parse and one bind.
+  gov::ScopedFaultInjection quiet;
+  ServiceOptions options = Options();
+  options.use_synopsis_cache = false;
+  QueryService service(&catalog_, options);
+  auto session = service.OpenSession();
+
+  Submission submission{kSumQuery};
+  submission.deadline_ms = 0;
+  auto r = service.Execute(session, submission);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().profile.degradation_rung, 2);
+
+  const obs::SpanRecord& root = r.value().profile.trace.root();
+  ExpectAllClosed(root);
+  EXPECT_NE(FindSpan(root, "rung-0"), nullptr);
+  const obs::SpanRecord* rung2 = FindSpan(root, "rung-2");
+  ASSERT_NE(rung2, nullptr);
+  EXPECT_NE(FindSpan(*rung2, "draw-sample"), nullptr);
+  EXPECT_NE(FindSpan(*rung2, "estimate"), nullptr);
+  EXPECT_EQ(CountNamed(root, "parse"), 1u);
+  EXPECT_EQ(CountNamed(root, "bind"), 1u);
 }
 
 TEST_P(TracePropagationTest, ObservabilityOffMeansNoTraceAndNoSpans) {

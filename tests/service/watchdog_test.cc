@@ -162,10 +162,10 @@ INSTANTIATE_TEST_SUITE_P(
         // Sampler draw: the Bernoulli row-sample the pilot stage runs.
         HangCase{"sampler.bernoulli", 1, 50, true},
         HangCase{"sampler.bernoulli", 4, 50, true},
-        // OLA epoch setup: reachable only on rung 2, so the deadline is
+        // Grace-sample draw: reachable only on rung 2, so the deadline is
         // already expired and the synopsis rung is disabled.
-        HangCase{"ola.create", 1, 0, false},
-        HangCase{"ola.create", 4, 0, false}),
+        HangCase{"grace.sample", 1, 0, false},
+        HangCase{"grace.sample", 4, 0, false}),
     CaseName);
 
 // pool.dispatch is only reachable from threads OUTSIDE the pool: service

@@ -205,6 +205,44 @@ TEST(BinderTest, ErrorSpecSurfacesInBoundQuery) {
   EXPECT_EQ(bound.tables[0].table, "sales");
 }
 
+TEST(BinderTest, PrepareClassifiesShapeOnce) {
+  Catalog cat = MakeCatalog();
+  PreparedQuery q =
+      Prepare("SELECT region, SUM(amount) AS s, COUNT(*) AS n FROM sales "
+              "GROUP BY region WITH ERROR 5% CONFIDENCE 95%",
+              cat)
+          .value();
+  EXPECT_TRUE(q.shape.has_contract);
+  EXPECT_TRUE(q.shape.has_aggregates);
+  EXPECT_TRUE(q.shape.all_linear);
+  EXPECT_FALSE(q.shape.has_joins);
+  EXPECT_FALSE(q.shape.has_having);
+  EXPECT_EQ(q.shape.num_group_keys, 1u);
+  EXPECT_EQ(q.shape.tables, std::vector<std::string>{"sales"});
+  // The binder hands each aggregate's AST through, argument and all.
+  ASSERT_EQ(q.bound.aggregates.size(), 2u);
+  ASSERT_NE(q.bound.aggregates[0].call, nullptr);
+  EXPECT_EQ(q.bound.aggregates[0].call->ToString(),
+            q.bound.aggregates[0].display);
+  EXPECT_EQ(q.bound.aggregates[0].call->children[0]->column, "amount");
+
+  PreparedQuery joined =
+      Prepare("SELECT MAX(s.amount) AS m FROM sales AS s JOIN customers AS c "
+              "ON s.cust = c.cid JOIN sales AS t ON c.cid = t.cust "
+              "HAVING MAX(s.amount) > 1",
+              cat)
+          .value();
+  EXPECT_FALSE(joined.shape.has_contract);
+  EXPECT_FALSE(joined.shape.all_linear);
+  EXPECT_TRUE(joined.shape.has_joins);
+  EXPECT_TRUE(joined.shape.has_having);
+  EXPECT_EQ(joined.shape.tables,
+            (std::vector<std::string>{"sales", "customers"}));
+
+  EXPECT_FALSE(Prepare("SELEKT amount FROM sales", cat).ok());
+  EXPECT_FALSE(Prepare("SELECT amount FROM nowhere", cat).ok());
+}
+
 TEST(BinderTest, TableSamplePlanAnnotated) {
   Catalog cat = MakeCatalog();
   BoundQuery bound =
