@@ -19,9 +19,10 @@ namespace aqp {
 /// the invariant the fault-injection tests assert on every ladder rung.
 ///
 /// Accounting rule: charges cover operator OUTPUTS (materialized tables,
-/// drawn samples, OLA accumulator arrays). Transient operator-internal
-/// scratch (hash-join build table, sort index) is not charged; it is bounded
-/// by the charged inputs it is built from.
+/// drawn samples, OLA accumulator arrays) plus the hash join's build table
+/// and match-pair buffers, which can outgrow the inputs they come from.
+/// Other transient operator-internal scratch (sort index, group tables) is
+/// not charged; it is bounded by the charged inputs it is built from.
 ///
 /// A budget of 0 means unbounded (accounting still runs, charges never
 /// fail). When a charge would exceed the budget, TryCharge refuses with

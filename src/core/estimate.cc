@@ -1,9 +1,10 @@
 #include "core/estimate.h"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "common/check.h"
+#include "common/hash.h"
+#include "common/hash_id_table.h"
 #include "expr/eval.h"
 
 namespace aqp {
@@ -70,16 +71,27 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
     arg_cols.push_back(std::move(c));
   }
 
-  // Accumulate (group, unit) cells per aggregate.
-  std::vector<std::unordered_map<uint64_t, Cell>> cells(aggs.size());
-  for (auto& m : cells) m.reserve(n / 4 + 8);
+  // Accumulate (group, unit) cells. Every aggregate sees the same cell keys,
+  // so one table assigns each key a dense cell id (first-insertion order)
+  // and every aggregate keeps its cells in a plain vector indexed by it:
+  // the per-group sums below run in a fixed order, whatever the hash layout.
+  HashIdTable cell_ids(n / 4 + 8);
+  std::vector<uint64_t> cell_keys;
+  std::vector<std::vector<Cell>> cells(aggs.size());
   for (size_t i = 0; i < n; ++i) {
-    uint32_t g = index.group_ids[i];
-    uint32_t u = sample.unit_ids[i];
+    const uint64_t key = CellKey(index.group_ids[i], sample.unit_ids[i]);
+    bool inserted = false;
+    const uint32_t id = cell_ids.FindOrInsert(
+        Mix64(key), [&](uint32_t cand) { return cell_keys[cand] == key; },
+        &inserted);
+    if (inserted) {
+      cell_keys.push_back(key);
+      for (std::vector<Cell>& v : cells) v.emplace_back();
+    }
     double w = sample.weights[i];
     for (size_t a = 0; a < aggs.size(); ++a) {
       const AggSpec& spec = aggs[a];
-      Cell& cell = cells[a][CellKey(g, u)];
+      Cell& cell = cells[a][id];
       cell.w = w;
       if (spec.kind == AggKind::kCountStar) {
         cell.c += 1.0;
@@ -145,7 +157,9 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
     std::vector<double> t_c(out.num_groups, 0.0);
     std::vector<uint64_t> present(out.num_groups, 0);
     std::vector<double> ht_var(out.num_groups, 0.0);
-    for (const auto& [key, cell] : cells[a]) {
+    for (size_t id = 0; id < cell_keys.size(); ++id) {
+      const uint64_t key = cell_keys[id];
+      const Cell& cell = cells[a][id];
       uint32_t g = static_cast<uint32_t>(key >> 32);
       sum_y[g] += cell.y;
       sum_y2[g] += cell.y * cell.y;
@@ -160,7 +174,9 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
     std::vector<double> sum_d(out.num_groups, 0.0);
     std::vector<double> sum_d2(out.num_groups, 0.0);
     if (spec.kind == AggKind::kAvg) {
-      for (const auto& [key, cell] : cells[a]) {
+      for (size_t id = 0; id < cell_keys.size(); ++id) {
+        const uint64_t key = cell_keys[id];
+        const Cell& cell = cells[a][id];
         uint32_t g = static_cast<uint32_t>(key >> 32);
         double ratio = sum_c[g] != 0.0 ? sum_y[g] / sum_c[g] : 0.0;
         double d = cell.y - ratio * cell.c;
@@ -174,7 +190,9 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
     std::vector<double> res_c(out.num_groups, 0.0);
     std::vector<double> n2_present(out.num_groups, 0.0);
     if (ratio_to_size) {
-      for (const auto& [key, cell] : cells[a]) {
+      for (size_t id = 0; id < cell_keys.size(); ++id) {
+        const uint64_t key = cell_keys[id];
+        const Cell& cell = cells[a][id];
         uint32_t g = static_cast<uint32_t>(key >> 32);
         uint32_t u = static_cast<uint32_t>(key & 0xffffffffu);
         double nu = sample.unit_sizes[u];
@@ -190,7 +208,9 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
     if (!mean_expansion) {
       // HT-Poisson variance: sum of w(w-1) v^2 over present cells.
       bool is_avg = spec.kind == AggKind::kAvg;
-      for (const auto& [key, cell] : cells[a]) {
+      for (size_t id = 0; id < cell_keys.size(); ++id) {
+        const uint64_t key = cell_keys[id];
+        const Cell& cell = cells[a][id];
         uint32_t g = static_cast<uint32_t>(key >> 32);
         double v;
         if (is_avg) {

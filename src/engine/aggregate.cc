@@ -2,12 +2,12 @@
 
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/cancellation.h"
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/hash_id_table.h"
 #include "expr/eval.h"
 
 namespace aqp {
@@ -97,35 +97,30 @@ Result<GroupIndex> BuildGroupIndex(const Table& input,
   for (const Column& k : keys) {
     index.key_columns.emplace_back(k.type());
   }
-  // Hash -> candidate group ids (chained for collision safety).
-  std::unordered_map<uint64_t, std::vector<uint32_t>> table;
+  HashIdTable table;
   for (size_t i = 0; i < n; ++i) {
     uint64_t h = 0x9e3779b97f4a7c15ULL;
     for (const Column& k : keys) h = HashCombine(h, k.HashAt(i));
-    std::vector<uint32_t>& bucket = table[h];
-    uint32_t gid = UINT32_MAX;
-    for (uint32_t cand : bucket) {
-      bool equal = true;
-      for (size_t c = 0; c < keys.size(); ++c) {
-        if (!keys[c].SlotEquals(i, index.key_columns[c], cand)) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
-        gid = cand;
-        break;
-      }
-    }
-    if (gid == UINT32_MAX) {
-      gid = static_cast<uint32_t>(index.num_groups++);
+    bool inserted = false;
+    const uint32_t gid = table.FindOrInsert(
+        h,
+        [&](uint32_t cand) {
+          for (size_t c = 0; c < keys.size(); ++c) {
+            if (!keys[c].SlotEquals(i, index.key_columns[c], cand)) {
+              return false;
+            }
+          }
+          return true;
+        },
+        &inserted);
+    if (inserted) {
       for (size_t c = 0; c < keys.size(); ++c) {
         index.key_columns[c].AppendFrom(keys[c], i);
       }
-      bucket.push_back(gid);
     }
     index.group_ids[i] = gid;
   }
+  index.num_groups = table.size();
   return index;
 }
 
@@ -186,18 +181,19 @@ void AccumulateRow(AggAccumulator& st, AggKind kind, const Column* arg,
     case AggKind::kMin:
     case AggKind::kMax: {
       Value v = arg->GetValue(i);
-      if (!st.has_value) {
-        st.min_v = v;
-        st.max_v = v;
-        st.has_value = true;
+      AggAccumulator::NonLinear& nl = st.MutableNonLinear();
+      if (!nl.has_value) {
+        nl.min_v = v;
+        nl.max_v = v;
+        nl.has_value = true;
       } else {
-        if (CompareValues(v, st.min_v) < 0) st.min_v = v;
-        if (CompareValues(v, st.max_v) > 0) st.max_v = std::move(v);
+        if (CompareValues(v, nl.min_v) < 0) nl.min_v = v;
+        if (CompareValues(v, nl.max_v) > 0) nl.max_v = std::move(v);
       }
       break;
     }
     case AggKind::kCountDistinct:
-      st.distinct.insert(arg->HashAt(i, /*seed=*/17));
+      st.MutableNonLinear().distinct.insert(arg->HashAt(i, /*seed=*/17));
       break;
     case AggKind::kCountStar:
       break;  // Handled above.
@@ -304,13 +300,14 @@ void AccumulateSpan(AggAccumulator& st, AggKind kind, const Column* arg,
       if (best_min != SIZE_MAX) {
         Value vmin = arg->GetValue(best_min);
         Value vmax = arg->GetValue(best_max);
-        if (!st.has_value) {
-          st.min_v = std::move(vmin);
-          st.max_v = std::move(vmax);
-          st.has_value = true;
+        AggAccumulator::NonLinear& nl = st.MutableNonLinear();
+        if (!nl.has_value) {
+          nl.min_v = std::move(vmin);
+          nl.max_v = std::move(vmax);
+          nl.has_value = true;
         } else {
-          if (CompareValues(vmin, st.min_v) < 0) st.min_v = std::move(vmin);
-          if (CompareValues(vmax, st.max_v) > 0) st.max_v = std::move(vmax);
+          if (CompareValues(vmin, nl.min_v) < 0) nl.min_v = std::move(vmin);
+          if (CompareValues(vmax, nl.max_v) > 0) nl.max_v = std::move(vmax);
         }
       }
       break;
@@ -356,17 +353,24 @@ void AggAccumulator::Merge(const AggAccumulator& other) {
     }
   }
   count += other.count;
-  if (other.has_value) {
-    if (!has_value) {
-      min_v = other.min_v;
-      max_v = other.max_v;
-      has_value = true;
+  if (other.nonlinear == nullptr) return;
+  const NonLinear& theirs = *other.nonlinear;
+  NonLinear& mine = MutableNonLinear();
+  if (theirs.has_value) {
+    if (!mine.has_value) {
+      mine.min_v = theirs.min_v;
+      mine.max_v = theirs.max_v;
+      mine.has_value = true;
     } else {
-      if (CompareValues(other.min_v, min_v) < 0) min_v = other.min_v;
-      if (CompareValues(other.max_v, max_v) > 0) max_v = other.max_v;
+      if (CompareValues(theirs.min_v, mine.min_v) < 0) {
+        mine.min_v = theirs.min_v;
+      }
+      if (CompareValues(theirs.max_v, mine.max_v) > 0) {
+        mine.max_v = theirs.max_v;
+      }
     }
   }
-  distinct.insert(other.distinct.begin(), other.distinct.end());
+  mine.distinct.insert(theirs.distinct.begin(), theirs.distinct.end());
 }
 
 Result<Table> GroupByAggregate(const Table& input,
@@ -499,47 +503,53 @@ Result<Table> GroupByAggregate(const Table& input,
         AQP_ASSIGN_OR_RETURN(Column c, Eval(*e, input));
         keys.push_back(std::move(c));
       }
-      // Vectorized path: precompute key hashes column-at-a-time (one tight
-      // loop per key column) instead of re-dispatching per row inside the
-      // probe loop. Same HashCombine recipe, so bucketing is unchanged.
-      std::vector<uint64_t> hashes;
-      if (vectorized) {
-        hashes.assign(n, 0x9e3779b97f4a7c15ULL);
-        for (const Column& k : keys) {
-          for (size_t i = 0; i < n; ++i) {
-            hashes[i] = HashCombine(hashes[i], k.HashAt(i));
-          }
-        }
-      }
-      auto key_hash = [&](size_t i) {
-        return vectorized ? hashes[i] : KeyRowHash(keys, i);
-      };
       struct MorselGroups {
-        std::vector<uint32_t> reps;  // Representative row per local group.
+        std::vector<uint32_t> reps;        // Representative row per group.
+        std::vector<uint64_t> rep_hashes;  // Key hash of each rep row.
         std::vector<std::vector<AggAccumulator>> states;  // [agg][local].
       };
       std::vector<MorselGroups> morsels(num_morsels);
+      // Per-worker scratch, reused morsel after morsel: the local group
+      // table and the morsel's key hashes.
+      struct Scratch {
+        HashIdTable local;
+        std::vector<uint64_t> hashes;
+      };
+      std::vector<Scratch> scratch(num_threads);
       ParallelRunStats rs = pool.ParallelFor(
           n, morsel_rows, num_threads,
           ThreadPool::ParallelForOptions{options.exec->cancel},
-          [&](size_t, size_t m, size_t begin, size_t end) {
+          [&](size_t worker, size_t m, size_t begin, size_t end) {
             MorselGroups& mg = morsels[m];
             mg.states.assign(aggs.size(), {});
-            std::unordered_map<uint64_t, std::vector<uint32_t>> local;
-            for (size_t i = begin; i < end; ++i) {
-              uint64_t h = key_hash(i);
-              std::vector<uint32_t>& bucket = local[h];
-              uint32_t gid = UINT32_MAX;
-              for (uint32_t cand : bucket) {
-                if (KeyRowsEqual(keys, i, mg.reps[cand])) {
-                  gid = cand;
-                  break;
+            HashIdTable& local = scratch[worker].local;
+            std::vector<uint64_t>& hashes = scratch[worker].hashes;
+            local.Clear();
+            // Vectorized path: hash the morsel's keys column-at-a-time (one
+            // tight loop per key column) instead of re-dispatching per row
+            // inside the probe loop. Same HashCombine recipe as KeyRowHash.
+            if (vectorized) {
+              hashes.assign(end - begin, 0x9e3779b97f4a7c15ULL);
+              for (const Column& k : keys) {
+                for (size_t i = begin; i < end; ++i) {
+                  hashes[i - begin] =
+                      HashCombine(hashes[i - begin], k.HashAt(i));
                 }
               }
-              if (gid == UINT32_MAX) {
-                gid = static_cast<uint32_t>(mg.reps.size());
+            }
+            for (size_t i = begin; i < end; ++i) {
+              const uint64_t h =
+                  vectorized ? hashes[i - begin] : KeyRowHash(keys, i);
+              bool inserted = false;
+              const uint32_t gid = local.FindOrInsert(
+                  h,
+                  [&](uint32_t cand) {
+                    return KeyRowsEqual(keys, i, mg.reps[cand]);
+                  },
+                  &inserted);
+              if (inserted) {
                 mg.reps.push_back(static_cast<uint32_t>(i));
-                bucket.push_back(gid);
+                mg.rep_hashes.push_back(h);
                 for (std::vector<AggAccumulator>& s : mg.states) {
                   s.emplace_back();
                 }
@@ -558,25 +568,21 @@ Result<Table> GroupByAggregate(const Table& input,
       // Ordered merge into the global group table.
       for (const Column& k : keys) key_columns.emplace_back(k.type());
       states.assign(aggs.size(), {});
-      std::unordered_map<uint64_t, std::vector<uint32_t>> global;
+      HashIdTable global;
       std::vector<uint32_t> global_reps;
       for (size_t m = 0; m < num_morsels; ++m) {
         const MorselGroups& mg = morsels[m];
         for (size_t l = 0; l < mg.reps.size(); ++l) {
-          uint32_t row = mg.reps[l];
-          uint64_t h = key_hash(row);
-          std::vector<uint32_t>& bucket = global[h];
-          uint32_t gid = UINT32_MAX;
-          for (uint32_t cand : bucket) {
-            if (KeyRowsEqual(keys, row, global_reps[cand])) {
-              gid = cand;
-              break;
-            }
-          }
-          if (gid == UINT32_MAX) {
-            gid = static_cast<uint32_t>(num_groups++);
+          const uint32_t row = mg.reps[l];
+          bool inserted = false;
+          const uint32_t gid = global.FindOrInsert(
+              mg.rep_hashes[l],
+              [&](uint32_t cand) {
+                return KeyRowsEqual(keys, row, global_reps[cand]);
+              },
+              &inserted);
+          if (inserted) {
             global_reps.push_back(row);
-            bucket.push_back(gid);
             for (size_t c = 0; c < keys.size(); ++c) {
               key_columns[c].AppendFrom(keys[c], row);
             }
@@ -587,6 +593,7 @@ Result<Table> GroupByAggregate(const Table& input,
           }
         }
       }
+      num_groups = global.size();
       if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
     }
   }
@@ -642,21 +649,22 @@ Result<Table> GroupByAggregate(const Table& input,
           }
           break;
         case AggKind::kMin:
-          if (!st.has_value) {
+          if (!st.has_value()) {
             col.AppendNull();
           } else {
-            AQP_RETURN_IF_ERROR(col.AppendValue(st.min_v));
+            AQP_RETURN_IF_ERROR(col.AppendValue(st.nonlinear->min_v));
           }
           break;
         case AggKind::kMax:
-          if (!st.has_value) {
+          if (!st.has_value()) {
             col.AppendNull();
           } else {
-            AQP_RETURN_IF_ERROR(col.AppendValue(st.max_v));
+            AQP_RETURN_IF_ERROR(col.AppendValue(st.nonlinear->max_v));
           }
           break;
         case AggKind::kCountDistinct:
-          col.AppendInt64(static_cast<int64_t>(st.distinct.size()));
+          col.AppendInt64(static_cast<int64_t>(
+              st.nonlinear != nullptr ? st.nonlinear->distinct.size() : 0));
           break;
       }
     }

@@ -1,6 +1,7 @@
 #ifndef AQP_ENGINE_AGGREGATE_H_
 #define AQP_ENGINE_AGGREGATE_H_
 
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -73,10 +74,44 @@ struct AggAccumulator {
   uint64_t count = 0;         // raw (unweighted) non-null count.
   double mean = 0.0;          // Welford (unweighted), for VAR/STDDEV.
   double m2 = 0.0;
-  bool has_value = false;
-  Value min_v;
-  Value max_v;
-  std::unordered_set<uint64_t> distinct;  // Hashes for COUNT DISTINCT.
+
+  /// MIN/MAX and COUNT DISTINCT state. Allocated by the first row that
+  /// needs it, so the per-group partials of the linear aggregates — one per
+  /// group per morsel — stay five words instead of carrying two boxed
+  /// values and a hash set they never use.
+  struct NonLinear {
+    bool has_value = false;
+    Value min_v;
+    Value max_v;
+    std::unordered_set<uint64_t> distinct;  // Hashes for COUNT DISTINCT.
+  };
+  std::unique_ptr<NonLinear> nonlinear;
+
+  AggAccumulator() = default;
+  AggAccumulator(const AggAccumulator& other) { *this = other; }
+  AggAccumulator& operator=(const AggAccumulator& other) {
+    weighted_sum = other.weighted_sum;
+    weight_total = other.weight_total;
+    count = other.count;
+    mean = other.mean;
+    m2 = other.m2;
+    nonlinear = other.nonlinear != nullptr
+                    ? std::make_unique<NonLinear>(*other.nonlinear)
+                    : nullptr;
+    return *this;
+  }
+  AggAccumulator(AggAccumulator&&) noexcept = default;
+  AggAccumulator& operator=(AggAccumulator&&) noexcept = default;
+
+  /// The non-linear state, allocating it on first use.
+  NonLinear& MutableNonLinear() {
+    if (nonlinear == nullptr) nonlinear = std::make_unique<NonLinear>();
+    return *nonlinear;
+  }
+  /// True once a MIN/MAX has seen a non-NULL value.
+  bool has_value() const {
+    return nonlinear != nullptr && nonlinear->has_value;
+  }
 
   /// Folds `other` into this accumulator. Valid for every AggKind: the sum
   /// fields add, MIN/MAX compare, the distinct sets union, and the variance

@@ -73,7 +73,8 @@ struct ExecOptions {
   /// gov::QueryContext that outlives the query). `cancel` is polled at morsel
   /// and batch boundaries: deadline expiry, user cancellation, and memory
   /// exhaustion all surface through it. `memory` is charged for operator
-  /// OUTPUTS as they materialize (transient scratch is not accounted); when a
+  /// OUTPUTS as they materialize and for the hash join's build table and
+  /// match pairs (other transient scratch is not accounted); when a
   /// charge exceeds the budget the tracker trips `cancel` so in-flight
   /// morsels stop too.
   const CancellationToken* cancel = nullptr;

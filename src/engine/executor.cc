@@ -1,11 +1,11 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/cancellation.h"
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/hash_id_table.h"
 #include "common/memory_tracker.h"
 #include "common/random.h"
 #include "common/simd.h"
@@ -162,64 +162,120 @@ bool ViewIsIdentity(const BatchView& v) {
   return true;
 }
 
+// Builds output columns [0, num_cols) with `gather(i)`, column-parallel
+// through the pool whenever the morsel path is active for `rows` — columns
+// are independent, so the result is identical for every thread count.
+template <typename Gather>
+Result<std::vector<Column>> GatherColumns(size_t num_cols, size_t rows,
+                                          ExecContext& ctx, Gather&& gather) {
+  if (!ctx.options.UseMorsels(rows)) {
+    std::vector<Column> columns;
+    columns.reserve(num_cols);
+    for (size_t i = 0; i < num_cols; ++i) columns.push_back(gather(i));
+    return columns;
+  }
+  std::vector<Column> gathered(num_cols, Column(DataType::kInt64));
+  ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
+      num_cols, /*morsel_items=*/1, ctx.options.ResolvedThreads(),
+      ctx.pf_options(), [&](size_t, size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) gathered[i] = gather(i);
+      });
+  if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
+  // A cancellation mid-gather leaves dummy columns behind; bail before
+  // Table::Make sees mismatched lengths.
+  AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
+  return gathered;
+}
+
+// The view's column names and types as a schema, so names resolve against
+// a view exactly as they would against its materialized table.
+Schema ViewSchema(const BatchView& v) {
+  Schema schema;
+  for (size_t i = 0; i < v.col_idx.size(); ++i) {
+    schema.AddField({v.names[i], v.base->column(v.col_idx[i]).type()});
+  }
+  return schema;
+}
+
 // Collapses a view into a real table: the one gather of the batch pipeline.
 // Identity views hand back the base table without copying (matching the
-// scalar scan's pass-through of catalog tables). The gather is
-// column-parallel — columns are independent, so the result is identical for
-// every thread count.
+// scalar scan's pass-through of catalog tables). Selection gathers run
+// column-parallel on the morsel path (single-column views included, so
+// morsel attribution reflects the gather uniformly).
 Result<TablePtr> MaterializeView(const BatchView& v, ExecContext& ctx,
                                  std::string_view what) {
   if (ViewIsIdentity(v)) return v.base;
   const Table& base = *v.base;
-  const size_t num_cols = v.col_idx.size();
-  Schema schema;
-  for (size_t i = 0; i < num_cols; ++i) {
-    schema.AddField({v.names[i], base.column(v.col_idx[i]).type()});
-  }
   std::vector<Column> columns;
   if (v.sel == nullptr) {
-    columns.reserve(num_cols);
-    for (size_t i = 0; i < num_cols; ++i) {
-      columns.push_back(base.column(v.col_idx[i]));
-    }
-  } else if (ctx.options.UseMorsels(v.sel->size())) {
-    // Column-parallel gather through the pool whenever the morsel path is
-    // active for this row count — single-column views included, so morsel
-    // attribution (run stats, trace attrs) reflects the gather uniformly.
-    const std::vector<uint32_t>& sel = *v.sel;
-    std::vector<Column> gathered(num_cols, Column(DataType::kInt64));
-    ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
-        num_cols, /*morsel_items=*/1, ctx.options.ResolvedThreads(),
-        ctx.pf_options(), [&](size_t, size_t, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            gathered[i] = base.column(v.col_idx[i]).TakeBatch(sel);
-          }
-        });
-    if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
-    // A cancellation mid-gather leaves dummy columns behind; bail before
-    // Table::Make sees mismatched lengths.
-    AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
-    columns = std::move(gathered);
+    columns.reserve(v.col_idx.size());
+    for (size_t idx : v.col_idx) columns.push_back(base.column(idx));
   } else {
-    columns.reserve(num_cols);
-    for (size_t i = 0; i < num_cols; ++i) {
-      columns.push_back(base.column(v.col_idx[i]).TakeBatch(*v.sel));
-    }
+    AQP_ASSIGN_OR_RETURN(
+        columns, GatherColumns(v.col_idx.size(), v.sel->size(), ctx,
+                               [&](size_t i) {
+                                 return base.column(v.col_idx[i])
+                                     .TakeBatch(*v.sel);
+                               }));
   }
   AQP_ASSIGN_OR_RETURN(Table out,
-                       Table::Make(std::move(schema), std::move(columns)));
+                       Table::Make(ViewSchema(v), std::move(columns)));
   return TrackTable(std::move(out), ctx, what);
 }
 
-// How table-valued operators (join/aggregate/sort/limit/union) obtain a
-// child table: the scalar path recurses through Exec; the vectorized path
-// runs the child as a batch view and gathers at this boundary.
-Result<TablePtr> ExecInput(const PlanPtr& plan, ExecContext& ctx) {
-  if (ctx.options.ResolvedPath() == ExecPath::kVectorized) {
-    AQP_ASSIGN_OR_RETURN(BatchView view, ExecBatch(plan, ctx));
-    return MaterializeView(view, ctx, "batch materialize");
+// Narrows a view to the columns that expressions referencing `refs` can
+// resolve to: each exact name match plus every qualified "<q>.<ref>" for
+// an unqualified ref, so resolution (and any ambiguity error) is the same
+// over the narrowed view as over the full one. Identity views are returned
+// whole — they materialize without a copy, and narrowing would force one.
+// At least one column survives so the row count does.
+BatchView NarrowView(BatchView v, const std::vector<std::string>& refs) {
+  if (ViewIsIdentity(v) || v.col_idx.empty()) return v;
+  auto referenced = [&](const std::string& name) {
+    for (const std::string& ref : refs) {
+      if (name == ref) return true;
+      if (ref.find('.') == std::string::npos && name.size() > ref.size() &&
+          name[name.size() - ref.size() - 1] == '.' &&
+          name.compare(name.size() - ref.size(), ref.size(), ref) == 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+  BatchView out;
+  out.base = v.base;
+  out.sel = v.sel;
+  out.num_rows = v.num_rows;
+  for (size_t i = 0; i < v.col_idx.size(); ++i) {
+    if (!referenced(v.names[i])) continue;
+    out.col_idx.push_back(v.col_idx[i]);
+    out.names.push_back(v.names[i]);
   }
-  return Exec(plan, ctx);
+  if (out.col_idx.empty()) {
+    out.col_idx.push_back(v.col_idx[0]);
+    out.names.push_back(v.names[0]);
+  }
+  return out;
+}
+
+// How table-valued operators obtain a child: as a view. The vectorized
+// path hands over the child's batch view ungathered, so the join and the
+// aggregate gather only the rows and columns they use; the scalar path
+// wraps the child's table.
+Result<BatchView> ExecInputView(const PlanPtr& plan, ExecContext& ctx) {
+  if (ctx.options.ResolvedPath() == ExecPath::kVectorized) {
+    return ExecBatch(plan, ctx);
+  }
+  AQP_ASSIGN_OR_RETURN(TablePtr t, Exec(plan, ctx));
+  return IdentityView(std::move(t));
+}
+
+// The child as a table, for operators that need it whole (sort, limit,
+// union): the view gathered once at this boundary (a scalar-path child is
+// an identity view, handed back as is).
+Result<TablePtr> ExecInput(const PlanPtr& plan, ExecContext& ctx) {
+  AQP_ASSIGN_OR_RETURN(BatchView view, ExecInputView(plan, ctx));
+  return MaterializeView(view, ctx, "batch materialize");
 }
 
 // Draws the kept-row set for a sampled scan. Shared verbatim by the scalar
@@ -450,117 +506,253 @@ Result<TablePtr> ExecProject(const PlanNode& node, ExecContext& ctx) {
   return TrackTable(std::move(out), ctx, "project output");
 }
 
-Result<TablePtr> ExecJoin(const PlanNode& node, ExecContext& ctx) {
-  AQP_ASSIGN_OR_RETURN(TablePtr left, ExecInput(node.child(0), ctx));
-  AQP_ASSIGN_OR_RETURN(TablePtr right, ExecInput(node.child(1), ctx));
-  ExecStats* stats = ctx.stats;
+// One side of a hash join: the input view and its key columns, read
+// through the view's selection (view row r is base row Row(r)).
+struct JoinSide {
+  BatchView view;
+  std::vector<const Column*> keys;
 
-  std::vector<size_t> lkeys;
-  std::vector<size_t> rkeys;
-  for (const std::string& k : node.left_keys()) {
-    AQP_ASSIGN_OR_RETURN(size_t idx, left->ColumnIndex(k));
-    lkeys.push_back(idx);
+  uint32_t Row(size_t r) const {
+    return view.sel != nullptr ? (*view.sel)[r] : static_cast<uint32_t>(r);
   }
-  for (const std::string& k : node.right_keys()) {
-    AQP_ASSIGN_OR_RETURN(size_t idx, right->ColumnIndex(k));
-    rkeys.push_back(idx);
+  // Hash of the key at base row b, or false when any key part is NULL
+  // (NULL keys never join).
+  bool KeyHash(uint32_t b, uint64_t* h) const {
+    *h = 0x2545f4914f6cdd1dULL;
+    for (const Column* k : keys) {
+      if (k->IsNull(b)) return false;
+      *h = HashCombine(*h, k->HashAt(b));
+    }
+    return true;
   }
-  for (size_t i = 0; i < lkeys.size(); ++i) {
-    DataType lt = left->column(lkeys[i]).type();
-    DataType rt = right->column(rkeys[i]).type();
-    if (lt != rt) {
+};
+
+Result<JoinSide> MakeJoinSide(BatchView view,
+                              const std::vector<std::string>& key_names) {
+  JoinSide side;
+  const Schema schema = ViewSchema(view);
+  for (const std::string& k : key_names) {
+    AQP_ASSIGN_OR_RETURN(size_t idx, schema.FieldIndex(k));
+    side.keys.push_back(&view.base->column(view.col_idx[idx]));
+  }
+  side.view = std::move(view);
+  return side;
+}
+
+// The build side's distinct keys (dense ids in first-appearance order) and,
+// per key, its base rows in ascending order — the order the probe emits
+// matches in.
+struct JoinBuild {
+  HashIdTable keys;
+  std::vector<uint32_t> key_rep;  // A base row holding each key.
+  std::vector<uint32_t> offsets;  // Rows of key k: rows[offsets[k], [k+1]).
+  std::vector<uint32_t> rows;
+
+  uint64_t ApproxBytes() const {
+    return keys.ApproxBytes() +
+           (key_rep.capacity() + offsets.capacity() + rows.capacity()) *
+               sizeof(uint32_t);
+  }
+};
+
+bool KeysEqual(const JoinSide& a, uint32_t i, const JoinSide& b, uint32_t j) {
+  for (size_t k = 0; k < a.keys.size(); ++k) {
+    if (!a.keys[k]->SlotEquals(i, *b.keys[k], j)) return false;
+  }
+  return true;
+}
+
+JoinBuild BuildJoinTable(const JoinSide& build) {
+  JoinBuild jb;
+  const size_t n = build.view.num_rows;
+  std::vector<uint32_t> row_key(n, HashIdTable::kNotFound);
+  for (size_t r = 0; r < n; ++r) {
+    const uint32_t b = build.Row(r);
+    uint64_t h;
+    if (!build.KeyHash(b, &h)) continue;
+    bool inserted = false;
+    row_key[r] = jb.keys.FindOrInsert(
+        h,
+        [&](uint32_t k) { return KeysEqual(build, b, build, jb.key_rep[k]); },
+        &inserted);
+    if (inserted) jb.key_rep.push_back(b);
+  }
+  jb.offsets.assign(jb.key_rep.size() + 1, 0);
+  for (uint32_t k : row_key) {
+    if (k != HashIdTable::kNotFound) ++jb.offsets[k + 1];
+  }
+  for (size_t k = 0; k < jb.key_rep.size(); ++k) {
+    jb.offsets[k + 1] += jb.offsets[k];
+  }
+  jb.rows.resize(jb.offsets.back());
+  std::vector<uint32_t> fill(jb.offsets.begin(), jb.offsets.end() - 1);
+  for (size_t r = 0; r < n; ++r) {
+    if (row_key[r] != HashIdTable::kNotFound) {
+      jb.rows[fill[row_key[r]]++] = build.Row(r);
+    }
+  }
+  return jb;
+}
+
+// One probe morsel's (left base row, right base row) match pairs, charged
+// to the query's MemoryTracker as the buffers grow. While a buffer
+// reallocates the old and new arrays coexist, so the new charge is taken
+// before the old one is released.
+struct MatchPairs {
+  std::vector<uint32_t> left;
+  std::vector<uint32_t> right;
+  ScopedMemoryCharge charge;
+  Status status;
+
+  bool Push(uint32_t l, uint32_t r, MemoryTracker* memory) {
+    if (left.size() == left.capacity()) {
+      const size_t cap = std::max<size_t>(256, 2 * left.capacity());
+      Result<ScopedMemoryCharge> grown = ScopedMemoryCharge::Make(
+          memory, 2 * cap * sizeof(uint32_t), "join match pairs");
+      if (!grown.ok()) {
+        status = grown.status();
+        return false;
+      }
+      left.reserve(cap);
+      right.reserve(cap);
+      charge = std::move(grown).value();
+    }
+    left.push_back(l);
+    right.push_back(r);
+    return true;
+  }
+};
+
+// Hash join, build side right. The probe runs morsel-parallel over the left
+// view; each morsel collects its match pairs, and the morsels concatenate
+// in morsel order, so the pair sequence — left rows in order, each with its
+// matches in build-row order, unmatched LEFT rows NULL-extended — is the
+// serial loop's for every thread count. Each output column is then gathered
+// once, straight from the inputs' base tables.
+Result<TablePtr> ExecJoin(const PlanNode& node, ExecContext& ctx) {
+  AQP_ASSIGN_OR_RETURN(BatchView left_view, ExecInputView(node.child(0), ctx));
+  AQP_ASSIGN_OR_RETURN(BatchView right_view,
+                       ExecInputView(node.child(1), ctx));
+  AQP_ASSIGN_OR_RETURN(JoinSide left,
+                       MakeJoinSide(std::move(left_view), node.left_keys()));
+  AQP_ASSIGN_OR_RETURN(JoinSide right,
+                       MakeJoinSide(std::move(right_view), node.right_keys()));
+  for (size_t i = 0; i < left.keys.size(); ++i) {
+    if (left.keys[i]->type() != right.keys[i]->type()) {
       return Status::InvalidArgument("join key type mismatch: " +
                                      node.left_keys()[i] + " vs " +
                                      node.right_keys()[i]);
     }
   }
-
-  // Build side: right. NULL keys never participate.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> build;
-  build.reserve(right->num_rows());
-  for (size_t j = 0; j < right->num_rows(); ++j) {
-    bool has_null = false;
-    uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (size_t k : rkeys) {
-      if (right->column(k).IsNull(j)) {
-        has_null = true;
-        break;
-      }
-      h = HashCombine(h, right->column(k).HashAt(j));
-    }
-    if (!has_null) build[h].push_back(static_cast<uint32_t>(j));
-  }
-
-  // Output schema: all left fields then all right fields.
-  Schema schema;
-  for (const Field& f : left->schema().fields()) schema.AddField(f);
-  for (const Field& f : right->schema().fields()) schema.AddField(f);
-  Table out(std::move(schema));
+  MemoryTracker* memory = ctx.options.memory;
+  JoinBuild build = BuildJoinTable(right);
+  AQP_ASSIGN_OR_RETURN(
+      ScopedMemoryCharge build_charge,
+      ScopedMemoryCharge::Make(memory, build.ApproxBytes(), "join build"));
 
   const bool left_outer = node.join_type() == JoinType::kLeftOuter;
-  auto emit = [&](size_t li, int64_t rj) {
-    for (size_t c = 0; c < left->num_columns(); ++c) {
-      out.mutable_column(c).AppendFrom(left->column(c), li);
-    }
-    for (size_t c = 0; c < right->num_columns(); ++c) {
-      Column& dst = out.mutable_column(left->num_columns() + c);
-      if (rj < 0) {
-        dst.AppendNull();
-      } else {
-        dst.AppendFrom(right->column(c), static_cast<size_t>(rj));
+  auto probe = [&](size_t begin, size_t end, MatchPairs* out) {
+    for (size_t r = begin; r < end; ++r) {
+      const uint32_t b = left.Row(r);
+      uint64_t h;
+      uint32_t k = HashIdTable::kNotFound;
+      if (left.KeyHash(b, &h)) {
+        k = build.keys.Find(h, [&](uint32_t cand) {
+          return KeysEqual(left, b, right, build.key_rep[cand]);
+        });
+      }
+      if (k != HashIdTable::kNotFound) {
+        for (uint32_t i = build.offsets[k]; i < build.offsets[k + 1]; ++i) {
+          if (!out->Push(b, build.rows[i], memory)) return;
+        }
+      } else if (left_outer) {
+        if (!out->Push(b, Column::kNullRow, memory)) return;
       }
     }
   };
-
-  size_t emitted = 0;
-  for (size_t i = 0; i < left->num_rows(); ++i) {
-    bool has_null = false;
-    uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (size_t k : lkeys) {
-      if (left->column(k).IsNull(i)) {
-        has_null = true;
-        break;
-      }
-      h = HashCombine(h, left->column(k).HashAt(i));
-    }
-    bool matched = false;
-    if (!has_null) {
-      auto it = build.find(h);
-      if (it != build.end()) {
-        for (uint32_t j : it->second) {
-          bool equal = true;
-          for (size_t k = 0; k < lkeys.size(); ++k) {
-            if (!left->column(lkeys[k]).SlotEquals(i, right->column(rkeys[k]),
-                                                   j)) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            emit(i, static_cast<int64_t>(j));
-            matched = true;
-            ++emitted;
-          }
-        }
-      }
-    }
-    if (!matched && left_outer) {
-      emit(i, -1);
-      ++emitted;
-    }
+  const size_t n = left.view.num_rows;
+  std::vector<MatchPairs> morsels;
+  if (!ctx.options.UseMorsels(n)) {
+    morsels.resize(1);
+    probe(0, n, &morsels[0]);
+  } else {
+    const size_t morsel_rows = ctx.options.morsel_rows;
+    morsels.resize((n + morsel_rows - 1) / morsel_rows);
+    ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
+        n, morsel_rows, ctx.options.ResolvedThreads(), ctx.pf_options(),
+        [&](size_t, size_t m, size_t begin, size_t end) {
+          probe(begin, end, &morsels[m]);
+        });
+    if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
+    AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
   }
-  // Table built row-by-row through mutable_column; fix the row count by
-  // rebuilding through Make (columns are consistent lengths).
-  std::vector<Column> cols;
-  cols.reserve(out.num_columns());
-  for (size_t c = 0; c < out.num_columns(); ++c) cols.push_back(out.column(c));
-  AQP_ASSIGN_OR_RETURN(Table fixed, Table::Make(out.schema(), std::move(cols)));
-  if (stats != nullptr) stats->rows_joined += emitted;
-  return TrackTable(std::move(fixed), ctx, "join output");
+  size_t emitted = 0;
+  for (const MatchPairs& m : morsels) {
+    AQP_RETURN_IF_ERROR(m.status);
+    emitted += m.left.size();
+  }
+  // The probe is done: free the build table before the output exists.
+  build = JoinBuild{};
+  build_charge.Reset();
+  // Ordered merge: morsel index order IS left-row order. Each morsel's
+  // buffers are freed as soon as they are copied out.
+  AQP_ASSIGN_OR_RETURN(ScopedMemoryCharge sel_charge,
+                       ScopedMemoryCharge::Make(
+                           memory, 2 * emitted * sizeof(uint32_t),
+                           "join selection"));
+  std::vector<uint32_t> left_sel;
+  std::vector<uint32_t> right_sel;
+  left_sel.reserve(emitted);
+  right_sel.reserve(emitted);
+  for (MatchPairs& m : morsels) {
+    left_sel.insert(left_sel.end(), m.left.begin(), m.left.end());
+    right_sel.insert(right_sel.end(), m.right.begin(), m.right.end());
+    m = MatchPairs{};
+  }
+
+  const BatchView& lv = left.view;
+  const BatchView& rv = right.view;
+  const size_t num_left = lv.col_idx.size();
+  AQP_ASSIGN_OR_RETURN(
+      std::vector<Column> columns,
+      GatherColumns(num_left + rv.col_idx.size(), emitted, ctx,
+                    [&](size_t c) {
+                      if (c < num_left) {
+                        return lv.base->column(lv.col_idx[c])
+                            .TakeBatch(left_sel);
+                      }
+                      const Column& col =
+                          rv.base->column(rv.col_idx[c - num_left]);
+                      return left_outer ? col.TakeBatchOrNull(right_sel)
+                                        : col.TakeBatch(right_sel);
+                    }));
+  // Output schema: all left fields then all right fields.
+  Schema schema = ViewSchema(lv);
+  const Schema right_schema = ViewSchema(rv);
+  for (const Field& f : right_schema.fields()) schema.AddField(f);
+  AQP_ASSIGN_OR_RETURN(Table out,
+                       Table::Make(std::move(schema), std::move(columns)));
+  if (ctx.stats != nullptr) ctx.stats->rows_joined += emitted;
+  return TrackTable(std::move(out), ctx, "join output");
 }
 
 Result<TablePtr> ExecAggregate(const PlanNode& node, ExecContext& ctx) {
-  AQP_ASSIGN_OR_RETURN(TablePtr input, ExecInput(node.child(), ctx));
+  // Gather only the columns the group keys and arguments reference.
+  std::vector<std::string> refs;
+  for (const ExprPtr& e : node.group_exprs()) {
+    for (std::string& c : e->ReferencedColumns()) refs.push_back(std::move(c));
+  }
+  for (const AggSpec& a : node.aggs()) {
+    if (a.arg == nullptr) continue;
+    for (std::string& c : a.arg->ReferencedColumns()) {
+      refs.push_back(std::move(c));
+    }
+  }
+  AQP_ASSIGN_OR_RETURN(BatchView view, ExecInputView(node.child(), ctx));
+  AQP_ASSIGN_OR_RETURN(
+      TablePtr input,
+      MaterializeView(NarrowView(std::move(view), refs), ctx,
+                      "batch materialize"));
   AggregateOptions agg_options;
   agg_options.exec = &ctx.options;
   agg_options.run_stats = ctx.run_stats();
@@ -702,9 +894,11 @@ Result<TablePtr> Exec(const PlanPtr& plan, ExecContext& ctx) {
 // ---------------------------------------------------------------------------
 // Batch (vectorized) operator path. Scan and filter produce BatchViews —
 // selection vectors over the untouched base table — instead of gathered
-// tables; project over bare column references is a pure remap. Everything
-// else runs the scalar operator body over a materialized input (ExecInput
-// gathers exactly once at that boundary). Results are bit-identical to the
+// tables; project over bare column references is a pure remap. The join
+// and the aggregate read their children as views (ExecInputView) and gather
+// only the rows and columns they use; everything else runs the scalar
+// operator body over a materialized input (ExecInput gathers exactly once
+// at that boundary). Results are bit-identical to the
 // scalar path: sampling draws the same per-morsel RNG streams, predicate
 // masks are exact (so selection membership is independent of morsel
 // boundaries and thread count), and gathers preserve row order.
@@ -949,8 +1143,8 @@ Result<BatchView> ExecDispatchBatch(const PlanPtr& plan, ExecContext& ctx) {
       return ExecProjectBatch(*plan, ctx);
     default: {
       // Table-valued operators run their scalar bodies; their children
-      // arrive through ExecInput, which stays on the batch path and
-      // gathers at this boundary.
+      // arrive through ExecInput or ExecInputView, which stay on the batch
+      // path and gather at this boundary.
       AQP_ASSIGN_OR_RETURN(TablePtr t, ExecDispatch(plan, ctx));
       return IdentityView(std::move(t));
     }

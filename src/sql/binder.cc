@@ -119,6 +119,35 @@ void CollectAggregates(const SqlExprPtr& e,
   for (const SqlExprPtr& c : e->children) CollectAggregates(c, aggs, index);
 }
 
+// Appends the top-level AND operands of `e` to `out`, left to right.
+void SplitConjuncts(const SqlExprPtr& e, std::vector<SqlExprPtr>* out) {
+  if (e->kind == SqlExpr::Kind::kBinary && e->op == OpKind::kAnd) {
+    SplitConjuncts(e->children[0], out);
+    SplitConjuncts(e->children[1], out);
+    return;
+  }
+  out->push_back(e);
+}
+
+// The one table whose columns `e` reads, as an index into the FROM/JOIN
+// order (`first_field[t]` is table t's first field in `schema`), or -1 when
+// `e` reads no column, several tables, or a column `schema` cannot resolve.
+int SingleTable(const Expr& e, const Schema& schema,
+                const std::vector<size_t>& first_field) {
+  int table = -1;
+  for (const std::string& ref : e.ReferencedColumns()) {
+    Result<size_t> field = schema.FieldIndex(ref);
+    if (!field.ok()) return -1;
+    const int t = static_cast<int>(
+        std::upper_bound(first_field.begin(), first_field.end(),
+                         field.value()) -
+        first_field.begin() - 1);
+    if (table >= 0 && t != table) return -1;
+    table = t;
+  }
+  return table;
+}
+
 }  // namespace
 
 Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog) {
@@ -126,47 +155,90 @@ Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog) {
   bound.error_spec = stmt.error_spec;
   bound.tables.push_back(stmt.from);
 
-  // FROM + JOINs, building the qualified running schema.
+  // FROM + JOINs: each table's qualified scan, with the join keys resolved
+  // against the running schema of the tables before it.
+  struct BoundJoin {
+    JoinType type;
+    std::vector<std::string> left_keys;
+    std::vector<std::string> right_keys;
+  };
   Schema schema;
-  AQP_ASSIGN_OR_RETURN(PlanPtr plan, QualifiedScan(stmt.from, catalog, &schema));
+  std::vector<PlanPtr> scans;
+  std::vector<BoundJoin> joins;
+  std::vector<size_t> first_field;  // Schema index of each table's first field.
+  first_field.push_back(0);
+  AQP_ASSIGN_OR_RETURN(PlanPtr from,
+                       QualifiedScan(stmt.from, catalog, &schema));
+  scans.push_back(std::move(from));
   for (const JoinClause& join : stmt.joins) {
     bound.tables.push_back(join.table);
     Schema right_schema;
     AQP_ASSIGN_OR_RETURN(PlanPtr right,
                          QualifiedScan(join.table, catalog, &right_schema));
-    std::vector<std::string> left_keys;
-    std::vector<std::string> right_keys;
+    BoundJoin bj{join.type, {}, {}};
     for (const auto& [a, b] : join.conditions) {
       Result<size_t> a_left = schema.FieldIndex(a);
       Result<size_t> b_right = right_schema.FieldIndex(b);
       if (a_left.ok() && b_right.ok()) {
-        left_keys.push_back(schema.field(a_left.value()).name);
-        right_keys.push_back(right_schema.field(b_right.value()).name);
+        bj.left_keys.push_back(schema.field(a_left.value()).name);
+        bj.right_keys.push_back(right_schema.field(b_right.value()).name);
         continue;
       }
       Result<size_t> b_left = schema.FieldIndex(b);
       Result<size_t> a_right = right_schema.FieldIndex(a);
       if (b_left.ok() && a_right.ok()) {
-        left_keys.push_back(schema.field(b_left.value()).name);
-        right_keys.push_back(right_schema.field(a_right.value()).name);
+        bj.left_keys.push_back(schema.field(b_left.value()).name);
+        bj.right_keys.push_back(right_schema.field(a_right.value()).name);
         continue;
       }
       return Status::InvalidArgument("cannot resolve join condition " + a +
                                      " = " + b);
     }
-    plan = PlanNode::Join(plan, right, join.type, std::move(left_keys),
-                          std::move(right_keys));
+    scans.push_back(std::move(right));
+    joins.push_back(std::move(bj));
+    first_field.push_back(schema.num_fields());
     for (const Field& f : right_schema.fields()) schema.AddField(f);
   }
 
+  // WHERE. Over a join, each conjunct that reads a single table moves below
+  // the joins onto that table's scan — unless the table is the NULL-extended
+  // side of a LEFT join, where filtering early would turn dropped rows into
+  // NULL-extended ones. The rest stays above the joins.
+  ExprPtr residual;
   if (stmt.where != nullptr) {
-    AQP_ASSIGN_OR_RETURN(ExprPtr predicate, Lower(stmt.where));
-    AQP_ASSIGN_OR_RETURN(DataType t, predicate->TypeCheck(schema));
+    AQP_ASSIGN_OR_RETURN(residual, Lower(stmt.where));
+    AQP_ASSIGN_OR_RETURN(DataType t, residual->TypeCheck(schema));
     if (t != DataType::kBool) {
       return Status::InvalidArgument("WHERE predicate is not boolean");
     }
-    plan = PlanNode::Filter(plan, std::move(predicate));
   }
+  if (residual != nullptr && !joins.empty()) {
+    std::vector<SqlExprPtr> conjuncts;
+    SplitConjuncts(stmt.where, &conjuncts);
+    std::vector<ExprPtr> pushed(scans.size());
+    residual = nullptr;
+    for (const SqlExprPtr& c : conjuncts) {
+      AQP_ASSIGN_OR_RETURN(ExprPtr e, Lower(c));
+      const int table = SingleTable(*e, schema, first_field);
+      const bool pushable =
+          table == 0 ||
+          (table > 0 && joins[table - 1].type == JoinType::kInner);
+      ExprPtr& target = pushable ? pushed[table] : residual;
+      target = target == nullptr ? e : And(target, e);
+    }
+    for (size_t i = 0; i < scans.size(); ++i) {
+      if (pushed[i] != nullptr) {
+        scans[i] = PlanNode::Filter(scans[i], std::move(pushed[i]));
+      }
+    }
+  }
+  PlanPtr plan = scans[0];
+  for (size_t j = 0; j < joins.size(); ++j) {
+    plan = PlanNode::Join(plan, scans[j + 1], joins[j].type,
+                          std::move(joins[j].left_keys),
+                          std::move(joins[j].right_keys));
+  }
+  if (residual != nullptr) plan = PlanNode::Filter(plan, std::move(residual));
 
   bool has_agg = !stmt.group_by.empty();
   for (const SelectItem& item : stmt.items) {

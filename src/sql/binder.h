@@ -43,6 +43,11 @@ struct BoundQuery {
 ///   -> Project -> Sort -> Limit.
 /// Every scanned column is renamed to "<qualifier>.<base>" so multi-table
 /// queries never collide; unqualified references resolve by suffix.
+/// Over joins, each top-level WHERE conjunct that reads one table is pushed
+/// below the joins as a Filter on that table's scan (for LEFT joins, only
+/// onto the preserved side); the remaining conjuncts stay in one Filter
+/// above the joins. Join output order is left rows in order, so the pushed
+/// plan feeds the aggregate the same row sequence as filtering afterwards.
 Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog);
 
 /// Parse + bind in one step.

@@ -132,6 +132,14 @@ class Column {
   /// Take, without per-row type dispatch (vectorized path).
   Column TakeBatch(const std::vector<uint32_t>& indices) const;
 
+  /// Index that TakeBatchOrNull turns into a NULL slot.
+  static constexpr uint32_t kNullRow = UINT32_MAX;
+
+  /// Null-extending TakeBatch: every index equal to kNullRow yields a NULL
+  /// slot (the right side of an unmatched LEFT JOIN row), exactly as
+  /// AppendNull would have stored it.
+  Column TakeBatchOrNull(const std::vector<uint32_t>& indices) const;
+
   /// Contiguous sub-range [offset, offset+length) as a new column
   /// (row-at-a-time reference path).
   Column Slice(size_t offset, size_t length) const;
@@ -164,6 +172,9 @@ class Column {
   uint64_t ApproxBytes() const;
 
  private:
+  template <bool kNullable>
+  Column TakeBatchImpl(const std::vector<uint32_t>& indices) const;
+
   DataType type_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;

@@ -1,6 +1,8 @@
 #include "core/estimate.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +128,53 @@ TEST(GroupedEstimateTest, CiCoverageUnderBlockSampling) {
   }
   double coverage = static_cast<double>(covered) / total;
   EXPECT_GE(coverage, 0.85);
+}
+
+TEST(GroupedEstimateTest, CellsSumInFirstAppearanceOrder) {
+  // Unequal weights take the Horvitz-Thompson path, whose per-group total
+  // is a floating-point sum over (group, unit) cells. Cells are summed in
+  // the order they first appear, never in a hash-table order: with 2^53
+  // first, each +1 rounds away; summed from the back, the ones add to 2
+  // and survive.
+  const double big = 9007199254740992.0;  // 2^53: spacing 2 above it.
+  Table t = testutil::GroupedTable({{0, big}, {0, 1.0}, {0, 0.5}});
+  Sample s;
+  s.table = t;
+  s.weights = {1.0, 1.0, 2.0};
+  s.unit_ids = {0, 1, 2};
+  s.num_units_sampled = 3;
+  s.num_units_population = 4;
+  s.population_rows = 4;
+  GroupedEstimates est =
+      EstimateGroupedAggregates(s, {Col("g")}, {{AggKind::kSum, Col("x"), "s"}})
+          .value();
+  const double in_order = ((0.0 + 1.0 * big) + 1.0 * 1.0) + 2.0 * 0.5;
+  const double reversed = ((0.0 + 2.0 * 0.5) + 1.0 * 1.0) + 1.0 * big;
+  ASSERT_NE(in_order, reversed);
+  EXPECT_EQ(est.estimates[0][0].estimate, in_order);
+}
+
+TEST(GroupedEstimateTest, RepeatedRunsAreBitIdentical) {
+  Table t = testutil::ZipfGroupedTable(20000, 50, 0.8, 9);
+  Sample s = BlockSample(t, 0.2, 16, 4).value();
+  const std::vector<AggSpec> aggs = {{AggKind::kSum, Col("x"), "s"},
+                                     {AggKind::kAvg, Col("x"), "a"},
+                                     {AggKind::kCountStar, nullptr, "n"}};
+  GroupedEstimates first =
+      EstimateGroupedAggregates(s, {Col("g")}, aggs).value();
+  for (int run = 0; run < 3; ++run) {
+    GroupedEstimates again =
+        EstimateGroupedAggregates(s, {Col("g")}, aggs).value();
+    ASSERT_EQ(again.num_groups, first.num_groups);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      for (size_t g = 0; g < first.num_groups; ++g) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(again.estimates[a][g].estimate),
+                  std::bit_cast<uint64_t>(first.estimates[a][g].estimate));
+        EXPECT_EQ(std::bit_cast<uint64_t>(again.estimates[a][g].variance),
+                  std::bit_cast<uint64_t>(first.estimates[a][g].variance));
+      }
+    }
+  }
 }
 
 TEST(GroupedEstimateTest, CountSkipsNullsCountStarDoesNot) {

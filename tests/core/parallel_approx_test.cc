@@ -5,6 +5,7 @@
 // use per-morsel RNG streams and the morsel fold is gated on input size
 // only.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -108,6 +109,41 @@ TEST(ParallelApproxTest, ApproxExecutorGroupedIdenticalAcrossThreadCounts) {
     ApproxResult r = ApproxExecutor(&cat, topt).Execute(kSql).value();
     ASSERT_TRUE(r.approximated) << r.fallback_reason;
     ExpectSameNumericCells(baseline.table, r.table);
+  }
+}
+
+TEST(ParallelApproxTest, GroupedCisBitIdenticalAcrossRunsAndThreadCounts) {
+  // Estimates and intervals, not just the rounded cells: the estimator's
+  // cell sums run in first-appearance order, so repeated runs at any
+  // thread count give the same bits.
+  Catalog cat = StarCatalog(11);
+  const char* kSql =
+      "SELECT fk_0, SUM(measure_0) AS s, AVG(measure_1) AS m FROM fact "
+      "GROUP BY fk_0 WITH ERROR 10% CONFIDENCE 90%";
+  AqpOptions opt = BaseOptions();
+  opt.exec = Threads(1);
+  ApproxResult baseline = ApproxExecutor(&cat, opt).Execute(kSql).value();
+  ASSERT_TRUE(baseline.approximated) << baseline.fallback_reason;
+  for (size_t threads : kThreadGrid) {
+    for (int run = 0; run < 2; ++run) {
+      AqpOptions topt = BaseOptions();
+      topt.exec = Threads(threads);
+      ApproxResult r = ApproxExecutor(&cat, topt).Execute(kSql).value();
+      ASSERT_TRUE(r.approximated) << r.fallback_reason;
+      ASSERT_TRUE(testutil::TablesBitIdentical(baseline.table, r.table));
+      ASSERT_EQ(baseline.cis.size(), r.cis.size());
+      for (size_t i = 0; i < r.cis.size(); ++i) {
+        ASSERT_EQ(baseline.cis[i].size(), r.cis[i].size());
+        for (size_t j = 0; j < r.cis[i].size(); ++j) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(baseline.cis[i][j].estimate),
+                    std::bit_cast<uint64_t>(r.cis[i][j].estimate));
+          EXPECT_EQ(std::bit_cast<uint64_t>(baseline.cis[i][j].low),
+                    std::bit_cast<uint64_t>(r.cis[i][j].low));
+          EXPECT_EQ(std::bit_cast<uint64_t>(baseline.cis[i][j].high),
+                    std::bit_cast<uint64_t>(r.cis[i][j].high));
+        }
+      }
+    }
   }
 }
 

@@ -202,6 +202,38 @@ TEST_F(GovernedExecutorTest, TinyMemoryBudgetDegrades) {
   ExpectValidCi(r);
 }
 
+TEST_F(GovernedExecutorTest, TinyBudgetJoinIsRefusedAndWalksTheLadder) {
+  // The join charges its build table and match pairs to the query budget:
+  // under a budget an ungrouped scan fits, the join is refused with
+  // ResourceExhausted, the governor walks the ladder (whose sample rungs
+  // decline joins), and no charge outlives the query.
+  ScopedFaultInjection quiet;
+  GovernedOptions opts = Options();
+  opts.memory_budget_bytes = 1 << 20;
+  GovernedExecutor exec(&catalog_, &samples_, opts);
+  {
+    QueryContext ctx(Limits{-1, opts.memory_budget_bytes});
+    ctx.Start();
+    Result<core::ApproxResult> scan = exec.ExecuteWithContext(
+        "SELECT SUM(extendedprice) AS s FROM lineitem", ctx);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_EQ(scan->profile.degradation_rung, 0);
+    EXPECT_EQ(ctx.memory().used(), 0u);
+  }
+  QueryContext ctx(Limits{-1, opts.memory_budget_bytes});
+  ctx.Start();
+  Result<core::ApproxResult> join = exec.ExecuteWithContext(
+      "SELECT o.orderpriority, SUM(l.extendedprice) AS s FROM lineitem AS l "
+      "JOIN orders AS o ON l.orderkey = o.orderkey GROUP BY o.orderpriority",
+      ctx);
+  EXPECT_EQ(join.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(join.status().message().find("degradation ladder"),
+            std::string::npos)
+      << join.status().ToString();
+  EXPECT_GE(ctx.memory().exhausted_count(), 1u);
+  EXPECT_EQ(ctx.memory().used(), 0u);
+}
+
 TEST_F(GovernedExecutorTest, TinyMemoryBudgetWithoutSamplesExhausts) {
   // Rung 2 needs its working set charged too; with a 2 KB budget over a
   // 60k-row table nothing can answer.

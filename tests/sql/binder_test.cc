@@ -331,6 +331,104 @@ TEST(BinderTest, UnknownFunctionRejected) {
   EXPECT_FALSE(ExecuteSql("SELECT FROBNICATE(amount) FROM sales", cat).ok());
 }
 
+// The first join below `root` and the node directly above it.
+std::pair<const PlanNode*, const PlanNode*> JoinAndParent(const PlanPtr& root) {
+  const PlanNode* parent = nullptr;
+  const PlanNode* node = root.get();
+  while (node->kind() != PlanKind::kJoin) {
+    parent = node;
+    node = node->child(0).get();
+  }
+  return {node, parent};
+}
+
+TEST(BinderPushdownTest, InnerJoinPushesSingleTableConjunctsToTheirScans) {
+  Catalog cat = MakeCatalog();
+  const char* sql =
+      "SELECT s.amount, c.name FROM sales AS s JOIN customers AS c "
+      "ON s.cust = c.cid WHERE s.amount > 15 AND c.name <> 'cat' "
+      "AND (s.amount > 45 OR c.cid = 1)";
+  BoundQuery bound = BindSql(sql, cat).value();
+  auto [join, parent] = JoinAndParent(bound.plan);
+  ASSERT_EQ(join->child(0)->kind(), PlanKind::kFilter);
+  EXPECT_EQ(join->child(0)->predicate()->ToString(), "(s.amount > 15)");
+  ASSERT_EQ(join->child(1)->kind(), PlanKind::kFilter);
+  EXPECT_EQ(join->child(1)->predicate()->ToString(), "(c.name <> 'cat')");
+  // The OR reads both tables: it stays above the join, alone.
+  ASSERT_EQ(parent->kind(), PlanKind::kFilter);
+  EXPECT_EQ(parent->predicate()->ToString(),
+            "((s.amount > 45) OR (c.cid = 1))");
+
+  Table out = ExecuteSql(sql, cat).value();
+  ASSERT_EQ(out.num_rows(), 2u);
+  EXPECT_DOUBLE_EQ(out.column(0).DoubleAt(0), 30.0);
+  EXPECT_EQ(out.column(1).StringAt(0), "ana");
+  EXPECT_DOUBLE_EQ(out.column(0).DoubleAt(1), 50.0);
+  EXPECT_EQ(out.column(1).StringAt(1), "bob");
+}
+
+TEST(BinderPushdownTest, UnqualifiedColumnPushesToItsTable) {
+  Catalog cat = MakeCatalog();
+  BoundQuery bound = BindSql(
+      "SELECT COUNT(*) AS n FROM sales AS s JOIN customers AS c "
+      "ON s.cust = c.cid WHERE name = 'bob' AND amount > 25",
+      cat).value();
+  auto [join, parent] = JoinAndParent(bound.plan);
+  ASSERT_EQ(join->child(0)->kind(), PlanKind::kFilter);
+  EXPECT_EQ(join->child(0)->predicate()->ToString(), "(amount > 25)");
+  ASSERT_EQ(join->child(1)->kind(), PlanKind::kFilter);
+  EXPECT_EQ(join->child(1)->predicate()->ToString(), "(name = 'bob')");
+  EXPECT_EQ(parent->kind(), PlanKind::kAggregate);  // No residual filter.
+}
+
+TEST(BinderPushdownTest, LeftJoinPushesOnlyPreservedSideConjuncts) {
+  Catalog cat = MakeCatalog();
+  const char* sql =
+      "SELECT s.amount, c.name FROM sales AS s LEFT JOIN customers AS c "
+      "ON s.cust = c.cid WHERE s.amount > 15 AND c.name = 'bob'";
+  BoundQuery bound = BindSql(sql, cat).value();
+  auto [join, parent] = JoinAndParent(bound.plan);
+  ASSERT_EQ(join->child(0)->kind(), PlanKind::kFilter);
+  EXPECT_EQ(join->child(0)->predicate()->ToString(), "(s.amount > 15)");
+  // Filtering the NULL-extended side early would turn dropped rows into
+  // NULL-extended ones; its conjunct stays above the join.
+  EXPECT_EQ(join->child(1)->kind(), PlanKind::kProject);
+  ASSERT_EQ(parent->kind(), PlanKind::kFilter);
+  EXPECT_EQ(parent->predicate()->ToString(), "(c.name = 'bob')");
+
+  Table out = ExecuteSql(sql, cat).value();
+  ASSERT_EQ(out.num_rows(), 2u);
+  EXPECT_DOUBLE_EQ(out.column(0).DoubleAt(0), 20.0);
+  EXPECT_DOUBLE_EQ(out.column(0).DoubleAt(1), 50.0);
+}
+
+TEST(BinderPushdownTest, OrSpanningBothSidesStaysAboveTheJoin) {
+  Catalog cat = MakeCatalog();
+  const char* sql =
+      "SELECT s.amount FROM sales AS s JOIN customers AS c "
+      "ON s.cust = c.cid WHERE s.amount > 45 OR c.name = 'ana'";
+  BoundQuery bound = BindSql(sql, cat).value();
+  auto [join, parent] = JoinAndParent(bound.plan);
+  EXPECT_EQ(join->child(0)->kind(), PlanKind::kProject);
+  EXPECT_EQ(join->child(1)->kind(), PlanKind::kProject);
+  ASSERT_EQ(parent->kind(), PlanKind::kFilter);
+  EXPECT_EQ(parent->predicate()->ToString(),
+            "((s.amount > 45) OR (c.name = 'ana'))");
+  Table out = ExecuteSql(sql, cat).value();
+  ASSERT_EQ(out.num_rows(), 3u);  // 10 and 30 (ana), 50.
+}
+
+TEST(BinderPushdownTest, AmbiguousUnqualifiedColumnStillFailsToBind) {
+  Catalog cat = MakeCatalog();
+  Result<BoundQuery> r = BindSql(
+      "SELECT a.amount FROM sales AS a JOIN sales AS b ON a.cust = b.cust "
+      "WHERE a.amount > 1 AND amount > 10",
+      cat);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(), "ambiguous column reference: amount");
+}
+
 }  // namespace
 }  // namespace sql
 }  // namespace aqp
