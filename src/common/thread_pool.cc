@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -11,10 +12,10 @@
 namespace aqp {
 namespace {
 
-// True on threads currently executing pool work; nested ParallelFor calls
-// from such threads run inline to avoid the classic pool-within-pool
-// deadlock (every worker blocked waiting for helpers that can never run).
-thread_local bool t_inside_pool = false;
+// True while this thread runs a morsel body. A ParallelFor issued from
+// inside one runs inline: the enclosing loop already spreads over the
+// participants, so fanning out again would only oversubscribe the pool.
+thread_local bool t_in_morsel = false;
 
 // Dispatch fault hook (see SetDispatchFaultHook). The flag is the cheap
 // guard; the function itself is read under the mutex only when armed.
@@ -99,7 +100,8 @@ size_t HardwareThreads() {
 /// Shared state of one ParallelFor run. Each participant owns a contiguous
 /// run of morsel ids [lo, hi) and pops from it with a fetch_add cursor;
 /// thieves use the same cursor, so owner/thief races resolve to distinct
-/// morsels by construction.
+/// morsels by construction. Queued helpers co-own the job, so one that is
+/// dequeued after its caller returned still finds it alive — and closed.
 struct ThreadPool::Job {
   size_t n = 0;
   size_t morsel_items = 0;
@@ -125,6 +127,10 @@ struct ThreadPool::Job {
 
   std::mutex mu;
   std::condition_variable cv;
+  // Set by the caller once it has drained every cursor; a helper that
+  // dequeues afterwards leaves without running (the body may be gone).
+  bool closed = false;
+  size_t helpers_started = 0;               // Helpers that joined before close.
   size_t helpers_done = 0;                  // Helpers that finished RunParticipant.
   std::exception_ptr exception;             // First body exception (under mu).
 
@@ -170,21 +176,24 @@ ThreadPool& ThreadPool::Shared() {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_inside_pool = true;
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (stop_ && queue_.empty()) return;
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    ++busy_;
+    lock.unlock();
     task();
+    task = nullptr;  // Drop the task's captures before retaking the lock.
+    lock.lock();
+    --busy_;
   }
 }
 
 void ThreadPool::RunParticipant(Job* job, size_t slot) {
+  const bool outer_in_morsel = t_in_morsel;
+  t_in_morsel = true;  // Nested ParallelFor calls in the body run inline.
   Job::Cursor& own = job->cursors[slot];
   Job::Slot& out = job->slots[slot];
   // Runs one morsel; on a body exception records it (first wins) and trips
@@ -232,6 +241,7 @@ void ThreadPool::RunParticipant(Job* job, size_t slot) {
     ++out.steals;
     run(m);
   }
+  t_in_morsel = outer_in_morsel;
 }
 
 ParallelRunStats ThreadPool::ParallelFor(size_t n, size_t morsel_items,
@@ -257,7 +267,7 @@ ParallelRunStats ThreadPool::ParallelFor(size_t n, size_t morsel_items,
     participants = std::min(participants, EnsureWorkers(participants - 1) + 1);
   }
   participants = std::min(participants, num_morsels);
-  if (t_inside_pool) participants = 1;  // Nested: run inline.
+  if (t_in_morsel) participants = 1;  // Nested in a morsel body: run inline.
 
   if (participants == 1) {
     // Serial path: same morsels, same order — the determinism baseline. The
@@ -278,69 +288,84 @@ ParallelRunStats ThreadPool::ParallelFor(size_t n, size_t morsel_items,
     return stats;
   }
 
-  Job job;
-  job.n = n;
-  job.morsel_items = morsel_items;
-  job.num_morsels = num_morsels;
-  job.body = &body;
-  job.cancel = options.cancel;
-  job.cursors = std::vector<Job::Cursor>(participants);
-  job.slots = std::vector<Job::Slot>(participants);
+  auto job = std::make_shared<Job>();
+  job->n = n;
+  job->morsel_items = morsel_items;
+  job->num_morsels = num_morsels;
+  job->body = &body;
+  job->cancel = options.cancel;
+  job->cursors = std::vector<Job::Cursor>(participants);
+  job->slots = std::vector<Job::Slot>(participants);
   // Contiguous morsel runs, remainder spread over the first participants.
   size_t base = num_morsels / participants;
   size_t extra = num_morsels % participants;
   size_t lo = 0;
   for (size_t p = 0; p < participants; ++p) {
     size_t len = base + (p < extra ? 1 : 0);
-    job.cursors[p].next.store(lo, std::memory_order_relaxed);
-    job.cursors[p].hi = lo + len;
+    job->cursors[p].next.store(lo, std::memory_order_relaxed);
+    job->cursors[p].hi = lo + len;
     lo += len;
   }
 
-  const size_t max_helpers = participants - 1;
-  size_t helpers = 0;
+  // A dispatch fault drops a helper entirely. The hook is consulted once per
+  // requested helper, outside mu_ (an armed hang must not stall the pool),
+  // and before the free-worker cap, so its hit count depends only on the
+  // work, never on which workers happen to be idle.
+  std::vector<size_t> dispatch;
+  for (size_t slot = 1; slot < participants; ++slot) {
+    if (!DispatchFaulted(slot)) dispatch.push_back(slot);
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t h = 0; h < max_helpers; ++h) {
-      size_t slot = h + 1;
-      // A dispatch fault drops this helper entirely; its owned morsel range
-      // is drained by the surviving participants through work stealing, so
-      // the run still completes every morsel.
-      if (DispatchFaulted(slot)) continue;
-      ++helpers;
-      queue_.emplace_back([&job, slot] {
-        RunParticipant(&job, slot);
-        std::lock_guard<std::mutex> jlock(job.mu);
-        ++job.helpers_done;
-        job.cv.notify_one();
+    // Helpers go only to workers with nothing else to do; the pool never
+    // grows for one. A slot without a helper — faulted or capped — is
+    // drained by the participants that did start, through work stealing.
+    const size_t claimed = busy_ + queue_.size();
+    const size_t free = workers_.size() > claimed ? workers_.size() - claimed
+                                                  : 0;
+    if (dispatch.size() > free) dispatch.resize(free);
+    for (size_t slot : dispatch) {
+      queue_.emplace_back([job, slot] {
+        {
+          std::lock_guard<std::mutex> jlock(job->mu);
+          if (job->closed) return;
+          ++job->helpers_started;
+        }
+        RunParticipant(job.get(), slot);
+        std::lock_guard<std::mutex> jlock(job->mu);
+        ++job->helpers_done;
+        job->cv.notify_one();
       });
     }
   }
-  cv_.notify_all();
+  for (size_t i = 0; i < dispatch.size(); ++i) cv_.notify_one();
 
-  t_inside_pool = true;  // Caller participates; block nesting underneath.
-  RunParticipant(&job, 0);
-  t_inside_pool = false;
+  RunParticipant(job.get(), 0);
 
-  // Wait for every helper to leave the job (a late-starting helper finds all
-  // cursors drained — or the run aborted — and exits immediately); only then
-  // is `job` safe to free and are all per-morsel outputs visible.
+  // The caller has drained (or abandoned) every cursor, so only helpers that
+  // already started can still be running a morsel: close the job to the
+  // rest and wait for those. No thread ever waits on a helper that has not
+  // started, which is what keeps nested calls from pool workers
+  // deadlock-free. Afterwards every per-morsel output is visible.
   {
-    std::unique_lock<std::mutex> lock(job.mu);
-    job.cv.wait(lock, [&job, helpers] { return job.helpers_done == helpers; });
+    std::unique_lock<std::mutex> lock(job->mu);
+    job->closed = true;
+    job->cv.wait(lock, [&job] {
+      return job->helpers_done == job->helpers_started;
+    });
   }
 
   for (size_t p = 0; p < participants; ++p) {
-    stats.morsels += job.slots[p].morsels;
-    stats.steals += job.slots[p].steals;
+    stats.morsels += job->slots[p].morsels;
+    stats.steals += job->slots[p].steals;
   }
   stats.worker_items.resize(participants);
   for (size_t p = 0; p < participants; ++p) {
-    stats.worker_items[p] = job.slots[p].items;
+    stats.worker_items[p] = job->slots[p].items;
   }
   // Rethrow the first body exception on the calling thread, after every
-  // helper has left the job — the no-std::terminate contract.
-  if (job.exception) std::rethrow_exception(job.exception);
+  // started helper has left the job — the no-std::terminate contract.
+  if (job->exception) std::rethrow_exception(job->exception);
   return stats;
 }
 

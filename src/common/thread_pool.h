@@ -92,12 +92,12 @@ class ThreadPool {
   /// first burst happening to request enough ParallelFor participants.
   size_t EnsureAtLeast(size_t workers) { return EnsureWorkers(workers); }
 
-  /// Enqueues a standalone task to run on some pool worker. Tasks posted
-  /// this way execute with the worker marked as inside-pool, so a
-  /// ParallelFor issued from within the task runs inline (serial) — the
-  /// service uses Post for inter-query concurrency and accepts intra-query
-  /// serialization on those workers. Tasks must not outlive the pool;
-  /// posting during/after destruction is undefined (the service drains its
+  /// Enqueues a standalone task to run on some pool worker. A ParallelFor
+  /// issued from within the task fans out like one from any other thread,
+  /// over whichever workers are free at that moment — the service uses Post
+  /// for inter-query concurrency and sizes each query's num_threads to its
+  /// share of the cores. Tasks must not outlive the pool; posting
+  /// during/after destruction is undefined (the service drains its
   /// outstanding tasks before letting the pool die).
   void Post(std::function<void()> task);
 
@@ -116,12 +116,17 @@ class ThreadPool {
   };
 
   /// Runs `body` once per morsel over [0, n), using up to `num_threads`
-  /// participants (the caller plus at most num_workers() helpers). The call
-  /// returns only after every morsel has run and every helper has left the
-  /// loop, so per-morsel outputs are safe to read. With num_threads <= 1 (or
-  /// when called from inside a pool worker — nested parallelism degrades to
-  /// serial) the loop runs inline on the caller, still morsel by morsel in
-  /// morsel order.
+  /// participants: the caller plus one helper per requested slot for which
+  /// a worker is free (neither running a task nor claimed by a queued one).
+  /// Any caller may fan out, pool workers included. The caller drains every
+  /// morsel no helper has claimed, then waits only for helpers that already
+  /// started; a helper dequeued later leaves without running, so no thread
+  /// ever blocks on work that has not begun. The call therefore returns
+  /// after every morsel has run and every started helper has left the loop,
+  /// so per-morsel outputs are safe to read. With num_threads <= 1, or when
+  /// called from inside a morsel body (nested loops would only oversubscribe
+  /// the pool), the loop runs inline on the caller, still morsel by morsel
+  /// in morsel order.
   ///
   /// Failure semantics: an exception thrown by `body` in ANY participant is
   /// captured (first one wins), remaining morsels are skipped in every
@@ -136,8 +141,9 @@ class ThreadPool {
                                const ParallelForOptions& options,
                                const MorselFn& body);
 
-  /// Fault-injection seam: when set, the hook is consulted once per helper
-  /// dispatch of every parallel run; returning true for a slot simulates a
+  /// Fault-injection seam: when set, the hook is consulted once per
+  /// requested helper of every parallel run (before the free-worker cap and
+  /// without holding the pool lock); returning true for a slot simulates a
   /// failed task dispatch — that helper never joins and its morsel range is
   /// drained by the surviving participants (work stealing guarantees
   /// completion, which is exactly what the fault tests assert). Installed by
@@ -149,6 +155,8 @@ class ThreadPool {
   struct Job;
 
   void WorkerLoop();
+  // Runs one participant's share of `job`; morsel bodies see the thread as
+  // inside a morsel, so nested ParallelFor calls run inline.
   static void RunParticipant(Job* job, size_t slot);
   // Grows the pool to `target` helpers (bounded by kMaxWorkers); returns the
   // resulting helper count.
@@ -158,6 +166,7 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
+  size_t busy_ = 0;  // Workers running a task (under mu_).
   bool stop_ = false;
 };
 

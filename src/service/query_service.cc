@@ -482,6 +482,14 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     gopts.gate_table = tables[0];
   }
 
+  // Core share, taken when the query is about to execute: the configured
+  // thread count split over the queries in flight, this one included. A
+  // lone query gets every core; a saturated service runs each query serial.
+  // Answers do not depend on the count.
+  const size_t inflight = std::max<size_t>(1, admission_.stats().inflight);
+  gopts.aqp.exec.num_threads =
+      std::max<size_t>(1, gopts.aqp.exec.ResolvedThreads() / inflight);
+
   // The query's own tracker chains to the session's: EITHER budget trips
   // the memory stop.
   gov::QueryContext ctx(

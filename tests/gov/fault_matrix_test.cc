@@ -139,10 +139,10 @@ TEST_F(FaultMatrixTest, InjectionScheduleIsReproducible) {
   // The whole point of the deterministic schedule: replaying a seed against
   // identical work yields the same injected-fault count. A fresh executor
   // per run keeps the work identical (the two-stage executor salts its
-  // stage seeds with an invocation counter). Single-threaded, because the
-  // pool.dispatch hit count depends on helper dispatch attempts.
+  // stage seeds with an invocation counter). Four threads: the pool consults
+  // the pool.dispatch schedule once per requested helper, before capping
+  // helpers at the free workers, so the hit count depends on the work only.
   GovernedOptions opts = Options();
-  opts.aqp.exec.num_threads = 1;
   const std::string sql = BenchQueries(1)[0].sql;
   uint64_t first_injected = 0;
   {

@@ -1,6 +1,10 @@
 #include "service/query_service.h"
 
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
@@ -9,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "gov/fault_injector.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 #include "workload/datagen.h"
 
 namespace aqp {
@@ -451,6 +457,135 @@ TEST_F(QueryServiceTest, AuditingDisabledByDefault) {
   ASSERT_TRUE(service.Execute(session, {kSumQuery}).ok());
   EXPECT_FALSE(service.auditor().enabled());
   EXPECT_EQ(service.auditor().stats().eligible, 0u);
+}
+
+/// Every confidence interval of `a` and `b` equal bit for bit.
+::testing::AssertionResult CisBitIdentical(const core::ApproxResult& a,
+                                           const core::ApproxResult& b) {
+  if (a.cis.size() != b.cis.size()) {
+    return ::testing::AssertionFailure()
+           << "ci rows " << a.cis.size() << " vs " << b.cis.size();
+  }
+  for (size_t r = 0; r < a.cis.size(); ++r) {
+    if (a.cis[r].size() != b.cis[r].size()) {
+      return ::testing::AssertionFailure() << "ci row " << r << " width";
+    }
+    for (size_t i = 0; i < a.cis[r].size(); ++i) {
+      const stats::ConfidenceInterval& x = a.cis[r][i];
+      const stats::ConfidenceInterval& y = b.cis[r][i];
+      for (auto [u, v] : {std::pair{x.estimate, y.estimate},
+                          std::pair{x.low, y.low}, std::pair{x.high, y.high}}) {
+        if (std::bit_cast<uint64_t>(u) != std::bit_cast<uint64_t>(v)) {
+          return ::testing::AssertionFailure()
+                 << "ci [" << r << "][" << i << "]: " << u << " vs " << v;
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_F(QueryServiceTest, LoneQueryFansOutOverIdleCores) {
+  // With nothing else in flight, a query's core share is the whole
+  // configured thread count: its morsel loops reach idle pool workers, and
+  // its answer is bit-identical to a service that runs every query serial.
+  gov::ScopedFaultInjection quiet;
+  ServiceOptions opts = Options();
+  opts.gov.aqp.exec.num_threads = 4;
+  opts.gov.aqp.method = SampleSpec::Method::kBernoulliRow;
+  opts.use_result_cache = false;
+  ServiceOptions serial_opts = opts;
+  serial_opts.gov.aqp.exec.num_threads = 1;
+  QueryService service(&catalog_, opts);
+  QueryService serial(&catalog_, serial_opts);
+  auto session = service.OpenSession();
+  auto serial_session = serial.OpenSession();
+
+  const std::string group_query =
+      "SELECT shipmode, SUM(extendedprice) AS s, COUNT(*) AS n "
+      "FROM lineitem WHERE quantity < 40 GROUP BY shipmode";
+  for (const std::string& sql : {group_query, std::string(kSumQuery)}) {
+    auto expected = serial.Execute(serial_session, {sql});
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(expected->profile.parallel.has_value()) << sql;
+    EXPECT_EQ(expected->profile.parallel->num_threads, 1u);
+    // Whether a woken helper claims a morsel before the caller drains them
+    // all is a scheduling race, so the fan-out check gets a few tries; the
+    // answer must be identical on every one.
+    bool fanned_out = false;
+    for (int attempt = 0; attempt < 20 && !fanned_out; ++attempt) {
+      auto r = service.Execute(session, {sql});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(r->profile.parallel.has_value()) << sql;
+      EXPECT_EQ(r->profile.parallel->num_threads, 4u);
+      size_t slots_with_rows = 0;
+      for (uint64_t rows : r->profile.parallel->worker_rows) {
+        if (rows > 0) ++slots_with_rows;
+      }
+      fanned_out = slots_with_rows > 1;
+      EXPECT_TRUE(testutil::TablesBitIdentical(expected->table, r->table)) << sql;
+      EXPECT_TRUE(CisBitIdentical(*expected, *r)) << sql;
+    }
+    EXPECT_TRUE(fanned_out) << sql;
+  }
+}
+
+TEST_F(QueryServiceTest, SaturatedServiceGrantsOneThreadPerQuery) {
+  // max_inflight queries admitted at once split four threads four ways:
+  // each is granted one and runs the serial code.
+  gov::ScopedFaultInjection quiet;
+  constexpr size_t kInflight = 4;
+  ServiceOptions opts = Options();
+  opts.gov.aqp.exec.num_threads = 4;
+  opts.admission.max_inflight = kInflight;
+  opts.use_result_cache = false;
+  QueryService service(&catalog_, opts);
+  auto session = service.OpenSession();
+
+  // Park every pool worker so all submissions are admitted before any
+  // starts, and hang each query's scan so none releases its slot before
+  // the others have taken their share.
+  ThreadPool& pool = ThreadPool::Shared();
+  const size_t workers = pool.num_workers();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<size_t> parked{0};
+  std::atomic<size_t> unparked{0};
+  for (size_t w = 0; w < workers; ++w) {
+    pool.Post([&] {
+      parked.fetch_add(1);
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return open; });
+      }
+      unparked.fetch_add(1);  // Last touch of this frame's state.
+    });
+  }
+  while (parked.load() < workers) std::this_thread::yield();
+  gov::FaultInjector::Global().ArmHang("engine.scan", 200, kInflight);
+
+  std::vector<std::future<Result<core::ApproxResult>>> futures;
+  for (size_t q = 0; q < kInflight; ++q) {
+    futures.push_back(service.Submit(
+        session, {"SELECT SUM(extendedprice) AS s FROM lineitem WHERE "
+                  "quantity < " + std::to_string(20 + q)}));
+  }
+  EXPECT_EQ(service.admission_stats().inflight, kInflight);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+  }
+  cv.notify_all();
+  for (auto& f : futures) {
+    auto r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->profile.parallel.has_value());
+    EXPECT_EQ(r->profile.parallel->num_threads, 1u);
+    EXPECT_EQ(r->profile.parallel->worker_rows.size(), 1u);
+  }
+  gov::FaultInjector::Global().ClearHangs();
+  while (unparked.load() < workers) std::this_thread::yield();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Cancellation-latency suite for the hung-query watchdog: a query is hung
 // (via the injector's hung-morsel mode) at each of four pipeline sites —
-// engine scan, Bernoulli sampler draw, OLA epoch setup, and pool dispatch —
+// engine scan, Bernoulli sampler draw, grace-sample draw, and pool dispatch —
 // under small executor-thread counts, and the suite asserts the watchdog
 // declares it hung within deadline + grace, reclaims its admission slot
 // while the morsel is still stalled (capacity is reusable immediately), and
@@ -165,15 +165,18 @@ INSTANTIATE_TEST_SUITE_P(
         // Grace-sample draw: reachable only on rung 2, so the deadline is
         // already expired and the synopsis rung is disabled.
         HangCase{"grace.sample", 1, 0, false},
-        HangCase{"grace.sample", 4, 0, false}),
+        HangCase{"grace.sample", 4, 0, false},
+        // Helper dispatch: a lone service query fans out over idle pool
+        // workers, so its first parallel loop consults the dispatch site
+        // (never with one thread: a serial loop dispatches nothing).
+        HangCase{"pool.dispatch", 2, 50, true},
+        HangCase{"pool.dispatch", 4, 50, true}),
     CaseName);
 
-// pool.dispatch is only reachable from threads OUTSIDE the pool: service
-// queries run on pool workers, where nested ParallelFor inlines instead of
-// dispatching helpers. Its hang scenario therefore drives the watchdog
-// through a direct harness — a context registered with the watchdog and a
-// morselized ParallelFor issued from a plain thread, whose first helper
-// dispatch stalls while holding the dispatch path.
+// The same pool.dispatch stall without the service around it: a context
+// registered with the watchdog and a morselized ParallelFor issued from a
+// plain thread, whose first helper dispatch stalls. Pins the watchdog's
+// behavior for parallel loops issued outside any service worker.
 TEST(WatchdogTest, ReclaimsSlotWhilePoolDispatchStalls) {
   gov::ScopedFaultInjection quiet;
   ThreadPool::Shared().EnsureAtLeast(8);
