@@ -1,6 +1,11 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/cancellation.h"
 #include "common/check.h"
@@ -48,6 +53,13 @@ int CompareForSort(const Column& a, size_t i, const Column& b, size_t j) {
   return 0;
 }
 
+// The columns each extent-backed scan must produce, by plan node: nullopt
+// (or no entry) means every column. Fused filters over such scans carry
+// their own entry — the columns they output.
+using ColumnNeeds =
+    std::unordered_map<const PlanNode*,
+                       std::optional<std::vector<std::string>>>;
+
 // Bundles the per-query execution environment threaded through every
 // operator: where tables come from, where counters go, and the parallelism
 // knobs. Spans are created only on the coordinator thread (QueryTrace is not
@@ -57,6 +69,9 @@ struct ExecContext {
   ExecStats* stats;
   obs::QueryTrace* trace;
   const ExecOptions& options;
+  // Filled once per Execute, and only when the plan reads an extent-backed
+  // table; in-memory scans ignore it.
+  const ColumnNeeds* needs = nullptr;
 
   // Where parallel regions report their morsel/steal counters (null when the
   // caller did not ask for stats).
@@ -278,6 +293,23 @@ Result<TablePtr> ExecInput(const PlanPtr& plan, ExecContext& ctx) {
   return MaterializeView(view, ctx, "batch materialize");
 }
 
+// The row ranges of the blocks a SYSTEM block sample keeps, ascending. One
+// Bernoulli draw per block from a single stream is cheap and trivially
+// thread-count independent. Shared by in-memory and extent-backed scans, so
+// both keep exactly the same blocks for a given seed.
+std::vector<std::pair<uint64_t, uint64_t>> DrawSampleBlocks(
+    uint64_t num_rows, const SampleSpec& spec) {
+  std::vector<std::pair<uint64_t, uint64_t>> blocks;
+  Pcg32 rng(spec.seed);
+  const uint64_t block = spec.block_size;
+  AQP_CHECK(block > 0);
+  for (uint64_t first = 0; first < num_rows; first += block) {
+    if (!rng.Bernoulli(spec.rate)) continue;
+    blocks.emplace_back(first, std::min(first + block, num_rows));
+  }
+  return blocks;
+}
+
 // Draws the kept-row set for a sampled scan. Shared verbatim by the scalar
 // and batch scans, so both paths keep exactly the same rows for a given
 // (seed, morsel_rows) regardless of thread count.
@@ -329,16 +361,13 @@ Result<std::vector<uint32_t>> DrawSampleKeep(const Table& table,
       }
     }
   } else {
-    // Block-level: sample whole blocks, skip the rest entirely. One
-    // Bernoulli draw per block from a single stream is cheap and trivially
-    // thread-count independent; only the gather below parallelizes.
-    Pcg32 rng(spec.seed);
-    size_t num_blocks = table.NumBlocks(spec.block_size);
-    for (size_t b = 0; b < num_blocks; ++b) {
-      if (!rng.Bernoulli(spec.rate)) continue;
-      ++blocks_read;
-      auto [first, last] = table.BlockRange(b, spec.block_size);
-      for (size_t i = first; i < last; ++i) {
+    // Block-level: keep whole blocks, skip the rest entirely; only the
+    // gather parallelizes.
+    const std::vector<std::pair<uint64_t, uint64_t>> blocks =
+        DrawSampleBlocks(n, spec);
+    blocks_read = blocks.size();
+    for (const auto& [first, last] : blocks) {
+      for (uint64_t i = first; i < last; ++i) {
         keep.push_back(static_cast<uint32_t>(i));
       }
     }
@@ -364,23 +393,78 @@ void MergeExtentStats(const ExtentScanStats& es, ExecContext& ctx) {
   ctx.stats->extents_pruned += es.extents_pruned;
 }
 
+// The schema indices of the columns `node` must produce from an extent
+// file with `schema`, ascending: every column unless the plan's column
+// needs say otherwise. Needs resolve exactly as the operators above will
+// resolve them; a name the schema cannot resolve keeps every column, so the
+// operator reports the same error it would over the whole table. At least
+// one column is kept, so row counts (COUNT(*)) survive.
+std::vector<size_t> NeededColumns(const PlanNode& node, const Schema& schema,
+                                  const ExecContext& ctx) {
+  std::vector<size_t> all(schema.num_fields());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  if (ctx.needs == nullptr) return all;
+  auto it = ctx.needs->find(&node);
+  if (it == ctx.needs->end() || !it->second.has_value()) return all;
+  std::vector<bool> keep(schema.num_fields(), false);
+  for (const std::string& name : *it->second) {
+    Result<size_t> c = schema.FieldIndex(name);
+    if (!c.ok()) return all;
+    keep[c.value()] = true;
+  }
+  std::vector<size_t> cols;
+  for (size_t c = 0; c < keep.size(); ++c) {
+    if (keep[c]) cols.push_back(c);
+  }
+  if (cols.empty() && !all.empty()) cols.push_back(0);
+  return cols;
+}
+
+// A scan's input: the catalog table or the decoded extent file. A SYSTEM
+// block-sampled extent scan comes back already sampled, its stats counted.
+struct ScanInput {
+  TablePtr table;
+  bool sampled = false;
+};
+
 // Resolves a scan's base table: in-memory tables come straight from the
-// catalog (shared storage, uncharged); extent-backed tables materialize here
-// as a governed parallel read — charged like any operator output, so a
-// beyond-budget full scan is refused instead of silently swapping.
-Result<TablePtr> ScanBaseTable(const PlanNode& node, ExecContext& ctx) {
+// catalog (shared storage, uncharged); extent-backed tables decode here the
+// columns the plan needs, as a governed parallel read — charged like any
+// operator output, so a beyond-budget full scan is refused instead of
+// silently swapping. A SYSTEM block sample decodes only the extents its
+// blocks fall in.
+Result<ScanInput> ScanBaseTable(const PlanNode& node, ExecContext& ctx) {
   if (!ctx.catalog.IsExtentBacked(node.table_name())) {
-    return ctx.catalog.Get(node.table_name());
+    AQP_ASSIGN_OR_RETURN(TablePtr t, ctx.catalog.Get(node.table_name()));
+    return ScanInput{std::move(t)};
   }
   AQP_ASSIGN_OR_RETURN(std::shared_ptr<const extent::ExtentReader> reader,
                        ctx.catalog.GetExtentReader(node.table_name()));
+  const std::vector<size_t> cols =
+      NeededColumns(node, reader->schema(), ctx);
+  const ExtentScanOptions options =
+      MakeExtentScanOptions(reader->num_rows(), ctx);
+  const SampleSpec& spec = node.sample();
   ExtentScanStats es;
-  AQP_ASSIGN_OR_RETURN(
-      Table t, ReadAllExtents(*reader,
-                              MakeExtentScanOptions(reader->num_rows(), ctx),
-                              &es));
+  if (spec.is_sampled() && spec.method == SampleSpec::Method::kSystemBlock) {
+    const std::vector<std::pair<uint64_t, uint64_t>> blocks =
+        DrawSampleBlocks(reader->num_rows(), spec);
+    AQP_ASSIGN_OR_RETURN(Table t,
+                         ReadExtentRows(*reader, blocks, options, &es, &cols));
+    MergeExtentStats(es, ctx);
+    if (ctx.stats != nullptr) {
+      ctx.stats->rows_scanned += t.num_rows();
+      ctx.stats->blocks_read += blocks.size();
+    }
+    AQP_ASSIGN_OR_RETURN(TablePtr out,
+                         TrackTable(std::move(t), ctx, "scan output"));
+    return ScanInput{std::move(out), /*sampled=*/true};
+  }
+  AQP_ASSIGN_OR_RETURN(Table t, ReadAllExtents(*reader, options, &es, &cols));
   MergeExtentStats(es, ctx);
-  return TrackTable(std::move(t), ctx, "extent scan output");
+  AQP_ASSIGN_OR_RETURN(TablePtr out,
+                       TrackTable(std::move(t), ctx, "extent scan output"));
+  return ScanInput{std::move(out)};
 }
 
 // Fused filter+scan over an extent-backed base: prune extents with the
@@ -394,11 +478,14 @@ Result<TablePtr> ExecExtentFilterScan(const PlanNode& filter_node,
   AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail("engine.scan"));
   AQP_ASSIGN_OR_RETURN(std::shared_ptr<const extent::ExtentReader> reader,
                        ctx.catalog.GetExtentReader(scan_node.table_name()));
+  const std::vector<size_t> cols =
+      NeededColumns(filter_node, reader->schema(), ctx);
   ExtentScanStats es;
   AQP_ASSIGN_OR_RETURN(
       Table t, FusedExtentFilterScan(
                    *reader, *filter_node.predicate(),
-                   MakeExtentScanOptions(reader->num_rows(), ctx), &es));
+                   MakeExtentScanOptions(reader->num_rows(), ctx), &es,
+                   &cols));
   MergeExtentStats(es, ctx);
   if (ctx.stats != nullptr) {
     // Pruned extents are I/O the query never did; count only decoded rows
@@ -421,7 +508,9 @@ bool UseFusedExtentFilter(const PlanNode& filter_node, ExecContext& ctx) {
 
 Result<TablePtr> ExecScan(const PlanNode& node, ExecContext& ctx) {
   AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail("engine.scan"));
-  AQP_ASSIGN_OR_RETURN(TablePtr table, ScanBaseTable(node, ctx));
+  AQP_ASSIGN_OR_RETURN(ScanInput input, ScanBaseTable(node, ctx));
+  if (input.sampled) return input.table;
+  TablePtr table = std::move(input.table);
   const SampleSpec& spec = node.sample();
   if (!spec.is_sampled()) {
     if (ctx.stats != nullptr) {
@@ -906,7 +995,9 @@ Result<TablePtr> Exec(const PlanPtr& plan, ExecContext& ctx) {
 
 Result<BatchView> ExecScanBatch(const PlanNode& node, ExecContext& ctx) {
   AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail("engine.scan"));
-  AQP_ASSIGN_OR_RETURN(TablePtr table, ScanBaseTable(node, ctx));
+  AQP_ASSIGN_OR_RETURN(ScanInput input, ScanBaseTable(node, ctx));
+  if (input.sampled) return IdentityView(std::move(input.table));
+  TablePtr table = std::move(input.table);
   const SampleSpec& spec = node.sample();
   if (!spec.is_sampled()) {
     if (ctx.stats != nullptr) {
@@ -1192,6 +1283,94 @@ Result<BatchView> ExecBatch(const PlanPtr& plan, ExecContext& ctx) {
   return result;
 }
 
+// True when some scan of `plan` reads an extent-backed table.
+bool ReadsExtents(const PlanPtr& plan, const Catalog& catalog) {
+  if (plan->kind() == PlanKind::kScan) {
+    return catalog.IsExtentBacked(plan->table_name());
+  }
+  for (size_t i = 0; i < plan->num_children(); ++i) {
+    if (ReadsExtents(plan->child(i), catalog)) return true;
+  }
+  return false;
+}
+
+using Need = std::optional<std::vector<std::string>>;
+
+// Records `need` for `node`, merged with what another path through a shared
+// subplan already asked for.
+void MergeNeed(const PlanNode* node, const Need& need, ColumnNeeds* needs) {
+  auto [it, inserted] = needs->try_emplace(node, need);
+  if (inserted || !it->second.has_value()) return;
+  if (!need.has_value()) {
+    it->second.reset();
+    return;
+  }
+  it->second->insert(it->second->end(), need->begin(), need->end());
+}
+
+// Top-down column pass: `need` is what the parent reads of `plan`'s output
+// (nullopt = every column). Aggregate and Project cut it to the columns
+// they reference, Filter and Sort add theirs, Limit passes it through, and
+// Join and UnionAll read every column of their children.
+void CollectColumnNeeds(const PlanPtr& plan, const Need& need,
+                        const Catalog& catalog, ColumnNeeds* needs) {
+  auto with = [&need](std::vector<std::string> refs) -> Need {
+    if (!need.has_value()) return std::nullopt;
+    refs.insert(refs.end(), need->begin(), need->end());
+    return refs;
+  };
+  auto add_refs = [](const Expr& e, std::vector<std::string>* refs) {
+    for (std::string& c : e.ReferencedColumns()) refs->push_back(std::move(c));
+  };
+  switch (plan->kind()) {
+    case PlanKind::kScan:
+      if (catalog.IsExtentBacked(plan->table_name())) {
+        MergeNeed(plan.get(), need, needs);
+      }
+      return;
+    case PlanKind::kFilter:
+      // Over a scan the filter may run fused: it outputs only `need`.
+      if (plan->child()->kind() == PlanKind::kScan) {
+        MergeNeed(plan.get(), need, needs);
+      }
+      CollectColumnNeeds(plan->child(),
+                         with(plan->predicate()->ReferencedColumns()),
+                         catalog, needs);
+      return;
+    case PlanKind::kProject: {
+      std::vector<std::string> refs;
+      for (const ExprPtr& e : plan->exprs()) add_refs(*e, &refs);
+      CollectColumnNeeds(plan->child(), refs, catalog, needs);
+      return;
+    }
+    case PlanKind::kAggregate: {
+      std::vector<std::string> refs;
+      for (const ExprPtr& e : plan->group_exprs()) add_refs(*e, &refs);
+      for (const AggSpec& a : plan->aggs()) {
+        if (a.arg != nullptr) add_refs(*a.arg, &refs);
+      }
+      CollectColumnNeeds(plan->child(), refs, catalog, needs);
+      return;
+    }
+    case PlanKind::kSort: {
+      std::vector<std::string> refs;
+      for (const SortKey& k : plan->sort_keys()) refs.push_back(k.column);
+      CollectColumnNeeds(plan->child(), with(std::move(refs)), catalog,
+                         needs);
+      return;
+    }
+    case PlanKind::kLimit:
+      CollectColumnNeeds(plan->child(), need, catalog, needs);
+      return;
+    case PlanKind::kJoin:
+    case PlanKind::kUnionAll:
+      for (size_t i = 0; i < plan->num_children(); ++i) {
+        CollectColumnNeeds(plan->child(i), std::nullopt, catalog, needs);
+      }
+      return;
+  }
+}
+
 }  // namespace
 
 Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
@@ -1203,6 +1382,13 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
   ExecStats* effective = stats != nullptr ? stats : &local;
   ExecStats before = instrumented ? *effective : ExecStats{};
   ExecContext ctx{catalog, instrumented ? effective : stats, trace, options};
+  // Which columns each extent-backed scan decodes; the plan root returns
+  // rows, so it reads every column of its output.
+  ColumnNeeds needs;
+  if (ReadsExtents(plan, catalog)) {
+    CollectColumnNeeds(plan, std::nullopt, catalog, &needs);
+    ctx.needs = &needs;
+  }
   TablePtr result;
   if (options.ResolvedPath() == ExecPath::kVectorized) {
     // Vectorized root: run the plan as batch views, gather once at the top.

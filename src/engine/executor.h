@@ -20,7 +20,8 @@ struct ExecStats {
                                // skips blocks; row sampling reads all).
   uint64_t rows_joined = 0;    // Join output rows.
   uint64_t extents_total = 0;  // Extents considered by extent-backed scans.
-  uint64_t extents_pruned = 0; // Extents skipped via zone maps (never read).
+  uint64_t extents_pruned = 0; // Extents skipped unread: zone maps, or no
+                               // sampled block inside.
   ParallelRunStats parallel;   // Morsel/steal/per-worker counters summed over
                                // every parallel region of the query.
 };

@@ -2,6 +2,7 @@
 #define AQP_ENGINE_EXTENT_SCAN_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -17,10 +18,12 @@ namespace aqp {
 /// Zone-map pruning and morsel-parallel scans over extent-backed tables
 /// (docs/STORAGE.md §5): the executor routes scans of tables registered via
 /// Catalog::RegisterExtentBacked through these entry points instead of
-/// materializing the file up front. The fused filter+scan decodes one extent
-/// at a time (a transient, governed allocation) and keeps only matching
-/// rows, so a table much larger than the query's memory budget can still be
-/// filtered — the property benchmarked by E19.
+/// materializing the file up front. Every entry point decodes only the
+/// column chunks the plan references. The fused filter+scan decodes one
+/// extent at a time (a transient, governed allocation) and keeps only
+/// matching rows, so a table much larger than the query's memory budget can
+/// still be filtered — the property benchmarked by E19. A SYSTEM
+/// block-sampled scan decodes only the extents its drawn blocks fall in.
 
 /// A pruning conjunct: a NECESSARY condition of the query predicate of the
 /// shape `col <op> literal`, `col BETWEEN lo AND hi`, or `col IN (...)`.
@@ -63,31 +66,52 @@ struct ExtentScanOptions {
 /// What an extent-backed scan did, for ExecStats / trace spans.
 struct ExtentScanStats {
   uint64_t extents_total = 0;   // Extents in the file.
-  uint64_t extents_pruned = 0;  // Skipped via zone maps.
+  uint64_t extents_pruned = 0;  // Skipped unread: zone maps or no sampled
+                                // block inside.
   uint64_t extents_read = 0;    // Decoded.
   uint64_t rows_read = 0;       // Rows decoded (pre-predicate).
 };
 
-/// Materializes the whole file as one Table, reading extents in parallel
-/// (deterministic: parts are concatenated in extent order). Used by bare and
-/// sampled scans — a sampled extent scan therefore draws from exactly the
-/// same per-morsel RNG streams as its in-memory twin and returns
-/// bit-identical samples. The caller charges the result to its
+/// Materializes the file as one Table, decoding only `columns` (schema
+/// indices, non-empty; null = every column) of every extent, in parallel.
+/// Parts are assembled column by column in extent order, so the result is
+/// deterministic for every thread count. Used by bare and Bernoulli-sampled
+/// scans (a Bernoulli sample draws from exactly the same per-morsel RNG
+/// streams as its in-memory twin). The caller charges the result to its
 /// MemoryTracker; an over-budget full materialization is how governance
 /// learns the query needed the fused path or a sample.
 Result<Table> ReadAllExtents(const extent::ExtentReader& reader,
                              const ExtentScanOptions& options,
-                             ExtentScanStats* stats);
+                             ExtentScanStats* stats,
+                             const std::vector<size_t>* columns = nullptr);
 
 /// Fused filter+scan: prunes extents against `pred`'s conjuncts, decodes
-/// surviving extents in parallel (each decode transiently charges the
-/// extent's raw_bytes), evaluates the FULL predicate per extent, and
-/// concatenates matching rows in extent order. Output equals
-/// filter(pred, ReadAllExtents(...)) bit for bit, for every thread count.
+/// the predicate's columns plus `columns` (null = every column) of the
+/// surviving extents in parallel, evaluates the FULL predicate per extent,
+/// and keeps only `columns` of the matching rows, in extent order. Each
+/// decode transiently charges the decoded size of the columns it reads.
+/// Output equals the `columns` of filter(pred, ReadAllExtents(...)) bit for
+/// bit, for every thread count.
 Result<Table> FusedExtentFilterScan(const extent::ExtentReader& reader,
                                     const Expr& pred,
                                     const ExtentScanOptions& options,
-                                    ExtentScanStats* stats);
+                                    ExtentScanStats* stats,
+                                    const std::vector<size_t>* columns =
+                                        nullptr);
+
+/// Reads exactly the rows of `ranges` — global [begin, end) row ranges,
+/// ascending and disjoint — in order, decoding `columns` (null = every
+/// column) of only the extents the ranges touch; a range straddling an
+/// extent boundary reads both extents. Untouched extents count as pruned:
+/// they are never read. This is the SYSTEM block-sampled scan: the executor
+/// draws the blocks exactly as it does for an in-memory table and passes
+/// their row ranges, so the sample is bit-identical to the in-memory twin's.
+/// Decodes are charged transiently, as in the fused filter scan.
+Result<Table> ReadExtentRows(
+    const extent::ExtentReader& reader,
+    const std::vector<std::pair<uint64_t, uint64_t>>& ranges,
+    const ExtentScanOptions& options, ExtentScanStats* stats,
+    const std::vector<size_t>* columns = nullptr);
 
 }  // namespace aqp
 

@@ -259,6 +259,42 @@ void Column::AppendFrom(const Column& other, size_t i) {
   }
 }
 
+void Column::AppendRange(const Column& other, size_t offset, size_t length) {
+  AQP_DCHECK(other.type_ == type_);
+  AQP_CHECK(offset <= other.size() && length <= other.size() - offset);
+  if (this == &other) {
+    // vector::insert may not read from the vector it grows.
+    const Column copy = other;
+    AppendRange(copy, offset, length);
+    return;
+  }
+  auto append = [&](auto& dst, const auto& src) {
+    dst.insert(dst.end(), src.begin() + offset, src.begin() + offset + length);
+  };
+  append(valid_, other.valid_);
+  if (other.null_count_ == other.size()) {
+    null_count_ += length;
+  } else if (other.null_count_ != 0) {
+    null_count_ += static_cast<size_t>(std::count(
+        other.valid_.begin() + offset, other.valid_.begin() + offset + length,
+        uint8_t{0}));
+  }
+  switch (type_) {
+    case DataType::kInt64:
+      append(ints_, other.ints_);
+      break;
+    case DataType::kDouble:
+      append(doubles_, other.doubles_);
+      break;
+    case DataType::kString:
+      append(strings_, other.strings_);
+      break;
+    case DataType::kBool:
+      append(bools_, other.bools_);
+      break;
+  }
+}
+
 Column Column::Take(const std::vector<uint32_t>& indices) const {
   Column out(type_);
   out.Reserve(indices.size());

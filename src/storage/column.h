@@ -124,6 +124,10 @@ class Column {
   /// Appends slot `i` of `other` (same type) onto this column.
   void AppendFrom(const Column& other, size_t i);
 
+  /// Appends slots [offset, offset+length) of `other` (same type) with typed
+  /// bulk copies; NULL slots and the null count carry over unchanged.
+  void AppendRange(const Column& other, size_t offset, size_t length);
+
   /// Gathers the given row indices into a new column (row-at-a-time
   /// reference path).
   Column Take(const std::vector<uint32_t>& indices) const;

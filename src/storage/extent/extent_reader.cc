@@ -244,66 +244,79 @@ Status ExtentReader::ParseFooter(std::string_view footer) {
   return Status::OK();
 }
 
-Result<std::string> ExtentReader::ReadExtentBytes(size_t i) const {
-  // Chaos site: an injected read fault surfaces exactly like a failed pread
-  // — the caller's ladder degrades, nothing is partially decoded.
+Result<Table> ExtentReader::ReadExtentColumns(
+    size_t i, const std::vector<size_t>& cols) const {
+  if (i >= extents_.size()) {
+    return Status::OutOfRange("extent index out of range");
+  }
+  for (size_t c : cols) {
+    if (c >= schema_.num_fields()) {
+      return Status::OutOfRange("column index out of range");
+    }
+  }
+  // Chaos site, once per extent: an injected read fault surfaces exactly
+  // like a failed pread — the caller's ladder degrades, nothing is
+  // partially decoded.
   if (Status fault = gov::FaultInjector::Global().MaybeFail("extent.read");
       !fault.ok()) {
     return fault;
   }
+  // The projected chunks packed into one buffer: chunks adjacent in the
+  // file are read by a single pread, unprojected chunks not at all.
   const ExtentMeta& e = extents_[i];
-  std::string buffer(e.byte_size, '\0');
-  AQP_RETURN_IF_ERROR(PreadFully(buffer.data(), buffer.size(), e.file_offset));
-  CountExtentRead(buffer.size());
-  return buffer;
-}
-
-Result<Table> ExtentReader::ReadExtent(size_t i) const {
-  if (i >= extents_.size()) {
-    return Status::OutOfRange("extent index out of range");
+  std::vector<size_t> at(cols.size());  // Buffer offset of cols[k]'s chunk.
+  uint64_t total = 0;
+  for (size_t k = 0; k < cols.size(); ++k) {
+    at[k] = total;
+    total += e.chunks[cols[k]].bytes;
   }
-  const ExtentMeta& e = extents_[i];
-  AQP_ASSIGN_OR_RETURN(std::string buffer, ReadExtentBytes(i));
+  std::string buffer(total, '\0');
+  for (size_t k = 0; k < cols.size();) {
+    const uint64_t file_at = e.file_offset + e.chunks[cols[k]].offset;
+    uint64_t run = e.chunks[cols[k]].bytes;
+    size_t next = k + 1;
+    while (next < cols.size() &&
+           e.chunks[cols[next]].offset ==
+               e.chunks[cols[k]].offset + run) {
+      run += e.chunks[cols[next]].bytes;
+      ++next;
+    }
+    AQP_RETURN_IF_ERROR(PreadFully(buffer.data() + at[k], run, file_at));
+    k = next;
+  }
+  CountExtentRead(total);
+  std::vector<Field> fields;
   std::vector<Column> columns;
-  columns.reserve(e.chunks.size());
-  for (size_t c = 0; c < e.chunks.size(); ++c) {
-    const ChunkMeta& cm = e.chunks[c];
-    Result<Column> col = DecodeChunk(
-        std::string_view(buffer).substr(cm.offset, cm.bytes),
-        schema_.field(c).type, e.row_count);
+  fields.reserve(cols.size());
+  columns.reserve(cols.size());
+  for (size_t k = 0; k < cols.size(); ++k) {
+    const Field& field = schema_.field(cols[k]);
+    Result<Column> col =
+        DecodeChunk(std::string_view(buffer).substr(
+                        at[k], e.chunks[cols[k]].bytes),
+                    field.type, e.row_count);
     if (!col.ok()) {
       CountCorruption();
       return Status(col.status().code(),
                     "extent file " + path_ + " extent " + std::to_string(i) +
-                        " column " + schema_.field(c).name + ": " +
+                        " column " + field.name + ": " +
                         col.status().message());
     }
+    fields.push_back(field);
     columns.push_back(std::move(col).value());
   }
-  return Table::Make(schema_, std::move(columns));
+  return Table::Make(Schema(std::move(fields)), std::move(columns));
+}
+
+Result<Table> ExtentReader::ReadExtent(size_t i) const {
+  std::vector<size_t> all(schema_.num_fields());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  return ReadExtentColumns(i, all);
 }
 
 Result<Column> ExtentReader::ReadColumnChunk(size_t i, size_t col) const {
-  if (i >= extents_.size()) {
-    return Status::OutOfRange("extent index out of range");
-  }
-  if (col >= schema_.num_fields()) {
-    return Status::OutOfRange("column index out of range");
-  }
-  if (Status fault = gov::FaultInjector::Global().MaybeFail("extent.read");
-      !fault.ok()) {
-    return fault;
-  }
-  const ExtentMeta& e = extents_[i];
-  const ChunkMeta& cm = e.chunks[col];
-  std::string buffer(cm.bytes, '\0');
-  AQP_RETURN_IF_ERROR(
-      PreadFully(buffer.data(), buffer.size(), e.file_offset + cm.offset));
-  CountExtentRead(buffer.size());
-  Result<Column> out = DecodeChunk(buffer, schema_.field(col).type,
-                                   e.row_count);
-  if (!out.ok()) CountCorruption();
-  return out;
+  AQP_ASSIGN_OR_RETURN(Table t, ReadExtentColumns(i, {col}));
+  return std::move(t.mutable_column(0));
 }
 
 Status ExtentReader::ValidateAll() const {

@@ -15,11 +15,12 @@ namespace extent {
 
 /// Read side of the extent format (docs/STORAGE.md §2): Open validates the
 /// trailer, footer CRC and every index entry's bounds (§10 — a torn or
-/// truncated file fails here, before any data is served); ReadExtent preads
-/// one extent's chunks into a buffer and decodes them into a Table, which is
-/// exactly one morsel-aligned unit for the engine's scan paths.
+/// truncated file fails here, before any data is served); ReadExtentColumns
+/// preads one extent's projected chunks into a buffer and decodes them into
+/// a Table, which is exactly one morsel-aligned unit for the engine's scan
+/// paths.
 ///
-/// Immutable after Open and safe for concurrent ReadExtent calls from the
+/// Immutable after Open and safe for concurrent reads from the
 /// morsel pool: all reads go through positional pread on a shared fd; no
 /// seek state, no mutable caches.
 struct ExtentReaderOptions {
@@ -55,11 +56,19 @@ class ExtentReader {
   const std::string& path() const { return path_; }
   uint64_t file_bytes() const { return file_bytes_; }
 
-  /// Reads and decodes extent `i` into a Table (all columns). Chunk CRCs are
-  /// verified during decode; corruption is an error, never partial data.
+  /// Reads and decodes columns `cols` (schema indices) of extent `i` into a
+  /// Table whose fields are those columns, in `cols` order. Only the
+  /// projected chunks are read (one pread per run of file-adjacent chunks)
+  /// and decoded; the CRC of every decoded chunk is verified, so corruption
+  /// is an error, never partial data. Chunks outside `cols` are neither read
+  /// nor checked. The `extent.read` fault site is consulted once per call.
+  Result<Table> ReadExtentColumns(size_t i,
+                                  const std::vector<size_t>& cols) const;
+
+  /// ReadExtentColumns over every column.
   Result<Table> ReadExtent(size_t i) const;
 
-  /// Reads and decodes a single column of extent `i`.
+  /// ReadExtentColumns over the single column `col`.
   Result<Column> ReadColumnChunk(size_t i, size_t col) const;
 
   /// Full-file verification: decodes every chunk of every extent (CRC +
@@ -71,8 +80,6 @@ class ExtentReader {
   ExtentReader(std::string path, Options options, int fd, uint64_t file_bytes);
 
   Status PreadFully(void* out, size_t len, uint64_t offset) const;
-  /// Reads the raw bytes of extent `i` (one buffer, possibly several preads).
-  Result<std::string> ReadExtentBytes(size_t i) const;
   Status ParseFooter(std::string_view footer);
 
   const std::string path_;

@@ -53,12 +53,12 @@ Status Table::Append(const Table& other) {
       return Status::InvalidArgument("appending table with mismatched types");
     }
   }
+  // Read the row count first: `other` may be this table.
+  const size_t rows = other.num_rows();
   for (size_t c = 0; c < columns_.size(); ++c) {
-    for (size_t i = 0; i < other.num_rows(); ++i) {
-      columns_[c].AppendFrom(other.column(c), i);
-    }
+    columns_[c].AppendRange(other.column(c), 0, rows);
   }
-  num_rows_ += other.num_rows();
+  num_rows_ += rows;
   return Status::OK();
 }
 

@@ -47,7 +47,8 @@ class Table {
   /// Appends one row; `values` must have one entry per column.
   Status AppendRow(const std::vector<Value>& values);
 
-  /// Appends all rows of `other` (schemas must have identical types).
+  /// Appends all rows of `other` (schemas must have identical types), one
+  /// bulk column-range copy per column.
   Status Append(const Table& other);
 
   /// Appends row `i` of `other` (same column types, fast path for operators).

@@ -5,7 +5,9 @@
 // must replay the exact same per-morsel RNG streams).
 
 #include <cstdio>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "engine/plan.h"
 #include "gtest/gtest.h"
 #include "storage/extent/extent_writer.h"
+#include "storage/extent/format.h"
 
 namespace aqp {
 namespace {
@@ -86,13 +89,51 @@ class ExtentScanExecTest : public ::testing::Test {
             .ok());
     catalog_.RegisterExtentBacked("ext", reader_);
   }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void TearDown() override {
+    std::remove(path_.c_str());
+    for (const std::string& p : copies_) std::remove(p.c_str());
+  }
 
-  // Runs `make_plan(table)` against both registrations over the path and
-  // thread grid; all results must be identical.
+  // Writes the base table again as `name`. `damage` flips bytes of the
+  // written file (it gets the clean file's reader to find chunks) before
+  // the copy is opened.
+  void RegisterCopy(
+      const std::string& name,
+      const std::function<void(const extent::ExtentReader&, std::string*)>&
+          damage) {
+    const std::string path = TempPath(name + ".aqpx");
+    copies_.push_back(path);
+    extent::ExtentWriter::Options o;
+    o.extent_rows = 1024;
+    ASSERT_TRUE(extent::WriteTableToExtents(path, MakeBase(kRows), o).ok());
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    {
+      Result<std::shared_ptr<const extent::ExtentReader>> clean =
+          extent::ExtentReader::Open(path);
+      ASSERT_TRUE(clean.ok()) << clean.status().message();
+      damage(*clean.value(), &bytes);
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    Result<std::shared_ptr<const extent::ExtentReader>> reader =
+        extent::ExtentReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+    catalog_.RegisterExtentBacked(name, reader.value());
+  }
+
+  // Runs `make_plan(table)` against the in-memory table and the extent
+  // registration `ext` over the path and thread grid; all results must be
+  // identical, including row order.
   void ExpectParity(
       const std::function<PlanPtr(const std::string&)>& make_plan,
-      ExecStats* ext_stats = nullptr) {
+      ExecStats* ext_stats = nullptr, const std::string& ext = "ext") {
     ExecOptions base_options;
     base_options.num_threads = 1;
     base_options.path = ExecPath::kScalar;
@@ -104,7 +145,7 @@ class ExtentScanExecTest : public ::testing::Test {
         ExecOptions options;
         options.num_threads = threads;
         options.path = path;
-        for (const char* table : {"mem", "ext"}) {
+        for (const std::string& table : {std::string("mem"), ext}) {
           ExecStats stats;
           Result<Table> got =
               Execute(make_plan(table), catalog_, &stats, nullptr, options);
@@ -112,7 +153,7 @@ class ExtentScanExecTest : public ::testing::Test {
               << table << " threads=" << threads << ": "
               << got.status().message();
           ExpectTablesIdentical(reference.value(), got.value());
-          if (ext_stats != nullptr && std::string(table) == "ext" &&
+          if (ext_stats != nullptr && table == ext &&
               path == ExecPath::kScalar && threads == 1) {
             *ext_stats = stats;
           }
@@ -122,9 +163,34 @@ class ExtentScanExecTest : public ::testing::Test {
   }
 
   std::string path_;
+  std::vector<std::string> copies_;
   std::shared_ptr<const extent::ExtentReader> reader_;
   Catalog catalog_;
 };
+
+AggSpec Sum(const std::string& col, const std::string& alias) {
+  AggSpec a;
+  a.kind = AggKind::kSum;
+  a.arg = Col(col);
+  a.alias = alias;
+  return a;
+}
+
+AggSpec CountStar() {
+  AggSpec a;
+  a.kind = AggKind::kCountStar;
+  a.alias = "n";
+  return a;
+}
+
+SampleSpec SystemSample(double rate, uint64_t seed, uint32_t block_size) {
+  SampleSpec spec;
+  spec.method = SampleSpec::Method::kSystemBlock;
+  spec.rate = rate;
+  spec.seed = seed;
+  spec.block_size = block_size;
+  return spec;
+}
 
 // --- Conjunct extraction / MayMatch units ----------------------------------
 
@@ -336,6 +402,140 @@ TEST_F(ExtentScanExecTest, ProjectOverFilterParity) {
   });
 }
 
+// --- Projection: decode only what the plan reads ---------------------------
+
+TEST_F(ExtentScanExecTest, CountStarOnlyParity) {
+  ExpectParity([](const std::string& t) {
+    return PlanNode::Aggregate(PlanNode::Scan(t), {}, {}, {CountStar()});
+  });
+}
+
+TEST_F(ExtentScanExecTest, ProjectSubsetParity) {
+  ExpectParity([](const std::string& t) {
+    return PlanNode::Project(PlanNode::Scan(t), {Col("v"), Col("id")},
+                             {"v", "id"});
+  });
+}
+
+TEST_F(ExtentScanExecTest, SortLimitParity) {
+  // Sort and Limit keep the rows' other columns; the project above cuts the
+  // scan to the sort key plus what it outputs.
+  ExpectParity([](const std::string& t) {
+    return PlanNode::Project(
+        PlanNode::Limit(PlanNode::Sort(PlanNode::Scan(t),
+                                       {{"v", false}, {"id", true}}),
+                        50),
+        {Col("grp")}, {"grp"});
+  });
+  ExpectParity([](const std::string& t) {
+    return PlanNode::Limit(
+        PlanNode::Sort(PlanNode::Scan(t), {{"grp", true}, {"id", false}}), 20);
+  });
+}
+
+TEST_F(ExtentScanExecTest, FilterRootReturnsEveryColumn) {
+  ExpectParity([](const std::string& t) {
+    return PlanNode::Filter(PlanNode::Scan(t), Lt(Col("v"), Lit(40.0)));
+  });
+  Result<Table> r = Execute(
+      PlanNode::Filter(PlanNode::Scan("ext"), Lt(Col("v"), Lit(40.0))),
+      catalog_);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  EXPECT_EQ(r.value().num_columns(), 3u);
+}
+
+TEST_F(ExtentScanExecTest, UnreferencedCorruptChunkIsNeverRead) {
+  // Every extent's `grp` chunk has a flipped payload byte. Plans that do not
+  // reference grp neither read nor decode it; plans that do still fail with
+  // the CRC status.
+  RegisterCopy("bad", [](const extent::ExtentReader& r, std::string* bytes) {
+    for (const extent::ExtentMeta& e : r.extents()) {
+      const extent::ChunkMeta& grp = e.chunks[1];
+      (*bytes)[e.file_offset + grp.offset + extent::kChunkHeaderBytes + 1] ^=
+          0x10;
+    }
+  });
+  // Aggregate over Filter over Scan reads 2 of the 3 columns (id, v).
+  ExpectParity(
+      [](const std::string& t) {
+        return PlanNode::Aggregate(
+            PlanNode::Filter(PlanNode::Scan(t),
+                             Lt(Col("id"), Lit(int64_t{3000}))),
+            {}, {}, {Sum("v", "s"), CountStar()});
+      },
+      nullptr, "bad");
+  ExpectParity(
+      [](const std::string& t) {
+        return PlanNode::Aggregate(PlanNode::Scan(t), {}, {}, {CountStar()});
+      },
+      nullptr, "bad");
+  ExpectParity(
+      [](const std::string& t) {
+        return PlanNode::Aggregate(
+            PlanNode::Scan(t, SystemSample(0.3, 99, 1024)), {}, {},
+            {Sum("v", "s"), CountStar()});
+      },
+      nullptr, "bad");
+  for (ExecPath path : {ExecPath::kScalar, ExecPath::kVectorized}) {
+    ExecOptions options;
+    options.path = path;
+    options.num_threads = 4;
+    for (const PlanPtr& plan :
+         {PlanNode::Aggregate(PlanNode::Scan("bad"), {Col("grp")}, {"grp"},
+                              {CountStar()}),
+          PlanNode::Filter(PlanNode::Scan("bad"),
+                           Lt(Col("id"), Lit(int64_t{100})))}) {
+      Result<Table> r = Execute(plan, catalog_, nullptr, nullptr, options);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find("CRC32"), std::string::npos)
+          << r.status().message();
+    }
+  }
+}
+
+// --- SYSTEM block samples read only the extents their blocks fall in -------
+
+TEST_F(ExtentScanExecTest, SystemSampleReadsFewerExtents) {
+  // 128 blocks of 64 rows over 8 extents: a 1% sample keeps one or two
+  // blocks, so most extents are never read.
+  const SampleSpec spec = SystemSample(0.01, 7, 64);
+  ExecStats stats;
+  ExpectParity(
+      [&spec](const std::string& t) {
+        return PlanNode::Aggregate(PlanNode::Scan(t, spec), {}, {},
+                                   {Sum("v", "s"), CountStar()});
+      },
+      &stats);
+  EXPECT_EQ(stats.extents_total, 8u);
+  EXPECT_GE(stats.extents_pruned, 6u);
+  EXPECT_LT(stats.extents_pruned, 8u) << "the seed must keep some block";
+  EXPECT_GT(stats.rows_scanned, 0u);
+  EXPECT_EQ(stats.rows_scanned % 64, 0u);
+  ExpectParity(
+      [&spec](const std::string& t) { return PlanNode::Scan(t, spec); });
+}
+
+TEST_F(ExtentScanExecTest, SampledBlocksStraddlingExtents) {
+  // 1024-row extents under blocks of 1000, 1536 and 3000 rows: extent size
+  // is not a multiple of the block size, so blocks straddle extent
+  // boundaries (the largest spans three extents) and read every extent
+  // they touch.
+  for (uint32_t block_size : {1000u, 1536u, 3000u}) {
+    for (double rate : {0.2, 0.5}) {
+      const SampleSpec spec = SystemSample(rate, 4321 + block_size, block_size);
+      ExpectParity(
+          [&spec](const std::string& t) { return PlanNode::Scan(t, spec); });
+      ExpectParity([&spec](const std::string& t) {
+        return PlanNode::Aggregate(
+            PlanNode::Filter(PlanNode::Scan(t, spec),
+                             Lt(Col("v"), Lit(200.0))),
+            {Col("grp")}, {"grp"}, {Sum("v", "s"), CountStar()});
+      });
+    }
+  }
+}
+
 // --- Governance ------------------------------------------------------------
 
 TEST_F(ExtentScanExecTest, FullMaterializationIsCharged) {
@@ -368,6 +568,21 @@ TEST_F(ExtentScanExecTest, FusedFilterRunsUnderTightBudget) {
   ASSERT_TRUE(r.ok()) << r.status().message();
   EXPECT_EQ(r.value().num_rows(), kRows - 8000);
   EXPECT_GE(stats.extents_pruned, 7u);
+  EXPECT_EQ(memory.used(), 0u);
+}
+
+TEST_F(ExtentScanExecTest, SampledScanRunsUnderTightBudget) {
+  // The budget that refuses a full materialization admits a SYSTEM sample:
+  // only the sampled extents' projected columns decode, transiently.
+  MemoryTracker memory(64 * 1024);
+  ExecOptions options;
+  options.num_threads = 1;
+  options.memory = &memory;
+  Result<Table> r = Execute(
+      PlanNode::Aggregate(PlanNode::Scan("ext", SystemSample(0.1, 5, 1024)),
+                          {}, {}, {Sum("v", "s"), CountStar()}),
+      catalog_, nullptr, nullptr, options);
+  ASSERT_TRUE(r.ok()) << r.status().message();
   EXPECT_EQ(memory.used(), 0u);
 }
 

@@ -121,5 +121,26 @@ TEST(ColumnTest, AppendFromCopiesSlot) {
   EXPECT_TRUE(dst.IsNull(1));
 }
 
+TEST(ColumnTest, AppendRangeCopiesSubrange) {
+  Column src(DataType::kInt64);
+  src.AppendInt64(1);
+  src.AppendNull();
+  src.AppendInt64(3);
+  src.AppendNull();
+  Column dst(DataType::kInt64);
+  dst.AppendRange(src, 1, 2);
+  ASSERT_EQ(dst.size(), 2u);
+  EXPECT_TRUE(dst.IsNull(0));
+  EXPECT_EQ(dst.Int64At(1), 3);
+  EXPECT_EQ(dst.null_count(), 1u);
+  dst.AppendRange(src, 4, 0);
+  EXPECT_EQ(dst.size(), 2u);
+  Column all_null(DataType::kInt64);
+  all_null.AppendNull();
+  all_null.AppendNull();
+  dst.AppendRange(all_null, 0, 2);
+  EXPECT_EQ(dst.null_count(), 3u);
+}
+
 }  // namespace
 }  // namespace aqp

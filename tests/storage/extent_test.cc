@@ -585,6 +585,37 @@ TEST(ExtentFileTest, ConcurrentReadsMatchSerial) {
   std::remove(path.c_str());
 }
 
+TEST(ExtentFileTest, ReadExtentColumnsProjects) {
+  const std::string path = TempPath("projected.aqpx");
+  Table t = MakeMixedTable(1500);
+  ASSERT_TRUE(WriteTableToExtents(path, t, SmallExtents(false)).ok());
+  Result<std::shared_ptr<const ExtentReader>> reader = ExtentReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  const ExtentReader& r = *reader.value();
+  ASSERT_GE(r.schema().num_fields(), 3u);
+  // Non-adjacent and out-of-order columns: fields follow the request.
+  const std::vector<size_t> cols = {2, 0};
+  for (size_t e = 0; e < r.num_extents(); ++e) {
+    Result<Table> all = r.ReadExtent(e);
+    Result<Table> some = r.ReadExtentColumns(e, cols);
+    ASSERT_TRUE(all.ok() && some.ok()) << some.status().message();
+    ASSERT_EQ(some.value().num_columns(), cols.size());
+    ASSERT_EQ(some.value().num_rows(), all.value().num_rows());
+    for (size_t k = 0; k < cols.size(); ++k) {
+      EXPECT_EQ(some.value().schema().field(k), r.schema().field(cols[k]));
+      for (size_t i = 0; i < some.value().num_rows(); ++i) {
+        EXPECT_TRUE(some.value().column(k).SlotEquals(
+            i, all.value().column(cols[k]), i));
+      }
+    }
+  }
+  EXPECT_EQ(r.ReadExtentColumns(0, {r.schema().num_fields()}).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(r.ReadExtentColumns(r.num_extents(), {0}).status().code(),
+            StatusCode::kOutOfRange);
+  std::remove(path.c_str());
+}
+
 TEST(ExtentFileTest, ReadColumnChunkMatchesReadExtent) {
   const std::string path = TempPath("colchunk.aqpx");
   Table t = MakeMixedTable(1500);

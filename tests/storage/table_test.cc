@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace aqp {
 namespace {
 
@@ -79,6 +82,70 @@ TEST(TableTest, AppendTable) {
   ASSERT_TRUE(a.Append(b).ok());
   EXPECT_EQ(a.num_rows(), 10u);
   EXPECT_EQ(a.column(0).Int64At(7), 2);
+}
+
+// One column of each type; every third row is NULL in every column.
+Table FourTypeTable(size_t rows, int64_t start) {
+  Table t(Schema({{"i", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"s", DataType::kString},
+                  {"b", DataType::kBool}}));
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t v = start + static_cast<int64_t>(r);
+    if (v % 3 == 0) {
+      EXPECT_TRUE(t.AppendRow({Value::Null(), Value::Null(), Value::Null(),
+                               Value::Null()})
+                      .ok());
+      continue;
+    }
+    EXPECT_TRUE(t.AppendRow({Value(v), Value(static_cast<double>(v) * 0.5),
+                             Value("k" + std::to_string(v % 5)),
+                             Value(v % 2 == 0)})
+                    .ok());
+  }
+  return t;
+}
+
+TEST(TableTest, AppendBulkMatchesRowAppend) {
+  std::vector<Table> parts;
+  parts.push_back(FourTypeTable(7, 0));
+  parts.push_back(FourTypeTable(0, 7));  // Empty part.
+  parts.push_back(FourTypeTable(5, 7));
+  parts.push_back(FourTypeTable(0, 12));
+  parts.push_back(FourTypeTable(4, 12));
+
+  Table bulk = FourTypeTable(0, 0);
+  Table rows = FourTypeTable(0, 0);
+  ASSERT_TRUE(bulk.Append(parts[0]).ok());
+  // A dictionary built before the later appends must not serve the grown
+  // column.
+  const auto before = bulk.column(2).EnsureDictionary();
+  ASSERT_EQ(bulk.column(2).dictionary_if_built(), before);
+  for (size_t p = 1; p < parts.size(); ++p) {
+    ASSERT_TRUE(bulk.Append(parts[p]).ok());
+  }
+  for (const Table& part : parts) {
+    for (size_t r = 0; r < part.num_rows(); ++r) rows.AppendRowFrom(part, r);
+  }
+  EXPECT_EQ(before->codes().size(), 7u);
+  EXPECT_EQ(bulk.column(2).dictionary_if_built(), nullptr);
+  ASSERT_EQ(bulk.num_rows(), 16u);
+  ASSERT_EQ(rows.num_rows(), 16u);
+  for (size_t c = 0; c < bulk.num_columns(); ++c) {
+    EXPECT_EQ(bulk.column(c).null_count(), rows.column(c).null_count());
+    EXPECT_EQ(bulk.column(c).null_count(), 6u);  // Rows 0, 3, ..., 15.
+    for (size_t r = 0; r < bulk.num_rows(); ++r) {
+      EXPECT_TRUE(bulk.column(c).SlotEquals(r, rows.column(c), r))
+          << "col " << c << " row " << r;
+    }
+  }
+  // The rebuilt dictionary covers every appended row.
+  EXPECT_EQ(bulk.column(2).EnsureDictionary()->codes().size(), 16u);
+  // Appending a table to itself doubles it.
+  ASSERT_TRUE(bulk.Append(bulk).ok());
+  ASSERT_EQ(bulk.num_rows(), 32u);
+  EXPECT_EQ(bulk.column(0).null_count(), 12u);
+  EXPECT_TRUE(bulk.column(2).SlotEquals(17, bulk.column(2), 1));
 }
 
 TEST(TableTest, AppendTableMismatchRejected) {
