@@ -1,4 +1,4 @@
-// E16 — vectorized batch execution vs the row-at-a-time engine.
+// E16 — vectorized batch execution vs row-at-a-time execution.
 //
 // Claim (survey §interactivity: constant factors decide whether sampling
 // alone reaches interactive latency): the batch operators — mask-kernel
@@ -8,11 +8,14 @@
 // AVX2 backend adding on top of the portable autovectorized loops where the
 // host supports it.
 //
-// Measured per operator: rows/sec for (a) the scalar reference path, (b) the
-// batch path on the portable backend, (c) the batch path on AVX2 (row
-// repeated only when AVX2 is actually available). Asserted: batch >= scalar
-// on every operator (the smoke contract CI runs); the table is written to
-// BENCH_e16_vectorized.json with provenance.
+// Measured per operator: rows/sec for (a) the scalar reference — the row
+// evaluator EvalPredicate for the filters, and for the aggregates the
+// single-threaded row-at-a-time oracle the differential suites use
+// (tests/support/row_reference.h) — (b) the engine on the portable backend,
+// (c) the engine on AVX2 (row repeated only when AVX2 is actually
+// available). Asserted: batch >= scalar on every operator (the smoke
+// contract CI runs); the table is written to BENCH_e16_vectorized.json with
+// provenance.
 //
 // Env: AQP_E16_ROWS overrides the table size (CI smoke uses a small table).
 
@@ -32,6 +35,7 @@
 #include "expr/eval.h"
 #include "expr/vector_eval.h"
 #include "storage/table.h"
+#include "support/row_reference.h"
 
 namespace aqp {
 namespace {
@@ -97,11 +101,6 @@ void Run() {
       catalog.Register("t", std::make_shared<Table>(std::move(table))).ok());
   const Table& t = *catalog.Get("t").value();
 
-  ExecOptions scalar_opts;
-  scalar_opts.path = ExecPath::kScalar;
-  ExecOptions batch_opts;
-  batch_opts.path = ExecPath::kVectorized;
-
   // Predicates per filter class.
   ExprPtr f64_pred = Lt(Col("x"), Lit(2.5));
   ExprPtr str_pred = Eq(Col("s"), Lit("mail"));
@@ -136,9 +135,14 @@ void Run() {
   auto eval_batch = [&](const ExprPtr& p) {
     return [&t, p] { AQP_CHECK(EvalPredicateBatch(*p, t, 4096, 1).ok()); };
   };
-  auto exec_with = [&](const PlanPtr& plan, const ExecOptions& opts) {
-    return [&catalog, plan, &opts] {
-      AQP_CHECK(Execute(plan, catalog, nullptr, nullptr, opts).ok());
+  auto exec_oracle = [&](const PlanPtr& plan) {
+    return [&catalog, plan] {
+      AQP_CHECK(testutil::ExecuteRowReference(plan, catalog).ok());
+    };
+  };
+  auto exec_engine = [&](const PlanPtr& plan) {
+    return [&catalog, plan] {
+      AQP_CHECK(Execute(plan, catalog).ok());
     };
   };
 
@@ -151,13 +155,12 @@ void Run() {
                    eval_batch(compound_pred), rows});
   cases.push_back({"filter str IN", eval_scalar(in_pred), eval_batch(in_pred),
                    rows});
-  cases.push_back({"agg global (5 aggs)", exec_with(global_plan, scalar_opts),
-                   exec_with(global_plan, batch_opts), rows});
-  cases.push_back({"agg group-by k", exec_with(grouped_plan, scalar_opts),
-                   exec_with(grouped_plan, batch_opts), rows});
-  cases.push_back({"filter+agg pipeline", exec_with(pipeline_plan,
-                                                    scalar_opts),
-                   exec_with(pipeline_plan, batch_opts), rows});
+  cases.push_back({"agg global (5 aggs)", exec_oracle(global_plan),
+                   exec_engine(global_plan), rows});
+  cases.push_back({"agg group-by k", exec_oracle(grouped_plan),
+                   exec_engine(grouped_plan), rows});
+  cases.push_back({"filter+agg pipeline", exec_oracle(pipeline_plan),
+                   exec_engine(pipeline_plan), rows});
 
   bench::TablePrinter out({"operator", "backend", "rows/sec", "speedup"});
   bool all_batch_wins = true;

@@ -6,7 +6,6 @@
 #include "common/cancellation.h"
 #include "common/check.h"
 #include "core/result_assembly.h"
-#include "expr/eval.h"
 #include "expr/vector_eval.h"
 #include "obs/metrics.h"
 
@@ -17,41 +16,20 @@ namespace {
 // Restricts a sample to the rows matching `predicate`, keeping the design
 // metadata intact (units that lose all rows simply stop contributing).
 // Predicate evaluation and the gather run morsel-parallel when the sample is
-// big enough; either way the output is identical to the serial path.
+// big enough; the output is the same for every thread count.
 Result<Sample> FilterSample(const Sample& sample, const ExprPtr& predicate,
                             const ExecOptions& exec,
                             ParallelRunStats* run_stats) {
   const bool use_morsels = exec.UseMorsels(sample.table.num_rows());
-  const bool vectorized = exec.ResolvedPath() == ExecPath::kVectorized;
-  std::vector<uint32_t> selected;
-  if (vectorized) {
-    // Batch kernels over the sample's column spans; the selection is
-    // bit-identical to the scalar evaluators for every thread count.
-    AQP_ASSIGN_OR_RETURN(
-        selected,
-        EvalPredicateBatch(*predicate, sample.table, exec.morsel_rows,
-                           use_morsels ? exec.ResolvedThreads() : 1, run_stats,
-                           exec.cancel, exec.memory));
-  } else if (use_morsels) {
-    AQP_ASSIGN_OR_RETURN(
-        selected, EvalPredicateMorsel(*predicate, sample.table,
-                                      exec.morsel_rows, exec.ResolvedThreads(),
-                                      run_stats, exec.cancel));
-  } else {
-    AQP_ASSIGN_OR_RETURN(selected, EvalPredicate(*predicate, sample.table));
-  }
+  const size_t threads = use_morsels ? exec.ResolvedThreads() : 1;
+  AQP_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> selected,
+      EvalPredicateBatch(*predicate, sample.table, exec.morsel_rows, threads,
+                         run_stats, exec.cancel, exec.memory));
   AQP_RETURN_IF_ERROR(CheckCancelled(exec.cancel));
   Sample out;
-  if (vectorized) {
-    out.table = use_morsels ? sample.table.TakeBatch(
-                                  selected, exec.ResolvedThreads(), run_stats)
-                            : sample.table.TakeBatch(selected);
-  } else {
-    out.table = use_morsels ? sample.table.Take(selected,
-                                                exec.ResolvedThreads(),
-                                                run_stats)
-                            : sample.table.Take(selected);
-  }
+  out.table = use_morsels ? sample.table.Take(selected, threads, run_stats)
+                          : sample.table.Take(selected);
   out.weights.reserve(selected.size());
   out.unit_ids.reserve(selected.size());
   for (uint32_t i : selected) {

@@ -43,22 +43,13 @@ Result<OnlineAggregator> OnlineAggregator::Create(const Table& table,
   }
   ola.qualifies_.assign(table.num_rows(), 1);
   if (predicate != nullptr) {
-    std::vector<uint32_t> sel;
-    if (exec.ResolvedPath() == ExecPath::kVectorized) {
-      AQP_ASSIGN_OR_RETURN(
-          sel, EvalPredicateBatch(
-                   *predicate, table, exec.morsel_rows,
-                   exec.UseMorsels(table.num_rows()) ? exec.ResolvedThreads()
-                                                     : 1,
-                   /*run_stats=*/nullptr, exec.cancel, exec.memory));
-    } else if (exec.UseMorsels(table.num_rows())) {
-      AQP_ASSIGN_OR_RETURN(
-          sel, EvalPredicateMorsel(*predicate, table, exec.morsel_rows,
-                                   exec.ResolvedThreads(),
-                                   /*run_stats=*/nullptr, exec.cancel));
-    } else {
-      AQP_ASSIGN_OR_RETURN(sel, EvalPredicate(*predicate, table));
-    }
+    AQP_ASSIGN_OR_RETURN(
+        std::vector<uint32_t> sel,
+        EvalPredicateBatch(*predicate, table, exec.morsel_rows,
+                           exec.UseMorsels(table.num_rows())
+                               ? exec.ResolvedThreads()
+                               : 1,
+                           /*run_stats=*/nullptr, exec.cancel, exec.memory));
     std::fill(ola.qualifies_.begin(), ola.qualifies_.end(), 0);
     for (uint32_t i : sel) ola.qualifies_[i] = 1;
   }

@@ -20,10 +20,7 @@ void RecordPlanOutcome(const SamplingPlan& plan) {
       "aqp_plans_feasible_total");
   static obs::Counter* infeasible = obs::MetricsRegistry::Global().GetCounter(
       "aqp_plans_infeasible_total");
-  static obs::Gauge* rate =
-      obs::MetricsRegistry::Global().GetGauge("aqp_last_planned_rate");
   (plan.feasible ? feasible : infeasible)->Increment();
-  rate->Set(plan.rate);
 }
 
 }  // namespace

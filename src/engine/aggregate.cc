@@ -71,7 +71,7 @@ namespace {
 // and the span loop even when the source-level op order is identical. A
 // fresh invalid-op QNaN on x86 is negative (0xFFF8...), a propagated input
 // NaN usually is not. Canonicalizing at finalization keeps aggregate output
-// bit-identical across paths without constraining codegen.
+// bit-identical between the span and row loops without constraining codegen.
 double CanonicalNaN(double v) {
   return std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v;
 }
@@ -145,9 +145,8 @@ int CompareValues(const Value& a, const Value& b) {
   }
 }
 
-// Folds row `i` into `st` for one aggregate. `arg` is null only for
-// COUNT(*). Shared by the classic streaming path and the morsel bodies so
-// both paths apply identical per-row arithmetic.
+}  // namespace
+
 void AccumulateRow(AggAccumulator& st, AggKind kind, const Column* arg,
                    size_t i, double w) {
   if (kind == AggKind::kCountStar) {
@@ -200,14 +199,16 @@ void AccumulateRow(AggAccumulator& st, AggKind kind, const Column* arg,
   }
 }
 
+namespace {
+
 // Batch twin of AccumulateRow: folds rows [begin, end) of `arg` into `st`
 // with type-specialized tight loops over the column's contiguous storage —
 // no per-row Value boxing, no type re-dispatch. Every floating-point
 // operation runs in the same order with the same operands as the row loop,
 // so the resulting accumulator state is bit-identical to row-at-a-time
-// accumulation (the vectorized path's determinism contract). Non-numeric
-// MIN/MAX and COUNT DISTINCT keep the row loop: their cost is in string
-// compares and hashing, not dispatch.
+// accumulation (the row oracle the differential suites compare against
+// relies on it). Non-numeric MIN/MAX and COUNT DISTINCT keep the row loop:
+// their cost is in string compares and hashing, not dispatch.
 void AccumulateSpan(AggAccumulator& st, AggKind kind, const Column* arg,
                     size_t begin, size_t end,
                     const std::vector<double>* weights) {
@@ -317,14 +318,6 @@ void AccumulateSpan(AggAccumulator& st, AggKind kind, const Column* arg,
   }
 }
 
-// Hash of group-key row `i` across all key columns (same recipe as
-// BuildGroupIndex so serial and morsel paths bucket identically).
-uint64_t KeyRowHash(const std::vector<Column>& keys, size_t i) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (const Column& k : keys) h = HashCombine(h, k.HashAt(i));
-  return h;
-}
-
 // True when group-key rows `i` and `j` are equal across all key columns.
 bool KeyRowsEqual(const std::vector<Column>& keys, size_t i, size_t j) {
   for (const Column& k : keys) {
@@ -373,237 +366,16 @@ void AggAccumulator::Merge(const AggAccumulator& other) {
   mine.distinct.insert(theirs.distinct.begin(), theirs.distinct.end());
 }
 
-Result<Table> GroupByAggregate(const Table& input,
-                               const std::vector<ExprPtr>& group_exprs,
-                               const std::vector<std::string>& group_names,
-                               const std::vector<AggSpec>& aggs,
-                               const AggregateOptions& options) {
-  if (group_names.size() != group_exprs.size()) {
-    return Status::InvalidArgument("group name/expr arity mismatch");
-  }
-  const size_t n = input.num_rows();
-  if (options.weights != nullptr && options.weights->size() != n) {
-    return Status::InvalidArgument("weight vector length mismatch");
-  }
-
-  // Evaluate aggregate arguments once, vectorized.
-  std::vector<Column> arg_columns;
-  std::vector<DataType> out_types;
-  arg_columns.reserve(aggs.size());
-  for (const AggSpec& spec : aggs) {
-    if (spec.kind == AggKind::kCountStar) {
-      arg_columns.emplace_back(DataType::kInt64);  // Placeholder, unused.
-      out_types.push_back(DataType::kInt64);
-      continue;
-    }
-    if (spec.arg == nullptr) {
-      return Status::InvalidArgument("aggregate missing argument: " +
-                                     spec.alias);
-    }
-    AQP_ASSIGN_OR_RETURN(Column c, Eval(*spec.arg, input));
-    AQP_ASSIGN_OR_RETURN(DataType t, AggResultType(spec.kind, c.type()));
-    out_types.push_back(t);
-    arg_columns.push_back(std::move(c));
-  }
-
-  // Accumulate. Two equivalent algorithms, chosen by input size only (never
-  // thread count, so results are thread-count independent):
-  //   - classic: single streaming pass over rows;
-  //   - morsel: per-morsel AggAccumulator partials, merged in morsel order.
-  std::vector<std::vector<AggAccumulator>> states;  // [agg][group].
-  std::vector<Column> key_columns;                  // One per group expr.
-  size_t num_groups = 0;
-  const bool use_morsels =
-      options.exec != nullptr && options.exec->UseMorsels(n);
-  // Span accumulators produce bit-identical state to the row loop; the gate
-  // exists so the row path stays runnable for differential comparison.
-  const bool vectorized = options.exec != nullptr &&
-                          options.exec->ResolvedPath() == ExecPath::kVectorized;
-  if (!use_morsels) {
-    AQP_ASSIGN_OR_RETURN(GroupIndex index, BuildGroupIndex(input, group_exprs));
-    states.assign(aggs.size(), std::vector<AggAccumulator>(index.num_groups));
-    if (vectorized && group_exprs.empty()) {
-      // Global aggregates over a contiguous input: one span per aggregate.
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        AccumulateSpan(states[a][0], aggs[a].kind,
-                       aggs[a].kind == AggKind::kCountStar ? nullptr
-                                                           : &arg_columns[a],
-                       0, n, options.weights);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t g = index.group_ids[i];
-        double w = options.weights ? (*options.weights)[i] : 1.0;
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          AccumulateRow(states[a][g], aggs[a].kind,
-                        aggs[a].kind == AggKind::kCountStar ? nullptr
-                                                            : &arg_columns[a],
-                        i, w);
-        }
-      }
-    }
-    key_columns = std::move(index.key_columns);
-    num_groups = index.num_groups;
-  } else {
-    ThreadPool& pool = ThreadPool::Shared();
-    const size_t num_threads = options.exec->ResolvedThreads();
-    const size_t morsel_rows = options.exec->morsel_rows;
-    const size_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
-
-    if (group_exprs.empty()) {
-      // Global aggregates: one partial vector per morsel, merged in order.
-      std::vector<std::vector<AggAccumulator>> partials(
-          num_morsels, std::vector<AggAccumulator>(aggs.size()));
-      ParallelRunStats rs = pool.ParallelFor(
-          n, morsel_rows, num_threads,
-          ThreadPool::ParallelForOptions{options.exec->cancel},
-          [&](size_t, size_t m, size_t begin, size_t end) {
-            std::vector<AggAccumulator>& local = partials[m];
-            if (vectorized) {
-              for (size_t a = 0; a < aggs.size(); ++a) {
-                AccumulateSpan(local[a], aggs[a].kind,
-                               aggs[a].kind == AggKind::kCountStar
-                                   ? nullptr
-                                   : &arg_columns[a],
-                               begin, end, options.weights);
-              }
-              return;
-            }
-            for (size_t i = begin; i < end; ++i) {
-              double w = options.weights ? (*options.weights)[i] : 1.0;
-              for (size_t a = 0; a < aggs.size(); ++a) {
-                AccumulateRow(local[a], aggs[a].kind,
-                              aggs[a].kind == AggKind::kCountStar
-                                  ? nullptr
-                                  : &arg_columns[a],
-                              i, w);
-              }
-            }
-          });
-      // Partials from skipped morsels are empty, not wrong — but the merged
-      // total would silently undercount; surface the cancellation instead.
-      AQP_RETURN_IF_ERROR(CheckCancelled(options.exec->cancel));
-      states.assign(aggs.size(), std::vector<AggAccumulator>(1));
-      for (size_t m = 0; m < num_morsels; ++m) {
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          states[a][0].Merge(partials[m][a]);
-        }
-      }
-      num_groups = 1;
-      if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
-    } else {
-      // Grouped: evaluate the key columns once, then each morsel discovers
-      // its own local groups (rep row = first appearance in the morsel) and
-      // accumulates into local partials. Merging morsels in morsel order
-      // assigns global group ids in whole-input first-appearance order —
-      // exactly the serial ordering.
-      std::vector<Column> keys;
-      keys.reserve(group_exprs.size());
-      for (const ExprPtr& e : group_exprs) {
-        AQP_ASSIGN_OR_RETURN(Column c, Eval(*e, input));
-        keys.push_back(std::move(c));
-      }
-      struct MorselGroups {
-        std::vector<uint32_t> reps;        // Representative row per group.
-        std::vector<uint64_t> rep_hashes;  // Key hash of each rep row.
-        std::vector<std::vector<AggAccumulator>> states;  // [agg][local].
-      };
-      std::vector<MorselGroups> morsels(num_morsels);
-      // Per-worker scratch, reused morsel after morsel: the local group
-      // table and the morsel's key hashes.
-      struct Scratch {
-        HashIdTable local;
-        std::vector<uint64_t> hashes;
-      };
-      std::vector<Scratch> scratch(num_threads);
-      ParallelRunStats rs = pool.ParallelFor(
-          n, morsel_rows, num_threads,
-          ThreadPool::ParallelForOptions{options.exec->cancel},
-          [&](size_t worker, size_t m, size_t begin, size_t end) {
-            MorselGroups& mg = morsels[m];
-            mg.states.assign(aggs.size(), {});
-            HashIdTable& local = scratch[worker].local;
-            std::vector<uint64_t>& hashes = scratch[worker].hashes;
-            local.Clear();
-            // Vectorized path: hash the morsel's keys column-at-a-time (one
-            // tight loop per key column) instead of re-dispatching per row
-            // inside the probe loop. Same HashCombine recipe as KeyRowHash.
-            if (vectorized) {
-              hashes.assign(end - begin, 0x9e3779b97f4a7c15ULL);
-              for (const Column& k : keys) {
-                for (size_t i = begin; i < end; ++i) {
-                  hashes[i - begin] =
-                      HashCombine(hashes[i - begin], k.HashAt(i));
-                }
-              }
-            }
-            for (size_t i = begin; i < end; ++i) {
-              const uint64_t h =
-                  vectorized ? hashes[i - begin] : KeyRowHash(keys, i);
-              bool inserted = false;
-              const uint32_t gid = local.FindOrInsert(
-                  h,
-                  [&](uint32_t cand) {
-                    return KeyRowsEqual(keys, i, mg.reps[cand]);
-                  },
-                  &inserted);
-              if (inserted) {
-                mg.reps.push_back(static_cast<uint32_t>(i));
-                mg.rep_hashes.push_back(h);
-                for (std::vector<AggAccumulator>& s : mg.states) {
-                  s.emplace_back();
-                }
-              }
-              double w = options.weights ? (*options.weights)[i] : 1.0;
-              for (size_t a = 0; a < aggs.size(); ++a) {
-                AccumulateRow(mg.states[a][gid], aggs[a].kind,
-                              aggs[a].kind == AggKind::kCountStar
-                                  ? nullptr
-                                  : &arg_columns[a],
-                              i, w);
-              }
-            }
-          });
-      AQP_RETURN_IF_ERROR(CheckCancelled(options.exec->cancel));
-      // Ordered merge into the global group table.
-      for (const Column& k : keys) key_columns.emplace_back(k.type());
-      states.assign(aggs.size(), {});
-      HashIdTable global;
-      std::vector<uint32_t> global_reps;
-      for (size_t m = 0; m < num_morsels; ++m) {
-        const MorselGroups& mg = morsels[m];
-        for (size_t l = 0; l < mg.reps.size(); ++l) {
-          const uint32_t row = mg.reps[l];
-          bool inserted = false;
-          const uint32_t gid = global.FindOrInsert(
-              mg.rep_hashes[l],
-              [&](uint32_t cand) {
-                return KeyRowsEqual(keys, row, global_reps[cand]);
-              },
-              &inserted);
-          if (inserted) {
-            global_reps.push_back(row);
-            for (size_t c = 0; c < keys.size(); ++c) {
-              key_columns[c].AppendFrom(keys[c], row);
-            }
-            for (std::vector<AggAccumulator>& s : states) s.emplace_back();
-          }
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            states[a][gid].Merge(mg.states[a][l]);
-          }
-        }
-      }
-      num_groups = global.size();
-      if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
-    }
-  }
-
-  // Materialize output table: group keys then aggregates.
+Result<Table> FinalizeAggregates(
+    std::vector<Column> key_columns,
+    const std::vector<std::string>& group_names,
+    const std::vector<AggSpec>& aggs, const std::vector<DataType>& out_types,
+    const std::vector<std::vector<AggAccumulator>>& states, size_t num_groups) {
   Schema out_schema;
   std::vector<Column> out_columns;
-  for (size_t c = 0; c < group_exprs.size(); ++c) {
+  for (size_t c = 0; c < key_columns.size(); ++c) {
     out_schema.AddField({group_names[c], key_columns[c].type()});
-    out_columns.push_back(key_columns[c]);
+    out_columns.push_back(std::move(key_columns[c]));
   }
   for (size_t a = 0; a < aggs.size(); ++a) {
     out_schema.AddField({aggs[a].alias, out_types[a]});
@@ -671,6 +443,214 @@ Result<Table> GroupByAggregate(const Table& input,
     out_columns.push_back(std::move(col));
   }
   return Table::Make(std::move(out_schema), std::move(out_columns));
+}
+
+Result<Table> GroupByAggregate(const Table& input,
+                               const std::vector<ExprPtr>& group_exprs,
+                               const std::vector<std::string>& group_names,
+                               const std::vector<AggSpec>& aggs,
+                               const AggregateOptions& options) {
+  if (group_names.size() != group_exprs.size()) {
+    return Status::InvalidArgument("group name/expr arity mismatch");
+  }
+  const size_t n = input.num_rows();
+  if (options.weights != nullptr && options.weights->size() != n) {
+    return Status::InvalidArgument("weight vector length mismatch");
+  }
+
+  // Evaluate aggregate arguments once, vectorized.
+  std::vector<Column> arg_columns;
+  std::vector<DataType> out_types;
+  arg_columns.reserve(aggs.size());
+  for (const AggSpec& spec : aggs) {
+    if (spec.kind == AggKind::kCountStar) {
+      arg_columns.emplace_back(DataType::kInt64);  // Placeholder, unused.
+      out_types.push_back(DataType::kInt64);
+      continue;
+    }
+    if (spec.arg == nullptr) {
+      return Status::InvalidArgument("aggregate missing argument: " +
+                                     spec.alias);
+    }
+    AQP_ASSIGN_OR_RETURN(Column c, Eval(*spec.arg, input));
+    AQP_ASSIGN_OR_RETURN(DataType t, AggResultType(spec.kind, c.type()));
+    out_types.push_back(t);
+    arg_columns.push_back(std::move(c));
+  }
+
+  // Accumulate. Two equivalent algorithms, chosen by input size only (never
+  // thread count, so results are thread-count independent):
+  //   - classic: single streaming pass over rows;
+  //   - morsel: per-morsel AggAccumulator partials, merged in morsel order.
+  std::vector<std::vector<AggAccumulator>> states;  // [agg][group].
+  std::vector<Column> key_columns;                  // One per group expr.
+  size_t num_groups = 0;
+  const bool use_morsels =
+      options.exec != nullptr && options.exec->UseMorsels(n);
+  if (!use_morsels) {
+    AQP_ASSIGN_OR_RETURN(GroupIndex index, BuildGroupIndex(input, group_exprs));
+    states.assign(aggs.size(), std::vector<AggAccumulator>(index.num_groups));
+    if (group_exprs.empty()) {
+      // Global aggregates over a contiguous input: one span per aggregate.
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        AccumulateSpan(states[a][0], aggs[a].kind,
+                       aggs[a].kind == AggKind::kCountStar ? nullptr
+                                                           : &arg_columns[a],
+                       0, n, options.weights);
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t g = index.group_ids[i];
+        double w = options.weights ? (*options.weights)[i] : 1.0;
+        for (size_t a = 0; a < aggs.size(); ++a) {
+          AccumulateRow(states[a][g], aggs[a].kind,
+                        aggs[a].kind == AggKind::kCountStar ? nullptr
+                                                            : &arg_columns[a],
+                        i, w);
+        }
+      }
+    }
+    key_columns = std::move(index.key_columns);
+    num_groups = index.num_groups;
+  } else {
+    ThreadPool& pool = ThreadPool::Shared();
+    const size_t num_threads = options.exec->ResolvedThreads();
+    const size_t morsel_rows = options.exec->morsel_rows;
+    const size_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
+
+    if (group_exprs.empty()) {
+      // Global aggregates: one partial vector per morsel, merged in order.
+      std::vector<std::vector<AggAccumulator>> partials(
+          num_morsels, std::vector<AggAccumulator>(aggs.size()));
+      ParallelRunStats rs = pool.ParallelFor(
+          n, morsel_rows, num_threads,
+          ThreadPool::ParallelForOptions{options.exec->cancel},
+          [&](size_t, size_t m, size_t begin, size_t end) {
+            std::vector<AggAccumulator>& local = partials[m];
+            for (size_t a = 0; a < aggs.size(); ++a) {
+              AccumulateSpan(local[a], aggs[a].kind,
+                             aggs[a].kind == AggKind::kCountStar
+                                 ? nullptr
+                                 : &arg_columns[a],
+                             begin, end, options.weights);
+            }
+          });
+      // Partials from skipped morsels are empty, not wrong — but the merged
+      // total would silently undercount; surface the cancellation instead.
+      AQP_RETURN_IF_ERROR(CheckCancelled(options.exec->cancel));
+      states.assign(aggs.size(), std::vector<AggAccumulator>(1));
+      for (size_t m = 0; m < num_morsels; ++m) {
+        for (size_t a = 0; a < aggs.size(); ++a) {
+          states[a][0].Merge(partials[m][a]);
+        }
+      }
+      num_groups = 1;
+      if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
+    } else {
+      // Grouped: evaluate the key columns once, then each morsel discovers
+      // its own local groups (rep row = first appearance in the morsel) and
+      // accumulates into local partials. Merging morsels in morsel order
+      // assigns global group ids in whole-input first-appearance order —
+      // exactly the serial ordering.
+      std::vector<Column> keys;
+      keys.reserve(group_exprs.size());
+      for (const ExprPtr& e : group_exprs) {
+        AQP_ASSIGN_OR_RETURN(Column c, Eval(*e, input));
+        keys.push_back(std::move(c));
+      }
+      struct MorselGroups {
+        std::vector<uint32_t> reps;        // Representative row per group.
+        std::vector<uint64_t> rep_hashes;  // Key hash of each rep row.
+        std::vector<std::vector<AggAccumulator>> states;  // [agg][local].
+      };
+      std::vector<MorselGroups> morsels(num_morsels);
+      // Per-worker scratch, reused morsel after morsel: the local group
+      // table and the morsel's key hashes.
+      struct Scratch {
+        HashIdTable local;
+        std::vector<uint64_t> hashes;
+      };
+      std::vector<Scratch> scratch(num_threads);
+      ParallelRunStats rs = pool.ParallelFor(
+          n, morsel_rows, num_threads,
+          ThreadPool::ParallelForOptions{options.exec->cancel},
+          [&](size_t worker, size_t m, size_t begin, size_t end) {
+            MorselGroups& mg = morsels[m];
+            mg.states.assign(aggs.size(), {});
+            HashIdTable& local = scratch[worker].local;
+            std::vector<uint64_t>& hashes = scratch[worker].hashes;
+            local.Clear();
+            // Hash the morsel's keys column-at-a-time (one tight loop per
+            // key column) instead of re-dispatching per row inside the
+            // probe loop. Same HashCombine recipe as BuildGroupIndex.
+            hashes.assign(end - begin, 0x9e3779b97f4a7c15ULL);
+            for (const Column& k : keys) {
+              for (size_t i = begin; i < end; ++i) {
+                hashes[i - begin] = HashCombine(hashes[i - begin], k.HashAt(i));
+              }
+            }
+            for (size_t i = begin; i < end; ++i) {
+              const uint64_t h = hashes[i - begin];
+              bool inserted = false;
+              const uint32_t gid = local.FindOrInsert(
+                  h,
+                  [&](uint32_t cand) {
+                    return KeyRowsEqual(keys, i, mg.reps[cand]);
+                  },
+                  &inserted);
+              if (inserted) {
+                mg.reps.push_back(static_cast<uint32_t>(i));
+                mg.rep_hashes.push_back(h);
+                for (std::vector<AggAccumulator>& s : mg.states) {
+                  s.emplace_back();
+                }
+              }
+              double w = options.weights ? (*options.weights)[i] : 1.0;
+              for (size_t a = 0; a < aggs.size(); ++a) {
+                AccumulateRow(mg.states[a][gid], aggs[a].kind,
+                              aggs[a].kind == AggKind::kCountStar
+                                  ? nullptr
+                                  : &arg_columns[a],
+                              i, w);
+              }
+            }
+          });
+      AQP_RETURN_IF_ERROR(CheckCancelled(options.exec->cancel));
+      // Ordered merge into the global group table.
+      for (const Column& k : keys) key_columns.emplace_back(k.type());
+      states.assign(aggs.size(), {});
+      HashIdTable global;
+      std::vector<uint32_t> global_reps;
+      for (size_t m = 0; m < num_morsels; ++m) {
+        const MorselGroups& mg = morsels[m];
+        for (size_t l = 0; l < mg.reps.size(); ++l) {
+          const uint32_t row = mg.reps[l];
+          bool inserted = false;
+          const uint32_t gid = global.FindOrInsert(
+              mg.rep_hashes[l],
+              [&](uint32_t cand) {
+                return KeyRowsEqual(keys, row, global_reps[cand]);
+              },
+              &inserted);
+          if (inserted) {
+            global_reps.push_back(row);
+            for (size_t c = 0; c < keys.size(); ++c) {
+              key_columns[c].AppendFrom(keys[c], row);
+            }
+            for (std::vector<AggAccumulator>& s : states) s.emplace_back();
+          }
+          for (size_t a = 0; a < aggs.size(); ++a) {
+            states[a][gid].Merge(mg.states[a][l]);
+          }
+        }
+      }
+      num_groups = global.size();
+      if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
+    }
+  }
+
+  return FinalizeAggregates(std::move(key_columns), group_names, aggs,
+                            out_types, states, num_groups);
 }
 
 }  // namespace aqp

@@ -121,6 +121,21 @@ struct AggAccumulator {
   void Merge(const AggAccumulator& other);
 };
 
+/// Folds row `i` of `arg` (null only for COUNT(*)) into `st` with weight
+/// `w`: the per-row accumulator. Span accumulation over contiguous rows
+/// reaches bit-identical state.
+void AccumulateRow(AggAccumulator& st, AggKind kind, const Column* arg,
+                   size_t i, double w);
+
+/// The aggregation output: the key columns (named `group_names`), then one
+/// column per aggregate, of type `out_types[a]`, finalized from
+/// `states[a][g]` for each of the `num_groups` groups.
+Result<Table> FinalizeAggregates(
+    std::vector<Column> key_columns,
+    const std::vector<std::string>& group_names,
+    const std::vector<AggSpec>& aggs, const std::vector<DataType>& out_types,
+    const std::vector<std::vector<AggAccumulator>>& states, size_t num_groups);
+
 /// Optional per-row weights for Horvitz–Thompson style estimation: COUNT
 /// becomes sum of weights, SUM becomes sum of w*x, AVG the weighted mean.
 /// MIN/MAX/COUNT DISTINCT/VAR ignore weights (they are not linearly

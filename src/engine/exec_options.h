@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/cancellation.h"
 #include "common/memory_tracker.h"
@@ -12,36 +10,16 @@
 
 namespace aqp {
 
-/// Which execution substrate operators run on. The two paths are
-/// bit-identical by contract (the differential suite enforces it); the
-/// scalar path is retained as the row-at-a-time reference.
-enum class ExecPath : uint8_t {
-  /// Process default: AQP_EXEC_PATH=scalar|vectorized if set, else
-  /// vectorized.
-  kAuto = 0,
-  /// Row-at-a-time reference engine.
-  kScalar = 1,
-  /// Batch kernels over column spans with selection vectors.
-  kVectorized = 2,
-};
-
-/// The process-wide default path (resolved once; AQP_EXEC_PATH=scalar flips
-/// the whole process to the reference engine).
-inline ExecPath DefaultExecPath() {
-  static const ExecPath path = [] {
-    const char* env = std::getenv("AQP_EXEC_PATH");
-    if (env != nullptr && std::string_view(env) == "scalar") {
-      return ExecPath::kScalar;
-    }
-    return ExecPath::kVectorized;
-  }();
-  return path;
-}
-
 /// Execution knobs shared by every executor (engine, approximate, offline,
 /// online aggregation). The defaults give morsel-driven parallel execution
 /// on all hardware threads; `num_threads = 1` preserves strictly
 /// single-threaded execution (no pool, no helper threads).
+///
+/// There is one execution path: batch kernels over column spans, with
+/// selection vectors that are gathered once, at the first operator that
+/// needs a whole table. The row-at-a-time interpreter the differential
+/// suites check it against is a test oracle (tests/support/row_reference.h),
+/// not an option here.
 ///
 /// Determinism contract: for a fixed (query seed, morsel_rows,
 /// parallel_min_rows), results are identical for EVERY num_threads —
@@ -79,16 +57,6 @@ struct ExecOptions {
   /// morsels stop too.
   const CancellationToken* cancel = nullptr;
   MemoryTracker* memory = nullptr;
-
-  /// Execution substrate. kAuto defers to DefaultExecPath(); results are
-  /// identical either way — the knob exists for the differential tests, the
-  /// scalar-vs-batch benches, and as an escape hatch.
-  ExecPath path = ExecPath::kAuto;
-
-  /// The substrate this option set resolves to.
-  ExecPath ResolvedPath() const {
-    return path == ExecPath::kAuto ? DefaultExecPath() : path;
-  }
 
   /// The thread count this option set resolves to (>= 1). Invalid
   /// AQP_NUM_THREADS values (non-numeric, zero/negative, overflow) warn once

@@ -86,8 +86,6 @@ struct ExecContext {
   }
 };
 
-Result<TablePtr> Exec(const PlanPtr& plan, ExecContext& ctx);
-
 // A late-materialized operator batch: rows of `base` viewed through an
 // optional selection vector (ascending base-row indices; null means "all
 // rows") and a column remap (view column i is base column col_idx[i], named
@@ -104,7 +102,7 @@ struct BatchView {
   size_t num_rows = 0;
 };
 
-Result<BatchView> ExecBatch(const PlanPtr& plan, ExecContext& ctx);
+Result<BatchView> Exec(const PlanPtr& plan, ExecContext& ctx);
 
 // Materializes `t` behind a shared_ptr, charging the query's MemoryTracker
 // (when one is bound) for the table's footprint until the last reference
@@ -123,15 +121,6 @@ Result<TablePtr> TrackTable(Table&& t, ExecContext& ctx,
     delete p;
     memory->Release(bytes);
   });
-}
-
-// Gathers `keep` out of `table`, in parallel when the morsel path is active
-// for this input size (the parallel gather is column-wise and produces the
-// identical table for every thread count).
-Table GatherRows(const Table& table, const std::vector<uint32_t>& keep,
-                 bool use_morsels, ExecContext& ctx) {
-  if (!use_morsels) return table.Take(keep);
-  return table.Take(keep, ctx.options.ResolvedThreads(), ctx.run_stats());
 }
 
 // Selection vectors are query-owned memory too: charge them like operator
@@ -212,9 +201,9 @@ Schema ViewSchema(const BatchView& v) {
   return schema;
 }
 
-// Collapses a view into a real table: the one gather of the batch pipeline.
-// Identity views hand back the base table without copying (matching the
-// scalar scan's pass-through of catalog tables). Selection gathers run
+// Collapses a view into a real table: the one gather of the pipeline.
+// Identity views hand back the base table without copying (an unsampled
+// scan passes catalog tables through). Selection gathers run
 // column-parallel on the morsel path (single-column views included, so
 // morsel attribution reflects the gather uniformly).
 Result<TablePtr> MaterializeView(const BatchView& v, ExecContext& ctx,
@@ -230,7 +219,7 @@ Result<TablePtr> MaterializeView(const BatchView& v, ExecContext& ctx,
         columns, GatherColumns(v.col_idx.size(), v.sel->size(), ctx,
                                [&](size_t i) {
                                  return base.column(v.col_idx[i])
-                                     .TakeBatch(*v.sel);
+                                     .Take(*v.sel);
                                }));
   }
   AQP_ASSIGN_OR_RETURN(Table out,
@@ -273,23 +262,10 @@ BatchView NarrowView(BatchView v, const std::vector<std::string>& refs) {
   return out;
 }
 
-// How table-valued operators obtain a child: as a view. The vectorized
-// path hands over the child's batch view ungathered, so the join and the
-// aggregate gather only the rows and columns they use; the scalar path
-// wraps the child's table.
-Result<BatchView> ExecInputView(const PlanPtr& plan, ExecContext& ctx) {
-  if (ctx.options.ResolvedPath() == ExecPath::kVectorized) {
-    return ExecBatch(plan, ctx);
-  }
-  AQP_ASSIGN_OR_RETURN(TablePtr t, Exec(plan, ctx));
-  return IdentityView(std::move(t));
-}
-
 // The child as a table, for operators that need it whole (sort, limit,
-// union): the view gathered once at this boundary (a scalar-path child is
-// an identity view, handed back as is).
+// union): the view gathered once at this boundary.
 Result<TablePtr> ExecInput(const PlanPtr& plan, ExecContext& ctx) {
-  AQP_ASSIGN_OR_RETURN(BatchView view, ExecInputView(plan, ctx));
+  AQP_ASSIGN_OR_RETURN(BatchView view, Exec(plan, ctx));
   return MaterializeView(view, ctx, "batch materialize");
 }
 
@@ -310,9 +286,8 @@ std::vector<std::pair<uint64_t, uint64_t>> DrawSampleBlocks(
   return blocks;
 }
 
-// Draws the kept-row set for a sampled scan. Shared verbatim by the scalar
-// and batch scans, so both paths keep exactly the same rows for a given
-// (seed, morsel_rows) regardless of thread count.
+// Draws the kept-row set for a sampled scan: exactly the same rows for a
+// given (seed, morsel_rows) regardless of thread count.
 Result<std::vector<uint32_t>> DrawSampleKeep(const Table& table,
                                              const SampleSpec& spec,
                                              bool use_morsels,
@@ -506,95 +481,6 @@ bool UseFusedExtentFilter(const PlanNode& filter_node, ExecContext& ctx) {
          ctx.catalog.IsExtentBacked(child->table_name());
 }
 
-Result<TablePtr> ExecScan(const PlanNode& node, ExecContext& ctx) {
-  AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail("engine.scan"));
-  AQP_ASSIGN_OR_RETURN(ScanInput input, ScanBaseTable(node, ctx));
-  if (input.sampled) return input.table;
-  TablePtr table = std::move(input.table);
-  const SampleSpec& spec = node.sample();
-  if (!spec.is_sampled()) {
-    if (ctx.stats != nullptr) {
-      ctx.stats->rows_scanned += table->num_rows();
-      ctx.stats->blocks_read += table->NumBlocks(spec.block_size);
-    }
-    return table;
-  }
-  const bool use_morsels = ctx.options.UseMorsels(table->num_rows());
-  uint64_t blocks_read = 0;
-  AQP_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> keep,
-      DrawSampleKeep(*table, spec, use_morsels, ctx, &blocks_read));
-  if (ctx.stats != nullptr) {
-    ctx.stats->rows_scanned += keep.size();
-    ctx.stats->blocks_read += blocks_read;
-  }
-  return TrackTable(GatherRows(*table, keep, use_morsels, ctx), ctx,
-                    "scan output");
-}
-
-Result<TablePtr> ExecFilter(const PlanNode& node, ExecContext& ctx) {
-  if (UseFusedExtentFilter(node, ctx)) {
-    return ExecExtentFilterScan(node, *node.child(), ctx);
-  }
-  AQP_ASSIGN_OR_RETURN(TablePtr input, Exec(node.child(), ctx));
-  const bool use_morsels = ctx.options.UseMorsels(input->num_rows());
-  std::vector<uint32_t> selected;
-  if (use_morsels) {
-    AQP_ASSIGN_OR_RETURN(
-        selected, EvalPredicateMorsel(*node.predicate(), *input,
-                                      ctx.options.morsel_rows,
-                                      ctx.options.ResolvedThreads(),
-                                      ctx.run_stats(), ctx.options.cancel));
-  } else {
-    AQP_ASSIGN_OR_RETURN(selected, EvalPredicate(*node.predicate(), *input));
-  }
-  AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
-  return TrackTable(GatherRows(*input, selected, use_morsels, ctx), ctx,
-                    "filter output");
-}
-
-Result<TablePtr> ExecProject(const PlanNode& node, ExecContext& ctx) {
-  AQP_ASSIGN_OR_RETURN(TablePtr input, Exec(node.child(), ctx));
-  const size_t num_exprs = node.exprs().size();
-  if (ctx.options.UseMorsels(input->num_rows()) && num_exprs > 1) {
-    // Expression-parallel: each output column evaluates independently.
-    std::vector<Result<Column>> results(
-        num_exprs, Result<Column>(Column(DataType::kInt64)));
-    ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
-        num_exprs, /*morsel_items=*/1, ctx.options.ResolvedThreads(),
-        ctx.pf_options(), [&](size_t, size_t, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            results[i] = Eval(*node.exprs()[i], *input);
-          }
-        });
-    if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
-    // Skipped expressions under cancellation hold the dummy column; bail
-    // before reading them.
-    AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
-    Schema schema;
-    std::vector<Column> columns;
-    columns.reserve(num_exprs);
-    for (size_t i = 0; i < num_exprs; ++i) {
-      AQP_ASSIGN_OR_RETURN(Column c, std::move(results[i]));
-      schema.AddField({node.names()[i], c.type()});
-      columns.push_back(std::move(c));
-    }
-    AQP_ASSIGN_OR_RETURN(Table out,
-                         Table::Make(std::move(schema), std::move(columns)));
-    return TrackTable(std::move(out), ctx, "project output");
-  }
-  Schema schema;
-  std::vector<Column> columns;
-  for (size_t i = 0; i < num_exprs; ++i) {
-    AQP_ASSIGN_OR_RETURN(Column c, Eval(*node.exprs()[i], *input));
-    schema.AddField({node.names()[i], c.type()});
-    columns.push_back(std::move(c));
-  }
-  AQP_ASSIGN_OR_RETURN(Table out,
-                       Table::Make(std::move(schema), std::move(columns)));
-  return TrackTable(std::move(out), ctx, "project output");
-}
-
 // One side of a hash join: the input view and its key columns, read
 // through the view's selection (view row r is base row Row(r)).
 struct JoinSide {
@@ -719,9 +605,8 @@ struct MatchPairs {
 // serial loop's for every thread count. Each output column is then gathered
 // once, straight from the inputs' base tables.
 Result<TablePtr> ExecJoin(const PlanNode& node, ExecContext& ctx) {
-  AQP_ASSIGN_OR_RETURN(BatchView left_view, ExecInputView(node.child(0), ctx));
-  AQP_ASSIGN_OR_RETURN(BatchView right_view,
-                       ExecInputView(node.child(1), ctx));
+  AQP_ASSIGN_OR_RETURN(BatchView left_view, Exec(node.child(0), ctx));
+  AQP_ASSIGN_OR_RETURN(BatchView right_view, Exec(node.child(1), ctx));
   AQP_ASSIGN_OR_RETURN(JoinSide left,
                        MakeJoinSide(std::move(left_view), node.left_keys()));
   AQP_ASSIGN_OR_RETURN(JoinSide right,
@@ -808,12 +693,12 @@ Result<TablePtr> ExecJoin(const PlanNode& node, ExecContext& ctx) {
                     [&](size_t c) {
                       if (c < num_left) {
                         return lv.base->column(lv.col_idx[c])
-                            .TakeBatch(left_sel);
+                            .Take(left_sel);
                       }
                       const Column& col =
                           rv.base->column(rv.col_idx[c - num_left]);
-                      return left_outer ? col.TakeBatchOrNull(right_sel)
-                                        : col.TakeBatch(right_sel);
+                      return left_outer ? col.TakeOrNull(right_sel)
+                                        : col.Take(right_sel);
                     }));
   // Output schema: all left fields then all right fields.
   Schema schema = ViewSchema(lv);
@@ -837,7 +722,7 @@ Result<TablePtr> ExecAggregate(const PlanNode& node, ExecContext& ctx) {
       refs.push_back(std::move(c));
     }
   }
-  AQP_ASSIGN_OR_RETURN(BatchView view, ExecInputView(node.child(), ctx));
+  AQP_ASSIGN_OR_RETURN(BatchView view, Exec(node.child(), ctx));
   AQP_ASSIGN_OR_RETURN(
       TablePtr input,
       MaterializeView(NarrowView(std::move(view), refs), ctx,
@@ -873,9 +758,13 @@ Result<TablePtr> ExecSort(const PlanNode& node, ExecContext& ctx) {
     }
     return false;
   });
-  return TrackTable(
-      GatherRows(*input, order, ctx.options.UseMorsels(order.size()), ctx),
-      ctx, "sort output");
+  // Column-parallel gather on the morsel path: the same table for every
+  // thread count.
+  Table sorted = ctx.options.UseMorsels(order.size())
+                     ? input->Take(order, ctx.options.ResolvedThreads(),
+                                   ctx.run_stats())
+                     : input->Take(order);
+  return TrackTable(std::move(sorted), ctx, "sort output");
 }
 
 Result<TablePtr> ExecLimit(const PlanNode& node, ExecContext& ctx) {
@@ -915,85 +804,18 @@ const char* OperatorName(PlanKind kind) {
   return "unknown";
 }
 
-Result<TablePtr> ExecDispatch(const PlanPtr& plan, ExecContext& ctx) {
-  switch (plan->kind()) {
-    case PlanKind::kScan:
-      return ExecScan(*plan, ctx);
-    case PlanKind::kFilter:
-      return ExecFilter(*plan, ctx);
-    case PlanKind::kProject:
-      return ExecProject(*plan, ctx);
-    case PlanKind::kJoin:
-      return ExecJoin(*plan, ctx);
-    case PlanKind::kAggregate:
-      return ExecAggregate(*plan, ctx);
-    case PlanKind::kSort:
-      return ExecSort(*plan, ctx);
-    case PlanKind::kLimit:
-      return ExecLimit(*plan, ctx);
-    case PlanKind::kUnionAll:
-      return ExecUnionAll(*plan, ctx);
-  }
-  return Status::Internal("unreachable plan kind");
-}
-
-Result<TablePtr> Exec(const PlanPtr& plan, ExecContext& ctx) {
-  AQP_CHECK(plan != nullptr);
-  // Operator-boundary cancellation point: deadline/user-cancel/memory trips
-  // stop the plan between operators even when no parallel region runs.
-  AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
-  if (ctx.trace == nullptr) {
-    // Untraced path: one branch, no clock reads, no allocations.
-    return ExecDispatch(plan, ctx);
-  }
-  obs::TraceSpan span = ctx.trace->Span(OperatorName(plan->kind()));
-  if (plan->kind() == PlanKind::kScan) {
-    span.AddAttr("table", plan->table_name());
-    const SampleSpec& spec = plan->sample();
-    if (spec.is_sampled()) {
-      span.AddAttr("sample_method",
-                   spec.method == SampleSpec::Method::kSystemBlock
-                       ? "system-block"
-                       : "bernoulli-row");
-      span.AddAttr("sample_rate", spec.rate);
-    }
-  }
-  // Parallel attribution: how many morsels/steals THIS operator (excluding
-  // children, whose spans carry their own deltas) contributed.
-  const ParallelRunStats* rs = ctx.run_stats();
-  uint64_t morsels_before = rs != nullptr ? rs->morsels : 0;
-  uint64_t steals_before = rs != nullptr ? rs->steals : 0;
-  uint64_t extents_before = ctx.stats != nullptr ? ctx.stats->extents_total : 0;
-  uint64_t pruned_before = ctx.stats != nullptr ? ctx.stats->extents_pruned : 0;
-  Result<TablePtr> result = ExecDispatch(plan, ctx);
-  if (result.ok()) {
-    span.AddAttr("rows_out", uint64_t{result.value()->num_rows()});
-  }
-  if (rs != nullptr && rs->morsels > morsels_before) {
-    span.AddAttr("parallel_morsels", rs->morsels - morsels_before);
-    span.AddAttr("parallel_steals", rs->steals - steals_before);
-  }
-  if (ctx.stats != nullptr && ctx.stats->extents_total > extents_before) {
-    span.AddAttr("extents_total", ctx.stats->extents_total - extents_before);
-    span.AddAttr("extents_pruned", ctx.stats->extents_pruned - pruned_before);
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// Batch (vectorized) operator path. Scan and filter produce BatchViews —
-// selection vectors over the untouched base table — instead of gathered
-// tables; project over bare column references is a pure remap. The join
-// and the aggregate read their children as views (ExecInputView) and gather
-// only the rows and columns they use; everything else runs the scalar
-// operator body over a materialized input (ExecInput gathers exactly once
-// at that boundary). Results are bit-identical to the
-// scalar path: sampling draws the same per-morsel RNG streams, predicate
-// masks are exact (so selection membership is independent of morsel
-// boundaries and thread count), and gathers preserve row order.
+// Scan, filter and project produce BatchViews — selection vectors over the
+// untouched base table — instead of gathered tables; project over bare
+// column references is a pure remap. The join and the aggregate read their
+// children as views and gather only the rows and columns they use; sort,
+// limit and union gather their input once (ExecInput). Results are
+// independent of thread count: sampling draws per-morsel RNG streams,
+// predicate masks are exact (so selection membership is independent of
+// morsel boundaries), and gathers preserve row order.
 // ---------------------------------------------------------------------------
 
-Result<BatchView> ExecScanBatch(const PlanNode& node, ExecContext& ctx) {
+Result<BatchView> ExecScan(const PlanNode& node, ExecContext& ctx) {
   AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail("engine.scan"));
   AQP_ASSIGN_OR_RETURN(ScanInput input, ScanBaseTable(node, ctx));
   if (input.sampled) return IdentityView(std::move(input.table));
@@ -1029,7 +851,7 @@ Result<BatchView> ExecScanBatch(const PlanNode& node, ExecContext& ctx) {
 // per-morsel work at O(span + selected-in-span) and, because masks are
 // exact, makes the output selection independent of morsel boundaries and
 // thread count.
-Result<BatchView> ExecFilterBatch(const PlanNode& node, ExecContext& ctx) {
+Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
   if (UseFusedExtentFilter(node, ctx)) {
     // The fused path already gathered exactly the matching rows; the result
     // enters the batch pipeline as an identity view (same as any
@@ -1038,11 +860,11 @@ Result<BatchView> ExecFilterBatch(const PlanNode& node, ExecContext& ctx) {
                          ExecExtentFilterScan(node, *node.child(), ctx));
     return IdentityView(std::move(t));
   }
-  AQP_ASSIGN_OR_RETURN(BatchView child, ExecBatch(node.child(), ctx));
+  AQP_ASSIGN_OR_RETURN(BatchView child, Exec(node.child(), ctx));
   const Expr& pred_expr = *node.predicate();
-  // Degenerate inputs (empty, constant predicate) run the scalar evaluator
-  // over the materialized child — the same code the row path runs, so
-  // results and errors match exactly.
+  // Degenerate inputs (empty, constant predicate) run the row evaluator
+  // over the materialized child: nothing to vectorize, and constant
+  // predicates keep its error behavior.
   if (child.num_rows == 0 || pred_expr.ReferencedColumns().empty()) {
     AQP_ASSIGN_OR_RETURN(TablePtr input,
                          MaterializeView(child, ctx, "filter input"));
@@ -1062,9 +884,9 @@ Result<BatchView> ExecFilterBatch(const PlanNode& node, ExecContext& ctx) {
   if (pred.HasFallback() && child.sel != nullptr) {
     // Scalar-fallback nodes evaluate every row of a span; over a selection
     // view that would touch non-selected base rows and could raise errors
-    // (e.g. x % y with y = 0 on a filtered-out row) the row engine never
-    // sees. Materialize first so the fallback evaluates exactly the
-    // selected rows.
+    // (e.g. x % y with y = 0 on a filtered-out row) that filtering the rows
+    // one at a time never sees. Materialize first so the fallback evaluates
+    // exactly the selected rows.
     AQP_ASSIGN_OR_RETURN(TablePtr input,
                          MaterializeView(child, ctx, "filter input"));
     child = IdentityView(std::move(input));
@@ -1078,8 +900,8 @@ Result<BatchView> ExecFilterBatch(const PlanNode& node, ExecContext& ctx) {
   size_t morsel_rows = ctx.options.morsel_rows;
   if (morsel_rows == 0) morsel_rows = base_n;
   const size_t num_threads = ctx.options.ResolvedThreads();
-  // Same parallelize-or-not decision as the scalar filter: based on the
-  // operator's logical input size, not the base span.
+  // Parallelize or not by the operator's logical input size, not the base
+  // span.
   const bool use_morsels = ctx.options.UseMorsels(child.num_rows);
   const size_t num_morsels = (base_n + morsel_rows - 1) / morsel_rows;
   // Charge lookup structures (dictionary pages, IN/LIKE bitmaps) plus mask
@@ -1156,9 +978,9 @@ Result<BatchView> ExecFilterBatch(const PlanNode& node, ExecContext& ctx) {
 }
 
 // Project over bare column references is a zero-copy column remap; anything
-// computed materializes the child and reuses the scalar projection.
-Result<BatchView> ExecProjectBatch(const PlanNode& node, ExecContext& ctx) {
-  AQP_ASSIGN_OR_RETURN(BatchView child, ExecBatch(node.child(), ctx));
+// computed materializes the child and evaluates each expression over it.
+Result<BatchView> ExecProject(const PlanNode& node, ExecContext& ctx) {
+  AQP_ASSIGN_OR_RETURN(BatchView child, Exec(node.child(), ctx));
   bool all_colrefs = true;
   for (const ExprPtr& e : node.exprs()) {
     if (e->kind() != ExprKind::kColumnRef) {
@@ -1224,32 +1046,52 @@ Result<BatchView> ExecProjectBatch(const PlanNode& node, ExecContext& ctx) {
   return IdentityView(std::move(tracked));
 }
 
-Result<BatchView> ExecDispatchBatch(const PlanPtr& plan, ExecContext& ctx) {
+// Runs a table-valued operator: one that materializes its output.
+Result<TablePtr> ExecTableOperator(const PlanPtr& plan, ExecContext& ctx) {
   switch (plan->kind()) {
-    case PlanKind::kScan:
-      return ExecScanBatch(*plan, ctx);
-    case PlanKind::kFilter:
-      return ExecFilterBatch(*plan, ctx);
-    case PlanKind::kProject:
-      return ExecProjectBatch(*plan, ctx);
-    default: {
-      // Table-valued operators run their scalar bodies; their children
-      // arrive through ExecInput or ExecInputView, which stay on the batch
-      // path and gather at this boundary.
-      AQP_ASSIGN_OR_RETURN(TablePtr t, ExecDispatch(plan, ctx));
-      return IdentityView(std::move(t));
-    }
+    case PlanKind::kJoin:
+      return ExecJoin(*plan, ctx);
+    case PlanKind::kAggregate:
+      return ExecAggregate(*plan, ctx);
+    case PlanKind::kSort:
+      return ExecSort(*plan, ctx);
+    case PlanKind::kLimit:
+      return ExecLimit(*plan, ctx);
+    case PlanKind::kUnionAll:
+      return ExecUnionAll(*plan, ctx);
+    default:
+      return Status::Internal("unreachable plan kind");
   }
 }
 
-// Batch twin of Exec: same cancellation point, same trace spans with the
-// same attribute set (rows_out counts view rows, so traces are comparable
-// across paths).
-Result<BatchView> ExecBatch(const PlanPtr& plan, ExecContext& ctx) {
+Result<BatchView> ExecDispatch(const PlanPtr& plan, ExecContext& ctx) {
+  switch (plan->kind()) {
+    case PlanKind::kScan:
+      return ExecScan(*plan, ctx);
+    case PlanKind::kFilter:
+      return ExecFilter(*plan, ctx);
+    case PlanKind::kProject:
+      return ExecProject(*plan, ctx);
+    default:
+      break;
+  }
+  // A table-valued operator's output enters the pipeline as the identity
+  // view over itself.
+  AQP_ASSIGN_OR_RETURN(TablePtr t, ExecTableOperator(plan, ctx));
+  return IdentityView(std::move(t));
+}
+
+// Runs one plan node. Each node is an operator-boundary cancellation point:
+// deadline/user-cancel/memory trips stop the plan between operators even
+// when no parallel region runs. When traced, each node gets a span carrying
+// its view row count and the morsels, steals and extents THIS operator
+// (excluding children, whose spans carry their own deltas) contributed.
+Result<BatchView> Exec(const PlanPtr& plan, ExecContext& ctx) {
   AQP_CHECK(plan != nullptr);
   AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
   if (ctx.trace == nullptr) {
-    return ExecDispatchBatch(plan, ctx);
+    // Untraced path: one branch, no clock reads, no allocations.
+    return ExecDispatch(plan, ctx);
   }
   obs::TraceSpan span = ctx.trace->Span(OperatorName(plan->kind()));
   if (plan->kind() == PlanKind::kScan) {
@@ -1268,7 +1110,7 @@ Result<BatchView> ExecBatch(const PlanPtr& plan, ExecContext& ctx) {
   uint64_t steals_before = rs != nullptr ? rs->steals : 0;
   uint64_t extents_before = ctx.stats != nullptr ? ctx.stats->extents_total : 0;
   uint64_t pruned_before = ctx.stats != nullptr ? ctx.stats->extents_pruned : 0;
-  Result<BatchView> result = ExecDispatchBatch(plan, ctx);
+  Result<BatchView> result = ExecDispatch(plan, ctx);
   if (result.ok()) {
     span.AddAttr("rows_out", uint64_t{result.value().num_rows});
   }
@@ -1389,31 +1231,26 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
     CollectColumnNeeds(plan, std::nullopt, catalog, &needs);
     ctx.needs = &needs;
   }
+  // Run the plan as batch views and gather once at the top. The gather is
+  // the deferred row movement of the whole pipeline, so it gets its own span
+  // with the gather's morsel attribution.
+  AQP_ASSIGN_OR_RETURN(BatchView view, Exec(plan, ctx));
   TablePtr result;
-  if (options.ResolvedPath() == ExecPath::kVectorized) {
-    // Vectorized root: run the plan as batch views, gather once at the top.
-    // The gather is the deferred row movement of the whole pipeline, so it
-    // gets its own span with the morsel attribution the scalar path records
-    // at its per-operator gathers.
-    AQP_ASSIGN_OR_RETURN(BatchView view, ExecBatch(plan, ctx));
-    if (trace == nullptr) {
-      AQP_ASSIGN_OR_RETURN(result,
-                           MaterializeView(view, ctx, "result materialize"));
-    } else {
-      obs::TraceSpan span = trace->Span("materialize");
-      const ParallelRunStats* rs = ctx.run_stats();
-      uint64_t morsels_before = rs != nullptr ? rs->morsels : 0;
-      uint64_t steals_before = rs != nullptr ? rs->steals : 0;
-      AQP_ASSIGN_OR_RETURN(result,
-                           MaterializeView(view, ctx, "result materialize"));
-      span.AddAttr("rows_out", uint64_t{result->num_rows()});
-      if (rs != nullptr && rs->morsels > morsels_before) {
-        span.AddAttr("parallel_morsels", rs->morsels - morsels_before);
-        span.AddAttr("parallel_steals", rs->steals - steals_before);
-      }
-    }
+  if (trace == nullptr) {
+    AQP_ASSIGN_OR_RETURN(result,
+                         MaterializeView(view, ctx, "result materialize"));
   } else {
-    AQP_ASSIGN_OR_RETURN(result, Exec(plan, ctx));
+    obs::TraceSpan span = trace->Span("materialize");
+    const ParallelRunStats* rs = ctx.run_stats();
+    uint64_t morsels_before = rs != nullptr ? rs->morsels : 0;
+    uint64_t steals_before = rs != nullptr ? rs->steals : 0;
+    AQP_ASSIGN_OR_RETURN(result,
+                         MaterializeView(view, ctx, "result materialize"));
+    span.AddAttr("rows_out", uint64_t{result->num_rows()});
+    if (rs != nullptr && rs->morsels > morsels_before) {
+      span.AddAttr("parallel_morsels", rs->morsels - morsels_before);
+      span.AddAttr("parallel_steals", rs->steals - steals_before);
+    }
   }
   if (instrumented) {
     // Handles cached across calls: one registry lock each, first call only.

@@ -306,7 +306,7 @@ Result<Table> ScanExtents(const extent::ExtentReader& reader,
           columns.reserve(num_out);
           for (size_t k = 0; k < num_out; ++k) {
             columns.push_back(keep.value().has_value()
-                                  ? t.column(k).TakeBatch(*keep.value())
+                                  ? t.column(k).Take(*keep.value())
                                   : std::move(t.mutable_column(k)));
           }
           parts[s] = Table::Make(out_schema, std::move(columns));

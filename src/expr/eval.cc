@@ -455,74 +455,4 @@ Result<std::vector<uint32_t>> EvalPredicate(const Expr& expr,
   return selected;
 }
 
-Result<std::vector<uint32_t>> EvalPredicateMorsel(
-    const Expr& expr, const Table& table, size_t morsel_rows,
-    size_t num_threads, ParallelRunStats* run_stats,
-    const CancellationToken* cancel) {
-  const size_t n = table.num_rows();
-  if (morsel_rows == 0) morsel_rows = n == 0 ? 1 : n;
-  // Each morsel slices only the columns the predicate actually reads; a
-  // predicate with no column references (constant) degenerates to the serial
-  // path since there is nothing to slice per morsel.
-  std::vector<std::string> refs = expr.ReferencedColumns();
-  if (refs.empty() || n == 0) return EvalPredicate(expr, table);
-  Schema ref_schema;
-  std::vector<size_t> ref_idx;
-  ref_idx.reserve(refs.size());
-  for (const std::string& name : refs) {
-    AQP_ASSIGN_OR_RETURN(size_t idx, table.ColumnIndex(name));
-    ref_schema.AddField({name, table.column(idx).type()});
-    ref_idx.push_back(idx);
-  }
-  // Type-check up front so a bad predicate fails with a clean error instead
-  // of per-morsel ones.
-  AQP_ASSIGN_OR_RETURN(DataType pred_type, expr.TypeCheck(ref_schema));
-  if (pred_type != DataType::kBool) {
-    return Status::InvalidArgument("predicate is not boolean: " +
-                                   expr.ToString());
-  }
-
-  const size_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
-  std::vector<std::vector<uint32_t>> local(num_morsels);
-  std::vector<Status> errors(num_morsels, Status::OK());
-  ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
-      n, morsel_rows, num_threads, ThreadPool::ParallelForOptions{cancel},
-      [&](size_t, size_t m, size_t begin, size_t end) {
-        std::vector<Column> cols;
-        cols.reserve(ref_idx.size());
-        for (size_t idx : ref_idx) {
-          cols.push_back(table.column(idx).Slice(begin, end - begin));
-        }
-        Result<Table> morsel_table =
-            Table::Make(ref_schema, std::move(cols));
-        if (!morsel_table.ok()) {
-          errors[m] = morsel_table.status();
-          return;
-        }
-        Result<std::vector<uint32_t>> sel =
-            EvalPredicate(expr, morsel_table.value());
-        if (!sel.ok()) {
-          errors[m] = sel.status();
-          return;
-        }
-        local[m].reserve(sel.value().size());
-        for (uint32_t i : sel.value()) {
-          local[m].push_back(static_cast<uint32_t>(begin) + i);
-        }
-      });
-  AQP_RETURN_IF_ERROR(CheckCancelled(cancel));
-  for (const Status& s : errors) {
-    AQP_RETURN_IF_ERROR(s);
-  }
-  size_t total = 0;
-  for (const std::vector<uint32_t>& v : local) total += v.size();
-  std::vector<uint32_t> selected;
-  selected.reserve(total);
-  for (const std::vector<uint32_t>& v : local) {
-    selected.insert(selected.end(), v.begin(), v.end());
-  }
-  if (run_stats != nullptr) run_stats->MergeFrom(rs);
-  return selected;
-}
-
 }  // namespace aqp

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "expr/expr.h"
 #include "storage/table.h"
 
@@ -20,21 +19,6 @@ Result<Column> Eval(const Expr& expr, const Table& table);
 /// TRUE (NULL and FALSE rows are excluded, per SQL WHERE semantics).
 Result<std::vector<uint32_t>> EvalPredicate(const Expr& expr,
                                             const Table& table);
-
-/// Morsel-parallel EvalPredicate: rows are split into `morsel_rows`-sized
-/// morsels evaluated on up to `num_threads` workers; each morsel slices only
-/// the predicate's referenced columns. Selected indices come back in
-/// ascending row order — bit-identical to the serial EvalPredicate for every
-/// thread count (predicate evaluation is exact, and per-morsel results are
-/// concatenated in morsel order). `run_stats`, when non-null, accumulates
-/// the parallel-run counters. `cancel`, when non-null, is polled at morsel
-/// boundaries; a tripped token makes the call return the token's Status
-/// (Cancelled / DeadlineExceeded / ResourceExhausted) instead of a partial
-/// selection.
-Result<std::vector<uint32_t>> EvalPredicateMorsel(
-    const Expr& expr, const Table& table, size_t morsel_rows,
-    size_t num_threads, ParallelRunStats* run_stats = nullptr,
-    const CancellationToken* cancel = nullptr);
 
 /// SQL LIKE matching with % (any run) and _ (any single char) wildcards.
 bool LikeMatch(std::string_view text, std::string_view pattern);

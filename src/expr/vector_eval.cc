@@ -51,7 +51,7 @@ bool IsComparison(OpKind op) {
          op == OpKind::kLe || op == OpKind::kGt || op == OpKind::kGe;
 }
 
-// Three-way comparison in double space following the row engine's
+// Three-way comparison in double space following the row evaluator's
 // comparator: NaN pairs compare "equal".
 inline bool HoldsF64(OpKind op, double x, double y) {
   switch (op) {
@@ -174,7 +174,7 @@ struct Binder {
 // Compiles a subtree the kernel set cannot express into a scalar-interpreter
 // node. A constant subtree (no column references) folds at compile time so
 // EvalSpan never pays for it — the fold runs the interpreter once, exactly
-// as the scalar path would per row.
+// as the row evaluator would per row.
 Result<NodePtr> MakeFallback(const Expr& expr, const Binder& binder) {
   std::vector<std::string> refs = expr.ReferencedColumns();
   if (refs.empty()) {
@@ -636,7 +636,7 @@ Status EvalNode(const Node& node, size_t begin, size_t n, uint8_t* out) {
     case NK::kFallback: {
       std::vector<Column> cols;
       cols.reserve(node.fcols.size());
-      for (const Column* c : node.fcols) cols.push_back(c->SliceBatch(begin, n));
+      for (const Column* c : node.fcols) cols.push_back(c->Slice(begin, n));
       AQP_ASSIGN_OR_RETURN(Table span,
                            Table::Make(node.fschema, std::move(cols)));
       AQP_ASSIGN_OR_RETURN(Column mask, Eval(*node.fexpr, span));
@@ -752,8 +752,8 @@ Result<std::vector<uint32_t>> EvalPredicateBatch(
     const CancellationToken* cancel, MemoryTracker* memory) {
   const size_t n = table.num_rows();
   std::vector<std::string> refs = expr.ReferencedColumns();
-  // Constant predicates and empty inputs take the serial scalar path, same
-  // as the morsel evaluator.
+  // Constant predicates and empty inputs take the row evaluator: there is
+  // nothing to vectorize.
   if (refs.empty() || n == 0) return EvalPredicate(expr, table);
   if (morsel_rows == 0) morsel_rows = n;
   AQP_ASSIGN_OR_RETURN(BatchPredicate pred,

@@ -72,13 +72,13 @@ class BatchPredicate {
   uint64_t aux_bytes_ = 0;
 };
 
-/// Drop-in batch counterpart of EvalPredicateMorsel/EvalPredicate: evaluates
-/// the predicate over every row of `table` and returns the TRUE row indices
-/// ascending. Morsel-parallel with ordered merge, so the selection is
-/// bit-identical to the scalar evaluators for every thread count and morsel
-/// size. When `memory` is non-null, dictionary pages and mask scratch are
-/// charged for the duration of the call; a refused charge returns
-/// ResourceExhausted (the gov ladder's degradation trigger).
+/// Drop-in batch counterpart of EvalPredicate: evaluates the predicate over
+/// every row of `table` and returns the TRUE row indices ascending.
+/// Morsel-parallel with ordered merge, so the selection is bit-identical to
+/// EvalPredicate's for every thread count and morsel size. When `memory` is
+/// non-null, dictionary pages and mask scratch are charged for the duration
+/// of the call; a refused charge returns ResourceExhausted (the gov
+/// ladder's degradation trigger).
 Result<std::vector<uint32_t>> EvalPredicateBatch(
     const Expr& expr, const Table& table, size_t morsel_rows,
     size_t num_threads, ParallelRunStats* run_stats = nullptr,

@@ -295,27 +295,8 @@ void Column::AppendRange(const Column& other, size_t offset, size_t length) {
   }
 }
 
-Column Column::Take(const std::vector<uint32_t>& indices) const {
-  Column out(type_);
-  out.Reserve(indices.size());
-  for (uint32_t i : indices) {
-    AQP_DCHECK(i < size());
-    out.AppendFrom(*this, i);
-  }
-  return out;
-}
-
-Column Column::Slice(size_t offset, size_t length) const {
-  AQP_CHECK(offset <= size());
-  length = std::min(length, size() - offset);
-  Column out(type_);
-  out.Reserve(length);
-  for (size_t i = offset; i < offset + length; ++i) out.AppendFrom(*this, i);
-  return out;
-}
-
 template <bool kNullable>
-Column Column::TakeBatchImpl(const std::vector<uint32_t>& indices) const {
+Column Column::TakeImpl(const std::vector<uint32_t>& indices) const {
   Column out(type_);
   const size_t n = indices.size();
   const uint32_t* idx = indices.data();
@@ -366,15 +347,15 @@ Column Column::TakeBatchImpl(const std::vector<uint32_t>& indices) const {
   return out;
 }
 
-Column Column::TakeBatch(const std::vector<uint32_t>& indices) const {
-  return TakeBatchImpl<false>(indices);
+Column Column::Take(const std::vector<uint32_t>& indices) const {
+  return TakeImpl<false>(indices);
 }
 
-Column Column::TakeBatchOrNull(const std::vector<uint32_t>& indices) const {
-  return TakeBatchImpl<true>(indices);
+Column Column::TakeOrNull(const std::vector<uint32_t>& indices) const {
+  return TakeImpl<true>(indices);
 }
 
-Column Column::SliceBatch(size_t offset, size_t length) const {
+Column Column::Slice(size_t offset, size_t length) const {
   AQP_CHECK(offset <= size());
   length = std::min(length, size() - offset);
   Column out(type_);

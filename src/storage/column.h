@@ -128,28 +128,21 @@ class Column {
   /// bulk copies; NULL slots and the null count carry over unchanged.
   void AppendRange(const Column& other, size_t offset, size_t length);
 
-  /// Gathers the given row indices into a new column (row-at-a-time
-  /// reference path).
+  /// Gathers the given row indices into a new column with typed bulk loops
+  /// (no per-row type dispatch); NULL slots carry over.
   Column Take(const std::vector<uint32_t>& indices) const;
 
-  /// Gathers the given row indices with typed bulk loops — same result as
-  /// Take, without per-row type dispatch (vectorized path).
-  Column TakeBatch(const std::vector<uint32_t>& indices) const;
-
-  /// Index that TakeBatchOrNull turns into a NULL slot.
+  /// Index that TakeOrNull turns into a NULL slot.
   static constexpr uint32_t kNullRow = UINT32_MAX;
 
-  /// Null-extending TakeBatch: every index equal to kNullRow yields a NULL
-  /// slot (the right side of an unmatched LEFT JOIN row), exactly as
-  /// AppendNull would have stored it.
-  Column TakeBatchOrNull(const std::vector<uint32_t>& indices) const;
+  /// Null-extending Take: every index equal to kNullRow yields a NULL slot
+  /// (the right side of an unmatched LEFT JOIN row), exactly as AppendNull
+  /// would have stored it.
+  Column TakeOrNull(const std::vector<uint32_t>& indices) const;
 
-  /// Contiguous sub-range [offset, offset+length) as a new column
-  /// (row-at-a-time reference path).
+  /// Contiguous sub-range [offset, offset+length) as a new column, via
+  /// typed bulk copies.
   Column Slice(size_t offset, size_t length) const;
-
-  /// Same sub-range via typed bulk copies (vectorized path).
-  Column SliceBatch(size_t offset, size_t length) const;
 
   /// 64-bit hash of slot i (NULL hashes to a fixed sentinel).
   uint64_t HashAt(size_t i, uint64_t seed = 0) const;
@@ -177,7 +170,7 @@ class Column {
 
  private:
   template <bool kNullable>
-  Column TakeBatchImpl(const std::vector<uint32_t>& indices) const;
+  Column TakeImpl(const std::vector<uint32_t>& indices) const;
 
   DataType type_;
   std::vector<int64_t> ints_;

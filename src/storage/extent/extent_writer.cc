@@ -205,8 +205,8 @@ Status ExtentWriter::Append(const Table& rows) {
   AQP_RETURN_IF_ERROR(pending_.Append(rows));
   rows_appended_ += rows.num_rows();
   while (pending_.num_rows() >= options_.extent_rows) {
-    Table extent = pending_.SliceBatch(0, options_.extent_rows);
-    Table rest = pending_.SliceBatch(
+    Table extent = pending_.Slice(0, options_.extent_rows);
+    Table rest = pending_.Slice(
         options_.extent_rows, pending_.num_rows() - options_.extent_rows);
     pending_ = std::move(rest);
     AQP_RETURN_IF_ERROR(EmitExtent(std::move(extent)));

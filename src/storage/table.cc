@@ -97,43 +97,6 @@ Table Table::Take(const std::vector<uint32_t>& indices, size_t num_threads,
   return out;
 }
 
-Table Table::TakeBatch(const std::vector<uint32_t>& indices) const {
-  Table out(schema_);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    out.columns_[c] = columns_[c].TakeBatch(indices);
-  }
-  out.num_rows_ = indices.size();
-  return out;
-}
-
-Table Table::TakeBatch(const std::vector<uint32_t>& indices,
-                       size_t num_threads,
-                       ParallelRunStats* run_stats) const {
-  // Same ParallelFor routing as Take: inline when one participant suffices,
-  // uniform morsel accounting either way.
-  Table out(schema_);
-  ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
-      columns_.size(), /*morsel_items=*/1, num_threads,
-      [&](size_t, size_t, size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          out.columns_[c] = columns_[c].TakeBatch(indices);
-        }
-      });
-  out.num_rows_ = indices.size();
-  if (run_stats != nullptr) run_stats->MergeFrom(rs);
-  return out;
-}
-
-Table Table::SliceBatch(size_t offset, size_t length) const {
-  Table out(schema_);
-  length = offset > num_rows_ ? 0 : std::min(length, num_rows_ - offset);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    out.columns_[c] = columns_[c].SliceBatch(offset, length);
-  }
-  out.num_rows_ = length;
-  return out;
-}
-
 Table Table::Slice(size_t offset, size_t length) const {
   Table out(schema_);
   length = offset > num_rows_ ? 0 : std::min(length, num_rows_ - offset);

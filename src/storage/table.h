@@ -54,7 +54,8 @@ class Table {
   /// Appends row `i` of `other` (same column types, fast path for operators).
   void AppendRowFrom(const Table& other, size_t i);
 
-  /// Gathers rows by index into a new table.
+  /// Gathers rows by index into a new table, one typed bulk gather per
+  /// column.
   Table Take(const std::vector<uint32_t>& indices) const;
 
   /// Parallel gather: columns are distributed over up to `num_threads`
@@ -64,18 +65,8 @@ class Table {
   Table Take(const std::vector<uint32_t>& indices, size_t num_threads,
              ParallelRunStats* run_stats = nullptr) const;
 
-  /// Typed bulk gather — same result as Take without per-row type dispatch
-  /// (vectorized path). The parallel overload distributes whole columns over
-  /// workers, so the result is identical for every thread count.
-  Table TakeBatch(const std::vector<uint32_t>& indices) const;
-  Table TakeBatch(const std::vector<uint32_t>& indices, size_t num_threads,
-                  ParallelRunStats* run_stats = nullptr) const;
-
-  /// Contiguous sub-range of rows.
+  /// Contiguous sub-range of rows, via typed bulk copies.
   Table Slice(size_t offset, size_t length) const;
-
-  /// Same sub-range via typed bulk copies (vectorized path).
-  Table SliceBatch(size_t offset, size_t length) const;
 
   /// Renames columns in-place (size must equal num_columns).
   Status RenameColumns(const std::vector<std::string>& names);

@@ -1,9 +1,9 @@
-// Batch gather/slice kernels against their row-at-a-time counterparts,
-// accumulator overflow parity, and the resource-governance story of the
-// vectorized path: batch buffers and dictionary pages are charged to the
-// query's MemoryTracker, a refused charge surfaces as ResourceExhausted
-// without leaking, and the governed ladder degrades a memory-starved
-// vectorized query exactly like a scalar one.
+// Typed gather/slice kernels against row-at-a-time AppendFrom loops,
+// accumulator overflow parity with the row oracle, and the
+// resource-governance story of the batch engine: batch buffers and
+// dictionary pages are charged to the query's MemoryTracker, a refused
+// charge surfaces as ResourceExhausted without leaking, and the governed
+// ladder degrades a memory-starved query.
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -18,6 +18,7 @@
 #include "gov/fault_injector.h"
 #include "gov/governed_executor.h"
 #include "storage/table.h"
+#include "support/row_reference.h"
 #include "test_util.h"
 #include "workload/datagen.h"
 
@@ -49,44 +50,66 @@ Table MixedTable(size_t rows, uint64_t seed) {
   return t;
 }
 
-TEST(BatchKernelTest, TakeBatchMatchesTake) {
+// The row-at-a-time gather the typed kernels must reproduce: one
+// AppendFrom per cell.
+Table AppendFromLoop(const Table& t, const std::vector<uint32_t>& rows) {
+  Table out(t.schema());
+  for (uint32_t r : rows) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      out.mutable_column(c).AppendFrom(t.column(c), r);
+    }
+  }
+  std::vector<Column> cols;
+  for (size_t c = 0; c < out.num_columns(); ++c) cols.push_back(out.column(c));
+  return Table::Make(out.schema(), std::move(cols)).value();
+}
+
+TEST(BatchKernelTest, TakeMatchesAppendFromLoop) {
   Table t = MixedTable(5000, 42);
   Pcg32 rng(7);
   std::vector<uint32_t> indices;
   for (size_t i = 0; i < t.num_rows(); ++i) {
     if (rng.UniformUint32(3) == 0) indices.push_back(static_cast<uint32_t>(i));
   }
-  EXPECT_TRUE(
-      testutil::TablesBitIdentical(t.Take(indices), t.TakeBatch(indices)));
+  const Table expected = AppendFromLoop(t, indices);
+  EXPECT_TRUE(testutil::TablesBitIdentical(expected, t.Take(indices)));
   // Column-parallel gather at several thread counts.
   for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
     EXPECT_TRUE(testutil::TablesBitIdentical(
-        t.Take(indices), t.TakeBatch(indices, threads, nullptr)))
+        expected, t.Take(indices, threads, nullptr)))
         << "threads=" << threads;
   }
   // Empty and single-row gathers.
   const std::vector<uint32_t> none;
   const std::vector<uint32_t> last = {4999};
-  EXPECT_TRUE(testutil::TablesBitIdentical(t.Take(none), t.TakeBatch(none)));
-  EXPECT_TRUE(testutil::TablesBitIdentical(t.Take(last), t.TakeBatch(last)));
+  EXPECT_TRUE(
+      testutil::TablesBitIdentical(AppendFromLoop(t, none), t.Take(none)));
+  EXPECT_TRUE(
+      testutil::TablesBitIdentical(AppendFromLoop(t, last), t.Take(last)));
 }
 
-TEST(BatchKernelTest, SliceBatchMatchesSlice) {
+TEST(BatchKernelTest, SliceMatchesAppendFromLoop) {
   Table t = MixedTable(3000, 43);
   struct Range {
     size_t offset, length;
   };
   for (Range r : {Range{0, 3000}, Range{0, 0}, Range{1, 1}, Range{1234, 567},
                   Range{2999, 1}, Range{2000, 5000 /* clamped */}}) {
-    EXPECT_TRUE(testutil::TablesBitIdentical(
-        t.Slice(r.offset, r.length), t.SliceBatch(r.offset, r.length)))
+    std::vector<uint32_t> rows;
+    for (size_t i = r.offset; i < t.num_rows() && i < r.offset + r.length;
+         ++i) {
+      rows.push_back(static_cast<uint32_t>(i));
+    }
+    EXPECT_TRUE(testutil::TablesBitIdentical(AppendFromLoop(t, rows),
+                                             t.Slice(r.offset, r.length)))
         << r.offset << "+" << r.length;
   }
 }
 
-// SUM accumulation order is identical between paths, so overflow to
-// infinity (and partial cancellation around it) happens at the same row and
-// the results are bit-identical — including the non-finite cases.
+// SUM accumulation order is identical in the engine and the row oracle, so
+// overflow to infinity (and partial cancellation around it) happens at the
+// same row and the results are bit-identical — including the non-finite
+// cases.
 TEST(BatchKernelTest, SumOverflowParity) {
   constexpr double kBig = std::numeric_limits<double>::max();
   Table t(Schema({{"g", DataType::kInt64}, {"x", DataType::kDouble}}));
@@ -118,18 +141,16 @@ TEST(BatchKernelTest, SumOverflowParity) {
     }
     PlanPtr plan = PlanNode::Aggregate(PlanNode::Scan("t"), std::move(group),
                                        std::move(names), aggs);
-    // Same morsel geometry for both paths: the determinism contract is
-    // per-configuration (morsel merge order is part of the FP result when
-    // sums overflow), path- and thread-count-independent within it.
-    ExecOptions scalar;
-    scalar.path = ExecPath::kScalar;
-    scalar.num_threads = 1;
-    scalar.morsel_rows = 128;
-    scalar.parallel_min_rows = 256;
-    Table ref = Execute(plan, catalog, nullptr, nullptr, scalar).value();
+    // Same morsel geometry for the oracle and the engine: the determinism
+    // contract is per-configuration (morsel merge order is part of the FP
+    // result when sums overflow), thread-count-independent within it.
+    ExecOptions serial;
+    serial.num_threads = 1;
+    serial.morsel_rows = 128;
+    serial.parallel_min_rows = 256;
+    Table ref = testutil::ExecuteRowReference(plan, catalog, serial).value();
     for (size_t threads : {size_t{1}, size_t{4}}) {
       ExecOptions vec;
-      vec.path = ExecPath::kVectorized;
       vec.num_threads = threads;
       vec.morsel_rows = 128;
       vec.parallel_min_rows = 256;
@@ -141,7 +162,7 @@ TEST(BatchKernelTest, SumOverflowParity) {
 }
 
 // Exact integer-valued COUNT parity at scale: the bulk count adds must stay
-// exact (they are < 2^53), matching the per-row scalar adds bit for bit.
+// exact (they are < 2^53), matching the oracle's per-row adds bit for bit.
 TEST(BatchKernelTest, CountBulkAddExactness) {
   Table t = MixedTable(20000, 44);
   Catalog catalog;
@@ -150,11 +171,8 @@ TEST(BatchKernelTest, CountBulkAddExactness) {
   aggs.push_back({AggKind::kCountStar, nullptr, "n"});
   aggs.push_back({AggKind::kCount, Col("i"), "ni"});
   PlanPtr plan = PlanNode::Aggregate(PlanNode::Scan("t"), {}, {}, aggs);
-  ExecOptions scalar;
-  scalar.path = ExecPath::kScalar;
-  Table ref = Execute(plan, catalog, nullptr, nullptr, scalar).value();
+  Table ref = testutil::ExecuteRowReference(plan, catalog).value();
   ExecOptions vec;
-  vec.path = ExecPath::kVectorized;
   vec.num_threads = 4;
   Table got = Execute(plan, catalog, nullptr, nullptr, vec).value();
   EXPECT_TRUE(testutil::TablesBitIdentical(ref, got));
@@ -173,7 +191,6 @@ TEST(BatchKernelTest, VectorizedPathChargesMemoryTracker) {
   {
     MemoryTracker roomy(uint64_t{1} << 30);
     ExecOptions vec;
-    vec.path = ExecPath::kVectorized;
     vec.num_threads = 2;
     vec.memory = &roomy;
     Result<Table> r = Execute(plan, catalog, nullptr, nullptr, vec);
@@ -185,7 +202,6 @@ TEST(BatchKernelTest, VectorizedPathChargesMemoryTracker) {
   {
     MemoryTracker tiny(256);
     ExecOptions vec;
-    vec.path = ExecPath::kVectorized;
     vec.num_threads = 2;
     vec.memory = &tiny;
     Result<Table> r = Execute(plan, catalog, nullptr, nullptr, vec);
@@ -195,9 +211,8 @@ TEST(BatchKernelTest, VectorizedPathChargesMemoryTracker) {
   }
 }
 
-// The governed ladder handles a memory-starved vectorized query the same
-// way it handles a scalar one: rung 1 (stored sample) answers, nothing
-// leaks, and the CI is well-formed.
+// The governed ladder handles a memory-starved query: rung 1 (stored
+// sample) answers, nothing leaks, and the CI is well-formed.
 TEST(BatchKernelTest, GovLadderDegradesVectorizedMemoryRefusal) {
   gov::ScopedFaultInjection quiet;
   Catalog catalog = workload::GenerateLineitemLike(60000, 11).value();
@@ -209,7 +224,6 @@ TEST(BatchKernelTest, GovLadderDegradesVectorizedMemoryRefusal) {
   opts.aqp.min_table_rows = 1000;
   opts.aqp.max_rate = 0.8;
   opts.aqp.exec.num_threads = 2;
-  opts.aqp.exec.path = ExecPath::kVectorized;
   opts.memory_budget_bytes = 2048;  // Far below any stage sample.
   gov::GovernedExecutor exec(&catalog, &samples, opts);
   core::ApproxResult r =

@@ -1,12 +1,13 @@
-// Differential harness locking the vectorized batch engine to the
-// row-at-a-time reference: a thousand seeded random queries — predicates
+// Differential harness locking the engine to the row-at-a-time oracle
+// (support/row_reference.h): a thousand seeded random queries — predicates
 // over nullable int/double/string/bool columns (comparisons, BETWEEN, IN,
 // LIKE, Kleene AND/OR/NOT, arithmetic fallbacks, NaN literals), sampled
 // scans, projects, every aggregate kind, group-bys, sorts, limits, joins —
-// must produce CELL-FOR-CELL BIT-IDENTICAL results on both paths, at every
-// thread count in {1, 2, 4, 8}. Queries that error must error identically.
-// A second suite drives whole approximate queries through ApproxExecutor
-// and requires the confidence intervals to match bit for bit too.
+// must produce CELL-FOR-CELL BIT-IDENTICAL results in the engine and the
+// oracle, at every thread count in {1, 2, 4, 8}. Queries that error must
+// error with the same code. A second suite drives whole approximate queries
+// through ApproxExecutor and requires results and confidence intervals to
+// match bit for bit across thread counts.
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -23,6 +24,7 @@
 #include "engine/plan.h"
 #include "expr/expr.h"
 #include "storage/table.h"
+#include "support/row_reference.h"
 #include "test_util.h"
 #include "workload/datagen.h"
 
@@ -33,19 +35,14 @@ constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
 
 // Low thresholds so even small random tables exercise the morsel-parallel
 // regions and multi-morsel selection merges.
-ExecOptions PathOptions(ExecPath path, size_t threads) {
+ExecOptions ThreadOptions(size_t threads) {
   ExecOptions opt;
-  opt.path = path;
   opt.num_threads = threads;
   opt.morsel_rows = 128;
   opt.parallel_min_rows = 256;
   return opt;
 }
 
-Result<Table> RunPlan(const PlanPtr& plan, const Catalog& catalog, ExecPath path,
-                  size_t threads) {
-  return Execute(plan, catalog, nullptr, nullptr, PathOptions(path, threads));
-}
 
 const char* const kVocab[] = {"air", "rail", "ship", "mail",
                               "truck", "aa%", "a_c", ""};
@@ -328,23 +325,13 @@ TEST(DifferentialTest, ThousandRandomQueriesBitIdenticalAcrossPathsAndThreads) {
           "t", std::make_shared<const Table>(RandomTable(rng, rows)));
     }
     PlanPtr plan = RandomPlan(rng);
-    Result<Table> reference = RunPlan(plan, catalog, ExecPath::kScalar, 1);
-    // Scalar at 4 threads re-checks the existing determinism contract;
-    // vectorized must match at every thread count.
-    struct Cfg {
-      ExecPath path;
-      size_t threads;
-      const char* label;
-    };
-    const Cfg cfgs[] = {{ExecPath::kScalar, 4, "scalar/4"},
-                        {ExecPath::kVectorized, 1, "vectorized/1"},
-                        {ExecPath::kVectorized, 2, "vectorized/2"},
-                        {ExecPath::kVectorized, 4, "vectorized/4"},
-                        {ExecPath::kVectorized, 8, "vectorized/8"}};
-    for (const Cfg& cfg : cfgs) {
-      Result<Table> got = RunPlan(plan, catalog, cfg.path, cfg.threads);
+    Result<Table> reference =
+        testutil::ExecuteRowReference(plan, catalog, ThreadOptions(1));
+    for (size_t threads : kThreadCounts) {
+      Result<Table> got =
+          Execute(plan, catalog, nullptr, nullptr, ThreadOptions(threads));
       if (reference.ok() != got.ok()) {
-        ADD_FAILURE() << "query " << q << " [" << cfg.label
+        ADD_FAILURE() << "query " << q << " [threads=" << threads
                       << "]: ok mismatch vs reference\nplan:\n"
                       << plan->ToString() << "\nreference: "
                       << (reference.ok() ? "ok"
@@ -355,11 +342,11 @@ TEST(DifferentialTest, ThousandRandomQueriesBitIdenticalAcrossPathsAndThreads) {
       }
       if (!reference.ok()) {
         EXPECT_EQ(reference.status().code(), got.status().code())
-            << "query " << q << " [" << cfg.label << "]";
+            << "query " << q << " [threads=" << threads << "]";
         continue;
       }
       EXPECT_TRUE(testutil::TablesBitIdentical(reference.value(), got.value()))
-          << "query " << q << " [" << cfg.label << "]\nplan:\n"
+          << "query " << q << " [threads=" << threads << "]\nplan:\n"
           << plan->ToString();
     }
     if (reference.ok()) {
@@ -375,8 +362,8 @@ TEST(DifferentialTest, ThousandRandomQueriesBitIdenticalAcrossPathsAndThreads) {
 }
 
 // Whole approximate queries: results AND per-cell confidence intervals must
-// be bit-identical between paths at every thread count. A fresh executor per
-// run keeps the invocation-salted stage seeds aligned.
+// be bit-identical at every thread count. A fresh executor per run keeps the
+// invocation-salted stage seeds aligned.
 TEST(DifferentialTest, ApproxExecutorCiBoundsBitIdenticalAcrossPaths) {
   Catalog catalog = workload::GenerateLineitemLike(20000, 23).value();
   const char* const kQueries[] = {
@@ -391,19 +378,17 @@ TEST(DifferentialTest, ApproxExecutorCiBoundsBitIdenticalAcrossPaths) {
       "SELECT SUM(extendedprice * (1 - discount)) AS rev FROM lineitem "
       "WHERE quantity BETWEEN 5 AND 40 WITH ERROR 5% CONFIDENCE 95%",
   };
-  auto run = [&](const char* sql, ExecPath path, size_t threads) {
+  auto run = [&](const char* sql, size_t threads) {
     core::AqpOptions options;
-    options.exec.path = path;
     options.exec.num_threads = threads;
     core::ApproxExecutor executor(&catalog, options);
     return executor.Execute(sql);
   };
   for (const char* sql : kQueries) {
-    Result<core::ApproxResult> reference = run(sql, ExecPath::kScalar, 1);
+    Result<core::ApproxResult> reference = run(sql, 1);
     ASSERT_TRUE(reference.ok()) << sql << ": " << reference.status().ToString();
     for (size_t threads : kThreadCounts) {
-      Result<core::ApproxResult> got =
-          run(sql, ExecPath::kVectorized, threads);
+      Result<core::ApproxResult> got = run(sql, threads);
       ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
       const core::ApproxResult& a = reference.value();
       const core::ApproxResult& b = got.value();

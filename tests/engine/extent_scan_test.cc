@@ -1,8 +1,8 @@
 // Extent-backed scan path: conjunct extraction, zone-map pruning, and the
 // executor-level contract that an extent-backed table answers every plan
-// shape bit-identically to its in-memory twin — across the scalar and
-// vectorized paths, the {1, 2, 4, 8} thread grid, and sampled scans (which
-// must replay the exact same per-morsel RNG streams).
+// shape bit-identically to its in-memory twin and to the row-at-a-time
+// oracle over that twin — across the {1, 2, 4, 8} thread grid and sampled
+// scans (which must replay the exact same per-morsel RNG streams).
 
 #include <cstdio>
 #include <fstream>
@@ -21,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "storage/extent/extent_writer.h"
 #include "storage/extent/format.h"
+#include "support/row_reference.h"
 
 namespace aqp {
 namespace {
@@ -129,34 +130,28 @@ class ExtentScanExecTest : public ::testing::Test {
   }
 
   // Runs `make_plan(table)` against the in-memory table and the extent
-  // registration `ext` over the path and thread grid; all results must be
-  // identical, including row order.
+  // registration `ext` over the thread grid; all results must be identical
+  // to the oracle's over the in-memory table, including row order.
   void ExpectParity(
       const std::function<PlanPtr(const std::string&)>& make_plan,
       ExecStats* ext_stats = nullptr, const std::string& ext = "ext") {
     ExecOptions base_options;
     base_options.num_threads = 1;
-    base_options.path = ExecPath::kScalar;
-    Result<Table> reference = Execute(make_plan("mem"), catalog_, nullptr,
-                                      nullptr, base_options);
+    Result<Table> reference = testutil::ExecuteRowReference(
+        make_plan("mem"), catalog_, base_options);
     ASSERT_TRUE(reference.ok()) << reference.status().message();
-    for (ExecPath path : {ExecPath::kScalar, ExecPath::kVectorized}) {
-      for (size_t threads : {1u, 2u, 4u, 8u}) {
-        ExecOptions options;
-        options.num_threads = threads;
-        options.path = path;
-        for (const std::string& table : {std::string("mem"), ext}) {
-          ExecStats stats;
-          Result<Table> got =
-              Execute(make_plan(table), catalog_, &stats, nullptr, options);
-          ASSERT_TRUE(got.ok())
-              << table << " threads=" << threads << ": "
-              << got.status().message();
-          ExpectTablesIdentical(reference.value(), got.value());
-          if (ext_stats != nullptr && table == ext &&
-              path == ExecPath::kScalar && threads == 1) {
-            *ext_stats = stats;
-          }
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      ExecOptions options;
+      options.num_threads = threads;
+      for (const std::string& table : {std::string("mem"), ext}) {
+        ExecStats stats;
+        Result<Table> got =
+            Execute(make_plan(table), catalog_, &stats, nullptr, options);
+        ASSERT_TRUE(got.ok()) << table << " threads=" << threads << ": "
+                              << got.status().message();
+        ExpectTablesIdentical(reference.value(), got.value());
+        if (ext_stats != nullptr && table == ext && threads == 1) {
+          *ext_stats = stats;
         }
       }
     }
@@ -476,21 +471,18 @@ TEST_F(ExtentScanExecTest, UnreferencedCorruptChunkIsNeverRead) {
             {Sum("v", "s"), CountStar()});
       },
       nullptr, "bad");
-  for (ExecPath path : {ExecPath::kScalar, ExecPath::kVectorized}) {
-    ExecOptions options;
-    options.path = path;
-    options.num_threads = 4;
-    for (const PlanPtr& plan :
-         {PlanNode::Aggregate(PlanNode::Scan("bad"), {Col("grp")}, {"grp"},
-                              {CountStar()}),
-          PlanNode::Filter(PlanNode::Scan("bad"),
-                           Lt(Col("id"), Lit(int64_t{100})))}) {
-      Result<Table> r = Execute(plan, catalog_, nullptr, nullptr, options);
-      ASSERT_FALSE(r.ok());
-      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(r.status().message().find("CRC32"), std::string::npos)
-          << r.status().message();
-    }
+  ExecOptions options;
+  options.num_threads = 4;
+  for (const PlanPtr& plan :
+       {PlanNode::Aggregate(PlanNode::Scan("bad"), {Col("grp")}, {"grp"},
+                            {CountStar()}),
+        PlanNode::Filter(PlanNode::Scan("bad"),
+                         Lt(Col("id"), Lit(int64_t{100})))}) {
+    Result<Table> r = Execute(plan, catalog_, nullptr, nullptr, options);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("CRC32"), std::string::npos)
+        << r.status().message();
   }
 }
 

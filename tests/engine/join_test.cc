@@ -1,18 +1,16 @@
 // Join parity: the columnar, morsel-parallel hash join must match the
-// row-at-a-time reference join below bit for bit — same cells, same row
-// order — for inner and LEFT joins, NULL keys, duplicate build keys,
-// two-column keys with a string part, and empty sides, at every thread
-// count on both execution paths. The join also charges its build table and
-// match-pair buffers to the query's MemoryTracker.
+// row-at-a-time oracle's join (support/row_reference.h) bit for bit — same
+// cells, same row order — for inner and LEFT joins, NULL keys, duplicate
+// build keys, two-column keys with a string part, and empty sides, at every
+// thread count. The join also charges its build table and match-pair
+// buffers to the query's MemoryTracker.
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
 #include "common/memory_tracker.h"
 #include "common/random.h"
 #include "engine/catalog.h"
@@ -20,103 +18,18 @@
 #include "engine/plan.h"
 #include "expr/expr.h"
 #include "storage/table.h"
+#include "support/row_reference.h"
 #include "test_util.h"
 
 namespace aqp {
 namespace {
 
 constexpr size_t kThreadCounts[] = {1, 2, 4, 8};
-constexpr ExecPath kPaths[] = {ExecPath::kScalar, ExecPath::kVectorized};
-
-// The reference oracle: the engine's original row-by-row hash join. Build
-// side right, NULL keys never match, output = all left fields then all right
-// fields, one row appended at a time.
-Result<Table> ReferenceJoin(const Table& left, const Table& right,
-                            JoinType type,
-                            const std::vector<std::string>& left_keys,
-                            const std::vector<std::string>& right_keys) {
-  std::vector<size_t> lkeys;
-  std::vector<size_t> rkeys;
-  for (const std::string& k : left_keys) {
-    AQP_ASSIGN_OR_RETURN(size_t idx, left.ColumnIndex(k));
-    lkeys.push_back(idx);
-  }
-  for (const std::string& k : right_keys) {
-    AQP_ASSIGN_OR_RETURN(size_t idx, right.ColumnIndex(k));
-    rkeys.push_back(idx);
-  }
-  std::unordered_map<uint64_t, std::vector<uint32_t>> build;
-  for (size_t j = 0; j < right.num_rows(); ++j) {
-    bool has_null = false;
-    uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (size_t k : rkeys) {
-      if (right.column(k).IsNull(j)) {
-        has_null = true;
-        break;
-      }
-      h = HashCombine(h, right.column(k).HashAt(j));
-    }
-    if (!has_null) build[h].push_back(static_cast<uint32_t>(j));
-  }
-  Schema schema;
-  for (const Field& f : left.schema().fields()) schema.AddField(f);
-  for (const Field& f : right.schema().fields()) schema.AddField(f);
-  Table out(std::move(schema));
-  auto emit = [&](size_t li, int64_t rj) {
-    for (size_t c = 0; c < left.num_columns(); ++c) {
-      out.mutable_column(c).AppendFrom(left.column(c), li);
-    }
-    for (size_t c = 0; c < right.num_columns(); ++c) {
-      Column& dst = out.mutable_column(left.num_columns() + c);
-      if (rj < 0) {
-        dst.AppendNull();
-      } else {
-        dst.AppendFrom(right.column(c), static_cast<size_t>(rj));
-      }
-    }
-  };
-  for (size_t i = 0; i < left.num_rows(); ++i) {
-    bool has_null = false;
-    uint64_t h = 0x2545f4914f6cdd1dULL;
-    for (size_t k : lkeys) {
-      if (left.column(k).IsNull(i)) {
-        has_null = true;
-        break;
-      }
-      h = HashCombine(h, left.column(k).HashAt(i));
-    }
-    bool matched = false;
-    if (!has_null) {
-      auto it = build.find(h);
-      if (it != build.end()) {
-        for (uint32_t j : it->second) {
-          bool equal = true;
-          for (size_t k = 0; k < lkeys.size(); ++k) {
-            if (!left.column(lkeys[k]).SlotEquals(i, right.column(rkeys[k]),
-                                                  j)) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            emit(i, static_cast<int64_t>(j));
-            matched = true;
-          }
-        }
-      }
-    }
-    if (!matched && type == JoinType::kLeftOuter) emit(i, -1);
-  }
-  std::vector<Column> cols;
-  for (size_t c = 0; c < out.num_columns(); ++c) cols.push_back(out.column(c));
-  return Table::Make(out.schema(), std::move(cols));
-}
 
 // Low thresholds so a few hundred rows already run the parallel probe over
 // many morsels.
-ExecOptions Options(ExecPath path, size_t threads) {
+ExecOptions Options(size_t threads) {
   ExecOptions opt;
-  opt.path = path;
   opt.num_threads = threads;
   opt.morsel_rows = 64;
   opt.parallel_min_rows = 128;
@@ -159,34 +72,25 @@ struct JoinCase {
   std::vector<std::string> right_keys;
 };
 
-// Joins `l` and `r` in every configuration and requires each result to be
-// bit-identical (cells and row order) to the reference join of the same
-// inputs as materialized tables.
+// Joins `l` and `r` at every thread count and requires each result to be
+// bit-identical (cells and row order) to the oracle's join.
 void ExpectParity(const Catalog& catalog, const PlanPtr& left_plan,
                   const PlanPtr& right_plan, JoinType type,
                   const std::vector<std::string>& lkeys,
                   const std::vector<std::string>& rkeys,
                   const std::string& label) {
-  const ExecOptions serial = Options(ExecPath::kScalar, 1);
-  const Table left =
-      Execute(left_plan, catalog, nullptr, nullptr, serial).value();
-  const Table right =
-      Execute(right_plan, catalog, nullptr, nullptr, serial).value();
-  const Table expected =
-      ReferenceJoin(left, right, type, lkeys, rkeys).value();
   const PlanPtr join =
       PlanNode::Join(left_plan, right_plan, type, lkeys, rkeys);
-  for (ExecPath path : kPaths) {
-    for (size_t threads : kThreadCounts) {
-      ExecStats stats;
-      Result<Table> got =
-          Execute(join, catalog, &stats, nullptr, Options(path, threads));
-      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-      EXPECT_TRUE(testutil::TablesBitIdentical(expected, got.value()))
-          << label << " path=" << static_cast<int>(path)
-          << " threads=" << threads;
-      EXPECT_EQ(stats.rows_joined, expected.num_rows()) << label;
-    }
+  const Table expected =
+      testutil::ExecuteRowReference(join, catalog, Options(1)).value();
+  for (size_t threads : kThreadCounts) {
+    ExecStats stats;
+    Result<Table> got =
+        Execute(join, catalog, &stats, nullptr, Options(threads));
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+    EXPECT_TRUE(testutil::TablesBitIdentical(expected, got.value()))
+        << label << " threads=" << threads;
+    EXPECT_EQ(stats.rows_joined, expected.num_rows()) << label;
   }
 }
 
@@ -219,7 +123,7 @@ TEST(JoinParityTest, MatchesRowByRowReferenceAcrossPathsAndThreads) {
       const std::string label =
           std::string(c.label) +
           (type == JoinType::kInner ? " inner" : " left");
-      // Plain scans (identity views on the vectorized path).
+      // Plain scans (identity views in the engine).
       ExpectParity(catalog, PlanNode::Scan("l"), PlanNode::Scan("r"), type,
                    c.left_keys, c.right_keys, label + " scans");
       // Filtered and renamed inputs: selection views whose rows the join
@@ -251,18 +155,15 @@ TEST(JoinParityTest, LeftJoinNullExtendsEveryRightColumnType) {
   catalog.RegisterOrReplace("r", std::make_shared<const Table>(right));
   const PlanPtr join = PlanNode::Join(PlanNode::Scan("l"), PlanNode::Scan("r"),
                                       JoinType::kLeftOuter, {"k"}, {"j"});
-  for (ExecPath path : kPaths) {
-    Table out =
-        Execute(join, catalog, nullptr, nullptr, Options(path, 2)).value();
-    ASSERT_EQ(out.num_rows(), 3u);
-    for (size_t c = 1; c < out.num_columns(); ++c) {
-      EXPECT_TRUE(out.column(c).IsNull(0));
-      EXPECT_FALSE(out.column(c).IsNull(1));
-      EXPECT_TRUE(out.column(c).IsNull(2));
-    }
-    EXPECT_EQ(out.column(2).StringAt(1), "two");
-    EXPECT_EQ(out.column(2).null_count(), 2u);
+  Table out = Execute(join, catalog, nullptr, nullptr, Options(2)).value();
+  ASSERT_EQ(out.num_rows(), 3u);
+  for (size_t c = 1; c < out.num_columns(); ++c) {
+    EXPECT_TRUE(out.column(c).IsNull(0));
+    EXPECT_FALSE(out.column(c).IsNull(1));
+    EXPECT_TRUE(out.column(c).IsNull(2));
   }
+  EXPECT_EQ(out.column(2).StringAt(1), "two");
+  EXPECT_EQ(out.column(2).null_count(), 2u);
 }
 
 // A join whose build table and match pairs cannot fit the query budget is
@@ -280,23 +181,20 @@ TEST(JoinMemoryTest, TinyBudgetRefusesLargeJoinWithoutLeakingCharges) {
   // 1 KB: the build table alone is refused. 256 KB: the build fits, the
   // match pairs (about four per probe row) do not.
   for (uint64_t budget : {uint64_t{1} << 10, uint64_t{256} << 10}) {
-    for (ExecPath path : kPaths) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        CancellationSource source;
-        CancellationToken token = source.token();
-        MemoryTracker memory(budget);
-        memory.BindCancellation(&source);
-        ExecOptions opt;
-        opt.path = path;
-        opt.num_threads = threads;
-        opt.memory = &memory;
-        opt.cancel = &token;
-        Result<Table> r = Execute(join, catalog, nullptr, nullptr, opt);
-        EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-            << "budget=" << budget << " threads=" << threads;
-        EXPECT_GE(memory.exhausted_count(), 1u);
-        EXPECT_EQ(memory.used(), 0u) << "leaked charge, budget=" << budget;
-      }
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      CancellationSource source;
+      CancellationToken token = source.token();
+      MemoryTracker memory(budget);
+      memory.BindCancellation(&source);
+      ExecOptions opt;
+      opt.num_threads = threads;
+      opt.memory = &memory;
+      opt.cancel = &token;
+      Result<Table> r = Execute(join, catalog, nullptr, nullptr, opt);
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+          << "budget=" << budget << " threads=" << threads;
+      EXPECT_GE(memory.exhausted_count(), 1u);
+      EXPECT_EQ(memory.used(), 0u) << "leaked charge, budget=" << budget;
     }
   }
   // With an unbounded tracker the same join runs, and its charges drain.

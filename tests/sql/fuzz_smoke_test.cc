@@ -12,6 +12,7 @@
 #include "engine/executor.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
+#include "support/row_reference.h"
 #include "test_util.h"
 #include "workload/datagen.h"
 
@@ -91,16 +92,15 @@ TEST(FuzzSmokeTest, ThousandMutatedQueriesNeverCrash) {
     ++bound;
     // Queries that survive binding must also execute without crashing.
     (void)ExecuteSql(q, catalog);
-    // Differential leg: the bound plan must behave identically on the
-    // scalar and vectorized paths — same success/failure, and on success a
-    // cell-for-cell bit-identical table at every thread count.
-    ExecOptions scalar;
-    scalar.path = ExecPath::kScalar;
-    scalar.num_threads = 1;
-    Result<Table> ref = Execute(b->plan, catalog, nullptr, nullptr, scalar);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
+    // Differential leg: the bound plan must behave identically in the
+    // engine and the row-at-a-time oracle — same success/failure (same error
+    // code), and on success a cell-for-cell bit-identical table at every
+    // thread count.
+    ExecOptions serial;
+    serial.num_threads = 1;
+    Result<Table> ref = testutil::ExecuteRowReference(b->plan, catalog, serial);
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       ExecOptions vec;
-      vec.path = ExecPath::kVectorized;
       vec.num_threads = threads;
       Result<Table> got = Execute(b->plan, catalog, nullptr, nullptr, vec);
       ASSERT_EQ(ref.ok(), got.ok()) << q;

@@ -1,8 +1,9 @@
 // WHERE pushdown differential: random join queries with mixed conjuncts
 // (single-table, cross-table ORs, unqualified columns, constants) must give
 // bit-identical results — cells and row order — with the binder's pushed
-// plan and with a reference plan that keeps the whole WHERE in one Filter
-// above the joins, on both execution paths at every thread count.
+// plan in the engine at every thread count, and with a reference plan that
+// keeps the whole WHERE in one Filter above the joins in the row-at-a-time
+// oracle.
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "engine/executor.h"
 #include "engine/plan.h"
 #include "sql/binder.h"
+#include "support/row_reference.h"
 #include "test_util.h"
 
 namespace aqp {
@@ -199,7 +201,6 @@ std::string RandomQuery(Pcg32& rng) {
 TEST(PushdownDifferentialTest, PushedPlansMatchOneFilterAboveTheJoins) {
   Pcg32 rng(0x9D5D0);
   constexpr int kQueries = 400;
-  const ExecPath paths[] = {ExecPath::kScalar, ExecPath::kVectorized};
   const size_t threads[] = {1, 2, 4, 8};
   Catalog catalog;
   int pushed = 0;
@@ -214,29 +215,22 @@ TEST(PushdownDifferentialTest, PushedPlansMatchOneFilterAboveTheJoins) {
     // Same morsel geometry as the runs below: it, not the thread count,
     // fixes the floating-point grouping of the aggregates.
     ExecOptions ref_opt;
-    ref_opt.path = ExecPath::kScalar;
     ref_opt.num_threads = 1;
     ref_opt.morsel_rows = 64;
     ref_opt.parallel_min_rows = 128;
     Result<Table> reference =
-        Execute(reference_plan, catalog, nullptr, nullptr, ref_opt);
+        testutil::ExecuteRowReference(reference_plan, catalog, ref_opt);
     ASSERT_TRUE(reference.ok()) << sql << ": " << reference.status().ToString();
-    for (ExecPath path : paths) {
-      for (size_t n : threads) {
-        ExecOptions opt;
-        opt.path = path;
-        opt.num_threads = n;
-        opt.morsel_rows = 64;
-        opt.parallel_min_rows = 128;
-        Result<Table> got =
-            Execute(bound->plan, catalog, nullptr, nullptr, opt);
-        ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
-        EXPECT_TRUE(
-            testutil::TablesBitIdentical(reference.value(), got.value()))
-            << sql << " [path=" << static_cast<int>(path) << " threads=" << n
-            << "]\npushed plan:\n"
-            << bound->plan->ToString();
-      }
+    for (size_t n : threads) {
+      ExecOptions opt;
+      opt.num_threads = n;
+      opt.morsel_rows = 64;
+      opt.parallel_min_rows = 128;
+      Result<Table> got = Execute(bound->plan, catalog, nullptr, nullptr, opt);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      EXPECT_TRUE(testutil::TablesBitIdentical(reference.value(), got.value()))
+          << sql << " [threads=" << n << "]\npushed plan:\n"
+          << bound->plan->ToString();
     }
   }
   // Most queries must actually move something below a join.

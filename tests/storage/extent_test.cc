@@ -573,8 +573,8 @@ TEST(ExtentFileTest, ConcurrentReadsMatchSerial) {
             statuses[w] = ext.status();
             return;
           }
-          Table expect = serial.SliceBatch(r->extent(i).row_start,
-                                           r->extent(i).row_count);
+          Table expect =
+              serial.Slice(r->extent(i).row_start, r->extent(i).row_count);
           ExpectTablesIdentical(expect, ext.value());
         }
       });
