@@ -6,14 +6,11 @@
 
 #include "common/cancellation.h"
 #include "common/check.h"
-#include "common/memory_tracker.h"
 #include "core/contract.h"
 #include "core/estimate.h"
 #include "core/missing_groups.h"
 #include "core/result_assembly.h"
 #include "obs/metrics.h"
-#include "sampling/bernoulli.h"
-#include "sampling/block.h"
 
 namespace aqp {
 namespace core {
@@ -25,18 +22,14 @@ double Seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-sql::SqlExprPtr ColumnExpr(std::string name) {
-  auto e = std::make_shared<sql::SqlExpr>();
-  e->kind = sql::SqlExpr::Kind::kColumn;
-  e->column = std::move(name);
-  return e;
-}
-
 // The pre-aggregation twin of the user query: selects the group keys, the
-// aggregate arguments, and the sample-design columns, keeping FROM / JOIN /
-// WHERE, dropping aggregation and everything after it.
+// aggregate arguments, and each row's sampling unit, keeping FROM / JOIN /
+// WHERE, dropping aggregation and everything after it. Every ref to
+// `target` carries `spec`; every other ref is read whole.
 sql::SelectStmt FlattenStatement(const sql::SelectStmt& stmt,
-                                 const sql::BoundQuery& bound) {
+                                 const sql::BoundQuery& bound,
+                                 const std::string& target,
+                                 const SampleSpec& spec) {
   sql::SelectStmt flat;
   for (size_t g = 0; g < stmt.group_by.size(); ++g) {
     flat.items.push_back({stmt.group_by[g], "__g" + std::to_string(g)});
@@ -46,60 +39,19 @@ sql::SelectStmt FlattenStatement(const sql::SelectStmt& stmt,
     if (agg.kind == AggKind::kCountStar) continue;
     flat.items.push_back({agg.call->children[0], "__arg" + std::to_string(a)});
   }
+  auto unit = std::make_shared<sql::SqlExpr>();
+  unit->kind = sql::SqlExpr::Kind::kColumn;
+  unit->column = "__unit";
+  flat.items.push_back({unit, "__unit"});
   flat.from = stmt.from;
-  flat.from.sample = SampleSpec{};  // Sampling happens via table substitution.
   flat.joins = stmt.joins;
-  for (sql::JoinClause& join : flat.joins) join.table.sample = SampleSpec{};
   flat.where = stmt.where;
-  flat.items.push_back({ColumnExpr("__unit"), "__unit"});
-  flat.items.push_back({ColumnExpr("__weight"), "__weight"});
+  auto sample = [&](sql::TableRef& ref) {
+    ref.sample = ref.table == target ? spec : SampleSpec{};
+  };
+  sample(flat.from);
+  for (sql::JoinClause& join : flat.joins) sample(join.table);
   return flat;
-}
-
-// Copies the sample's table and appends the design columns __unit / __weight.
-Result<Table> WithDesignColumns(const Sample& sample) {
-  Schema schema = sample.table.schema();
-  schema.AddField({"__unit", DataType::kInt64});
-  schema.AddField({"__weight", DataType::kDouble});
-  std::vector<Column> cols;
-  cols.reserve(schema.num_fields());
-  for (size_t c = 0; c < sample.table.num_columns(); ++c) {
-    cols.push_back(sample.table.column(c));
-  }
-  Column unit(DataType::kInt64);
-  Column weight(DataType::kDouble);
-  unit.Reserve(sample.num_rows());
-  weight.Reserve(sample.num_rows());
-  for (size_t i = 0; i < sample.num_rows(); ++i) {
-    unit.AppendInt64(static_cast<int64_t>(sample.unit_ids[i]));
-    weight.AppendDouble(sample.weights[i]);
-  }
-  cols.push_back(std::move(unit));
-  cols.push_back(std::move(weight));
-  return Table::Make(std::move(schema), std::move(cols));
-}
-
-// Rebuilds a design-carrying Sample from the flattened-query output (which
-// has __unit and __weight columns), inheriting the design metadata of the
-// base-table sample `design`.
-Result<Sample> ReconstituteSample(Table result, const Sample& design) {
-  Sample sample;
-  AQP_ASSIGN_OR_RETURN(size_t unit_col, result.ColumnIndex("__unit"));
-  AQP_ASSIGN_OR_RETURN(size_t weight_col, result.ColumnIndex("__weight"));
-  sample.unit_ids.reserve(result.num_rows());
-  sample.weights.reserve(result.num_rows());
-  for (size_t i = 0; i < result.num_rows(); ++i) {
-    sample.unit_ids.push_back(
-        static_cast<uint32_t>(result.column(unit_col).Int64At(i)));
-    sample.weights.push_back(result.column(weight_col).DoubleAt(i));
-  }
-  sample.num_units_sampled = design.num_units_sampled;
-  sample.unit_sizes = design.unit_sizes;
-  sample.num_units_population = design.num_units_population;
-  sample.nominal_rate = design.nominal_rate;
-  sample.population_rows = design.population_rows;
-  sample.table = std::move(result);
-  return sample;
 }
 
 }  // namespace
@@ -242,15 +194,15 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   if (target_table.empty()) {
     return fallback("no table is large enough to benefit from sampling");
   }
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
-                       catalog_->Get(target_table));
+  const bool blocks = options_.method == SampleSpec::Method::kSystemBlock;
+  const uint32_t unit_rows = blocks ? options_.block_size : 1;
+  if (unit_rows == 0) {
+    return Status::InvalidArgument("block size must be positive");
+  }
   prof.sampling_design =
-      options_.method == SampleSpec::Method::kSystemBlock
-          ? "system-block(block_size=" + std::to_string(options_.block_size) +
-                ")"
-          : "bernoulli-row";
-
-  const sql::SelectStmt flat = FlattenStatement(stmt, bound);
+      blocks ? "system-block(block_size=" +
+                   std::to_string(options_.block_size) + ")"
+             : "bernoulli-row";
 
   // Estimation-side specs over the flattened output's column names.
   std::vector<ExprPtr> group_exprs;
@@ -266,7 +218,9 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
     agg_specs.push_back({agg.kind, arg, agg.internal_alias});
   }
 
-  // One stage = sample -> substitute -> run flattened query -> estimate.
+  // One stage = the flattened query with the target table sampled, run by
+  // the engine, whose scan draws the sample; then the estimate from its
+  // rows and the scan's draw.
   auto run_stage =
       [&](const char* stage, double rate,
           uint64_t seed) -> Result<std::pair<GroupedEstimates, ExecStats>> {
@@ -275,51 +229,20 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
     AQP_RETURN_IF_ERROR(CheckCancelled(options_.exec.cancel));
     obs::TraceSpan stage_span = obs::MaybeSpan(tr, stage);
     stage_span.AddAttr("rate", rate);
-    obs::TraceSpan draw_span = obs::MaybeSpan(tr, "draw-sample");
-    Sample sample;
-    ParallelRunStats sampler_stats;
-    if (options_.method == SampleSpec::Method::kSystemBlock) {
-      AQP_ASSIGN_OR_RETURN(sample,
-                           BlockSample(*base, rate, options_.block_size, seed,
-                                       options_.exec, &sampler_stats));
-    } else {
-      AQP_ASSIGN_OR_RETURN(sample, BernoulliRowSample(*base, rate, seed,
-                                                      options_.exec,
-                                                      &sampler_stats));
-    }
-    draw_span.AddAttr("rows", static_cast<uint64_t>(sample.num_rows()));
-    draw_span.AddAttr("units", static_cast<uint64_t>(sample.num_units_sampled));
-    // The draw's gather is the stage's morselized row movement (the
-    // vectorized engine path defers everything else zero-copy), so its
-    // parallel attribution lives on this span.
-    if (sampler_stats.morsels > 0) {
-      draw_span.AddAttr("parallel_morsels", sampler_stats.morsels);
-      draw_span.AddAttr("parallel_steals", sampler_stats.steals);
-    }
-    draw_span.End();
-    AQP_ASSIGN_OR_RETURN(Table design_table, WithDesignColumns(sample));
-    // The design-carrying sample copy is the stage's dominant allocation;
-    // charge it against the query budget for the stage's lifetime so a
-    // too-small budget trips here rather than in the OS allocator.
+    const SampleSpec spec{options_.method, rate, seed, options_.block_size};
     AQP_ASSIGN_OR_RETURN(
-        ScopedMemoryCharge stage_charge,
-        ScopedMemoryCharge::Make(options_.exec.memory,
-                                 design_table.ApproxBytes(), "stage sample"));
-    Catalog staged = *catalog_;
-    staged.RegisterOrReplace(target_table,
-                             std::make_shared<Table>(std::move(design_table)));
-    AQP_ASSIGN_OR_RETURN(sql::BoundQuery flat_bound, sql::Bind(flat, staged));
+        sql::BoundQuery flat,
+        sql::Bind(FlattenStatement(stmt, bound, target_table, spec),
+                  *catalog_));
     ExecStats stats;
-    stats.parallel.MergeFrom(sampler_stats);
-    AQP_ASSIGN_OR_RETURN(Table flat_out,
-                         aqp::Execute(flat_bound.plan, staged, &stats, tr,
-                                      options_.exec));
+    AQP_ASSIGN_OR_RETURN(Table rows, aqp::Execute(flat.plan, *catalog_, &stats,
+                                                  tr, options_.exec));
     obs::TraceSpan estimate_span = obs::MaybeSpan(tr, "estimate");
-    AQP_ASSIGN_OR_RETURN(Sample joined,
-                         ReconstituteSample(std::move(flat_out), sample));
-    AQP_ASSIGN_OR_RETURN(GroupedEstimates estimates,
-                         EstimateGroupedAggregates(joined, group_exprs,
-                                                   agg_specs));
+    const SampleDesign design{rate, unit_rows, target_rows,
+                              stats.sampled_units};
+    AQP_ASSIGN_OR_RETURN(
+        GroupedEstimates estimates,
+        EstimateGroupedAggregates(rows, design, group_exprs, agg_specs));
     estimate_span.AddAttr("groups",
                           static_cast<uint64_t>(estimates.num_groups));
     return std::make_pair(std::move(estimates), stats);
@@ -327,10 +250,7 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
 
   // ---- Stage 1: pilot --------------------------------------------------
   Clock::time_point t0 = Clock::now();
-  const uint64_t population_units =
-      options_.method == SampleSpec::Method::kSystemBlock
-          ? base->NumBlocks(options_.block_size)
-          : base->num_rows();
+  const uint64_t population_units = (target_rows + unit_rows - 1) / unit_rows;
   double pilot_rate = options_.pilot_rate;
   // The pilot itself must see enough units for its variance estimates to
   // mean anything.
@@ -342,14 +262,14 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   if (!stmt.group_by.empty()) {
     pilot_rate = std::max(
         pilot_rate,
-        BlockRateForGroupCoverage(options_.min_group_rows,
-                                  options_.method ==
-                                          SampleSpec::Method::kSystemBlock
-                                      ? options_.block_size
-                                      : 1,
+        BlockRateForGroupCoverage(options_.min_group_rows, unit_rows,
                                   /*delta=*/0.05));
     pilot_rate = std::min(pilot_rate, 0.5);
   }
+  // A stage at rate 1 would read every row: a sampled scan at that rate is
+  // a plain scan, with no units to estimate from.
+  const char* kEveryRow = " rate 1 reads every row; exact execution is cheaper";
+  if (pilot_rate >= 1.0) return fallback(std::string("pilot") + kEveryRow);
   AQP_ASSIGN_OR_RETURN(
       auto pilot,
       run_stage("pilot", pilot_rate, options_.seed + invocation_ * 2));
@@ -395,6 +315,7 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   if (!plan.feasible) {
     return fallback("sampling plan infeasible: " + plan.reason);
   }
+  if (plan.rate >= 1.0) return fallback(std::string("planned") + kEveryRow);
 
   // ---- Stage 3: final ----------------------------------------------------
   Clock::time_point t2 = Clock::now();
@@ -411,7 +332,7 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   // per-cell confidence intervals.
   obs::TraceSpan assemble_span = obs::MaybeSpan(tr, "assemble");
   AQP_ASSIGN_OR_RETURN(AssembledResult assembled,
-                       AssembleOutput(stmt, bound, estimates, *catalog_,
+                       AssembleOutput(stmt, bound, estimates,
                                       target.confidence));
   assemble_span.End();
   result.table = std::move(assembled.table);

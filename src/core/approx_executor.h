@@ -88,8 +88,8 @@ double MaxRelativeCiHalfWidth(
 
 /// Two-stage online approximate SQL executor with a-priori error contracts:
 ///
-///   1. PILOT: block-sample the largest scanned table at a small rate,
-///      execute the query's pre-aggregation pipeline over the sample (the
+///   1. PILOT: run the query's pre-aggregation pipeline with the largest
+///      scanned table block-sampled at a small rate (the
 ///      sampling-equivalence rules make this a valid sample of the
 ///      aggregate's input), and estimate every aggregate with a unit-aware
 ///      variance.
@@ -100,9 +100,12 @@ double MaxRelativeCiHalfWidth(
 ///   3. FINAL: resample at the planned rate, re-estimate, and assemble the
 ///      original query's output shape with per-cell confidence intervals.
 ///
-/// The executor never modifies the underlying engine: sampling happens via
-/// plain table substitution + ordinary query execution, the middleware
-/// posture the AQP-adoption literature argues for.
+/// Each stage is one engine plan: the pre-aggregation statement bound
+/// against the live catalog (in-memory or extent-backed), the target
+/// table's ref carrying the stage's TABLESAMPLE spec. The engine's scan
+/// draws the sample and outputs each row's unit ("__unit"); the estimator
+/// reads those rows and the scan's draw — the TABLESAMPLE rewrite posture
+/// of PilotDB and VerdictDB.
 class ApproxExecutor {
  public:
   /// `catalog` must outlive the executor.

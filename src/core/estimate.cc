@@ -1,5 +1,6 @@
 #include "core/estimate.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -22,11 +23,24 @@ uint64_t CellKey(uint32_t group, uint32_t unit) {
   return (static_cast<uint64_t>(group) << 32) | unit;
 }
 
-}  // namespace
+// A design as the estimator body reads it, beyond rows, units and weights:
+// `sized` when every sampled unit's base rows are known; they sum to sum_n,
+// their squares to sum_n2.
+struct DesignFacts {
+  uint64_t units_sampled, units_population, population_rows;
+  bool sized;
+  double sum_n, sum_n2;
+};
 
-Result<GroupedEstimates> EstimateGroupedAggregates(
-    const Sample& sample, const std::vector<ExprPtr>& group_exprs,
-    const std::vector<AggSpec>& aggs) {
+// The estimator body both entries share. Row i of `t` belongs to unit
+// `unit_of(i)` with HT weight `weight_of(i)`; unit u spans `size_of(u)`
+// base rows (read only when `facts.sized`).
+template <typename UnitOf, typename WeightOf, typename SizeOf>
+Result<GroupedEstimates> Estimate(const Table& t, UnitOf unit_of,
+                                  WeightOf weight_of, SizeOf size_of,
+                                  const DesignFacts& facts,
+                                  const std::vector<ExprPtr>& group_exprs,
+                                  const std::vector<AggSpec>& aggs) {
   for (const AggSpec& spec : aggs) {
     if (!IsLinearAgg(spec.kind)) {
       return Status::InvalidArgument(
@@ -34,10 +48,7 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
           std::string(AggKindName(spec.kind)));
     }
   }
-  const Table& t = sample.table;
   const size_t n = t.num_rows();
-  AQP_CHECK(sample.weights.size() == n);
-  AQP_CHECK(sample.unit_ids.size() == n);
 
   AQP_ASSIGN_OR_RETURN(GroupIndex index, BuildGroupIndex(t, group_exprs));
 
@@ -79,7 +90,7 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
   std::vector<uint64_t> cell_keys;
   std::vector<std::vector<Cell>> cells(aggs.size());
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t key = CellKey(index.group_ids[i], sample.unit_ids[i]);
+    const uint64_t key = CellKey(index.group_ids[i], unit_of(i));
     bool inserted = false;
     const uint32_t id = cell_ids.FindOrInsert(
         Mix64(key), [&](uint32_t cand) { return cell_keys[cand] == key; },
@@ -88,7 +99,7 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
       cell_keys.push_back(key);
       for (std::vector<Cell>& v : cells) v.emplace_back();
     }
-    double w = sample.weights[i];
+    const double w = weight_of(i);
     for (size_t a = 0; a < aggs.size(); ++a) {
       const AggSpec& spec = aggs[a];
       Cell& cell = cells[a][id];
@@ -117,31 +128,24 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
   // size cancels. Unequal-weight designs fall back to the HT-Poisson law.
   bool equal_weights = true;
   for (size_t i = 1; i < n; ++i) {
-    if (std::fabs(sample.weights[i] - sample.weights[0]) >
-        1e-9 * std::fabs(sample.weights[0])) {
+    if (std::fabs(weight_of(i) - weight_of(0)) >
+        1e-9 * std::fabs(weight_of(0))) {
       equal_weights = false;
       break;
     }
   }
-  const uint64_t m_units = sample.num_units_sampled;
-  const double big_m = static_cast<double>(sample.num_units_population);
+  const uint64_t m_units = facts.units_sampled;
+  const double big_m = static_cast<double>(facts.units_population);
   const bool mean_expansion = equal_weights && m_units >= 2 &&
-                              sample.num_units_population >= m_units &&
-                              sample.num_units_population > 0;
+                              facts.units_population >= m_units &&
+                              facts.units_population > 0;
   // Ratio-to-size refinement: when per-unit base sizes are known, totals are
   // estimated as N * (sum y / sum n) — exact for COUNT(*) and immune to
   // ragged block sizes.
-  const bool ratio_to_size = mean_expansion &&
-                             sample.unit_sizes.size() == m_units &&
-                             sample.population_rows > 0;
-  double sum_n = 0.0;
-  double sum_n2 = 0.0;
-  if (ratio_to_size) {
-    for (double nu : sample.unit_sizes) {
-      sum_n += nu;
-      sum_n2 += nu * nu;
-    }
-  }
+  const bool ratio_to_size =
+      mean_expansion && facts.sized && facts.population_rows > 0;
+  const double sum_n = facts.sum_n;
+  const double sum_n2 = facts.sum_n2;
 
   out.estimates.assign(aggs.size(),
                        std::vector<PointEstimate>(out.num_groups));
@@ -195,7 +199,7 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
         const Cell& cell = cells[a][id];
         uint32_t g = static_cast<uint32_t>(key >> 32);
         uint32_t u = static_cast<uint32_t>(key & 0xffffffffu);
-        double nu = sample.unit_sizes[u];
+        const double nu = size_of(u);
         double ry = sum_n > 0.0 ? sum_y[g] / sum_n : 0.0;
         double rc = sum_n > 0.0 ? sum_c[g] / sum_n : 0.0;
         double ey = cell.y - ry * nu;
@@ -244,7 +248,7 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
         auto ratio_total = [&](double sum_v, double res_sq_present,
                                double n2_present, PointEstimate* est) {
           double ratio = sum_n > 0.0 ? sum_v / sum_n : 0.0;
-          double big_nrows = static_cast<double>(sample.population_rows);
+          double big_nrows = static_cast<double>(facts.population_rows);
           est->estimate = big_nrows * ratio;
           double res_sq =
               res_sq_present + ratio * ratio * std::max(sum_n2 - n2_present,
@@ -323,6 +327,53 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
     }
   }
   return out;
+}
+
+}  // namespace
+
+Result<GroupedEstimates> EstimateGroupedAggregates(
+    const Sample& sample, const std::vector<ExprPtr>& group_exprs,
+    const std::vector<AggSpec>& aggs) {
+  AQP_CHECK(sample.weights.size() == sample.num_rows());
+  AQP_CHECK(sample.unit_ids.size() == sample.num_rows());
+  double sum_n = 0.0;
+  double sum_n2 = 0.0;
+  for (double nu : sample.unit_sizes) {
+    sum_n += nu;
+    sum_n2 += nu * nu;
+  }
+  const DesignFacts facts{sample.num_units_sampled,
+                          sample.num_units_population, sample.population_rows,
+                          sample.unit_sizes.size() == sample.num_units_sampled,
+                          sum_n, sum_n2};
+  return Estimate(
+      sample.table, [&](size_t i) { return sample.unit_ids[i]; },
+      [&](size_t i) { return sample.weights[i]; },
+      [&](uint32_t u) { return sample.unit_sizes[u]; }, facts, group_exprs,
+      aggs);
+}
+
+Result<GroupedEstimates> EstimateGroupedAggregates(
+    const Table& rows, const SampleDesign& design,
+    const std::vector<ExprPtr>& group_exprs,
+    const std::vector<AggSpec>& aggs) {
+  AQP_CHECK(design.rate > 0.0 && design.unit_rows > 0);
+  AQP_ASSIGN_OR_RETURN(size_t unit_col, rows.ColumnIndex("__unit"));
+  AQP_CHECK(rows.column(unit_col).type() == DataType::kInt64);
+  const int64_t* units = rows.column(unit_col).int64_data();
+  const uint64_t big_n = design.population_rows;
+  const uint64_t k = design.unit_rows;
+  const double weight = 1.0 / design.rate;
+  const DesignFacts facts{design.drawn.units, (big_n + k - 1) / k, big_n, true,
+                          static_cast<double>(design.drawn.rows),
+                          static_cast<double>(design.drawn.rows_squared)};
+  return Estimate(
+      rows, [&](size_t i) { return static_cast<uint32_t>(units[i]); },
+      [&](size_t) { return weight; },
+      [&](uint32_t u) {
+        return static_cast<double>(std::min(k, big_n - u * k));
+      },
+      facts, group_exprs, aggs);
 }
 
 }  // namespace core

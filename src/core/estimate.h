@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "engine/aggregate.h"
+#include "engine/executor.h"
 #include "sampling/ht_estimator.h"
 #include "sampling/sample.h"
 
@@ -13,7 +14,8 @@ namespace aqp {
 namespace core {
 
 /// Per-group, per-aggregate point estimates with estimator variances,
-/// computed unit-aware (blocks stay blocks) from a design-carrying Sample.
+/// computed unit-aware (blocks stay blocks) from sampled rows and their
+/// design.
 struct GroupedEstimates {
   Table group_keys;  // One row per group; empty schema for global queries.
   /// estimates[a][g]: aggregate a of group g.
@@ -32,6 +34,26 @@ struct GroupedEstimates {
 /// in sampling/ht_estimator.h, but for many groups at once.
 Result<GroupedEstimates> EstimateGroupedAggregates(
     const Sample& sample, const std::vector<ExprPtr>& group_exprs,
+    const std::vector<AggSpec>& aggs);
+
+/// The design of an engine sampled scan (engine/plan.h): every unit — a
+/// block of `unit_rows` rows for SYSTEM, a row for BERNOULLI — of a
+/// `population_rows`-row table kept with probability `rate`; `drawn` is the
+/// scan's draw (ExecStats::sampled_units), units the filters emptied
+/// included.
+struct SampleDesign {
+  double rate = 1.0;
+  uint32_t unit_rows = 1;
+  uint64_t population_rows = 0;
+  SampledUnits drawn;
+};
+
+/// The same estimates from rows carrying the scan's INT64 "__unit" column,
+/// each row weighing 1 / rate: bit-identical to the Sample entry over the
+/// same rows, units and design.
+Result<GroupedEstimates> EstimateGroupedAggregates(
+    const Table& rows, const SampleDesign& design,
+    const std::vector<ExprPtr>& group_exprs,
     const std::vector<AggSpec>& aggs);
 
 }  // namespace core

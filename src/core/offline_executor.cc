@@ -154,7 +154,7 @@ Result<ApproxResult> OfflineExecutor::Execute(const sql::PreparedQuery& query,
   obs::TraceSpan assemble_span = obs::MaybeSpan(tr, "assemble");
   AQP_ASSIGN_OR_RETURN(
       AssembledResult assembled,
-      AssembleOutput(stmt, query.bound, estimates, *catalog_, confidence));
+      AssembleOutput(stmt, query.bound, estimates, confidence));
   assemble_span.End();
   result.table = std::move(assembled.table);
   result.cis = std::move(assembled.cis);

@@ -19,6 +19,12 @@ void CountAggOccurrences(const sql::SqlExprPtr& e,
   for (const sql::SqlExprPtr& c : e->children) CountAggOccurrences(c, counts);
 }
 
+namespace {
+
+// Materializes per-group estimates into the aggregate node's output shape:
+// bound.group_names columns, one column per aggregate (internal alias,
+// INT64 for counts / DOUBLE otherwise), plus an INT64 "__row_id" column
+// mapping rows back to group ordinals.
 Result<Table> MaterializeAggTable(const GroupedEstimates& estimates,
                                   const sql::BoundQuery& bound) {
   const size_t groups = estimates.num_groups;
@@ -54,21 +60,21 @@ Result<Table> MaterializeAggTable(const GroupedEstimates& estimates,
   return Table::Make(std::move(schema), std::move(cols));
 }
 
+}  // namespace
+
 Result<AssembledResult> AssembleOutput(const sql::SelectStmt& stmt,
                                        const sql::BoundQuery& bound,
                                        const GroupedEstimates& estimates,
-                                       const Catalog& catalog,
                                        double confidence) {
   AQP_ASSIGN_OR_RETURN(Table agg_table,
                        MaterializeAggTable(estimates, bound));
-  Catalog staged = catalog;
-  staged.RegisterOrReplace("__aqp_groups",
+  Catalog groups;
+  groups.RegisterOrReplace("__aqp_groups",
                            std::make_shared<Table>(std::move(agg_table)));
   AQP_ASSIGN_OR_RETURN(
       PlanPtr tail,
-      sql::BindPostAggregation(stmt, bound, "__aqp_groups", staged,
-                               /*append_row_id=*/true));
-  AQP_ASSIGN_OR_RETURN(Table with_ids, Execute(tail, staged));
+      sql::BindPostAggregation(stmt, bound, "__aqp_groups", groups));
+  AQP_ASSIGN_OR_RETURN(Table with_ids, Execute(tail, groups));
 
   // Split off the trailing __row_id column, remembering the row -> group map.
   size_t id_col = with_ids.num_columns() - 1;

@@ -27,21 +27,12 @@ struct AssembledResult {
 void CountAggOccurrences(const sql::SqlExprPtr& e,
                          std::unordered_map<std::string, int>* counts);
 
-/// Materializes per-group estimates into the aggregate node's output shape:
-/// bound.group_names columns, one column per aggregate (internal alias,
-/// INT64 for counts / DOUBLE otherwise), plus an INT64 "__row_id" column
-/// mapping rows back to group ordinals.
-Result<Table> MaterializeAggTable(const GroupedEstimates& estimates,
-                                  const sql::BoundQuery& bound);
-
 /// Runs the query's post-aggregation tail (projection, ORDER BY, LIMIT)
-/// over the materialized estimates and attaches per-cell confidence
-/// intervals at `confidence`. `catalog` provides any context tables the
-/// tail may need (none today, but binding requires one).
+/// over the materialized estimates — the one table it reads — and attaches
+/// per-cell confidence intervals at `confidence`.
 Result<AssembledResult> AssembleOutput(const sql::SelectStmt& stmt,
                                        const sql::BoundQuery& bound,
                                        const GroupedEstimates& estimates,
-                                       const Catalog& catalog,
                                        double confidence);
 
 }  // namespace core

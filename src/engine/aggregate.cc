@@ -148,23 +148,23 @@ int CompareValues(const Value& a, const Value& b) {
 }  // namespace
 
 void AccumulateRow(AggAccumulator& st, AggKind kind, const Column* arg,
-                   size_t i, double w) {
+                   size_t i) {
   if (kind == AggKind::kCountStar) {
-    st.weight_total += w;
+    st.weight_total += 1.0;
     ++st.count;
     return;
   }
   if (arg->IsNull(i)) return;
   switch (kind) {
     case AggKind::kCount:
-      st.weight_total += w;
+      st.weight_total += 1.0;
       ++st.count;
       break;
     case AggKind::kSum:
     case AggKind::kAvg: {
       double x = arg->NumericAt(i);
-      st.weighted_sum += w * x;
-      st.weight_total += w;
+      st.weighted_sum += x;
+      st.weight_total += 1.0;
       ++st.count;
       break;
     }
@@ -210,44 +210,28 @@ namespace {
 // relies on it). Non-numeric MIN/MAX and COUNT DISTINCT keep the row loop:
 // their cost is in string compares and hashing, not dispatch.
 void AccumulateSpan(AggAccumulator& st, AggKind kind, const Column* arg,
-                    size_t begin, size_t end,
-                    const std::vector<double>* weights) {
+                    size_t begin, size_t end) {
   if (kind == AggKind::kCountStar) {
-    if (weights == nullptr) {
-      // Integer-valued adds below 2^53 are exact, so one bulk add equals
-      // (end - begin) repeated += 1.0 bit for bit.
-      st.weight_total += static_cast<double>(end - begin);
-    } else {
-      for (size_t i = begin; i < end; ++i) st.weight_total += (*weights)[i];
-    }
+    // Integer-valued adds below 2^53 are exact, so one bulk add equals
+    // (end - begin) repeated += 1.0 bit for bit.
+    st.weight_total += static_cast<double>(end - begin);
     st.count += end - begin;
     return;
   }
   const uint8_t* valid = arg->has_nulls() ? arg->validity() : nullptr;
   if (kind == AggKind::kCount) {
-    if (weights == nullptr) {
-      size_t c = end - begin;
-      if (valid != nullptr) {
-        c = 0;
-        for (size_t i = begin; i < end; ++i) c += valid[i];
-      }
-      st.weight_total += static_cast<double>(c);
-      st.count += c;
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        if (valid != nullptr && !valid[i]) continue;
-        st.weight_total += (*weights)[i];
-        ++st.count;
-      }
+    size_t c = end - begin;
+    if (valid != nullptr) {
+      c = 0;
+      for (size_t i = begin; i < end; ++i) c += valid[i];
     }
+    st.weight_total += static_cast<double>(c);
+    st.count += c;
     return;
   }
   const bool numeric = IsNumeric(arg->type());
   if (!numeric || kind == AggKind::kCountDistinct) {
-    for (size_t i = begin; i < end; ++i) {
-      double w = weights != nullptr ? (*weights)[i] : 1.0;
-      AccumulateRow(st, kind, arg, i, w);
-    }
+    for (size_t i = begin; i < end; ++i) AccumulateRow(st, kind, arg, i);
     return;
   }
   const int64_t* ints =
@@ -262,10 +246,8 @@ void AccumulateSpan(AggAccumulator& st, AggKind kind, const Column* arg,
     case AggKind::kAvg:
       for (size_t i = begin; i < end; ++i) {
         if (valid != nullptr && !valid[i]) continue;
-        const double w = weights != nullptr ? (*weights)[i] : 1.0;
-        const double x = x_at(i);
-        st.weighted_sum += w * x;
-        st.weight_total += w;
+        st.weighted_sum += x_at(i);
+        st.weight_total += 1.0;
         ++st.count;
       }
       break;
@@ -386,8 +368,6 @@ Result<Table> FinalizeAggregates(
       switch (aggs[a].kind) {
         case AggKind::kCountStar:
         case AggKind::kCount:
-          // With weights this is the Horvitz–Thompson count estimate;
-          // unweighted it is the exact count. Rounded to nearest integer.
           col.AppendInt64(static_cast<int64_t>(std::llround(st.weight_total)));
           break;
         case AggKind::kSum:
@@ -454,9 +434,6 @@ Result<Table> GroupByAggregate(const Table& input,
     return Status::InvalidArgument("group name/expr arity mismatch");
   }
   const size_t n = input.num_rows();
-  if (options.weights != nullptr && options.weights->size() != n) {
-    return Status::InvalidArgument("weight vector length mismatch");
-  }
 
   // Evaluate aggregate arguments once, vectorized.
   std::vector<Column> arg_columns;
@@ -496,17 +473,16 @@ Result<Table> GroupByAggregate(const Table& input,
         AccumulateSpan(states[a][0], aggs[a].kind,
                        aggs[a].kind == AggKind::kCountStar ? nullptr
                                                            : &arg_columns[a],
-                       0, n, options.weights);
+                       0, n);
       }
     } else {
       for (size_t i = 0; i < n; ++i) {
         uint32_t g = index.group_ids[i];
-        double w = options.weights ? (*options.weights)[i] : 1.0;
         for (size_t a = 0; a < aggs.size(); ++a) {
           AccumulateRow(states[a][g], aggs[a].kind,
                         aggs[a].kind == AggKind::kCountStar ? nullptr
                                                             : &arg_columns[a],
-                        i, w);
+                        i);
         }
       }
     }
@@ -532,7 +508,7 @@ Result<Table> GroupByAggregate(const Table& input,
                              aggs[a].kind == AggKind::kCountStar
                                  ? nullptr
                                  : &arg_columns[a],
-                             begin, end, options.weights);
+                             begin, end);
             }
           });
       // Partials from skipped morsels are empty, not wrong — but the merged
@@ -605,13 +581,12 @@ Result<Table> GroupByAggregate(const Table& input,
                   s.emplace_back();
                 }
               }
-              double w = options.weights ? (*options.weights)[i] : 1.0;
               for (size_t a = 0; a < aggs.size(); ++a) {
                 AccumulateRow(mg.states[a][gid], aggs[a].kind,
                               aggs[a].kind == AggKind::kCountStar
                                   ? nullptr
                                   : &arg_columns[a],
-                              i, w);
+                              i);
               }
             }
           });

@@ -69,10 +69,10 @@ Result<GroupIndex> BuildGroupIndex(const Table& input,
 /// Merge() in morsel order — the merge-safe half of the morsel-parallel
 /// aggregation design.
 struct AggAccumulator {
-  double weighted_sum = 0.0;  // sum of w * x
-  double weight_total = 0.0;  // sum of w over non-null args (or all rows).
-  uint64_t count = 0;         // raw (unweighted) non-null count.
-  double mean = 0.0;          // Welford (unweighted), for VAR/STDDEV.
+  double weighted_sum = 0.0;  // Sum of x over non-null args.
+  double weight_total = 0.0;  // Non-null args (or all rows), as a double.
+  uint64_t count = 0;         // The same count, as an integer.
+  double mean = 0.0;          // Welford, for VAR/STDDEV.
   double m2 = 0.0;
 
   /// MIN/MAX and COUNT DISTINCT state. Allocated by the first row that
@@ -121,11 +121,11 @@ struct AggAccumulator {
   void Merge(const AggAccumulator& other);
 };
 
-/// Folds row `i` of `arg` (null only for COUNT(*)) into `st` with weight
-/// `w`: the per-row accumulator. Span accumulation over contiguous rows
-/// reaches bit-identical state.
+/// Folds row `i` of `arg` (null only for COUNT(*)) into `st`: the per-row
+/// accumulator. Span accumulation over contiguous rows reaches
+/// bit-identical state.
 void AccumulateRow(AggAccumulator& st, AggKind kind, const Column* arg,
-                   size_t i, double w);
+                   size_t i);
 
 /// The aggregation output: the key columns (named `group_names`), then one
 /// column per aggregate, of type `out_types[a]`, finalized from
@@ -136,13 +136,8 @@ Result<Table> FinalizeAggregates(
     const std::vector<AggSpec>& aggs, const std::vector<DataType>& out_types,
     const std::vector<std::vector<AggAccumulator>>& states, size_t num_groups);
 
-/// Optional per-row weights for Horvitz–Thompson style estimation: COUNT
-/// becomes sum of weights, SUM becomes sum of w*x, AVG the weighted mean.
-/// MIN/MAX/COUNT DISTINCT/VAR ignore weights (they are not linearly
-/// estimable). Weight vector length must equal input rows.
+/// Execution knobs of GroupByAggregate.
 struct AggregateOptions {
-  const std::vector<double>* weights = nullptr;
-
   /// When non-null and the input clears exec->parallel_min_rows, aggregation
   /// runs morsel-parallel: group-key and argument expressions are evaluated
   /// once, every morsel builds its own local group table and AggAccumulator

@@ -52,6 +52,13 @@ Result<std::shared_ptr<const Table>> Catalog::Get(
   return it->second;
 }
 
+Result<aqp::Schema> Catalog::Schema(const std::string& name) const {
+  auto it = extent_tables_.find(name);
+  if (it != extent_tables_.end()) return it->second->schema();
+  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> t, Get(name));
+  return t->schema();
+}
+
 Status Catalog::Drop(const std::string& name) {
   if (tables_.erase(name) == 0 && extent_tables_.erase(name) == 0) {
     return Status::NotFound("no table named " + name);

@@ -19,9 +19,9 @@ namespace aqp {
 /// in-memory Table, the name binds to an open extent file
 /// (docs/STORAGE.md), and scans stream morsels from disk with zone-map
 /// pruning (engine/extent_scan.h). Extent-backed names share the namespace,
-/// version counter, and Cardinality with in-memory tables, so synopsis and
-/// result caches key them identically; only Get() differs — it refuses to
-/// materialize the file behind the caller's back.
+/// version counter, Schema and Cardinality with in-memory tables, so the
+/// binder, synopsis and result caches treat them identically; only Get()
+/// differs — it refuses to materialize the file behind the caller's back.
 class Catalog {
  public:
   /// Registers a table under `name`; fails if the name is taken.
@@ -51,6 +51,10 @@ class Catalog {
   /// engine decision (a governed, charged scan), never a silent side effect
   /// of a registry lookup.
   Result<std::shared_ptr<const Table>> Get(const std::string& name) const;
+
+  /// The schema of `name`, in-memory or extent-backed (the open extent
+  /// reader's; nothing is decoded); NotFound if missing.
+  Result<aqp::Schema> Schema(const std::string& name) const;
 
   /// Removes a table (either kind); NotFound if missing.
   Status Drop(const std::string& name);

@@ -53,9 +53,9 @@ int CompareForSort(const Column& a, size_t i, const Column& b, size_t j) {
   return 0;
 }
 
-// The columns each extent-backed scan must produce, by plan node: nullopt
-// (or no entry) means every column. Fused filters over such scans carry
-// their own entry — the columns they output.
+// The columns each extent-backed or sampled scan must produce, by plan
+// node: nullopt (or no entry) means every stored column. Fused filters over
+// such scans carry their own entry — the columns they output.
 using ColumnNeeds =
     std::unordered_map<const PlanNode*,
                        std::optional<std::vector<std::string>>>;
@@ -70,7 +70,7 @@ struct ExecContext {
   obs::QueryTrace* trace;
   const ExecOptions& options;
   // Filled once per Execute, and only when the plan reads an extent-backed
-  // table; in-memory scans ignore it.
+  // table or draws a sample; unsampled in-memory scans ignore it.
   const ColumnNeeds* needs = nullptr;
 
   // Where parallel regions report their morsel/steal counters (null when the
@@ -368,12 +368,13 @@ void MergeExtentStats(const ExtentScanStats& es, ExecContext& ctx) {
   ctx.stats->extents_pruned += es.extents_pruned;
 }
 
-// The schema indices of the columns `node` must produce from an extent
-// file with `schema`, ascending: every column unless the plan's column
-// needs say otherwise. Needs resolve exactly as the operators above will
-// resolve them; a name the schema cannot resolve keeps every column, so the
-// operator reports the same error it would over the whole table. At least
-// one column is kept, so row counts (COUNT(*)) survive.
+// The schema indices of the stored columns `node` must produce from a table
+// with `schema`, ascending: every column unless the plan's column needs say
+// otherwise. Needs resolve exactly as the operators above will resolve
+// them; a name the schema cannot resolve keeps every column, so the
+// operator reports the same error it would over the whole table. "__unit"
+// is the scan's own (ExposesUnit), never stored. At least one column is
+// kept, so row counts (COUNT(*)) survive.
 std::vector<size_t> NeededColumns(const PlanNode& node, const Schema& schema,
                                   const ExecContext& ctx) {
   std::vector<size_t> all(schema.num_fields());
@@ -383,6 +384,7 @@ std::vector<size_t> NeededColumns(const PlanNode& node, const Schema& schema,
   if (it == ctx.needs->end() || !it->second.has_value()) return all;
   std::vector<bool> keep(schema.num_fields(), false);
   for (const std::string& name : *it->second) {
+    if (name == "__unit") continue;
     Result<size_t> c = schema.FieldIndex(name);
     if (!c.ok()) return all;
     keep[c.value()] = true;
@@ -393,6 +395,38 @@ std::vector<size_t> NeededColumns(const PlanNode& node, const Schema& schema,
   }
   if (cols.empty() && !all.empty()) cols.push_back(0);
   return cols;
+}
+
+// True when the sampled scan `node` must output "__unit": the plan above
+// reads that name from it.
+bool ExposesUnit(const PlanNode& node, const ExecContext& ctx) {
+  if (!node.sample().is_sampled() || ctx.needs == nullptr) return false;
+  auto it = ctx.needs->find(&node);
+  return it != ctx.needs->end() && it->second.has_value() &&
+         std::count(it->second->begin(), it->second->end(), "__unit") > 0;
+}
+
+// Appends "__unit" to `t`: `units`, one per row, ascending. Every row of a
+// drawn unit is in `t` (filters run above the scan), so each run of equal
+// units is one drawn unit; the runs are counted into the query's stats.
+Result<Table> WithUnitColumn(Table t, std::vector<int64_t> units,
+                             ExecContext& ctx) {
+  for (size_t i = 0; ctx.stats != nullptr && i < units.size();) {
+    size_t j = i + 1;
+    while (j < units.size() && units[j] == units[i]) ++j;
+    ctx.stats->sampled_units.units += 1;
+    ctx.stats->sampled_units.rows += j - i;
+    ctx.stats->sampled_units.rows_squared += (j - i) * (j - i);
+    i = j;
+  }
+  Schema schema = t.schema();
+  schema.AddField({"__unit", DataType::kInt64});
+  std::vector<Column> columns;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    columns.push_back(std::move(t.mutable_column(c)));
+  }
+  columns.push_back(Column::FromInt64(std::move(units)));
+  return Table::Make(std::move(schema), std::move(columns));
 }
 
 // A scan's input: the catalog table or the decoded extent file. A SYSTEM
@@ -430,6 +464,16 @@ Result<ScanInput> ScanBaseTable(const PlanNode& node, ExecContext& ctx) {
     if (ctx.stats != nullptr) {
       ctx.stats->rows_scanned += t.num_rows();
       ctx.stats->blocks_read += blocks.size();
+    }
+    if (ExposesUnit(node, ctx)) {
+      std::vector<int64_t> units;
+      units.reserve(t.num_rows());
+      for (const auto& [first, last] : blocks) {
+        units.insert(units.end(), last - first,
+                     static_cast<int64_t>(first / spec.block_size));
+      }
+      AQP_ASSIGN_OR_RETURN(t, WithUnitColumn(std::move(t), std::move(units),
+                                             ctx));
     }
     AQP_ASSIGN_OR_RETURN(TablePtr out,
                          TrackTable(std::move(t), ctx, "scan output"));
@@ -817,10 +861,15 @@ const char* OperatorName(PlanKind kind) {
 
 Result<BatchView> ExecScan(const PlanNode& node, ExecContext& ctx) {
   AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail("engine.scan"));
+  const SampleSpec& spec = node.sample();
+  if (spec.is_sampled()) {
+    AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail(
+        spec.method == SampleSpec::Method::kSystemBlock ? "sampler.block"
+                                                        : "sampler.bernoulli"));
+  }
   AQP_ASSIGN_OR_RETURN(ScanInput input, ScanBaseTable(node, ctx));
   if (input.sampled) return IdentityView(std::move(input.table));
   TablePtr table = std::move(input.table);
-  const SampleSpec& spec = node.sample();
   if (!spec.is_sampled()) {
     if (ctx.stats != nullptr) {
       ctx.stats->rows_scanned += table->num_rows();
@@ -836,6 +885,28 @@ Result<BatchView> ExecScan(const PlanNode& node, ExecContext& ctx) {
   if (ctx.stats != nullptr) {
     ctx.stats->rows_scanned += keep.size();
     ctx.stats->blocks_read += blocks_read;
+  }
+  if (ExposesUnit(node, ctx)) {
+    // The one gather of the sample: the columns the plan reads, and units.
+    const std::vector<size_t> cols = NeededColumns(node, table->schema(), ctx);
+    Schema schema;
+    for (size_t c : cols) schema.AddField(table->schema().field(c));
+    AQP_ASSIGN_OR_RETURN(
+        std::vector<Column> columns,
+        GatherColumns(cols.size(), keep.size(), ctx, [&](size_t i) {
+          return table->column(cols[i]).Take(keep);
+        }));
+    AQP_ASSIGN_OR_RETURN(Table t,
+                         Table::Make(std::move(schema), std::move(columns)));
+    const uint32_t unit_rows =
+        spec.method == SampleSpec::Method::kSystemBlock ? spec.block_size : 1;
+    std::vector<int64_t> units(keep.size());
+    for (size_t i = 0; i < keep.size(); ++i) units[i] = keep[i] / unit_rows;
+    AQP_ASSIGN_OR_RETURN(t, WithUnitColumn(std::move(t), std::move(units),
+                                           ctx));
+    AQP_ASSIGN_OR_RETURN(TablePtr out,
+                         TrackTable(std::move(t), ctx, "scan output"));
+    return IdentityView(std::move(out));
   }
   // No gather: the sample IS the selection vector.
   BatchView v = IdentityView(std::move(table));
@@ -1125,13 +1196,15 @@ Result<BatchView> Exec(const PlanPtr& plan, ExecContext& ctx) {
   return result;
 }
 
-// True when some scan of `plan` reads an extent-backed table.
-bool ReadsExtents(const PlanPtr& plan, const Catalog& catalog) {
+// True when some scan of `plan` reads an extent-backed table or draws a
+// sample: the scans whose output follows the plan's column needs.
+bool HasNeedScan(const PlanPtr& plan, const Catalog& catalog) {
   if (plan->kind() == PlanKind::kScan) {
-    return catalog.IsExtentBacked(plan->table_name());
+    return catalog.IsExtentBacked(plan->table_name()) ||
+           plan->sample().is_sampled();
   }
   for (size_t i = 0; i < plan->num_children(); ++i) {
-    if (ReadsExtents(plan->child(i), catalog)) return true;
+    if (HasNeedScan(plan->child(i), catalog)) return true;
   }
   return false;
 }
@@ -1166,7 +1239,8 @@ void CollectColumnNeeds(const PlanPtr& plan, const Need& need,
   };
   switch (plan->kind()) {
     case PlanKind::kScan:
-      if (catalog.IsExtentBacked(plan->table_name())) {
+      if (catalog.IsExtentBacked(plan->table_name()) ||
+          plan->sample().is_sampled()) {
         MergeNeed(plan.get(), need, needs);
       }
       return;
@@ -1224,10 +1298,11 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
   ExecStats* effective = stats != nullptr ? stats : &local;
   ExecStats before = instrumented ? *effective : ExecStats{};
   ExecContext ctx{catalog, instrumented ? effective : stats, trace, options};
-  // Which columns each extent-backed scan decodes; the plan root returns
-  // rows, so it reads every column of its output.
+  // Which columns each extent-backed scan decodes and whether a sampled scan
+  // outputs "__unit"; the plan root returns rows, so it reads every column
+  // of its output.
   ColumnNeeds needs;
-  if (ReadsExtents(plan, catalog)) {
+  if (HasNeedScan(plan, catalog)) {
     CollectColumnNeeds(plan, std::nullopt, catalog, &needs);
     ctx.needs = &needs;
   }

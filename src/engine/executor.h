@@ -12,6 +12,15 @@
 
 namespace aqp {
 
+/// The draw of the sampled scans that output "__unit" (engine/plan.h): the
+/// part of a sampling design that the output rows cannot show, because
+/// units the plan's filters empty were still drawn.
+struct SampledUnits {
+  uint64_t units = 0;         // Units drawn: blocks (SYSTEM) or rows.
+  uint64_t rows = 0;          // Base rows in the drawn units.
+  uint64_t rows_squared = 0;  // Sum over drawn units of (unit rows)^2.
+};
+
 /// Execution statistics accumulated per query, used by cost analysis and the
 /// latency benchmarks (a stand-in for a DBMS's "rows scanned" counters).
 struct ExecStats {
@@ -24,6 +33,7 @@ struct ExecStats {
                                // sampled block inside.
   ParallelRunStats parallel;   // Morsel/steal/per-worker counters summed over
                                // every parallel region of the query.
+  SampledUnits sampled_units;  // Only scans that output "__unit" add here.
 };
 
 /// Executes a plan against the catalog, materializing every operator.

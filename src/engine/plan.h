@@ -14,6 +14,12 @@ namespace aqp {
 
 /// Sampling annotation on a table scan — the engine-level equivalent of SQL's
 /// TABLESAMPLE clause. This is the hook AQP plan rewrites use.
+///
+/// A sampled scan also outputs an INT64 column "__unit" when the plan above
+/// it names that column: each row's sampling unit, the block index
+/// row / block_size for SYSTEM and the row index for BERNOULLI. Such a scan
+/// gathers only the columns the plan reads, and reports its draw in
+/// ExecStats::sampled_units. Plans that do not name "__unit" get neither.
 struct SampleSpec {
   enum class Method {
     kNone,

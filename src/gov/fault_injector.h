@@ -32,8 +32,9 @@ struct FaultSiteCounters {
 ///
 /// Registered sites (grep for MaybeFail to confirm):
 ///   engine.scan         — table fetch at the head of every Scan operator
-///   sampler.bernoulli   — Bernoulli row-sample draw
-///   sampler.block       — block-sample draw
+///   sampler.bernoulli   — the engine's TABLESAMPLE BERNOULLI scan draw
+///                         (rung-0 stages draw here)
+///   sampler.block       — the engine's TABLESAMPLE SYSTEM scan draw
 ///   grace.sample        — rung-2 grace-sample draw (reservoir of the table)
 ///   pool.dispatch       — helper-task dispatch in ThreadPool::ParallelFor
 ///                         (wired through SetDispatchFaultHook when armed)

@@ -92,7 +92,7 @@ struct ExecutionProfile {
 
   /// Sampling decisions.
   std::string sampling_design;   // e.g. "system-block(block_size=128)".
-  std::string sampled_table;     // Which table was substituted/sampled.
+  std::string sampled_table;     // Which table was sampled.
   double sampled_fraction = 1.0;  // Final-stage rate; 1.0 = full scan.
   double pilot_rate = 0.0;
   double worst_required_rate = 0.0;  // Planner's uncapped requirement.

@@ -2,14 +2,12 @@
 
 #include "common/cancellation.h"
 #include "common/random.h"
-#include "gov/fault_injector.h"
+#include "common/thread_pool.h"
 
 namespace aqp {
 
 Result<Sample> BernoulliRowSample(const Table& table, double rate,
                                   uint64_t seed) {
-  AQP_RETURN_IF_ERROR(
-      gov::FaultInjector::Global().MaybeFail("sampler.bernoulli"));
   if (rate <= 0.0 || rate > 1.0) {
     return Status::InvalidArgument("sampling rate must be in (0, 1]");
   }
@@ -34,12 +32,9 @@ Result<Sample> BernoulliRowSample(const Table& table, double rate,
 }
 
 Result<Sample> BernoulliRowSample(const Table& table, double rate,
-                                  uint64_t seed, const ExecOptions& exec,
-                                  ParallelRunStats* run_stats) {
+                                  uint64_t seed, const ExecOptions& exec) {
   const size_t n = table.num_rows();
   if (!exec.UseMorsels(n)) return BernoulliRowSample(table, rate, seed);
-  AQP_RETURN_IF_ERROR(
-      gov::FaultInjector::Global().MaybeFail("sampler.bernoulli"));
   if (rate <= 0.0 || rate > 1.0) {
     return Status::InvalidArgument("sampling rate must be in (0, 1]");
   }
@@ -47,7 +42,7 @@ Result<Sample> BernoulliRowSample(const Table& table, double rate,
   const size_t num_threads = exec.ResolvedThreads();
   const size_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
   std::vector<std::vector<uint32_t>> local(num_morsels);
-  ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
+  ThreadPool::Shared().ParallelFor(
       n, morsel_rows, num_threads,
       ThreadPool::ParallelForOptions{exec.cancel},
       [&](size_t, size_t m, size_t begin, size_t end) {
@@ -58,7 +53,6 @@ Result<Sample> BernoulliRowSample(const Table& table, double rate,
       });
   // A partial kept set is not a Bernoulli sample; stop before gathering.
   AQP_RETURN_IF_ERROR(CheckCancelled(exec.cancel));
-  if (run_stats != nullptr) run_stats->MergeFrom(rs);
   size_t total = 0;
   for (const std::vector<uint32_t>& v : local) total += v.size();
   std::vector<uint32_t> keep;
@@ -67,7 +61,7 @@ Result<Sample> BernoulliRowSample(const Table& table, double rate,
     keep.insert(keep.end(), v.begin(), v.end());
   }
   Sample sample;
-  sample.table = table.Take(keep, num_threads, run_stats);
+  sample.table = table.Take(keep, num_threads);
   sample.weights.assign(keep.size(), 1.0 / rate);
   sample.unit_ids.resize(keep.size());
   for (size_t i = 0; i < keep.size(); ++i) {

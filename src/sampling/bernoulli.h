@@ -2,7 +2,6 @@
 #define AQP_SAMPLING_BERNOULLI_H_
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "engine/exec_options.h"
 #include "sampling/sample.h"
 
@@ -20,10 +19,8 @@ Result<Sample> BernoulliRowSample(const Table& table, double rate,
 /// morsels, morsel m draws from MorselRng(seed, m), and kept rows are
 /// gathered in parallel. The drawn set depends only on (seed, morsel_rows) —
 /// never the thread count. Smaller tables delegate to the serial overload.
-/// `run_stats`, when non-null, accumulates parallel-run counters.
 Result<Sample> BernoulliRowSample(const Table& table, double rate,
-                                  uint64_t seed, const ExecOptions& exec,
-                                  ParallelRunStats* run_stats = nullptr);
+                                  uint64_t seed, const ExecOptions& exec);
 
 }  // namespace aqp
 

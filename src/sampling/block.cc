@@ -1,7 +1,6 @@
 #include "sampling/block.h"
 
 #include "common/random.h"
-#include "gov/fault_injector.h"
 
 namespace aqp {
 
@@ -13,7 +12,6 @@ template <typename GatherFn>
 Result<Sample> BlockSampleImpl(const Table& table, double rate,
                                uint32_t block_size, uint64_t seed,
                                GatherFn gather) {
-  AQP_RETURN_IF_ERROR(gov::FaultInjector::Global().MaybeFail("sampler.block"));
   if (rate <= 0.0 || rate > 1.0) {
     return Status::InvalidArgument("sampling rate must be in (0, 1]");
   }
@@ -56,12 +54,11 @@ Result<Sample> BlockSample(const Table& table, double rate,
 
 Result<Sample> BlockSample(const Table& table, double rate,
                            uint32_t block_size, uint64_t seed,
-                           const ExecOptions& exec,
-                           ParallelRunStats* run_stats) {
+                           const ExecOptions& exec) {
   return BlockSampleImpl(
       table, rate, block_size, seed, [&](const std::vector<uint32_t>& keep) {
         if (!exec.UseMorsels(keep.size())) return table.Take(keep);
-        return table.Take(keep, exec.ResolvedThreads(), run_stats);
+        return table.Take(keep, exec.ResolvedThreads());
       });
 }
 

@@ -2,7 +2,6 @@
 #define AQP_SAMPLING_BLOCK_H_
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "engine/exec_options.h"
 #include "sampling/sample.h"
 
@@ -20,11 +19,9 @@ Result<Sample> BlockSample(const Table& table, double rate,
 /// Bernoulli draw per block from one stream) stays serial — it is trivially
 /// cheap and thread-count independent — so this overload keeps exactly the
 /// serial overload's drawn set and differs only in gather wall-clock.
-/// `run_stats`, when non-null, accumulates parallel-run counters.
 Result<Sample> BlockSample(const Table& table, double rate,
                            uint32_t block_size, uint64_t seed,
-                           const ExecOptions& exec,
-                           ParallelRunStats* run_stats = nullptr);
+                           const ExecOptions& exec);
 
 /// Shuffles a table's rows (Fisher–Yates with the given seed). Used to build
 /// "clustered vs shuffled layout" experiments: block sampling loses

@@ -16,16 +16,54 @@ std::string BaseName(const std::string& name) {
 
 namespace {
 
-// Wraps `scan` in a Project renaming each column to "<qualifier>.<base>".
+// Appends the column names `e` reads to `out`.
+void CollectColumns(const SqlExprPtr& e, std::vector<std::string>* out) {
+  if (e == nullptr) return;
+  if (e->kind == SqlExpr::Kind::kColumn) out->push_back(e->column);
+  for (const SqlExprPtr& c : e->children) CollectColumns(c, out);
+}
+
+// Every column name the statement reads: SELECT items, WHERE, GROUP BY,
+// HAVING and the join conditions.
+std::vector<std::string> StatementColumns(const SelectStmt& stmt) {
+  std::vector<std::string> names;
+  for (const SelectItem& item : stmt.items) CollectColumns(item.expr, &names);
+  CollectColumns(stmt.where, &names);
+  for (const SqlExprPtr& g : stmt.group_by) CollectColumns(g, &names);
+  CollectColumns(stmt.having, &names);
+  for (const JoinClause& join : stmt.joins) {
+    for (const auto& [a, b] : join.conditions) {
+      names.push_back(a);
+      names.push_back(b);
+    }
+  }
+  return names;
+}
+
+// Wraps `scan` in a Project renaming each column the statement reads
+// (`reads`, the names it uses) to "<qualifier>.<base>", at least one. A
+// sampled scan also offers "__unit" (engine/plan.h), kept like any other
+// column only when read.
 Result<PlanPtr> QualifiedScan(const TableRef& ref, const Catalog& catalog,
+                              const std::vector<std::string>& reads,
                               Schema* schema_out) {
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
-                       catalog.Get(ref.table));
+  AQP_ASSIGN_OR_RETURN(Schema table_schema, catalog.Schema(ref.table));
+  std::vector<Field> fields = table_schema.fields();
+  if (ref.sample.is_sampled()) fields.push_back({"__unit", DataType::kInt64});
+  std::erase_if(fields, [&](const Field& f) {
+    const std::string base = BaseName(f.name);
+    return std::none_of(reads.begin(), reads.end(), [&](const auto& r) {
+      return r == base || r == ref.qualifier() + "." + base;
+    });
+  });
+  if (fields.empty() && table_schema.num_fields() > 0) {
+    fields.push_back(table_schema.field(0));
+  }
   PlanPtr scan = PlanNode::Scan(ref.table, ref.sample);
   std::vector<ExprPtr> exprs;
   std::vector<std::string> names;
   Schema schema;
-  for (const Field& f : table->schema().fields()) {
+  for (const Field& f : fields) {
     std::string qualified = ref.qualifier() + "." + BaseName(f.name);
     exprs.push_back(Col(f.name));
     names.push_back(qualified);
@@ -167,14 +205,16 @@ Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog) {
   std::vector<BoundJoin> joins;
   std::vector<size_t> first_field;  // Schema index of each table's first field.
   first_field.push_back(0);
+  const std::vector<std::string> reads = StatementColumns(stmt);
   AQP_ASSIGN_OR_RETURN(PlanPtr from,
-                       QualifiedScan(stmt.from, catalog, &schema));
+                       QualifiedScan(stmt.from, catalog, reads, &schema));
   scans.push_back(std::move(from));
   for (const JoinClause& join : stmt.joins) {
     bound.tables.push_back(join.table);
     Schema right_schema;
-    AQP_ASSIGN_OR_RETURN(PlanPtr right,
-                         QualifiedScan(join.table, catalog, &right_schema));
+    AQP_ASSIGN_OR_RETURN(
+        PlanPtr right,
+        QualifiedScan(join.table, catalog, reads, &right_schema));
     BoundJoin bj{join.type, {}, {}};
     for (const auto& [a, b] : join.conditions) {
       Result<size_t> a_left = schema.FieldIndex(a);
@@ -458,14 +498,11 @@ Result<Table> ExecuteSql(std::string_view sql, const Catalog& catalog,
 Result<PlanPtr> BindPostAggregation(const SelectStmt& stmt,
                                     const BoundQuery& bound,
                                     const std::string& agg_table,
-                                    const Catalog& catalog,
-                                    bool append_row_id) {
+                                    const Catalog& catalog) {
   if (stmt.having != nullptr) {
     return Status::Unimplemented("HAVING is not supported post-aggregation");
   }
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
-                       catalog.Get(agg_table));
-  const Schema& schema = table->schema();
+  AQP_ASSIGN_OR_RETURN(const Schema schema, catalog.Schema(agg_table));
 
   // Rebuild the same substitution map the main binder used.
   std::unordered_map<std::string, std::string> replacements;
@@ -489,10 +526,8 @@ Result<PlanPtr> BindPostAggregation(const SelectStmt& stmt,
     exprs.push_back(std::move(e));
     names.push_back(item.alias.empty() ? item.expr->ToString() : item.alias);
   }
-  if (append_row_id) {
-    exprs.push_back(Col("__row_id"));
-    names.push_back("__row_id");
-  }
+  exprs.push_back(Col("__row_id"));
+  names.push_back("__row_id");
   plan = PlanNode::Project(plan, std::move(exprs), std::move(names));
 
   if (!stmt.order_by.empty()) {

@@ -48,6 +48,11 @@ struct BoundQuery {
 /// onto the preserved side); the remaining conjuncts stay in one Filter
 /// above the joins. Join output order is left rows in order, so the pushed
 /// plan feeds the aggregate the same row sequence as filtering afterwards.
+/// Tables bind by schema alone (Catalog::Schema), so extent-backed names
+/// bind like in-memory ones, and each table projects only the columns the
+/// statement reads, so scans decode and gather nothing else. A sampled
+/// table also offers "<qualifier>.__unit": the sampling unit of each row,
+/// drawn by the engine's scan (engine/plan.h, SampleSpec).
 Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog);
 
 /// Parse + bind in one step.
@@ -104,15 +109,14 @@ Result<Table> ExecuteSql(std::string_view sql, const Catalog& catalog,
 /// estimated aggregates into such a table and runs this plan to give the
 /// user the exact output shape of the original query.
 ///
-/// When `append_row_id` is true, a passthrough of column "__row_id" (which
-/// must exist in `agg_table`) is appended as the last output column so the
-/// caller can map output rows back to groups after sorting/limiting.
-/// HAVING is not supported here (callers fall back to exact execution).
+/// A passthrough of column "__row_id" (which must exist in `agg_table`) is
+/// appended as the last output column so the caller can map output rows
+/// back to groups after sorting/limiting. HAVING is not supported here
+/// (callers fall back to exact execution).
 Result<PlanPtr> BindPostAggregation(const SelectStmt& stmt,
                                     const BoundQuery& bound,
                                     const std::string& agg_table,
-                                    const Catalog& catalog,
-                                    bool append_row_id);
+                                    const Catalog& catalog);
 
 }  // namespace sql
 }  // namespace aqp

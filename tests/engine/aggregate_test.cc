@@ -161,33 +161,6 @@ TEST(GroupByAggregateTest, EmptyInputGroupedYieldsNoRows) {
   EXPECT_EQ(out.num_rows(), 0u);
 }
 
-TEST(GroupByAggregateTest, WeightsActAsHorvitzThompson) {
-  Table t = SalesTable();
-  // Weight 2.0 on every row simulates a 50% sample scale-up.
-  std::vector<double> weights(t.num_rows(), 2.0);
-  AggregateOptions opts;
-  opts.weights = &weights;
-  Table out = GroupByAggregate(t, {}, {},
-                               {{AggKind::kCountStar, nullptr, "n"},
-                                {AggKind::kSum, Col("amount"), "s"},
-                                {AggKind::kAvg, Col("amount"), "a"}},
-                               opts)
-                  .value();
-  EXPECT_EQ(out.column(0).Int64At(0), 10);          // 5 rows * weight 2.
-  EXPECT_DOUBLE_EQ(out.column(1).DoubleAt(0), 300.0);  // Doubled sum.
-  EXPECT_DOUBLE_EQ(out.column(2).DoubleAt(0), 30.0);   // Mean unchanged.
-}
-
-TEST(GroupByAggregateTest, WeightLengthMismatchRejected) {
-  Table t = SalesTable();
-  std::vector<double> weights(2, 1.0);
-  AggregateOptions opts;
-  opts.weights = &weights;
-  EXPECT_FALSE(GroupByAggregate(t, {}, {},
-                                {{AggKind::kCountStar, nullptr, "n"}}, opts)
-                   .ok());
-}
-
 TEST(GroupByAggregateTest, SumOverStringRejected) {
   Table t = SalesTable();
   EXPECT_FALSE(

@@ -224,7 +224,7 @@ TEST(BatchKernelTest, GovLadderDegradesVectorizedMemoryRefusal) {
   opts.aqp.min_table_rows = 1000;
   opts.aqp.max_rate = 0.8;
   opts.aqp.exec.num_threads = 2;
-  opts.memory_budget_bytes = 2048;  // Far below any stage sample.
+  opts.memory_budget_bytes = 2048;  // Far below any sampled stage.
   gov::GovernedExecutor exec(&catalog, &samples, opts);
   core::ApproxResult r =
       exec.Execute(

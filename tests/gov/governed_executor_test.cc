@@ -194,7 +194,7 @@ TEST_F(GovernedExecutorTest, UserCancelDoesNotDegrade) {
 TEST_F(GovernedExecutorTest, TinyMemoryBudgetDegrades) {
   ScopedFaultInjection quiet;
   GovernedOptions opts = Options();
-  opts.memory_budget_bytes = 2048;  // Far below any stage sample.
+  opts.memory_budget_bytes = 2048;  // Far below any sampled stage.
   GovernedExecutor exec(&catalog_, &samples_, opts);
   core::ApproxResult r = exec.Execute(kSumQuery).value();
   EXPECT_EQ(r.profile.degradation_rung, 1);

@@ -78,11 +78,12 @@ class WatchdogHangTest : public ::testing::TestWithParam<HangCase> {
     o.gov.aqp.block_size = 64;
     o.gov.aqp.min_table_rows = 1000;
     o.gov.aqp.max_rate = 0.8;
-    // Row sampling: the default block method never calls the Bernoulli
-    // sampler, and its post-draw gathers are too small to fan out — neither
+    // Row sampling: the default block method never draws a Bernoulli
+    // sample, and its post-draw gathers are too small to fan out — neither
     // the sampler.bernoulli nor the pool.dispatch hang would ever be hit.
-    // The Bernoulli draw runs over the full base table, so it both hits the
-    // sampler site and (morselized, 60k rows) dispatches pool helpers.
+    // The engine's Bernoulli scan draws over the full base table, so it both
+    // hits the sampler site and (morselized, 60k rows) dispatches pool
+    // helpers.
     o.gov.aqp.method = SampleSpec::Method::kBernoulliRow;
     o.gov.aqp.exec.num_threads = c.num_threads;
     o.synopsis_rows = 4000;
@@ -159,7 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
         // Scan head: the first fetch of every table scan.
         HangCase{"engine.scan", 1, 50, true},
         HangCase{"engine.scan", 4, 50, true},
-        // Sampler draw: the Bernoulli row-sample the pilot stage runs.
+        // Sampler draw: the Bernoulli scan the pilot stage's plan runs.
         HangCase{"sampler.bernoulli", 1, 50, true},
         HangCase{"sampler.bernoulli", 4, 50, true},
         // Grace-sample draw: reachable only on rung 2, so the deadline is

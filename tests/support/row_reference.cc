@@ -211,7 +211,7 @@ Result<TablePtr> RunAggregate(const PlanNode& node, const Table& input,
     for (size_t a = 0; a < aggs.size(); ++a) {
       AccumulateRow(st[a][g], aggs[a].kind,
                     aggs[a].kind == AggKind::kCountStar ? nullptr : &args[a],
-                    i, 1.0);
+                    i);
     }
   };
   States states(aggs.size(), std::vector<AggAccumulator>(num_groups));
