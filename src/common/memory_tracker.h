@@ -20,9 +20,10 @@ namespace aqp {
 ///
 /// Accounting rule: charges cover operator OUTPUTS (materialized tables,
 /// drawn samples, OLA accumulator arrays) plus the hash join's build table
-/// and match-pair buffers, which can outgrow the inputs they come from.
-/// Other transient operator-internal scratch (sort index, group tables) is
-/// not charged; it is bounded by the charged inputs it is built from.
+/// and match-pair buffers and grouped aggregation's partial states and group
+/// tables, which can outgrow the inputs they come from. Other transient
+/// operator-internal scratch (sort index, per-worker morsel buffers) is not
+/// charged; it is bounded by the charged inputs it is built from.
 ///
 /// A budget of 0 means unbounded (accounting still runs, charges never
 /// fail). When a charge would exceed the budget, TryCharge refuses with

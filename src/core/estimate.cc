@@ -68,15 +68,15 @@ Result<GroupedEstimates> Estimate(const Table& t, UnitOf unit_of,
                                      std::move(key_cols)));
   }
 
-  // Evaluate aggregate arguments once.
-  std::vector<Column> arg_cols;
+  // Evaluate aggregate arguments once; bare column refs are borrowed.
+  std::vector<EvaluatedColumn> arg_cols;
   for (const AggSpec& spec : aggs) {
     if (spec.kind == AggKind::kCountStar || spec.arg == nullptr) {
-      arg_cols.emplace_back(DataType::kDouble);  // Placeholder.
+      arg_cols.emplace_back();  // Unused.
       continue;
     }
-    AQP_ASSIGN_OR_RETURN(Column c, Eval(*spec.arg, t));
-    if (!IsNumeric(c.type())) {
+    AQP_ASSIGN_OR_RETURN(EvaluatedColumn c, EvalBorrowed(*spec.arg, t));
+    if (!IsNumeric(c.column->type())) {
       return Status::InvalidArgument("aggregate argument must be numeric");
     }
     arg_cols.push_back(std::move(c));
@@ -108,7 +108,7 @@ Result<GroupedEstimates> Estimate(const Table& t, UnitOf unit_of,
         cell.c += 1.0;
         continue;
       }
-      const Column& arg = arg_cols[a];
+      const Column& arg = *arg_cols[a].column;
       if (spec.kind == AggKind::kCount) {
         if (!arg.IsNull(i)) cell.c += 1.0;
         continue;

@@ -1,13 +1,20 @@
 #include "engine/aggregate.h"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <unordered_set>
+#include <utility>
 
 #include "common/cancellation.h"
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/hash_id_table.h"
+#include "common/memory_tracker.h"
 #include "expr/eval.h"
 
 namespace aqp {
@@ -78,56 +85,15 @@ double CanonicalNaN(double v) {
 
 }  // namespace
 
-Result<GroupIndex> BuildGroupIndex(const Table& input,
-                                   const std::vector<ExprPtr>& group_exprs) {
-  GroupIndex index;
-  const size_t n = input.num_rows();
-  index.group_ids.resize(n);
-  if (group_exprs.empty()) {
-    // Single global group, present even for empty input.
-    index.num_groups = 1;
-    return index;
-  }
-  std::vector<Column> keys;
-  keys.reserve(group_exprs.size());
-  for (const ExprPtr& e : group_exprs) {
-    AQP_ASSIGN_OR_RETURN(Column c, Eval(*e, input));
-    keys.push_back(std::move(c));
-  }
-  for (const Column& k : keys) {
-    index.key_columns.emplace_back(k.type());
-  }
-  HashIdTable table;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (const Column& k : keys) h = HashCombine(h, k.HashAt(i));
-    bool inserted = false;
-    const uint32_t gid = table.FindOrInsert(
-        h,
-        [&](uint32_t cand) {
-          for (size_t c = 0; c < keys.size(); ++c) {
-            if (!keys[c].SlotEquals(i, index.key_columns[c], cand)) {
-              return false;
-            }
-          }
-          return true;
-        },
-        &inserted);
-    if (inserted) {
-      for (size_t c = 0; c < keys.size(); ++c) {
-        index.key_columns[c].AppendFrom(keys[c], i);
-      }
-    }
-    index.group_ids[i] = gid;
-  }
-  index.num_groups = table.size();
-  return index;
-}
-
 namespace {
 
-// Compares boxed values of the same (or numeric-compatible) type.
+// Compares boxed values of the same (or numeric-compatible) type. Two INT64
+// values compare as integers: as doubles, distinct values beyond ±2^53
+// would round to equals.
 int CompareValues(const Value& a, const Value& b) {
+  if (a.type() == DataType::kInt64 && b.type() == DataType::kInt64) {
+    return a.int64() < b.int64() ? -1 : (a.int64() > b.int64() ? 1 : 0);
+  }
   if (IsNumeric(a.type()) && IsNumeric(b.type())) {
     double x = a.AsDouble();
     double y = b.AsDouble();
@@ -142,6 +108,29 @@ int CompareValues(const Value& a, const Value& b) {
     default:
       AQP_CHECK(false);
       return 0;
+  }
+}
+
+// Calls fn(i) for each row in [begin, end) whose validity byte is set (every
+// row when `valid` is null).
+template <typename Fn>
+void ForEachValid(const uint8_t* valid, size_t begin, size_t end, Fn&& fn) {
+  if (valid == nullptr) {
+    for (size_t i = begin; i < end; ++i) fn(i);
+  } else {
+    for (size_t i = begin; i < end; ++i) {
+      if (valid[i] != 0) fn(i);
+    }
+  }
+}
+
+// Calls fn with the typed value array of a numeric column.
+template <typename Fn>
+void WithNumericData(const Column& c, Fn&& fn) {
+  if (c.type() == DataType::kInt64) {
+    fn(c.int64_data());
+  } else {
+    fn(c.double_data());
   }
 }
 
@@ -234,53 +223,43 @@ void AccumulateSpan(AggAccumulator& st, AggKind kind, const Column* arg,
     for (size_t i = begin; i < end; ++i) AccumulateRow(st, kind, arg, i);
     return;
   }
-  const int64_t* ints =
-      arg->type() == DataType::kInt64 ? arg->int64_data() : nullptr;
-  const double* dbls =
-      arg->type() == DataType::kDouble ? arg->double_data() : nullptr;
-  auto x_at = [&](size_t i) {
-    return ints != nullptr ? static_cast<double>(ints[i]) : dbls[i];
-  };
-  switch (kind) {
-    case AggKind::kSum:
-    case AggKind::kAvg:
-      for (size_t i = begin; i < end; ++i) {
-        if (valid != nullptr && !valid[i]) continue;
-        st.weighted_sum += x_at(i);
-        st.weight_total += 1.0;
-        ++st.count;
-      }
-      break;
-    case AggKind::kVar:
-    case AggKind::kStddev:
-      for (size_t i = begin; i < end; ++i) {
-        if (valid != nullptr && !valid[i]) continue;
-        const double x = x_at(i);
-        ++st.count;
-        double delta = x - st.mean;
-        st.mean += delta / static_cast<double>(st.count);
-        st.m2 += delta * (x - st.mean);
-      }
-      break;
-    case AggKind::kMin:
-    case AggKind::kMax: {
-      // Track winning row indices; box a Value only once at the end. The
-      // strict </> in double space keeps the FIRST row on ties and ignores
-      // unordered (NaN) candidates — exactly CompareValues' behavior.
-      size_t best_min = SIZE_MAX;
-      size_t best_max = SIZE_MAX;
-      for (size_t i = begin; i < end; ++i) {
-        if (valid != nullptr && !valid[i]) continue;
-        if (best_min == SIZE_MAX) {
-          best_min = i;
-          best_max = i;
-          continue;
-        }
-        const double x = x_at(i);
-        if (x < x_at(best_min)) best_min = i;
-        if (x > x_at(best_max)) best_max = i;
-      }
-      if (best_min != SIZE_MAX) {
+  WithNumericData(*arg, [&](const auto* x) {
+    switch (kind) {
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        ForEachValid(valid, begin, end, [&](size_t i) {
+          st.weighted_sum += static_cast<double>(x[i]);
+          st.weight_total += 1.0;
+          ++st.count;
+        });
+        break;
+      case AggKind::kVar:
+      case AggKind::kStddev:
+        ForEachValid(valid, begin, end, [&](size_t i) {
+          const double v = static_cast<double>(x[i]);
+          ++st.count;
+          double delta = v - st.mean;
+          st.mean += delta / static_cast<double>(st.count);
+          st.m2 += delta * (v - st.mean);
+        });
+        break;
+      case AggKind::kMin:
+      case AggKind::kMax: {
+        // Track winning row indices; box a Value only once at the end. The
+        // strict </> in the column's own type keeps the FIRST row on ties
+        // and ignores unordered (NaN) candidates — CompareValues' behavior.
+        size_t best_min = SIZE_MAX;
+        size_t best_max = SIZE_MAX;
+        ForEachValid(valid, begin, end, [&](size_t i) {
+          if (best_min == SIZE_MAX) {
+            best_min = i;
+            best_max = i;
+            return;
+          }
+          if (x[i] < x[best_min]) best_min = i;
+          if (x[i] > x[best_max]) best_max = i;
+        });
+        if (best_min == SIZE_MAX) break;
         Value vmin = arg->GetValue(best_min);
         Value vmax = arg->GetValue(best_max);
         AggAccumulator::NonLinear& nl = st.MutableNonLinear();
@@ -292,24 +271,79 @@ void AccumulateSpan(AggAccumulator& st, AggKind kind, const Column* arg,
           if (CompareValues(vmin, nl.min_v) < 0) nl.min_v = std::move(vmin);
           if (CompareValues(vmax, nl.max_v) > 0) nl.max_v = std::move(vmax);
         }
+        break;
       }
-      break;
+      default:
+        break;  // Handled above.
     }
-    default:
-      break;  // Handled above.
-  }
+  });
 }
 
-// True when group-key rows `i` and `j` are equal across all key columns.
-bool KeyRowsEqual(const std::vector<Column>& keys, size_t i, size_t j) {
-  for (const Column& k : keys) {
-    if (!k.SlotEquals(i, k, j)) return false;
+// The final value of one aggregate from its accumulator. The grouped path's
+// AppendFlat restates these rules for its flat arrays; a change here belongs
+// there too.
+Status AppendFinal(AggKind kind, const AggAccumulator& st, Column& col) {
+  switch (kind) {
+    case AggKind::kCountStar:
+    case AggKind::kCount:
+      col.AppendInt64(static_cast<int64_t>(std::llround(st.weight_total)));
+      break;
+    case AggKind::kSum:
+      if (st.count == 0) {
+        col.AppendNull();
+      } else {
+        col.AppendDouble(CanonicalNaN(st.weighted_sum));
+      }
+      break;
+    case AggKind::kAvg:
+      if (st.weight_total == 0.0) {
+        col.AppendNull();
+      } else {
+        col.AppendDouble(CanonicalNaN(st.weighted_sum / st.weight_total));
+      }
+      break;
+    case AggKind::kVar:
+      if (st.count < 2) {
+        col.AppendNull();
+      } else {
+        col.AppendDouble(
+            CanonicalNaN(st.m2 / static_cast<double>(st.count - 1)));
+      }
+      break;
+    case AggKind::kStddev:
+      if (st.count < 2) {
+        col.AppendNull();
+      } else {
+        col.AppendDouble(CanonicalNaN(
+            std::sqrt(st.m2 / static_cast<double>(st.count - 1))));
+      }
+      break;
+    case AggKind::kMin:
+      if (!st.has_value()) {
+        col.AppendNull();
+      } else {
+        return col.AppendValue(st.nonlinear->min_v);
+      }
+      break;
+    case AggKind::kMax:
+      if (!st.has_value()) {
+        col.AppendNull();
+      } else {
+        return col.AppendValue(st.nonlinear->max_v);
+      }
+      break;
+    case AggKind::kCountDistinct:
+      col.AppendInt64(static_cast<int64_t>(
+          st.nonlinear != nullptr ? st.nonlinear->distinct.size() : 0));
+      break;
   }
-  return true;
+  return Status::OK();
 }
 
 }  // namespace
 
+// The grouped path's Fold restates these rules over its flat arrays; a
+// change here belongs there too.
 void AggAccumulator::Merge(const AggAccumulator& other) {
   weighted_sum += other.weighted_sum;
   weight_total += other.weight_total;
@@ -364,65 +398,732 @@ Result<Table> FinalizeAggregates(
     Column col(out_types[a]);
     col.Reserve(num_groups);
     for (size_t g = 0; g < num_groups; ++g) {
-      const AggAccumulator& st = states[a][g];
-      switch (aggs[a].kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          col.AppendInt64(static_cast<int64_t>(std::llround(st.weight_total)));
-          break;
-        case AggKind::kSum:
-          if (st.count == 0) {
-            col.AppendNull();
-          } else {
-            col.AppendDouble(CanonicalNaN(st.weighted_sum));
-          }
-          break;
-        case AggKind::kAvg:
-          if (st.weight_total == 0.0) {
-            col.AppendNull();
-          } else {
-            col.AppendDouble(CanonicalNaN(st.weighted_sum / st.weight_total));
-          }
-          break;
-        case AggKind::kVar:
-          if (st.count < 2) {
-            col.AppendNull();
-          } else {
-            col.AppendDouble(
-                CanonicalNaN(st.m2 / static_cast<double>(st.count - 1)));
-          }
-          break;
-        case AggKind::kStddev:
-          if (st.count < 2) {
-            col.AppendNull();
-          } else {
-            col.AppendDouble(CanonicalNaN(
-                std::sqrt(st.m2 / static_cast<double>(st.count - 1))));
-          }
-          break;
-        case AggKind::kMin:
-          if (!st.has_value()) {
-            col.AppendNull();
-          } else {
-            AQP_RETURN_IF_ERROR(col.AppendValue(st.nonlinear->min_v));
-          }
-          break;
-        case AggKind::kMax:
-          if (!st.has_value()) {
-            col.AppendNull();
-          } else {
-            AQP_RETURN_IF_ERROR(col.AppendValue(st.nonlinear->max_v));
-          }
-          break;
-        case AggKind::kCountDistinct:
-          col.AppendInt64(static_cast<int64_t>(
-              st.nonlinear != nullptr ? st.nonlinear->distinct.size() : 0));
-          break;
-      }
+      AQP_RETURN_IF_ERROR(AppendFinal(aggs[a].kind, states[a][g], col));
     }
     out_columns.push_back(std::move(col));
   }
   return Table::Make(std::move(out_schema), std::move(out_columns));
+}
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// Grouped aggregation. One skeleton serves every input size:
+//   1. Each morsel turns its keys into a vector of morsel-local group ids
+//      (first-appearance order within the morsel) with a typed key kernel.
+//   2. Each aggregate accumulates column at a time over that vector into
+//      flat per-group arrays: the morsel's partials.
+//   3. Partials merge in parallel over a fixed number of group partitions.
+//      Within a partition, each group folds its per-morsel partials in
+//      morsel order — exactly the adds a serial fold in morsel order makes —
+//      so the answer is the same for every thread count.
+//   4. Groups come out in first-appearance order (a group's position is
+//      the rank of its first row), finalized straight from the flat arrays.
+// A single-morsel input (everything below parallel_min_rows) stops after
+// step 2: its local groups already are the output groups.
+// ---------------------------------------------------------------------------
+
+// Merge partitions, chosen by the top bits of a group's key hash. Fixed,
+// never derived from the thread count.
+constexpr int kPartitionBits = 6;
+constexpr size_t kPartitions = size_t{1} << kPartitionBits;
+
+size_t PartitionOf(uint64_t hash) { return hash >> (64 - kPartitionBits); }
+
+// How an aggregate keeps its per-group state.
+enum class AggKernel {
+  kCount,   // COUNT(*), COUNT: a row count.
+  kSum,     // SUM, AVG over a numeric argument: sum and count.
+  kMinMax,  // MIN, MAX over INT64 or DOUBLE: best value and count.
+  kRow,     // VAR/STDDEV, COUNT DISTINCT, other MIN/MAX: AccumulateRow.
+};
+
+// One aggregate, resolved against its input.
+struct AggPlan {
+  AggKind kind;
+  AggKernel kernel;
+  const Column* arg;  // Null for COUNT(*).
+  DataType out_type;
+};
+
+AggKernel KernelFor(AggKind kind, const Column* arg) {
+  switch (kind) {
+    case AggKind::kCountStar:
+    case AggKind::kCount:
+      return AggKernel::kCount;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      return AggKernel::kSum;
+    case AggKind::kMin:
+    case AggKind::kMax:
+      return IsNumeric(arg->type()) ? AggKernel::kMinMax : AggKernel::kRow;
+    default:
+      return AggKernel::kRow;
+  }
+}
+
+// Per-group state of one aggregate in flat arrays indexed by group id; the
+// aggregate's kernel decides which arrays are live.
+struct FlatStates {
+  std::vector<uint64_t> count;      // kCount, kSum, kMinMax.
+  std::vector<double> sum;          // kSum.
+  std::vector<int64_t> int_best;    // kMinMax over INT64.
+  std::vector<double> double_best;  // kMinMax over DOUBLE.
+  std::vector<AggAccumulator> acc;  // kRow.
+
+  // Grows to `groups` groups; new groups start empty.
+  void Resize(const AggPlan& p, size_t groups) {
+    if (p.kernel == AggKernel::kRow) {
+      acc.resize(groups);
+      return;
+    }
+    count.resize(groups);
+    if (p.kernel == AggKernel::kSum) sum.resize(groups);
+    if (p.kernel == AggKernel::kMinMax) {
+      if (p.arg->type() == DataType::kInt64) {
+        int_best.resize(groups);
+      } else {
+        double_best.resize(groups);
+      }
+    }
+  }
+
+  uint64_t ApproxBytes() const {
+    uint64_t bytes = (count.capacity() + sum.capacity() +
+                      int_best.capacity() + double_best.capacity()) *
+                         8 +
+                     acc.capacity() * sizeof(AggAccumulator);
+    for (const AggAccumulator& a : acc) {
+      if (a.nonlinear == nullptr) continue;
+      bytes += sizeof(AggAccumulator::NonLinear) +
+               2 * sizeof(uint64_t) * a.nonlinear->distinct.size();
+    }
+    return bytes;
+  }
+};
+
+template <bool kMax, typename T>
+bool Better(T x, T best) {
+  return kMax ? x > best : x < best;
+}
+
+template <bool kMax, typename T>
+void MinMaxLoop(const T* x, const uint8_t* valid, const uint32_t* gids,
+                size_t begin, size_t end, uint64_t* count, T* best) {
+  // The first non-NULL value seeds a group; a later one replaces it only
+  // when strictly better, so ties keep the first row and NaN candidates
+  // never win — AccumulateRow's rule.
+  ForEachValid(valid, begin, end, [&](size_t i) {
+    const uint32_t g = gids[i - begin];
+    if (count[g]++ == 0 || Better<kMax>(x[i], best[g])) best[g] = x[i];
+  });
+}
+
+// Folds rows [begin, end), whose morsel-local group ids are gids[0, ...),
+// into `st`. Each group sees its rows' adds in row order, as in
+// AccumulateRow, so the partials are bit-identical to the row loop's.
+void Accumulate(const AggPlan& p, const uint32_t* gids, size_t begin,
+                size_t end, FlatStates& st) {
+  const Column* arg = p.arg;
+  const uint8_t* valid =
+      arg != nullptr && arg->has_nulls() ? arg->validity() : nullptr;
+  uint64_t* count = st.count.data();
+  switch (p.kernel) {
+    case AggKernel::kCount:
+      ForEachValid(valid, begin, end,
+                   [&](size_t i) { ++count[gids[i - begin]]; });
+      return;
+    case AggKernel::kSum: {
+      double* sum = st.sum.data();
+      WithNumericData(*arg, [&](const auto* x) {
+        ForEachValid(valid, begin, end, [&](size_t i) {
+          const uint32_t g = gids[i - begin];
+          sum[g] += static_cast<double>(x[i]);
+          ++count[g];
+        });
+      });
+      return;
+    }
+    case AggKernel::kMinMax:
+      if (arg->type() == DataType::kInt64) {
+        if (p.kind == AggKind::kMax) {
+          MinMaxLoop<true>(arg->int64_data(), valid, gids, begin, end, count,
+                           st.int_best.data());
+        } else {
+          MinMaxLoop<false>(arg->int64_data(), valid, gids, begin, end, count,
+                            st.int_best.data());
+        }
+      } else if (p.kind == AggKind::kMax) {
+        MinMaxLoop<true>(arg->double_data(), valid, gids, begin, end, count,
+                         st.double_best.data());
+      } else {
+        MinMaxLoop<false>(arg->double_data(), valid, gids, begin, end, count,
+                          st.double_best.data());
+      }
+      return;
+    case AggKernel::kRow:
+      for (size_t i = begin; i < end; ++i) {
+        AccumulateRow(st.acc[gids[i - begin]], p.kind, arg, i);
+      }
+      return;
+  }
+}
+
+template <typename T>
+void FoldBest(bool is_max, std::vector<T>& into, uint32_t g,
+              const std::vector<T>& from, uint32_t l, bool first) {
+  if (first || (is_max ? Better<true>(from[l], into[g])
+                       : Better<false>(from[l], into[g]))) {
+    into[g] = from[l];
+  }
+}
+
+// Folds partial `l` of `from` into group `g` of `into`: AggAccumulator::
+// Merge, restricted to the arrays the kernel keeps.
+void Fold(const AggPlan& p, FlatStates& into, uint32_t g,
+          const FlatStates& from, uint32_t l) {
+  switch (p.kernel) {
+    case AggKernel::kCount:
+      into.count[g] += from.count[l];
+      return;
+    case AggKernel::kSum:
+      into.sum[g] += from.sum[l];
+      into.count[g] += from.count[l];
+      return;
+    case AggKernel::kMinMax: {
+      if (from.count[l] == 0) return;
+      const bool first = into.count[g] == 0;
+      const bool is_max = p.kind == AggKind::kMax;
+      if (p.arg->type() == DataType::kInt64) {
+        FoldBest(is_max, into.int_best, g, from.int_best, l, first);
+      } else {
+        FoldBest(is_max, into.double_best, g, from.double_best, l, first);
+      }
+      into.count[g] += from.count[l];
+      return;
+    }
+    case AggKernel::kRow:
+      into.acc[g].Merge(from.acc[l]);
+      return;
+  }
+}
+
+// The final value of aggregate `p` for group `g`. For the flat kernels this
+// restates AppendFinal's rules over the flat arrays, without boxing a group
+// into an AggAccumulator; a change to one belongs in the other.
+Status AppendFlat(const AggPlan& p, const FlatStates& st, uint32_t g,
+                  Column& col) {
+  switch (p.kernel) {
+    case AggKernel::kCount:
+      col.AppendInt64(static_cast<int64_t>(st.count[g]));
+      break;
+    case AggKernel::kSum:
+      if (st.count[g] == 0) {
+        col.AppendNull();
+      } else if (p.kind == AggKind::kSum) {
+        col.AppendDouble(CanonicalNaN(st.sum[g]));
+      } else {
+        col.AppendDouble(
+            CanonicalNaN(st.sum[g] / static_cast<double>(st.count[g])));
+      }
+      break;
+    case AggKernel::kMinMax:
+      if (st.count[g] == 0) {
+        col.AppendNull();
+      } else if (p.arg->type() == DataType::kInt64) {
+        col.AppendInt64(st.int_best[g]);
+      } else {
+        col.AppendDouble(st.double_best[g]);
+      }
+      break;
+    case AggKernel::kRow:
+      return AppendFinal(p.kind, st.acc[g], col);
+  }
+  return Status::OK();
+}
+
+// ---- Key kernels ----------------------------------------------------------
+// A kernel assigns dense group ids to keys, in first-insertion order. A group
+// is remembered by its Key: the key (inline values, or a row holding them)
+// and the first row it was seen at. Its Table is a group table: one per
+// worker for the morsel pass, one per partition for the merge. It has
+//   Group(begin, end, table, gids, keys): the ids of rows [begin, end) into
+//       gids, each new group's Key appended to `keys`;
+//   Insert(table, hash, key, &inserted): the id of `key`;
+//   Hash(key): the key's hash, which picks its merge partition (and is the
+//       probe hash of the hashed kernels).
+
+// Keys of one INT64 column. A key sits inline in the table as its value and
+// a NULL flag and compares as an integer.
+class Int64Keys {
+ public:
+  struct Key {
+    int64_t v;  // 0 for NULL.
+    bool null;
+    uint32_t first_row;  // Not part of the key.
+    bool SameKey(const Key& o) const { return v == o.v && null == o.null; }
+  };
+  struct Table {
+    HashIdTable ids;
+    std::vector<Key> keys;  // By id.
+    void Clear() {
+      ids.Clear();
+      keys.clear();
+    }
+    uint64_t ApproxBytes() const {
+      return ids.ApproxBytes() + keys.capacity() * sizeof(Key);
+    }
+  };
+
+  explicit Int64Keys(const Column& col)
+      : data_(col.int64_data()),
+        valid_(col.has_nulls() ? col.validity() : nullptr) {}
+
+  static uint64_t Hash(const Key& k) {
+    return Mix64(static_cast<uint64_t>(k.v)) ^ static_cast<uint64_t>(k.null);
+  }
+
+  void Group(size_t begin, size_t end, Table& t, uint32_t* gids,
+             std::vector<Key>& keys) const {
+    for (size_t i = begin; i < end; ++i) {
+      const bool null = valid_ != nullptr && valid_[i] == 0;
+      const Key k{null ? 0 : data_[i], null, static_cast<uint32_t>(i)};
+      bool inserted = false;
+      gids[i - begin] = Insert(t, Hash(k), k, &inserted);
+      if (inserted) keys.push_back(k);
+    }
+  }
+
+  uint32_t Insert(Table& t, uint64_t hash, const Key& key,
+                  bool* inserted) const {
+    const uint32_t id = t.ids.FindOrInsert(
+        hash, [&](uint32_t cand) { return t.keys[cand].SameKey(key); },
+        inserted);
+    if (*inserted) t.keys.push_back(key);
+    return id;
+  }
+
+ private:
+  const int64_t* data_;
+  const uint8_t* valid_;
+};
+
+// Keys of any other types: a key is its first row, compared slot by slot
+// through Column.
+class ColumnKeys {
+ public:
+  struct Key {
+    uint32_t first_row;
+    uint64_t hash;
+  };
+  struct Table {
+    HashIdTable ids;
+    std::vector<uint32_t> reps;    // A row holding each id's key.
+    std::vector<uint64_t> hashes;  // Morsel scratch.
+    void Clear() {
+      ids.Clear();
+      reps.clear();
+    }
+    uint64_t ApproxBytes() const {
+      return ids.ApproxBytes() + 4 * reps.capacity() + 8 * hashes.capacity();
+    }
+  };
+
+  explicit ColumnKeys(const std::vector<const Column*>& cols) : cols_(cols) {}
+
+  static uint64_t Hash(const Key& k) { return k.hash; }
+
+  void Group(size_t begin, size_t end, Table& t, uint32_t* gids,
+             std::vector<Key>& keys) const {
+    // Hash column at a time (one tight loop per key column), then probe.
+    t.hashes.assign(end - begin, 0x9e3779b97f4a7c15ULL);
+    for (const Column* k : cols_) {
+      for (size_t i = begin; i < end; ++i) {
+        t.hashes[i - begin] = HashCombine(t.hashes[i - begin], k->HashAt(i));
+      }
+    }
+    for (size_t i = begin; i < end; ++i) {
+      const Key k{static_cast<uint32_t>(i), t.hashes[i - begin]};
+      bool inserted = false;
+      gids[i - begin] = Insert(t, k.hash, k, &inserted);
+      if (inserted) keys.push_back(k);
+    }
+  }
+
+  uint32_t Insert(Table& t, uint64_t hash, const Key& key,
+                  bool* inserted) const {
+    const uint32_t id = t.ids.FindOrInsert(
+        hash,
+        [&](uint32_t cand) {
+          for (const Column* k : cols_) {
+            if (!k->SlotEquals(key.first_row, *k, t.reps[cand])) return false;
+          }
+          return true;
+        },
+        inserted);
+    if (*inserted) t.reps.push_back(key.first_row);
+    return id;
+  }
+
+ private:
+  std::vector<const Column*> cols_;
+};
+
+// One INT64 column whose values span a small range: a key is its slot,
+// value - min (one more slot for NULL), and its id sits at that index of a
+// plain array. No hashing of rows, no probing.
+class DirectKeys {
+ public:
+  struct Key {
+    uint32_t slot;
+    uint32_t first_row;
+  };
+  struct Table {
+    std::vector<uint32_t> id_of_slot;  // kNotFound for an absent key.
+    std::vector<uint32_t> slots;       // By id.
+    void Clear() {
+      for (uint32_t slot : slots) id_of_slot[slot] = HashIdTable::kNotFound;
+      slots.clear();
+    }
+    uint64_t ApproxBytes() const {
+      return 4 * (id_of_slot.capacity() + slots.capacity());
+    }
+  };
+
+  DirectKeys(const Column& col, int64_t min, uint64_t range)
+      : data_(col.int64_data()),
+        valid_(col.has_nulls() ? col.validity() : nullptr),
+        min_(min),
+        null_slot_(static_cast<uint32_t>(range + 1)) {}
+
+  static uint64_t Hash(const Key& k) { return Mix64(k.slot); }
+
+  void Group(size_t begin, size_t end, Table& t, uint32_t* gids,
+             std::vector<Key>& keys) const {
+    for (size_t i = begin; i < end; ++i) {
+      const bool null = valid_ != nullptr && valid_[i] == 0;
+      const Key k{null ? null_slot_
+                       : static_cast<uint32_t>(static_cast<uint64_t>(data_[i]) -
+                                               static_cast<uint64_t>(min_)),
+                  static_cast<uint32_t>(i)};
+      bool inserted = false;
+      gids[i - begin] = Insert(t, 0, k, &inserted);
+      if (inserted) keys.push_back(k);
+    }
+  }
+
+  uint32_t Insert(Table& t, uint64_t /*hash*/, const Key& key,
+                  bool* inserted) const {
+    if (t.id_of_slot.empty()) {
+      t.id_of_slot.assign(null_slot_ + 1, HashIdTable::kNotFound);
+    }
+    uint32_t& id = t.id_of_slot[key.slot];
+    *inserted = id == HashIdTable::kNotFound;
+    if (*inserted) {
+      id = static_cast<uint32_t>(t.slots.size());
+      t.slots.push_back(key.slot);
+    }
+    return id;
+  }
+
+ private:
+  const int64_t* data_;
+  const uint8_t* valid_;
+  int64_t min_;
+  uint32_t null_slot_;
+};
+
+// Calls fn with the key kernel for `cols`: DirectKeys when one INT64 column
+// spans fewer than `direct_slots` values, Int64Keys for another single INT64
+// column, ColumnKeys otherwise.
+template <typename Fn>
+auto WithKeyKernel(const std::vector<const Column*>& cols, size_t direct_slots,
+                   Fn&& fn) {
+  if (cols.size() == 1 && cols[0]->type() == DataType::kInt64) {
+    // NULL slots are scanned too: their stored values can only widen the
+    // range, and a NULL key never indexes by its value.
+    const int64_t* v = cols[0]->int64_data();
+    int64_t lo = 0;
+    int64_t hi = 0;
+    if (cols[0]->size() > 0) lo = hi = v[0];
+    for (size_t i = 0; i < cols[0]->size(); ++i) {
+      lo = std::min(lo, v[i]);
+      hi = std::max(hi, v[i]);
+    }
+    const uint64_t range =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (range < direct_slots) return fn(DirectKeys(*cols[0], lo, range));
+    return fn(Int64Keys(*cols[0]));
+  }
+  return fn(ColumnKeys(cols));
+}
+
+// One morsel's groups and their partials. Group ids start out in
+// first-appearance order within the morsel; when the input has several
+// morsels they are renumbered into partition order before accumulation, so
+// each partition's groups sit contiguously: ids [partition_begin[q],
+// partition_begin[q + 1]) for partition q.
+template <typename Keys>
+struct MorselState {
+  using Key = typename Keys::Key;
+  std::vector<Key> keys;         // By id.
+  std::vector<FlatStates> aggs;  // Partials, one per aggregate.
+  std::array<uint32_t, kPartitions + 1> partition_begin{};
+
+  // Renumbers the groups into partition order (stable within a partition)
+  // and rewrites the rows' ids `gids[0, rows)` to match. `id_of` is scratch.
+  void OrderByPartition(uint32_t* gids, size_t rows,
+                        std::vector<uint32_t>& id_of) {
+    id_of.resize(keys.size());
+    for (size_t k = 0; k < keys.size(); ++k) {
+      id_of[k] = static_cast<uint32_t>(PartitionOf(Keys::Hash(keys[k])));
+      ++partition_begin[id_of[k] + 1];
+    }
+    for (size_t q = 0; q < kPartitions; ++q) {
+      partition_begin[q + 1] += partition_begin[q];
+    }
+    std::array<uint32_t, kPartitions> cursor;
+    std::copy(partition_begin.begin(), partition_begin.end() - 1,
+              cursor.begin());
+    std::vector<Key> ordered(keys.size());
+    for (size_t k = 0; k < keys.size(); ++k) {
+      id_of[k] = cursor[id_of[k]]++;
+      ordered[id_of[k]] = keys[k];
+    }
+    keys = std::move(ordered);
+    for (size_t i = 0; i < rows; ++i) gids[i] = id_of[gids[i]];
+  }
+
+  uint64_t ApproxBytes() const {
+    uint64_t bytes = sizeof(*this) + sizeof(Key) * keys.capacity();
+    for (const FlatStates& f : aggs) bytes += f.ApproxBytes();
+    return bytes;
+  }
+};
+
+// The group-key columns of an aggregation over `input`.
+struct GroupKeyColumns {
+  std::vector<EvaluatedColumn> evaluated;
+  std::vector<const Column*> cols;
+};
+
+Result<GroupKeyColumns> EvalGroupKeys(const Table& input,
+                                      const std::vector<ExprPtr>& exprs) {
+  GroupKeyColumns keys;
+  for (const ExprPtr& e : exprs) {
+    AQP_ASSIGN_OR_RETURN(EvaluatedColumn c, EvalBorrowed(*e, input));
+    keys.cols.push_back(c.column);
+    keys.evaluated.push_back(std::move(c));
+  }
+  return keys;
+}
+
+// Groups `[0, groups)` of per-aggregate states `aggs`.
+struct StateBlock {
+  const std::vector<FlatStates>* aggs;
+  size_t groups;
+};
+
+// Finalizes the output: key columns gathered at each group's first row, then
+// one column per aggregate. Values are produced block after block, in
+// sequence; with `order`, output group pos takes value order[pos].
+Result<Table> FinalizeGroups(const std::vector<const Column*>& key_cols,
+                             const std::vector<uint32_t>& first_rows,
+                             const std::vector<std::string>& group_names,
+                             const std::vector<AggSpec>& aggs,
+                             const std::vector<AggPlan>& plans,
+                             const std::vector<StateBlock>& blocks,
+                             const std::vector<uint32_t>* order) {
+  Schema schema;
+  std::vector<Column> columns;
+  for (size_t c = 0; c < key_cols.size(); ++c) {
+    schema.AddField({group_names[c], key_cols[c]->type()});
+    columns.push_back(key_cols[c]->Take(first_rows));
+  }
+  for (size_t a = 0; a < plans.size(); ++a) {
+    schema.AddField({aggs[a].alias, plans[a].out_type});
+    Column col(plans[a].out_type);
+    col.Reserve(first_rows.size());
+    for (const StateBlock& block : blocks) {
+      for (uint32_t g = 0; g < block.groups; ++g) {
+        AQP_RETURN_IF_ERROR(AppendFlat(plans[a], (*block.aggs)[a], g, col));
+      }
+    }
+    columns.push_back(order != nullptr ? col.Take(*order) : std::move(col));
+  }
+  return Table::Make(std::move(schema), std::move(columns));
+}
+
+// The skeleton above, for one key kernel.
+template <typename Keys>
+Result<Table> AggregateGroups(const Keys& keys,
+                              const std::vector<const Column*>& key_cols,
+                              const std::vector<std::string>& group_names,
+                              const std::vector<AggSpec>& aggs,
+                              const std::vector<AggPlan>& plans, size_t n,
+                              const AggregateOptions& options) {
+  const ExecOptions* exec = options.exec;
+  const bool use_morsels = exec != nullptr && exec->UseMorsels(n);
+  const size_t morsel_rows = use_morsels ? exec->morsel_rows : n;
+  const size_t num_morsels =
+      n == 0 ? 0 : (n + morsel_rows - 1) / morsel_rows;
+  const size_t num_threads = use_morsels ? exec->ResolvedThreads() : 1;
+  MemoryTracker* memory = exec != nullptr ? exec->memory : nullptr;
+  const ThreadPool::ParallelForOptions pf{exec != nullptr ? exec->cancel
+                                                          : nullptr};
+
+  // Steps 1-2: morsel-local group ids and partials. The per-worker group
+  // table and id vectors are reused morsel after morsel.
+  std::vector<MorselState<Keys>> morsels(num_morsels);
+  struct Scratch {
+    typename Keys::Table table;
+    std::vector<uint32_t> gids;
+    std::vector<uint32_t> id_of;
+  };
+  std::vector<Scratch> scratch(num_threads);
+  auto accumulate_morsel = [&](size_t worker, size_t m, size_t begin,
+                               size_t end) {
+    Scratch& s = scratch[worker];
+    s.table.Clear();
+    s.gids.resize(end - begin);
+    MorselState<Keys>& st = morsels[m];
+    keys.Group(begin, end, s.table, s.gids.data(), st.keys);
+    if (num_morsels > 1) {
+      st.OrderByPartition(s.gids.data(), end - begin, s.id_of);
+    }
+    st.aggs.resize(plans.size());
+    for (size_t a = 0; a < plans.size(); ++a) {
+      st.aggs[a].Resize(plans[a], st.keys.size());
+      Accumulate(plans[a], s.gids.data(), begin, end, st.aggs[a]);
+    }
+  };
+  if (!use_morsels) {
+    if (n > 0) accumulate_morsel(0, 0, 0, n);
+  } else {
+    ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
+        n, morsel_rows, num_threads, pf, accumulate_morsel);
+    AQP_RETURN_IF_ERROR(CheckCancelled(exec->cancel));
+    if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
+  }
+  scratch.clear();
+  uint64_t morsel_bytes = 0;
+  for (const MorselState<Keys>& st : morsels) morsel_bytes += st.ApproxBytes();
+  AQP_ASSIGN_OR_RETURN(
+      ScopedMemoryCharge morsel_charge,
+      ScopedMemoryCharge::Make(memory, morsel_bytes, "aggregate state"));
+
+  if (num_morsels <= 1) {
+    std::vector<uint32_t> first_rows;
+    std::vector<StateBlock> blocks;
+    if (num_morsels == 1) {
+      for (const auto& k : morsels[0].keys) first_rows.push_back(k.first_row);
+      blocks.push_back({&morsels[0].aggs, first_rows.size()});
+    }
+    return FinalizeGroups(key_cols, first_rows, group_names, aggs, plans,
+                          blocks, nullptr);
+  }
+
+  // Step 3: each partition folds its groups' partials in morsel order. A
+  // group's first insertion comes from the first morsel holding it, so its
+  // Key's first_row is its first row in the input; that row is marked in
+  // `firsts`, a bitmap over the input's rows.
+  struct Partition {
+    typename Keys::Table table;
+    std::vector<uint32_t> first_rows;  // By id.
+    std::vector<FlatStates> aggs;
+  };
+  std::vector<Partition> parts(kPartitions);
+  std::vector<uint64_t> firsts((n + 63) / 64, 0);
+  ThreadPool::Shared().ParallelFor(
+      kPartitions, 1, num_threads, pf, [&](size_t, size_t q, size_t, size_t) {
+        Partition& part = parts[q];
+        part.aggs.resize(plans.size());
+        for (const MorselState<Keys>& st : morsels) {
+          for (uint32_t l = st.partition_begin[q];
+               l < st.partition_begin[q + 1]; ++l) {
+            const typename Keys::Key& key = st.keys[l];
+            bool inserted = false;
+            const uint32_t g =
+                keys.Insert(part.table, Keys::Hash(key), key, &inserted);
+            if (inserted) {
+              for (size_t a = 0; a < plans.size(); ++a) {
+                part.aggs[a].Resize(plans[a], g + 1);
+              }
+              const uint32_t r = key.first_row;
+              part.first_rows.push_back(r);
+              std::atomic_ref<uint64_t>(firsts[r / 64])
+                  .fetch_or(uint64_t{1} << (r % 64), std::memory_order_relaxed);
+            }
+            for (size_t a = 0; a < plans.size(); ++a) {
+              Fold(plans[a], part.aggs[a], g, st.aggs[a], l);
+            }
+          }
+        }
+      });
+  AQP_RETURN_IF_ERROR(CheckCancelled(pf.cancel));
+  uint64_t partition_bytes = 8 * firsts.capacity();
+  for (const Partition& part : parts) {
+    partition_bytes +=
+        part.table.ApproxBytes() + 4 * part.first_rows.capacity();
+    for (const FlatStates& f : part.aggs) partition_bytes += f.ApproxBytes();
+  }
+  AQP_ASSIGN_OR_RETURN(
+      ScopedMemoryCharge partition_charge,
+      ScopedMemoryCharge::Make(memory, partition_bytes, "aggregate state"));
+
+  // Step 4: a group's output position is the rank of its first row among
+  // all groups' first rows. Values are finalized partition by partition,
+  // so output group pos takes value order[pos].
+  std::vector<uint32_t> rank_base(firsts.size());
+  uint32_t num_groups = 0;
+  for (size_t w = 0; w < firsts.size(); ++w) {
+    rank_base[w] = num_groups;
+    num_groups += static_cast<uint32_t>(std::popcount(firsts[w]));
+  }
+  std::vector<uint32_t> first_rows(num_groups);
+  std::vector<uint32_t> order(num_groups);
+  std::vector<StateBlock> blocks;
+  uint32_t value = 0;
+  for (const Partition& part : parts) {
+    blocks.push_back({&part.aggs, part.first_rows.size()});
+    for (uint32_t r : part.first_rows) {
+      const uint64_t below = firsts[r / 64] & ((uint64_t{1} << (r % 64)) - 1);
+      const uint32_t pos = rank_base[r / 64] + std::popcount(below);
+      first_rows[pos] = r;
+      order[pos] = value++;
+    }
+  }
+  return FinalizeGroups(key_cols, first_rows, group_names, aggs, plans,
+                        blocks, &order);
+}
+
+}  // namespace
+
+Result<GroupIndex> BuildGroupIndex(const Table& input,
+                                   const std::vector<ExprPtr>& group_exprs) {
+  GroupIndex index;
+  const size_t n = input.num_rows();
+  index.group_ids.resize(n);
+  if (group_exprs.empty()) {
+    // Single global group, present even for empty input.
+    index.num_groups = 1;
+    return index;
+  }
+  AQP_ASSIGN_OR_RETURN(GroupKeyColumns keys, EvalGroupKeys(input, group_exprs));
+  // The aggregation's key kernel, run serially as one morsel.
+  std::vector<uint32_t> first_rows;
+  WithKeyKernel(keys.cols, ExecOptions{}.morsel_rows, [&](const auto& kernel) {
+    using Keys = std::decay_t<decltype(kernel)>;
+    typename Keys::Table table;
+    std::vector<typename Keys::Key> groups;
+    kernel.Group(0, n, table, index.group_ids.data(), groups);
+    for (const auto& k : groups) first_rows.push_back(k.first_row);
+  });
+  for (const Column* k : keys.cols) {
+    index.key_columns.push_back(k->Take(first_rows));
+  }
+  index.num_groups = first_rows.size();
+  return index;
 }
 
 Result<Table> GroupByAggregate(const Table& input,
@@ -435,197 +1136,74 @@ Result<Table> GroupByAggregate(const Table& input,
   }
   const size_t n = input.num_rows();
 
-  // Evaluate aggregate arguments once, vectorized.
-  std::vector<Column> arg_columns;
-  std::vector<DataType> out_types;
-  arg_columns.reserve(aggs.size());
+  // Resolve each aggregate's argument once; bare column refs are borrowed.
+  std::vector<EvaluatedColumn> args;
+  std::vector<AggPlan> plans;
   for (const AggSpec& spec : aggs) {
     if (spec.kind == AggKind::kCountStar) {
-      arg_columns.emplace_back(DataType::kInt64);  // Placeholder, unused.
-      out_types.push_back(DataType::kInt64);
+      args.emplace_back();
+      plans.push_back(
+          {spec.kind, AggKernel::kCount, nullptr, DataType::kInt64});
       continue;
     }
     if (spec.arg == nullptr) {
       return Status::InvalidArgument("aggregate missing argument: " +
                                      spec.alias);
     }
-    AQP_ASSIGN_OR_RETURN(Column c, Eval(*spec.arg, input));
-    AQP_ASSIGN_OR_RETURN(DataType t, AggResultType(spec.kind, c.type()));
-    out_types.push_back(t);
-    arg_columns.push_back(std::move(c));
+    AQP_ASSIGN_OR_RETURN(EvaluatedColumn c, EvalBorrowed(*spec.arg, input));
+    AQP_ASSIGN_OR_RETURN(DataType t,
+                         AggResultType(spec.kind, c.column->type()));
+    plans.push_back({spec.kind, KernelFor(spec.kind, c.column), c.column, t});
+    args.push_back(std::move(c));
   }
 
-  // Accumulate. Two equivalent algorithms, chosen by input size only (never
-  // thread count, so results are thread-count independent):
-  //   - classic: single streaming pass over rows;
-  //   - morsel: per-morsel AggAccumulator partials, merged in morsel order.
-  std::vector<std::vector<AggAccumulator>> states;  // [agg][group].
-  std::vector<Column> key_columns;                  // One per group expr.
-  size_t num_groups = 0;
-  const bool use_morsels =
-      options.exec != nullptr && options.exec->UseMorsels(n);
-  if (!use_morsels) {
-    AQP_ASSIGN_OR_RETURN(GroupIndex index, BuildGroupIndex(input, group_exprs));
-    states.assign(aggs.size(), std::vector<AggAccumulator>(index.num_groups));
-    if (group_exprs.empty()) {
-      // Global aggregates over a contiguous input: one span per aggregate.
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        AccumulateSpan(states[a][0], aggs[a].kind,
-                       aggs[a].kind == AggKind::kCountStar ? nullptr
-                                                           : &arg_columns[a],
-                       0, n);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        uint32_t g = index.group_ids[i];
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          AccumulateRow(states[a][g], aggs[a].kind,
-                        aggs[a].kind == AggKind::kCountStar ? nullptr
-                                                            : &arg_columns[a],
-                        i);
-        }
-      }
+  if (!group_exprs.empty()) {
+    AQP_ASSIGN_OR_RETURN(GroupKeyColumns keys,
+                         EvalGroupKeys(input, group_exprs));
+    const size_t direct_slots = options.exec != nullptr
+                                    ? options.exec->morsel_rows
+                                    : ExecOptions{}.morsel_rows;
+    return WithKeyKernel(keys.cols, direct_slots, [&](const auto& kernel) {
+      return AggregateGroups(kernel, keys.cols, group_names, aggs, plans, n,
+                             options);
+    });
+  }
+
+  // Global aggregates: one accumulator per aggregate, folded span by span;
+  // on the morsel path, one partial per morsel, merged in morsel order.
+  std::vector<std::vector<AggAccumulator>> states(
+      aggs.size(), std::vector<AggAccumulator>(1));
+  if (options.exec == nullptr || !options.exec->UseMorsels(n)) {
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      AccumulateSpan(states[a][0], aggs[a].kind, plans[a].arg, 0, n);
     }
-    key_columns = std::move(index.key_columns);
-    num_groups = index.num_groups;
   } else {
-    ThreadPool& pool = ThreadPool::Shared();
-    const size_t num_threads = options.exec->ResolvedThreads();
     const size_t morsel_rows = options.exec->morsel_rows;
     const size_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
-
-    if (group_exprs.empty()) {
-      // Global aggregates: one partial vector per morsel, merged in order.
-      std::vector<std::vector<AggAccumulator>> partials(
-          num_morsels, std::vector<AggAccumulator>(aggs.size()));
-      ParallelRunStats rs = pool.ParallelFor(
-          n, morsel_rows, num_threads,
-          ThreadPool::ParallelForOptions{options.exec->cancel},
-          [&](size_t, size_t m, size_t begin, size_t end) {
-            std::vector<AggAccumulator>& local = partials[m];
-            for (size_t a = 0; a < aggs.size(); ++a) {
-              AccumulateSpan(local[a], aggs[a].kind,
-                             aggs[a].kind == AggKind::kCountStar
-                                 ? nullptr
-                                 : &arg_columns[a],
-                             begin, end);
-            }
-          });
-      // Partials from skipped morsels are empty, not wrong — but the merged
-      // total would silently undercount; surface the cancellation instead.
-      AQP_RETURN_IF_ERROR(CheckCancelled(options.exec->cancel));
-      states.assign(aggs.size(), std::vector<AggAccumulator>(1));
-      for (size_t m = 0; m < num_morsels; ++m) {
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          states[a][0].Merge(partials[m][a]);
-        }
-      }
-      num_groups = 1;
-      if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
-    } else {
-      // Grouped: evaluate the key columns once, then each morsel discovers
-      // its own local groups (rep row = first appearance in the morsel) and
-      // accumulates into local partials. Merging morsels in morsel order
-      // assigns global group ids in whole-input first-appearance order —
-      // exactly the serial ordering.
-      std::vector<Column> keys;
-      keys.reserve(group_exprs.size());
-      for (const ExprPtr& e : group_exprs) {
-        AQP_ASSIGN_OR_RETURN(Column c, Eval(*e, input));
-        keys.push_back(std::move(c));
-      }
-      struct MorselGroups {
-        std::vector<uint32_t> reps;        // Representative row per group.
-        std::vector<uint64_t> rep_hashes;  // Key hash of each rep row.
-        std::vector<std::vector<AggAccumulator>> states;  // [agg][local].
-      };
-      std::vector<MorselGroups> morsels(num_morsels);
-      // Per-worker scratch, reused morsel after morsel: the local group
-      // table and the morsel's key hashes.
-      struct Scratch {
-        HashIdTable local;
-        std::vector<uint64_t> hashes;
-      };
-      std::vector<Scratch> scratch(num_threads);
-      ParallelRunStats rs = pool.ParallelFor(
-          n, morsel_rows, num_threads,
-          ThreadPool::ParallelForOptions{options.exec->cancel},
-          [&](size_t worker, size_t m, size_t begin, size_t end) {
-            MorselGroups& mg = morsels[m];
-            mg.states.assign(aggs.size(), {});
-            HashIdTable& local = scratch[worker].local;
-            std::vector<uint64_t>& hashes = scratch[worker].hashes;
-            local.Clear();
-            // Hash the morsel's keys column-at-a-time (one tight loop per
-            // key column) instead of re-dispatching per row inside the
-            // probe loop. Same HashCombine recipe as BuildGroupIndex.
-            hashes.assign(end - begin, 0x9e3779b97f4a7c15ULL);
-            for (const Column& k : keys) {
-              for (size_t i = begin; i < end; ++i) {
-                hashes[i - begin] = HashCombine(hashes[i - begin], k.HashAt(i));
-              }
-            }
-            for (size_t i = begin; i < end; ++i) {
-              const uint64_t h = hashes[i - begin];
-              bool inserted = false;
-              const uint32_t gid = local.FindOrInsert(
-                  h,
-                  [&](uint32_t cand) {
-                    return KeyRowsEqual(keys, i, mg.reps[cand]);
-                  },
-                  &inserted);
-              if (inserted) {
-                mg.reps.push_back(static_cast<uint32_t>(i));
-                mg.rep_hashes.push_back(h);
-                for (std::vector<AggAccumulator>& s : mg.states) {
-                  s.emplace_back();
-                }
-              }
-              for (size_t a = 0; a < aggs.size(); ++a) {
-                AccumulateRow(mg.states[a][gid], aggs[a].kind,
-                              aggs[a].kind == AggKind::kCountStar
-                                  ? nullptr
-                                  : &arg_columns[a],
-                              i);
-              }
-            }
-          });
-      AQP_RETURN_IF_ERROR(CheckCancelled(options.exec->cancel));
-      // Ordered merge into the global group table.
-      for (const Column& k : keys) key_columns.emplace_back(k.type());
-      states.assign(aggs.size(), {});
-      HashIdTable global;
-      std::vector<uint32_t> global_reps;
-      for (size_t m = 0; m < num_morsels; ++m) {
-        const MorselGroups& mg = morsels[m];
-        for (size_t l = 0; l < mg.reps.size(); ++l) {
-          const uint32_t row = mg.reps[l];
-          bool inserted = false;
-          const uint32_t gid = global.FindOrInsert(
-              mg.rep_hashes[l],
-              [&](uint32_t cand) {
-                return KeyRowsEqual(keys, row, global_reps[cand]);
-              },
-              &inserted);
-          if (inserted) {
-            global_reps.push_back(row);
-            for (size_t c = 0; c < keys.size(); ++c) {
-              key_columns[c].AppendFrom(keys[c], row);
-            }
-            for (std::vector<AggAccumulator>& s : states) s.emplace_back();
-          }
+    std::vector<std::vector<AggAccumulator>> partials(
+        num_morsels, std::vector<AggAccumulator>(aggs.size()));
+    ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
+        n, morsel_rows, options.exec->ResolvedThreads(),
+        ThreadPool::ParallelForOptions{options.exec->cancel},
+        [&](size_t, size_t m, size_t begin, size_t end) {
           for (size_t a = 0; a < aggs.size(); ++a) {
-            states[a][gid].Merge(mg.states[a][l]);
+            AccumulateSpan(partials[m][a], aggs[a].kind, plans[a].arg, begin,
+                           end);
           }
-        }
+        });
+    // Partials from skipped morsels are empty, not wrong — but the merged
+    // total would silently undercount; surface the cancellation instead.
+    AQP_RETURN_IF_ERROR(CheckCancelled(options.exec->cancel));
+    for (size_t m = 0; m < num_morsels; ++m) {
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        states[a][0].Merge(partials[m][a]);
       }
-      num_groups = global.size();
-      if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
     }
+    if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
   }
-
-  return FinalizeAggregates(std::move(key_columns), group_names, aggs,
-                            out_types, states, num_groups);
+  std::vector<DataType> out_types;
+  for (const AggPlan& p : plans) out_types.push_back(p.out_type);
+  return FinalizeAggregates({}, group_names, aggs, out_types, states, 1);
 }
 
 }  // namespace aqp

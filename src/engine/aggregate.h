@@ -57,17 +57,18 @@ struct GroupIndex {
   size_t num_groups = 0;
 };
 
-/// Builds the group index for `group_exprs` over `input`. With no group
-/// expressions, every row lands in the single group 0 (even for an empty
-/// input, num_groups == 1 so global aggregates emit one row).
+/// Builds the group index for `group_exprs` over `input`: GroupByAggregate's
+/// key kernel, run serially, so group ids are in first-appearance order.
+/// With no group expressions, every row lands in the single group 0 (even
+/// for an empty input, num_groups == 1 so global aggregates emit one row).
 Result<GroupIndex> BuildGroupIndex(const Table& input,
                                    const std::vector<ExprPtr>& group_exprs);
 
-/// Running state of one aggregate for one group. A worker-local partial:
-/// morsel workers each fold their rows into private accumulators (no locks,
-/// no sharing), and the coordinator folds the partials together with
-/// Merge() in morsel order — the merge-safe half of the morsel-parallel
-/// aggregation design.
+/// Running state of one aggregate for one group, with every field any
+/// aggregate kind needs. Global aggregates keep one per morsel and fold them
+/// with Merge() in morsel order. Grouped aggregation keeps its own flat
+/// per-group arrays and uses accumulators only for VAR/STDDEV, COUNT
+/// DISTINCT and non-numeric MIN/MAX.
 struct AggAccumulator {
   double weighted_sum = 0.0;  // Sum of x over non-null args.
   double weight_total = 0.0;  // Non-null args (or all rows), as a double.
@@ -139,11 +140,12 @@ Result<Table> FinalizeAggregates(
 /// Execution knobs of GroupByAggregate.
 struct AggregateOptions {
   /// When non-null and the input clears exec->parallel_min_rows, aggregation
-  /// runs morsel-parallel: group-key and argument expressions are evaluated
-  /// once, every morsel builds its own local group table and AggAccumulator
-  /// partials, and partials merge in morsel order (group ids come out in
-  /// first-appearance row order, exactly like the serial path). Null keeps
-  /// the classic single-pass streaming path.
+  /// runs morsel-parallel: every morsel folds its rows into its own partials
+  /// (per group, for a grouped aggregate), and each result folds its
+  /// partials in morsel order, so the answer is the same at every thread
+  /// count. Groups come out in first-appearance row order either way. Null
+  /// runs the whole input as one morsel on the calling thread. The state is
+  /// charged to exec->memory as "aggregate state".
   const ExecOptions* exec = nullptr;
 
   /// When non-null, morsel/steal/per-worker counts of the parallel run are

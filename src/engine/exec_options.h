@@ -28,11 +28,13 @@ namespace aqp {
 ///   1. per-morsel RNG: randomized operators seed one generator per morsel
 ///      from (seed, morsel id), never sharing a generator across morsels;
 ///   2. ordered merge: worker-local partial results live in morsel-indexed
-///      slots and are merged in morsel order after the parallel region.
-/// Changing morsel_rows (or parallel_min_rows, which switches between the
-/// classic streaming path and the morsel path) legitimately changes
-/// last-ulp floating-point grouping and sampled draws; changing thread
-/// count never does.
+///      slots and are merged in morsel order after the parallel region
+///      (grouped aggregation merges in parallel over fixed group
+///      partitions, each group still folding its partials in morsel order).
+/// Changing morsel_rows (or parallel_min_rows, which switches between one
+/// serial morsel and the morsel path) legitimately changes last-ulp
+/// floating-point grouping and sampled draws; changing thread count never
+/// does.
 struct ExecOptions {
   /// 0 = auto: the AQP_NUM_THREADS environment variable if set, else
   /// HardwareThreads().
@@ -41,8 +43,8 @@ struct ExecOptions {
   /// Fixed morsel size in rows. Part of the determinism contract above.
   uint32_t morsel_rows = 4096;
 
-  /// Inputs with fewer rows than this run the classic single-pass serial
-  /// path (morsel bookkeeping does not pay for itself). The threshold is
+  /// Inputs with fewer rows than this run serially, as one morsel (morsel
+  /// bookkeeping does not pay for itself). The threshold is
   /// compared against input size only — never thread count — so the chosen
   /// algorithm, and hence the result, is thread-count independent.
   size_t parallel_min_rows = 8192;
@@ -51,10 +53,11 @@ struct ExecOptions {
   /// gov::QueryContext that outlives the query). `cancel` is polled at morsel
   /// and batch boundaries: deadline expiry, user cancellation, and memory
   /// exhaustion all surface through it. `memory` is charged for operator
-  /// OUTPUTS as they materialize and for the hash join's build table and
-  /// match pairs (other transient scratch is not accounted); when a
-  /// charge exceeds the budget the tracker trips `cancel` so in-flight
-  /// morsels stop too.
+  /// OUTPUTS as they materialize, for the hash join's build table and match
+  /// pairs, and for grouped aggregation's per-morsel partials and merged
+  /// group tables ("aggregate state"); other transient scratch, bounded by
+  /// morsel_rows per worker, is not accounted. When a charge exceeds the
+  /// budget the tracker trips `cancel` so in-flight morsels stop too.
   const CancellationToken* cancel = nullptr;
   MemoryTracker* memory = nullptr;
 

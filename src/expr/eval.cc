@@ -184,6 +184,20 @@ bool LikeMatch(std::string_view text, std::string_view pattern) {
   return p == pattern.size();
 }
 
+Result<EvaluatedColumn> EvalBorrowed(const Expr& expr, const Table& table) {
+  EvaluatedColumn out;
+  if (expr.kind() == ExprKind::kColumnRef) {
+    AQP_ASSIGN_OR_RETURN(size_t idx,
+                         table.schema().FieldIndex(expr.column_name()));
+    out.column = &table.column(idx);
+    return out;
+  }
+  AQP_ASSIGN_OR_RETURN(Column c, Eval(expr, table));
+  out.owned = std::make_unique<Column>(std::move(c));
+  out.column = out.owned.get();
+  return out;
+}
+
 Result<Column> Eval(const Expr& expr, const Table& table) {
   const size_t n = table.num_rows();
   switch (expr.kind()) {

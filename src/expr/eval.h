@@ -2,6 +2,7 @@
 #define AQP_EXPR_EVAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -14,6 +15,18 @@ namespace aqp {
 /// expression's result type. SQL NULL semantics: NULL operands propagate
 /// through arithmetic and comparisons; AND/OR use three-valued logic.
 Result<Column> Eval(const Expr& expr, const Table& table);
+
+/// A column evaluated for reading: `column` is the table's own column when
+/// the expression is a bare column reference (borrowed, no copy), and
+/// `owned` holds the evaluated result otherwise.
+struct EvaluatedColumn {
+  const Column* column = nullptr;
+  std::unique_ptr<Column> owned;
+};
+
+/// Eval for read-only use: borrows a bare column reference's column instead
+/// of copying it. `table` must outlive the result.
+Result<EvaluatedColumn> EvalBorrowed(const Expr& expr, const Table& table);
 
 /// Evaluates a boolean predicate and returns the indices of rows where it is
 /// TRUE (NULL and FALSE rows are excluded, per SQL WHERE semantics).

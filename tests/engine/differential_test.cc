@@ -47,16 +47,20 @@ ExecOptions ThreadOptions(size_t threads) {
 const char* const kVocab[] = {"air", "rail", "ship", "mail",
                               "truck", "aa%", "a_c", ""};
 
-// Random 5-column table: i (nullable int64, occasionally huge to stress the
+// Random 6-column table: i (nullable int64, occasionally huge to stress the
 // int64->double conversion kernels), d (nullable double with NaN and
 // infinities), s (nullable dictionary-friendly string), b (nullable bool),
-// k (small-domain int64 group key, occasionally null).
+// k (small-domain int64 group key, occasionally null), h (non-null int64
+// group key with a domain well above ThreadOptions' 128-row morsels, drawn
+// from its own stream so the other columns' draws stay as they were).
 Table RandomTable(Pcg32& rng, size_t rows) {
   Table t(Schema({{"i", DataType::kInt64},
                   {"d", DataType::kDouble},
                   {"s", DataType::kString},
                   {"b", DataType::kBool},
-                  {"k", DataType::kInt64}}));
+                  {"k", DataType::kInt64},
+                  {"h", DataType::kInt64}}));
+  Pcg32 h_rng(0x4A5 + rows, /*stream=*/7);
   for (size_t r = 0; r < rows; ++r) {
     std::vector<Value> row;
     if (rng.UniformUint32(10) == 0) {
@@ -95,6 +99,7 @@ Table RandomTable(Pcg32& rng, size_t rows) {
     } else {
       row.push_back(Value(static_cast<int64_t>(rng.UniformUint32(6))));
     }
+    row.push_back(Value(static_cast<int64_t>(h_rng.UniformUint32(1000))));
     Status s = t.AppendRow(std::move(row));
     AQP_CHECK(s.ok());
   }
@@ -204,8 +209,10 @@ ExprPtr RandomPredicate(Pcg32& rng, int depth) {
 }
 
 // Builds a random plan over "t" (and sometimes "u"), tracking the current
-// output column names so sorts and projects stay well-formed.
-PlanPtr RandomPlan(Pcg32& rng) {
+// output column names so sorts and projects stay well-formed. `key_rng`
+// picks the INT64-keyed groupings and INT64 MIN/MAX arguments on its own
+// stream, so `rng`'s draws are the same as without them.
+PlanPtr RandomPlan(Pcg32& rng, Pcg32& key_rng) {
   SampleSpec spec;
   if (rng.UniformUint32(2) == 0) {
     spec.method = rng.UniformUint32(2) == 0 ? SampleSpec::Method::kBernoulliRow
@@ -216,7 +223,7 @@ PlanPtr RandomPlan(Pcg32& rng) {
     spec.block_size = 64;
   }
   PlanPtr plan = PlanNode::Scan("t", spec);
-  std::vector<std::string> names = {"i", "d", "s", "b", "k"};
+  std::vector<std::string> names = {"i", "d", "s", "b", "k", "h"};
 
   if (rng.UniformUint32(10) < 8) {
     plan = PlanNode::Filter(plan, RandomPredicate(rng, 2));
@@ -249,10 +256,14 @@ PlanPtr RandomPlan(Pcg32& rng) {
     bool have_d = false;
     bool have_s = false;
     bool have_k = false;
+    bool have_h = false;
+    bool have_i = false;
     for (const std::string& n : names) {
       have_d |= (n == measure);
       have_s |= (n == "s");
       have_k |= (n == "k");
+      have_h |= (n == "h");
+      have_i |= (n == "i");
     }
     if (!have_d) return plan;  // Projection dropped the measure; stop here.
     std::vector<AggSpec> aggs;
@@ -268,6 +279,10 @@ PlanPtr RandomPlan(Pcg32& rng) {
           rng.UniformUint32(2) == 0) {
         arg = Col("s");
       }
+      if ((kind == AggKind::kMin || kind == AggKind::kMax) && have_i &&
+          key_rng.UniformUint32(3) == 0) {
+        arg = Col("i");  // INT64 MIN/MAX, values beyond 2^53 included.
+      }
       aggs.push_back({kind, std::move(arg), "a" + std::to_string(a + 1)});
     }
     std::vector<ExprPtr> group_exprs;
@@ -278,6 +293,22 @@ PlanPtr RandomPlan(Pcg32& rng) {
       if (have_s && rng.UniformUint32(3) == 0) {
         group_exprs.push_back(Col("s"));
         group_names.push_back("s");
+      }
+      // Half of the k-only groupings become (h) or (h, k): all-INT64 keys,
+      // with more groups than a morsel has rows.
+      if (group_exprs.size() == 1 && have_h) {
+        switch (key_rng.UniformUint32(4)) {
+          case 0:
+            group_exprs = {Col("h")};
+            group_names = {"h"};
+            break;
+          case 1:
+            group_exprs.insert(group_exprs.begin(), Col("h"));
+            group_names.insert(group_names.begin(), "h");
+            break;
+          default:
+            break;
+        }
       }
     }
     names = group_names;
@@ -315,6 +346,7 @@ TEST(DifferentialTest, ThousandRandomQueriesBitIdenticalAcrossPathsAndThreads) {
     catalog.RegisterOrReplace("u", std::make_shared<const Table>(std::move(u)));
   }
 
+  Pcg32 key_rng(0x5EED, /*stream=*/3);
   size_t executed_ok = 0;
   size_t errored = 0;
   constexpr int kQueries = 1000;
@@ -324,7 +356,7 @@ TEST(DifferentialTest, ThousandRandomQueriesBitIdenticalAcrossPathsAndThreads) {
       catalog.RegisterOrReplace(
           "t", std::make_shared<const Table>(RandomTable(rng, rows)));
     }
-    PlanPtr plan = RandomPlan(rng);
+    PlanPtr plan = RandomPlan(rng, key_rng);
     Result<Table> reference =
         testutil::ExecuteRowReference(plan, catalog, ThreadOptions(1));
     for (size_t threads : kThreadCounts) {
