@@ -20,8 +20,9 @@ namespace aqp {
 ///
 /// Accounting rule: charges cover operator OUTPUTS (materialized tables,
 /// drawn samples, OLA accumulator arrays) plus the hash join's build table
-/// and match-pair buffers and grouped aggregation's partial states and group
-/// tables, which can outgrow the inputs they come from. Other transient
+/// and match-pair buffers, grouped aggregation's partial states and group
+/// tables, and the grouped estimator's group ids, per-worker group slots
+/// and cells, which can outgrow the inputs they come from. Other transient
 /// operator-internal scratch (sort index, per-worker morsel buffers) is not
 /// charged; it is bounded by the charged inputs it is built from.
 ///

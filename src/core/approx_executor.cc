@@ -240,11 +240,13 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
     obs::TraceSpan estimate_span = obs::MaybeSpan(tr, "estimate");
     const SampleDesign design{rate, unit_rows, target_rows,
                               stats.sampled_units};
-    AQP_ASSIGN_OR_RETURN(
-        GroupedEstimates estimates,
-        EstimateGroupedAggregates(rows, design, group_exprs, agg_specs));
+    AQP_ASSIGN_OR_RETURN(GroupedEstimates estimates,
+                         EstimateGroupedAggregates(rows, design, group_exprs,
+                                                   agg_specs, &options_.exec));
+    estimate_span.AddAttr("rows", static_cast<uint64_t>(rows.num_rows()));
     estimate_span.AddAttr("groups",
                           static_cast<uint64_t>(estimates.num_groups));
+    estimate_span.AddAttr("cells", static_cast<uint64_t>(estimates.num_cells));
     return std::make_pair(std::move(estimates), stats);
   };
 

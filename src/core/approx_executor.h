@@ -17,8 +17,13 @@ namespace core {
 
 /// Knobs of the approximate executor.
 struct AqpOptions {
-  /// Pilot-stage sampling rate (raised automatically for GROUP BY queries to
-  /// keep groups of at least `min_group_rows` covered w.p. 1 - 0.05).
+  /// Pilot-stage sampling rate. Every pilot is raised to draw about
+  /// `min_units` units (up to a rate of 0.5). A GROUP BY pilot is raised
+  /// further, toward the rate at which a group of `min_group_rows` rows is
+  /// seen with probability 0.95 (BlockRateForGroupCoverage), and then capped
+  /// at 0.5. The cap usually binds: a group that fits in one block (100 rows
+  /// at the default 1024-row blocks needs a rate of 0.95) is seen with
+  /// probability 0.5 only.
   double pilot_rate = 0.01;
   uint64_t min_group_rows = 100;
 

@@ -21,6 +21,7 @@ struct GroupedEstimates {
   /// estimates[a][g]: aggregate a of group g.
   std::vector<std::vector<PointEstimate>> estimates;
   size_t num_groups = 0;
+  size_t num_cells = 0;  // Non-empty (group, unit) cells the sums ran over.
 };
 
 /// Estimates each (linear) aggregate per group over the sampled population.
@@ -32,6 +33,9 @@ struct GroupedEstimates {
 /// weights and unit ids carry the design, and the group totals per sampling
 /// unit drive Horvitz–Thompson totals and linearized AVG ratios exactly as
 /// in sampling/ht_estimator.h, but for many groups at once.
+///
+/// Each (group, unit) cell sums its rows in row order, and each group sums
+/// its cells in the order of their first rows.
 Result<GroupedEstimates> EstimateGroupedAggregates(
     const Sample& sample, const std::vector<ExprPtr>& group_exprs,
     const std::vector<AggSpec>& aggs);
@@ -51,10 +55,16 @@ struct SampleDesign {
 /// The same estimates from rows carrying the scan's INT64 "__unit" column,
 /// each row weighing 1 / rate: bit-identical to the Sample entry over the
 /// same rows, units and design.
+///
+/// With `exec`, inputs of at least `exec->parallel_min_rows` rows build
+/// their cells morsel-parallel, and the group index, the per-worker group
+/// slots and the cell arrays are charged to `exec->memory` as "estimate
+/// state". Estimates are bit-identical with or without `exec`, at every
+/// thread count.
 Result<GroupedEstimates> EstimateGroupedAggregates(
     const Table& rows, const SampleDesign& design,
     const std::vector<ExprPtr>& group_exprs,
-    const std::vector<AggSpec>& aggs);
+    const std::vector<AggSpec>& aggs, const ExecOptions* exec = nullptr);
 
 }  // namespace core
 }  // namespace aqp

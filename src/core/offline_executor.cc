@@ -149,6 +149,8 @@ Result<ApproxResult> OfflineExecutor::Execute(const sql::PreparedQuery& query,
   AQP_ASSIGN_OR_RETURN(GroupedEstimates estimates,
                        EstimateGroupedAggregates(sample, group_exprs,
                                                  agg_specs));
+  estimate_span.AddAttr("rows", static_cast<uint64_t>(sample.num_rows()));
+  estimate_span.AddAttr("cells", static_cast<uint64_t>(estimates.num_cells));
   estimate_span.End();
 
   obs::TraceSpan assemble_span = obs::MaybeSpan(tr, "assemble");

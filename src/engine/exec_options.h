@@ -54,10 +54,12 @@ struct ExecOptions {
   /// and batch boundaries: deadline expiry, user cancellation, and memory
   /// exhaustion all surface through it. `memory` is charged for operator
   /// OUTPUTS as they materialize, for the hash join's build table and match
-  /// pairs, and for grouped aggregation's per-morsel partials and merged
-  /// group tables ("aggregate state"); other transient scratch, bounded by
-  /// morsel_rows per worker, is not accounted. When a charge exceeds the
-  /// budget the tracker trips `cancel` so in-flight morsels stop too.
+  /// pairs, for grouped aggregation's per-morsel partials and merged group
+  /// tables ("aggregate state"), and for the grouped estimator's group ids,
+  /// per-worker group slots and (group, unit) cells ("estimate state");
+  /// other transient scratch, bounded by morsel_rows per worker, is not
+  /// accounted. When a charge exceeds the budget the tracker trips `cancel`
+  /// so in-flight morsels stop too.
   const CancellationToken* cancel = nullptr;
   MemoryTracker* memory = nullptr;
 

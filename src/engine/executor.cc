@@ -72,6 +72,8 @@ struct ExecContext {
   // Filled once per Execute, and only when the plan reads an extent-backed
   // table or draws a sample; unsampled in-memory scans ignore it.
   const ColumnNeeds* needs = nullptr;
+  // Units the last sampled scan drew, for its trace span.
+  uint64_t scan_units = 0;
 
   // Where parallel regions report their morsel/steal counters (null when the
   // caller did not ask for stats).
@@ -94,12 +96,19 @@ struct ExecContext {
 // root — gathers once. Selections always index BASE rows, so predicate
 // kernels run over contiguous column spans regardless of how many filters
 // stacked up.
+//
+// A sampled scan that outputs "__unit" adds it as the derived column
+// kUnitColumn: each row's unit is its base row / unit_rows, computed
+// wherever the view is gathered, so the scan itself copies nothing.
+constexpr size_t kUnitColumn = SIZE_MAX;
+
 struct BatchView {
   TablePtr base;
   std::vector<size_t> col_idx;
   std::vector<std::string> names;
   std::shared_ptr<const std::vector<uint32_t>> sel;
   size_t num_rows = 0;
+  uint32_t unit_rows = 0;  // Nonzero when some col_idx is kUnitColumn.
 };
 
 Result<BatchView> Exec(const PlanPtr& plan, ExecContext& ctx);
@@ -196,62 +205,118 @@ Result<std::vector<Column>> GatherColumns(size_t num_cols, size_t rows,
 Schema ViewSchema(const BatchView& v) {
   Schema schema;
   for (size_t i = 0; i < v.col_idx.size(); ++i) {
-    schema.AddField({v.names[i], v.base->column(v.col_idx[i]).type()});
+    schema.AddField({v.names[i], v.col_idx[i] == kUnitColumn
+                                     ? DataType::kInt64
+                                     : v.base->column(v.col_idx[i]).type()});
   }
   return schema;
 }
 
-// Collapses a view into a real table: the one gather of the pipeline.
-// Identity views hand back the base table without copying (an unsampled
-// scan passes catalog tables through). Selection gathers run
-// column-parallel on the morsel path (single-column views included, so
-// morsel attribution reflects the gather uniformly).
-Result<TablePtr> MaterializeView(const BatchView& v, ExecContext& ctx,
-                                 std::string_view what) {
-  if (ViewIsIdentity(v)) return v.base;
-  const Table& base = *v.base;
+// Column i of `v` at base rows `rows` (every base row when null). A
+// null-extending gather (`or_null`) yields NULL where `rows` holds
+// Column::kNullRow. The unit column is computed from the rows themselves.
+Column GatherViewColumn(const BatchView& v, size_t i,
+                        const std::vector<uint32_t>* rows,
+                        bool or_null = false) {
+  if (v.col_idx[i] != kUnitColumn) {
+    const Column& col = v.base->column(v.col_idx[i]);
+    if (rows == nullptr) return col;
+    return or_null ? col.TakeOrNull(*rows) : col.Take(*rows);
+  }
+  const size_t n = rows != nullptr ? rows->size() : v.base->num_rows();
+  auto row = [rows](size_t r) {
+    return rows != nullptr ? (*rows)[r] : static_cast<uint32_t>(r);
+  };
+  if (or_null) {
+    Column out(DataType::kInt64);
+    out.Reserve(n);
+    for (size_t r = 0; r < n; ++r) {
+      if (row(r) == Column::kNullRow) {
+        out.AppendNull();
+      } else {
+        out.AppendInt64(row(r) / v.unit_rows);
+      }
+    }
+    return out;
+  }
+  std::vector<int64_t> units(n);
+  for (size_t r = 0; r < n; ++r) units[r] = row(r) / v.unit_rows;
+  return Column::FromInt64(std::move(units));
+}
+
+// Gathers a view into a new table. Selection gathers run column-parallel
+// on the morsel path (single-column views included, so morsel attribution
+// reflects the gather uniformly).
+Result<Table> GatherView(const BatchView& v, ExecContext& ctx) {
   std::vector<Column> columns;
   if (v.sel == nullptr) {
     columns.reserve(v.col_idx.size());
-    for (size_t idx : v.col_idx) columns.push_back(base.column(idx));
+    for (size_t i = 0; i < v.col_idx.size(); ++i) {
+      columns.push_back(GatherViewColumn(v, i, nullptr));
+    }
   } else {
     AQP_ASSIGN_OR_RETURN(
         columns, GatherColumns(v.col_idx.size(), v.sel->size(), ctx,
                                [&](size_t i) {
-                                 return base.column(v.col_idx[i])
-                                     .Take(*v.sel);
+                                 return GatherViewColumn(v, i, v.sel.get());
                                }));
   }
-  AQP_ASSIGN_OR_RETURN(Table out,
-                       Table::Make(ViewSchema(v), std::move(columns)));
+  return Table::Make(ViewSchema(v), std::move(columns));
+}
+
+// Collapses a view into a real table: the one gather of the pipeline.
+// Identity views hand back the base table without copying (an unsampled
+// scan passes catalog tables through).
+Result<TablePtr> MaterializeView(const BatchView& v, ExecContext& ctx,
+                                 std::string_view what) {
+  if (ViewIsIdentity(v)) return v.base;
+  AQP_ASSIGN_OR_RETURN(Table out, GatherView(v, ctx));
   return TrackTable(std::move(out), ctx, what);
 }
 
+// True when an expression referencing `refs` can resolve to column `name`:
+// an exact match, or a qualified "<q>.<ref>" for an unqualified ref.
+bool Referenced(const std::string& name, const std::vector<std::string>& refs) {
+  for (const std::string& ref : refs) {
+    if (name == ref) return true;
+    if (ref.find('.') == std::string::npos && name.size() > ref.size() &&
+        name[name.size() - ref.size() - 1] == '.' &&
+        name.compare(name.size() - ref.size(), ref.size(), ref) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// A derived unit column has no base column for an operator to read. When
+// `refs` can resolve to it, the view is gathered so that it becomes one.
+Result<BatchView> GatherIfUnitReferenced(BatchView v,
+                                         const std::vector<std::string>& refs,
+                                         ExecContext& ctx,
+                                         std::string_view what) {
+  for (size_t i = 0; i < v.col_idx.size(); ++i) {
+    if (v.col_idx[i] == kUnitColumn && Referenced(v.names[i], refs)) {
+      AQP_ASSIGN_OR_RETURN(TablePtr t, MaterializeView(v, ctx, what));
+      return IdentityView(std::move(t));
+    }
+  }
+  return v;
+}
+
 // Narrows a view to the columns that expressions referencing `refs` can
-// resolve to: each exact name match plus every qualified "<q>.<ref>" for
-// an unqualified ref, so resolution (and any ambiguity error) is the same
-// over the narrowed view as over the full one. Identity views are returned
-// whole — they materialize without a copy, and narrowing would force one.
-// At least one column survives so the row count does.
+// resolve to, so resolution (and any ambiguity error) is the same over the
+// narrowed view as over the full one. Identity views are returned whole —
+// they materialize without a copy, and narrowing would force one. At least
+// one column survives so the row count does.
 BatchView NarrowView(BatchView v, const std::vector<std::string>& refs) {
   if (ViewIsIdentity(v) || v.col_idx.empty()) return v;
-  auto referenced = [&](const std::string& name) {
-    for (const std::string& ref : refs) {
-      if (name == ref) return true;
-      if (ref.find('.') == std::string::npos && name.size() > ref.size() &&
-          name[name.size() - ref.size() - 1] == '.' &&
-          name.compare(name.size() - ref.size(), ref.size(), ref) == 0) {
-        return true;
-      }
-    }
-    return false;
-  };
   BatchView out;
   out.base = v.base;
   out.sel = v.sel;
   out.num_rows = v.num_rows;
+  out.unit_rows = v.unit_rows;
   for (size_t i = 0; i < v.col_idx.size(); ++i) {
-    if (!referenced(v.names[i])) continue;
+    if (!Referenced(v.names[i], refs)) continue;
     out.col_idx.push_back(v.col_idx[i]);
     out.names.push_back(v.names[i]);
   }
@@ -286,13 +351,27 @@ std::vector<std::pair<uint64_t, uint64_t>> DrawSampleBlocks(
   return blocks;
 }
 
+// The draw of a SYSTEM sample: each kept block is one unit.
+SampledUnits DrawnBlocks(
+    const std::vector<std::pair<uint64_t, uint64_t>>& blocks) {
+  SampledUnits drawn;
+  for (const auto& [first, last] : blocks) {
+    drawn.units += 1;
+    drawn.rows += last - first;
+    drawn.rows_squared += (last - first) * (last - first);
+  }
+  return drawn;
+}
+
 // Draws the kept-row set for a sampled scan: exactly the same rows for a
-// given (seed, morsel_rows) regardless of thread count.
+// given (seed, morsel_rows) regardless of thread count. `*drawn_out`
+// receives the draw's units: the kept blocks (SYSTEM) or rows (BERNOULLI).
 Result<std::vector<uint32_t>> DrawSampleKeep(const Table& table,
                                              const SampleSpec& spec,
                                              bool use_morsels,
                                              ExecContext& ctx,
-                                             uint64_t* blocks_read_out) {
+                                             uint64_t* blocks_read_out,
+                                             SampledUnits* drawn_out) {
   const size_t n = table.num_rows();
   std::vector<uint32_t> keep;
   uint64_t blocks_read = 0;
@@ -335,12 +414,14 @@ Result<std::vector<uint32_t>> DrawSampleKeep(const Table& table,
         if (rng.Bernoulli(spec.rate)) keep.push_back(static_cast<uint32_t>(i));
       }
     }
+    *drawn_out = SampledUnits{keep.size(), keep.size(), keep.size()};
   } else {
     // Block-level: keep whole blocks, skip the rest entirely; only the
     // gather parallelizes.
     const std::vector<std::pair<uint64_t, uint64_t>> blocks =
         DrawSampleBlocks(n, spec);
     blocks_read = blocks.size();
+    *drawn_out = DrawnBlocks(blocks);
     for (const auto& [first, last] : blocks) {
       for (uint64_t i = first; i < last; ++i) {
         keep.push_back(static_cast<uint32_t>(i));
@@ -406,29 +487,6 @@ bool ExposesUnit(const PlanNode& node, const ExecContext& ctx) {
          std::count(it->second->begin(), it->second->end(), "__unit") > 0;
 }
 
-// Appends "__unit" to `t`: `units`, one per row, ascending. Every row of a
-// drawn unit is in `t` (filters run above the scan), so each run of equal
-// units is one drawn unit; the runs are counted into the query's stats.
-Result<Table> WithUnitColumn(Table t, std::vector<int64_t> units,
-                             ExecContext& ctx) {
-  for (size_t i = 0; ctx.stats != nullptr && i < units.size();) {
-    size_t j = i + 1;
-    while (j < units.size() && units[j] == units[i]) ++j;
-    ctx.stats->sampled_units.units += 1;
-    ctx.stats->sampled_units.rows += j - i;
-    ctx.stats->sampled_units.rows_squared += (j - i) * (j - i);
-    i = j;
-  }
-  Schema schema = t.schema();
-  schema.AddField({"__unit", DataType::kInt64});
-  std::vector<Column> columns;
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    columns.push_back(std::move(t.mutable_column(c)));
-  }
-  columns.push_back(Column::FromInt64(std::move(units)));
-  return Table::Make(std::move(schema), std::move(columns));
-}
-
 // A scan's input: the catalog table or the decoded extent file. A SYSTEM
 // block-sampled extent scan comes back already sampled, its stats counted.
 struct ScanInput {
@@ -465,15 +523,28 @@ Result<ScanInput> ScanBaseTable(const PlanNode& node, ExecContext& ctx) {
       ctx.stats->rows_scanned += t.num_rows();
       ctx.stats->blocks_read += blocks.size();
     }
+    ctx.scan_units = blocks.size();
     if (ExposesUnit(node, ctx)) {
+      // The rows came back already sampled, so "__unit" is built from the
+      // drawn ranges rather than derived from base rows.
+      if (ctx.stats != nullptr) {
+        ctx.stats->sampled_units.MergeFrom(DrawnBlocks(blocks));
+      }
       std::vector<int64_t> units;
       units.reserve(t.num_rows());
       for (const auto& [first, last] : blocks) {
         units.insert(units.end(), last - first,
                      static_cast<int64_t>(first / spec.block_size));
       }
-      AQP_ASSIGN_OR_RETURN(t, WithUnitColumn(std::move(t), std::move(units),
-                                             ctx));
+      Schema schema = t.schema();
+      schema.AddField({"__unit", DataType::kInt64});
+      std::vector<Column> columns;
+      for (size_t c = 0; c < t.num_columns(); ++c) {
+        columns.push_back(std::move(t.mutable_column(c)));
+      }
+      columns.push_back(Column::FromInt64(std::move(units)));
+      AQP_ASSIGN_OR_RETURN(
+          t, Table::Make(std::move(schema), std::move(columns)));
     }
     AQP_ASSIGN_OR_RETURN(TablePtr out,
                          TrackTable(std::move(t), ctx, "scan output"));
@@ -547,8 +618,12 @@ struct JoinSide {
 };
 
 Result<JoinSide> MakeJoinSide(BatchView view,
-                              const std::vector<std::string>& key_names) {
+                              const std::vector<std::string>& key_names,
+                              ExecContext& ctx) {
   JoinSide side;
+  AQP_ASSIGN_OR_RETURN(view, GatherIfUnitReferenced(std::move(view),
+                                                    key_names, ctx,
+                                                    "join input"));
   const Schema schema = ViewSchema(view);
   for (const std::string& k : key_names) {
     AQP_ASSIGN_OR_RETURN(size_t idx, schema.FieldIndex(k));
@@ -651,10 +726,11 @@ struct MatchPairs {
 Result<TablePtr> ExecJoin(const PlanNode& node, ExecContext& ctx) {
   AQP_ASSIGN_OR_RETURN(BatchView left_view, Exec(node.child(0), ctx));
   AQP_ASSIGN_OR_RETURN(BatchView right_view, Exec(node.child(1), ctx));
-  AQP_ASSIGN_OR_RETURN(JoinSide left,
-                       MakeJoinSide(std::move(left_view), node.left_keys()));
-  AQP_ASSIGN_OR_RETURN(JoinSide right,
-                       MakeJoinSide(std::move(right_view), node.right_keys()));
+  AQP_ASSIGN_OR_RETURN(
+      JoinSide left, MakeJoinSide(std::move(left_view), node.left_keys(), ctx));
+  AQP_ASSIGN_OR_RETURN(
+      JoinSide right,
+      MakeJoinSide(std::move(right_view), node.right_keys(), ctx));
   for (size_t i = 0; i < left.keys.size(); ++i) {
     if (left.keys[i]->type() != right.keys[i]->type()) {
       return Status::InvalidArgument("join key type mismatch: " +
@@ -736,13 +812,10 @@ Result<TablePtr> ExecJoin(const PlanNode& node, ExecContext& ctx) {
       GatherColumns(num_left + rv.col_idx.size(), emitted, ctx,
                     [&](size_t c) {
                       if (c < num_left) {
-                        return lv.base->column(lv.col_idx[c])
-                            .Take(left_sel);
+                        return GatherViewColumn(lv, c, &left_sel);
                       }
-                      const Column& col =
-                          rv.base->column(rv.col_idx[c - num_left]);
-                      return left_outer ? col.TakeOrNull(right_sel)
-                                        : col.Take(right_sel);
+                      return GatherViewColumn(rv, c - num_left, &right_sel,
+                                              left_outer);
                     }));
   // Output schema: all left fields then all right fields.
   Schema schema = ViewSchema(lv);
@@ -879,39 +952,33 @@ Result<BatchView> ExecScan(const PlanNode& node, ExecContext& ctx) {
   }
   const bool use_morsels = ctx.options.UseMorsels(table->num_rows());
   uint64_t blocks_read = 0;
+  SampledUnits drawn;
   AQP_ASSIGN_OR_RETURN(
       std::vector<uint32_t> keep,
-      DrawSampleKeep(*table, spec, use_morsels, ctx, &blocks_read));
+      DrawSampleKeep(*table, spec, use_morsels, ctx, &blocks_read, &drawn));
+  ctx.scan_units = drawn.units;
+  const bool exposes_unit = ExposesUnit(node, ctx);
   if (ctx.stats != nullptr) {
     ctx.stats->rows_scanned += keep.size();
     ctx.stats->blocks_read += blocks_read;
-  }
-  if (ExposesUnit(node, ctx)) {
-    // The one gather of the sample: the columns the plan reads, and units.
-    const std::vector<size_t> cols = NeededColumns(node, table->schema(), ctx);
-    Schema schema;
-    for (size_t c : cols) schema.AddField(table->schema().field(c));
-    AQP_ASSIGN_OR_RETURN(
-        std::vector<Column> columns,
-        GatherColumns(cols.size(), keep.size(), ctx, [&](size_t i) {
-          return table->column(cols[i]).Take(keep);
-        }));
-    AQP_ASSIGN_OR_RETURN(Table t,
-                         Table::Make(std::move(schema), std::move(columns)));
-    const uint32_t unit_rows =
-        spec.method == SampleSpec::Method::kSystemBlock ? spec.block_size : 1;
-    std::vector<int64_t> units(keep.size());
-    for (size_t i = 0; i < keep.size(); ++i) units[i] = keep[i] / unit_rows;
-    AQP_ASSIGN_OR_RETURN(t, WithUnitColumn(std::move(t), std::move(units),
-                                           ctx));
-    AQP_ASSIGN_OR_RETURN(TablePtr out,
-                         TrackTable(std::move(t), ctx, "scan output"));
-    return IdentityView(std::move(out));
+    if (exposes_unit) ctx.stats->sampled_units.MergeFrom(drawn);
   }
   // No gather: the sample IS the selection vector.
   BatchView v = IdentityView(std::move(table));
   v.num_rows = keep.size();
   AQP_ASSIGN_OR_RETURN(v.sel, TrackSel(std::move(keep), ctx, "scan selection"));
+  if (exposes_unit) {
+    // The columns the plan reads, then the units, derived from base rows.
+    v.col_idx = NeededColumns(node, v.base->schema(), ctx);
+    v.names.clear();
+    for (size_t c : v.col_idx) {
+      v.names.push_back(v.base->schema().field(c).name);
+    }
+    v.col_idx.push_back(kUnitColumn);
+    v.names.push_back("__unit");
+    v.unit_rows =
+        spec.method == SampleSpec::Method::kSystemBlock ? spec.block_size : 1;
+  }
   return v;
 }
 
@@ -947,11 +1014,26 @@ Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
         out.sel, TrackSel(std::move(selected), ctx, "filter selection"));
     return out;
   }
+  AQP_ASSIGN_OR_RETURN(
+      child, GatherIfUnitReferenced(std::move(child),
+                                    pred_expr.ReferencedColumns(), ctx,
+                                    "filter input"));
+  // The predicate binds the base columns; a derived unit column it does
+  // not read is left out.
+  std::vector<std::string> names;
   std::vector<const Column*> cols;
-  cols.reserve(child.col_idx.size());
-  for (size_t idx : child.col_idx) cols.push_back(&child.base->column(idx));
+  auto bind_columns = [&] {
+    names.clear();
+    cols.clear();
+    for (size_t i = 0; i < child.col_idx.size(); ++i) {
+      if (child.col_idx[i] == kUnitColumn) continue;
+      names.push_back(child.names[i]);
+      cols.push_back(&child.base->column(child.col_idx[i]));
+    }
+  };
+  bind_columns();
   AQP_ASSIGN_OR_RETURN(BatchPredicate pred,
-                       BatchPredicate::Compile(pred_expr, child.names, cols));
+                       BatchPredicate::Compile(pred_expr, names, cols));
   if (pred.HasFallback() && child.sel != nullptr) {
     // Scalar-fallback nodes evaluate every row of a span; over a selection
     // view that would touch non-selected base rows and could raise errors
@@ -961,10 +1043,9 @@ Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
     AQP_ASSIGN_OR_RETURN(TablePtr input,
                          MaterializeView(child, ctx, "filter input"));
     child = IdentityView(std::move(input));
-    cols.clear();
-    for (size_t idx : child.col_idx) cols.push_back(&child.base->column(idx));
-    AQP_ASSIGN_OR_RETURN(
-        pred, BatchPredicate::Compile(pred_expr, child.names, cols));
+    bind_columns();
+    AQP_ASSIGN_OR_RETURN(pred,
+                         BatchPredicate::Compile(pred_expr, names, cols));
   }
   const size_t base_n = child.base->num_rows();
   const std::vector<uint32_t>* in_sel = child.sel.get();
@@ -1042,6 +1123,7 @@ Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
   out.base = child.base;
   out.col_idx = child.col_idx;
   out.names = child.names;
+  out.unit_rows = child.unit_rows;
   out.num_rows = out_sel.size();
   AQP_ASSIGN_OR_RETURN(
       out.sel, TrackSel(std::move(out_sel), ctx, "filter selection"));
@@ -1064,6 +1146,7 @@ Result<BatchView> ExecProject(const PlanNode& node, ExecContext& ctx) {
     out.base = child.base;
     out.sel = child.sel;
     out.num_rows = child.num_rows;
+    out.unit_rows = child.unit_rows;
     out.col_idx.reserve(node.exprs().size());
     out.names.reserve(node.exprs().size());
     for (size_t i = 0; i < node.exprs().size(); ++i) {
@@ -1184,6 +1267,9 @@ Result<BatchView> Exec(const PlanPtr& plan, ExecContext& ctx) {
   Result<BatchView> result = ExecDispatch(plan, ctx);
   if (result.ok()) {
     span.AddAttr("rows_out", uint64_t{result.value().num_rows});
+    if (plan->kind() == PlanKind::kScan && plan->sample().is_sampled()) {
+      span.AddAttr("units", ctx.scan_units);
+    }
   }
   if (rs != nullptr && rs->morsels > morsels_before) {
     span.AddAttr("parallel_morsels", rs->morsels - morsels_before);
@@ -1308,20 +1394,31 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
   }
   // Run the plan as batch views and gather once at the top. The gather is
   // the deferred row movement of the whole pipeline, so it gets its own span
-  // with the gather's morsel attribution.
+  // with the gather's morsel attribution. The result leaves by value: an
+  // identity view's base (a catalog table, or an operator output) is
+  // copied, any other view is gathered straight into the returned table,
+  // which is charged until it is handed over.
   AQP_ASSIGN_OR_RETURN(BatchView view, Exec(plan, ctx));
-  TablePtr result;
+  ScopedMemoryCharge result_charge;
+  auto materialize = [&]() -> Result<Table> {
+    if (ViewIsIdentity(view)) return *view.base;
+    AQP_ASSIGN_OR_RETURN(Table t, GatherView(view, ctx));
+    AQP_ASSIGN_OR_RETURN(
+        result_charge, ScopedMemoryCharge::Make(ctx.options.memory,
+                                                t.ApproxBytes(),
+                                                "result materialize"));
+    return t;
+  };
+  Table result;
   if (trace == nullptr) {
-    AQP_ASSIGN_OR_RETURN(result,
-                         MaterializeView(view, ctx, "result materialize"));
+    AQP_ASSIGN_OR_RETURN(result, materialize());
   } else {
     obs::TraceSpan span = trace->Span("materialize");
     const ParallelRunStats* rs = ctx.run_stats();
     uint64_t morsels_before = rs != nullptr ? rs->morsels : 0;
     uint64_t steals_before = rs != nullptr ? rs->steals : 0;
-    AQP_ASSIGN_OR_RETURN(result,
-                         MaterializeView(view, ctx, "result materialize"));
-    span.AddAttr("rows_out", uint64_t{result->num_rows()});
+    AQP_ASSIGN_OR_RETURN(result, materialize());
+    span.AddAttr("rows_out", uint64_t{result.num_rows()});
     if (rs != nullptr && rs->morsels > morsels_before) {
       span.AddAttr("parallel_morsels", rs->morsels - morsels_before);
       span.AddAttr("parallel_steals", rs->steals - steals_before);
@@ -1354,7 +1451,7 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
     extents->Increment(effective->extents_total - before.extents_total);
     pruned->Increment(effective->extents_pruned - before.extents_pruned);
   }
-  return *result;
+  return result;
 }
 
 }  // namespace aqp

@@ -19,6 +19,12 @@ struct SampledUnits {
   uint64_t units = 0;         // Units drawn: blocks (SYSTEM) or rows.
   uint64_t rows = 0;          // Base rows in the drawn units.
   uint64_t rows_squared = 0;  // Sum over drawn units of (unit rows)^2.
+
+  void MergeFrom(const SampledUnits& other) {
+    units += other.units;
+    rows += other.rows;
+    rows_squared += other.rows_squared;
+  }
 };
 
 /// Execution statistics accumulated per query, used by cost analysis and the

@@ -17,8 +17,9 @@ namespace aqp {
 ///
 /// A sampled scan also outputs an INT64 column "__unit" when the plan above
 /// it names that column: each row's sampling unit, the block index
-/// row / block_size for SYSTEM and the row index for BERNOULLI. Such a scan
-/// gathers only the columns the plan reads, and reports its draw in
+/// row / block_size for SYSTEM and the row index for BERNOULLI. The scan
+/// copies nothing for it: the unit is derived from each kept row's base row
+/// wherever the rows are gathered. Such a scan reports its draw in
 /// ExecStats::sampled_units. Plans that do not name "__unit" get neither.
 struct SampleSpec {
   enum class Method {

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "expr/eval.h"
 #include "sampling/bernoulli.h"
 #include "sampling/block.h"
+#include "sampling/ht_estimator.h"
 #include "test_util.h"
 
 namespace aqp {
@@ -198,6 +200,32 @@ TEST(GroupedEstimateTest, NonNumericArgRejected) {
   EXPECT_FALSE(EstimateGroupedAggregates(
                    s, {}, {{AggKind::kSum, Col("s"), "x"}})
                    .ok());
+}
+
+// The statistical claim behind sampler pushdown: Filter(Sample(T)) and
+// Sample(Filter(T)) give HT SUM estimates with the same distribution. We
+// verify mean agreement across seeds.
+TEST(SamplerPushdownTest, SamplerCommutesWithSelectionStatistically) {
+  Table t = testutil::ZipfGroupedTable(20000, 8, 0.7, 3);
+  ExprPtr pred = Gt(Col("x"), Lit(3.0));
+  double mean_sample_then_filter = 0.0;
+  double mean_filter_then_sample = 0.0;
+  const int kTrials = 60;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    // Order A: sample first, then filter inside the estimator.
+    Sample s = BernoulliRowSample(t, 0.05, 10 + trial).value();
+    mean_sample_then_filter +=
+        EstimateSum(s, Col("x"), pred).value().estimate / kTrials;
+
+    // Order B: filter the base table first, then sample.
+    std::vector<uint32_t> sel = EvalPredicate(*pred, t).value();
+    Table filtered = t.Take(sel);
+    Sample s2 = BernoulliRowSample(filtered, 0.05, 10 + trial).value();
+    mean_filter_then_sample +=
+        EstimateSum(s2, Col("x")).value().estimate / kTrials;
+  }
+  EXPECT_NEAR(mean_sample_then_filter, mean_filter_then_sample,
+              std::fabs(mean_filter_then_sample) * 0.05);
 }
 
 }  // namespace

@@ -169,6 +169,90 @@ TEST_F(SampleUnitTest, DrawCountsUnitsTheFilterEmpties) {
   }
 }
 
+// The unit is derived from each kept row's base row wherever rows are
+// gathered: through a filter that reads it, on either side of a join and as
+// a join key, NULL on the null-extended side of a LEFT join.
+TEST_F(SampleUnitTest, DerivedUnitSurvivesFiltersAndJoins) {
+  const std::vector<uint32_t> keep =
+      ExpectedKeep(SampleSpec::Method::kSystemBlock);
+  Column keys(DataType::kInt64);
+  for (int64_t k = 0; k < 4000; k += 2) keys.AppendInt64(k);
+  ASSERT_TRUE(
+      catalog_
+          .Register("evens", std::make_shared<Table>(
+                                 Table::Make(Schema({{"k", DataType::kInt64}}),
+                                             {std::move(keys)})
+                                     .value()))
+          .ok());
+  auto sampled = [&] {
+    return PlanNode::Project(
+        PlanNode::Scan("mem", Spec(SampleSpec::Method::kSystemBlock)),
+        {Col("id"), Col("__unit")}, {"id", "u"});
+  };
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecOptions options;
+    options.num_threads = threads;
+    // A filter on the unit itself.
+    Result<Table> got = Execute(
+        PlanNode::Filter(sampled(), Lt(Col("u"), Lit(int64_t{10}))), catalog_,
+        nullptr, nullptr, options);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    std::vector<uint32_t> want;
+    for (uint32_t r : keep) {
+      if (r / kBlock < 10) want.push_back(r);
+    }
+    ASSERT_EQ(got.value().num_rows(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got.value().column(0).Int64At(i), want[i]);
+      ASSERT_EQ(got.value().column(1).Int64At(i), want[i] / kBlock);
+    }
+    // The sampled table on the probe side, then on the build side of a
+    // LEFT join: "evens" rows without a drawn match get a NULL unit.
+    got = Execute(PlanNode::Join(sampled(), PlanNode::Scan("evens"),
+                                 JoinType::kInner, {"id"}, {"k"}),
+                  catalog_, nullptr, nullptr, options);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    want.clear();
+    for (uint32_t r : keep) {
+      if (r < 4000 && r % 2 == 0) want.push_back(r);
+    }
+    ASSERT_EQ(got.value().num_rows(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got.value().column(1).Int64At(i), want[i] / kBlock);
+    }
+    // The unit as a join key.
+    got = Execute(PlanNode::Join(sampled(), PlanNode::Scan("evens"),
+                                 JoinType::kInner, {"u"}, {"k"}),
+                  catalog_, nullptr, nullptr, options);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    want.clear();
+    for (uint32_t r : keep) {
+      if ((r / kBlock) % 2 == 0) want.push_back(r);
+    }
+    ASSERT_EQ(got.value().num_rows(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got.value().column(0).Int64At(i), want[i]);
+      ASSERT_EQ(got.value().column(2).Int64At(i), want[i] / kBlock);
+    }
+    got = Execute(PlanNode::Join(PlanNode::Scan("evens"), sampled(),
+                                 JoinType::kLeftOuter, {"k"}, {"id"}),
+                  catalog_, nullptr, nullptr, options);
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    const Table& t = got.value();
+    ASSERT_EQ(t.num_rows(), 2000u);
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      const int64_t k = t.column(0).Int64At(i);
+      const bool drawn = std::binary_search(keep.begin(), keep.end(),
+                                            static_cast<uint32_t>(k));
+      ASSERT_EQ(t.column(2).IsNull(i), !drawn) << k;
+      if (drawn) {
+        ASSERT_EQ(t.column(2).Int64At(i), k / kBlock);
+      }
+    }
+  }
+}
+
 TEST_F(SampleUnitTest, PlanWithoutUnitIsUnchanged) {
   for (SampleSpec::Method method :
        {SampleSpec::Method::kSystemBlock, SampleSpec::Method::kBernoulliRow}) {

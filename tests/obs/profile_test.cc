@@ -5,6 +5,7 @@
 #include "obs/profile.h"
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +98,55 @@ TEST(ProfileTest, TraceCarriesStageSpansWhenEnabled) {
   std::string json = r.profile.ToJson();
   EXPECT_NE(json.find("\"trace\":{\"name\":\"query\""), std::string::npos);
   EXPECT_NE(json.find("\"contract\":{"), std::string::npos);
+}
+
+// Every span named `name` under `node`, depth first.
+void FindSpans(const SpanRecord& node, const std::string& name,
+               std::vector<const SpanRecord*>* out) {
+  if (node.name == name) out->push_back(&node);
+  for (const auto& child : node.children) FindSpans(*child, name, out);
+}
+
+uint64_t AttrValue(const SpanRecord& span, const std::string& key) {
+  for (const auto& [k, v] : span.attrs) {
+    if (k == key) return std::stoull(v);
+  }
+  ADD_FAILURE() << span.name << " has no attribute " << key;
+  return 0;
+}
+
+TEST(ProfileTest, EstimateAndSampledScanSpansShowTheirInputs) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  Catalog cat = TestCatalog();
+  core::ApproxExecutor exec(&cat, FastOptions());
+  core::ApproxResult r = exec.Execute(
+                                 "SELECT fk_0, SUM(measure_0) AS s FROM fact "
+                                 "GROUP BY fk_0 WITH ERROR 10% CONFIDENCE 90%")
+                             .value();
+  reg.set_enabled(was_enabled);
+  ASSERT_TRUE(r.approximated);
+  // The pilot and the final stage each estimate once, from a sampled scan.
+  std::vector<const SpanRecord*> estimates;
+  std::vector<const SpanRecord*> scans;
+  FindSpans(r.profile.trace.root(), "estimate", &estimates);
+  FindSpans(r.profile.trace.root(), "scan", &scans);
+  ASSERT_EQ(estimates.size(), 2u);
+  ASSERT_EQ(scans.size(), 2u);
+  for (size_t stage = 0; stage < 2; ++stage) {
+    const uint64_t rows = AttrValue(*estimates[stage], "rows");
+    const uint64_t cells = AttrValue(*estimates[stage], "cells");
+    const uint64_t groups = AttrValue(*estimates[stage], "groups");
+    EXPECT_GT(rows, 0u);
+    EXPECT_GE(cells, groups);
+    EXPECT_LE(cells, rows);
+    // Every row comes from a drawn block, and each block holds 64 rows.
+    const uint64_t units = AttrValue(*scans[stage], "units");
+    EXPECT_EQ(AttrValue(*scans[stage], "rows_out"), rows);
+    EXPECT_GE(units * 64, rows);
+    EXPECT_GE(cells, units);
+  }
 }
 
 TEST(ProfileTest, DisabledObservabilityStillFillsResultFields) {
