@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): per-element throughput of sketches,
-// samplers, expression evaluation, and core operators.
+// samplers, expression evaluation, core operators, and extent chunk decode.
 
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "engine/executor.h"
 #include "expr/eval.h"
@@ -14,6 +15,7 @@
 #include "sketch/hyperloglog.h"
 #include "sketch/kll.h"
 #include "sketch/misra_gries.h"
+#include "storage/extent/codec.h"
 #include "workload/datagen.h"
 
 namespace aqp {
@@ -157,6 +159,80 @@ void BM_HashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1 << 18));
 }
 BENCHMARK(BM_HashJoin);
+
+// --- Extent chunk decode (docs/STORAGE.md §4) ------------------------------
+// Per-value cost of DecodeChunk, CRC included, on one extent-sized chunk:
+// items/s is values decoded, bytes/s is encoded chunk bytes read.
+
+enum class ChunkCase { kPlainInt64, kPlainDouble, kDelta1B, kDelta2B, kDict };
+
+void BM_DecodeChunk(benchmark::State& state, ChunkCase which) {
+  const size_t rows = extent::kDefaultExtentRows;
+  Pcg32 rng(17);
+  DataType type = DataType::kInt64;
+  extent::CodecChoice codec = extent::CodecChoice::kDelta;
+  Column col(type);
+  switch (which) {
+    case ChunkCase::kPlainInt64:
+      codec = extent::CodecChoice::kPlain;
+      for (size_t i = 0; i < rows; ++i) {
+        col.AppendInt64(static_cast<int64_t>(rng.NextUint64()));
+      }
+      break;
+    case ChunkCase::kPlainDouble:
+      type = DataType::kDouble;
+      codec = extent::CodecChoice::kPlain;
+      col = Column(type);
+      for (size_t i = 0; i < rows; ++i) col.AppendDouble(rng.NextDouble());
+      break;
+    case ChunkCase::kDelta1B:  // Zigzag deltas below 128: 1-byte varints.
+      for (size_t i = 0; i < rows; ++i) {
+        col.AppendInt64(static_cast<int64_t>(i) * 3);
+      }
+      break;
+    case ChunkCase::kDelta2B: {  // Zigzag deltas in [128, 16384): 2 bytes.
+      int64_t v = 0;
+      for (size_t i = 0; i < rows; ++i) {
+        v += 64 + static_cast<int64_t>(rng.UniformUint32(4000));
+        col.AppendInt64(v);
+      }
+      break;
+    }
+    case ChunkCase::kDict:
+      type = DataType::kString;
+      codec = extent::CodecChoice::kDict;
+      col = Column(type);
+      for (size_t i = 0; i < rows; ++i) {
+        col.AppendString("category_" +
+                         std::to_string(rng.UniformUint32(100)));
+      }
+      break;
+  }
+  const extent::EncodedChunk chunk = extent::EncodeChunk(col, 0, rows, codec);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extent::DecodeChunk(
+        chunk.bytes, type, static_cast<uint32_t>(rows)));
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+  state.SetBytesProcessed(state.iterations() * chunk.bytes.size());
+}
+BENCHMARK_CAPTURE(BM_DecodeChunk, plain_int64, ChunkCase::kPlainInt64);
+BENCHMARK_CAPTURE(BM_DecodeChunk, plain_double, ChunkCase::kPlainDouble);
+BENCHMARK_CAPTURE(BM_DecodeChunk, delta_int64_1B, ChunkCase::kDelta1B);
+BENCHMARK_CAPTURE(BM_DecodeChunk, delta_int64_2B, ChunkCase::kDelta2B);
+BENCHMARK_CAPTURE(BM_DecodeChunk, dict_string, ChunkCase::kDict);
+
+void BM_Crc32(benchmark::State& state) {
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  Pcg32 rng(5);
+  for (char& c : data) c = static_cast<char>(rng.NextUint32());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data.data(), data.size()));
+  }
+  state.SetItemsProcessed(state.iterations() * data.size());
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 }  // namespace
 }  // namespace aqp

@@ -38,27 +38,27 @@ class ByteReader {
   explicit ByteReader(std::string_view data) : data_(data) {}
 
   Result<uint8_t> GetU8() {
-    uint8_t v;
+    uint8_t v = 0;
     AQP_RETURN_IF_ERROR(GetRaw(&v, sizeof(v)));
     return v;
   }
   Result<uint32_t> GetU32() {
-    uint32_t v;
+    uint32_t v = 0;
     AQP_RETURN_IF_ERROR(GetRaw(&v, sizeof(v)));
     return v;
   }
   Result<uint64_t> GetU64() {
-    uint64_t v;
+    uint64_t v = 0;
     AQP_RETURN_IF_ERROR(GetRaw(&v, sizeof(v)));
     return v;
   }
   Result<int64_t> GetI64() {
-    int64_t v;
+    int64_t v = 0;
     AQP_RETURN_IF_ERROR(GetRaw(&v, sizeof(v)));
     return v;
   }
   Result<double> GetDouble() {
-    double v;
+    double v = 0;
     AQP_RETURN_IF_ERROR(GetRaw(&v, sizeof(v)));
     return v;
   }
@@ -66,6 +66,17 @@ class ByteReader {
 
   size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return remaining() == 0; }
+
+  /// The unread bytes, for decoders that walk them with a raw pointer and
+  /// then Skip() what they consumed.
+  std::string_view rest() const { return data_.substr(pos_); }
+  Status Skip(size_t len) {
+    if (len > remaining()) {
+      return Status::OutOfRange("serialized buffer truncated");
+    }
+    pos_ += len;
+    return Status::OK();
+  }
 
  private:
   Status GetRaw(void* out, size_t len) {

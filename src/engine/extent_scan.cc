@@ -5,7 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "expr/eval.h"
+#include "expr/vector_eval.h"
 #include "obs/metrics.h"
 
 namespace aqp {
@@ -387,7 +387,12 @@ Result<Table> FusedExtentFilterScan(const extent::ExtentReader& reader,
   return ScanExtents(
       reader, survivors, decode, num_out, /*transient=*/true, options, stats,
       [&](size_t, const Table& t) -> Result<RowSelection> {
-        AQP_ASSIGN_OR_RETURN(std::vector<uint32_t> sel, EvalPredicate(pred, t));
+        // The in-memory filter's compiled kernel, one morsel per extent (the
+        // extents already run in parallel); its mask scratch is charged.
+        AQP_ASSIGN_OR_RETURN(
+            std::vector<uint32_t> sel,
+            EvalPredicateBatch(pred, t, t.num_rows(), 1, nullptr,
+                               options.cancel, options.memory));
         if (sel.size() == t.num_rows()) return RowSelection();
         return RowSelection(std::move(sel));
       });

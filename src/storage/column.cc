@@ -1,6 +1,7 @@
 #include "storage/column.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -109,24 +110,15 @@ Column& Column::operator=(Column&& other) noexcept {
 }
 
 Column Column::FromInt64(std::vector<int64_t> values) {
-  Column c(DataType::kInt64);
-  c.valid_.assign(values.size(), 1);
-  c.ints_ = std::move(values);
-  return c;
+  return FromValues(std::move(values), {});
 }
 
 Column Column::FromDouble(std::vector<double> values) {
-  Column c(DataType::kDouble);
-  c.valid_.assign(values.size(), 1);
-  c.doubles_ = std::move(values);
-  return c;
+  return FromValues(std::move(values), {});
 }
 
 Column Column::FromString(std::vector<std::string> values) {
-  Column c(DataType::kString);
-  c.valid_.assign(values.size(), 1);
-  c.strings_ = std::move(values);
-  return c;
+  return FromValues(std::move(values), {});
 }
 
 Column Column::FromBool(std::vector<bool> values) {
@@ -136,6 +128,52 @@ Column Column::FromBool(std::vector<bool> values) {
   for (bool b : values) c.bools_.push_back(b ? 1 : 0);
   return c;
 }
+
+template <typename T>
+Column Column::FromValues(std::vector<T> values, std::vector<uint8_t> valid) {
+  constexpr bool kString = std::is_same_v<T, std::string>;
+  Column c(std::is_same_v<T, int64_t>  ? DataType::kInt64
+           : std::is_same_v<T, double> ? DataType::kDouble
+           : kString                   ? DataType::kString
+                                       : DataType::kBool);
+  if constexpr (std::is_same_v<T, uint8_t>) {
+    for (uint8_t& b : values) b = b != 0;
+  }
+  if (valid.empty()) {
+    valid.assign(values.size(), 1);
+  } else {
+    AQP_CHECK(valid.size() == values.size());
+    size_t nulls = 0;
+    for (size_t i = 0; i < values.size(); ++i) {
+      const uint8_t v = valid[i] != 0;
+      valid[i] = v;
+      nulls += 1 - v;
+      if constexpr (kString) {
+        if (!v) values[i] = std::string();
+      } else {
+        values[i] = v ? values[i] : T{};
+      }
+    }
+    c.null_count_ = nulls;
+  }
+  c.valid_ = std::move(valid);
+  if constexpr (std::is_same_v<T, int64_t>) {
+    c.ints_ = std::move(values);
+  } else if constexpr (std::is_same_v<T, double>) {
+    c.doubles_ = std::move(values);
+  } else if constexpr (kString) {
+    c.strings_ = std::move(values);
+  } else {
+    c.bools_ = std::move(values);
+  }
+  return c;
+}
+
+template Column Column::FromValues(std::vector<int64_t>, std::vector<uint8_t>);
+template Column Column::FromValues(std::vector<double>, std::vector<uint8_t>);
+template Column Column::FromValues(std::vector<std::string>,
+                                   std::vector<uint8_t>);
+template Column Column::FromValues(std::vector<uint8_t>, std::vector<uint8_t>);
 
 double Column::NumericAt(size_t i) const {
   if (type_ == DataType::kInt64) return static_cast<double>(ints_[i]);

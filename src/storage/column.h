@@ -77,6 +77,15 @@ class Column {
   static Column FromString(std::vector<std::string> values);
   static Column FromBool(std::vector<bool> values);
 
+  /// Adopts a decoded value vector of the column's physical type — int64_t
+  /// (INT64), double (DOUBLE), uint8_t (BOOL; nonzero = true), std::string
+  /// (STRING) — with per-row validity bytes: empty = every row valid, else
+  /// one byte per value, nonzero = valid. NULL slots are reset to the
+  /// default value, exactly as AppendNull stores them, and null_count() is
+  /// counted from the bytes.
+  template <typename T>
+  static Column FromValues(std::vector<T> values, std::vector<uint8_t> valid);
+
   DataType type() const { return type_; }
   size_t size() const { return valid_.size(); }
   bool empty() const { return valid_.empty(); }

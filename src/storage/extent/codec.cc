@@ -40,17 +40,97 @@ void PutVarint(ByteWriter* w, uint64_t v) {
   w->PutU8(static_cast<uint8_t>(v));
 }
 
-Result<uint64_t> GetVarint(ByteReader* r) {
+namespace {
+
+// A decoded varint and the byte after it; next is null when malformed.
+struct Varint {
+  const uint8_t* next;
+  uint64_t value;
+};
+
+// The general varint loop behind ReadVarint. It takes and returns the
+// pointer by value, so the callers' cursors never escape to memory.
+Varint ReadVarintSlow(const uint8_t* q, const uint8_t* end, Status* error) {
   uint64_t v = 0;
   for (int shift = 0; shift < 70; shift += 7) {
-    AQP_ASSIGN_OR_RETURN(uint8_t byte, r->GetU8());
+    if (q == end) {
+      *error = Status::OutOfRange("serialized buffer truncated");
+      return {nullptr, 0};
+    }
+    const uint8_t byte = *q++;
     if (shift == 63 && (byte & 0xFE) != 0) {
-      return Status::OutOfRange("varint overflows 64 bits");
+      *error = Status::OutOfRange("varint overflows 64 bits");
+      return {nullptr, 0};
     }
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return v;
+    if ((byte & 0x80) == 0) return {q, v};
   }
-  return Status::OutOfRange("varint longer than 10 bytes");
+  *error = Status::OutOfRange("varint longer than 10 bytes");
+  return {nullptr, 0};
+}
+
+// The varint at *p, advancing *p past it. False, with *error set, when it
+// runs past `end`, overflows 64 bits or is longer than 10 bytes. GetVarint
+// and every chunk decoder read varints through it (ForEachVarint only adds
+// an inline path for short ones), so all report the same statuses.
+inline bool ReadVarint(const uint8_t** p, const uint8_t* end, uint64_t* out,
+                       Status* error) {
+  const uint8_t* q = *p;
+  if (q < end && q[0] < 0x80) {  // One-byte fast path.
+    *out = q[0];
+    *p = q + 1;
+    return true;
+  }
+  const Varint v = ReadVarintSlow(q, end, error);
+  if (v.next == nullptr) return false;
+  *out = v.value;
+  *p = v.next;
+  return true;
+}
+
+// Decodes `n` consecutive varints at q, calling f(i, value) for i = 0..n-1
+// and stopping early when f returns false. The inner loop takes one- and
+// two-byte varints without a call, so its cursor and counters stay in
+// registers; longer varints and the last byte go through ReadVarint.
+template <typename F>
+bool ForEachVarint(const uint8_t* q, const uint8_t* end, uint32_t n,
+                   Status* error, F&& f) {
+  uint32_t i = 0;
+  while (i < n) {
+    for (; i < n && end - q >= 2; ++i) {
+      uint64_t v = q[0];
+      if (v < 0x80) {
+        q += 1;
+      } else if (q[1] < 0x80) {
+        v = (v & 0x7F) | (static_cast<uint64_t>(q[1]) << 7);
+        q += 2;
+      } else {
+        break;
+      }
+      if (!f(i, v)) return false;
+    }
+    if (i == n) break;
+    uint64_t v = 0;
+    if (!ReadVarint(&q, end, &v, error) || !f(i, v)) return false;
+    ++i;
+  }
+  return true;
+}
+
+const uint8_t* Bytes(std::string_view s) {
+  return reinterpret_cast<const uint8_t*>(s.data());
+}
+
+}  // namespace
+
+Result<uint64_t> GetVarint(ByteReader* r) {
+  const std::string_view rest = r->rest();
+  const uint8_t* p = Bytes(rest);
+  uint64_t v = 0;
+  Status error;
+  if (!ReadVarint(&p, p + rest.size(), &v, &error)) return error;
+  AQP_RETURN_IF_ERROR(r->Skip(static_cast<size_t>(p - Bytes(rest))));
+  return v;
 }
 
 // --- Byte RLE --------------------------------------------------------------
@@ -171,49 +251,79 @@ void LzEncode(const uint8_t* data, size_t n, std::string* out) {
   out->append(w.buffer());
 }
 
-Status LzDecode(std::string_view in, size_t raw_len, std::string* out) {
-  ByteReader r(in);
-  const size_t base = out->size();
-  out->reserve(base + raw_len);
-  while (out->size() - base < raw_len) {
-    AQP_ASSIGN_OR_RETURN(uint8_t token, r.GetU8());
+namespace {
+
+// One walk over an LZ sequence stream. The checking walk (kCopy false)
+// validates every sequence — input bounds, offsets, the decoded length — and
+// writes nothing; the copying walk then trusts the stream and fills `out`,
+// which is already raw_len bytes. So a damaged length never sizes an
+// allocation the stream does not fill.
+template <bool kCopy>
+Status LzWalk(std::string_view in, size_t raw_len, uint8_t* out) {
+  const uint8_t* p = Bytes(in);
+  const uint8_t* const end = p + in.size();
+  size_t pos = 0;
+  Status error;
+  while (pos < raw_len) {
+    if (p == end) return Status::OutOfRange("serialized buffer truncated");
+    const uint8_t token = *p++;
+    // Extension lengths larger than raw_len are overruns; rejecting them
+    // first keeps the sums below from wrapping.
     uint64_t lit_len = token >> 4;
+    uint64_t ext = 0;
     if (lit_len == 15) {
-      AQP_ASSIGN_OR_RETURN(uint64_t ext, GetVarint(&r));
-      lit_len += ext;
+      if (!ReadVarint(&p, end, &ext, &error)) return error;
+      lit_len = ext > raw_len ? UINT64_MAX : lit_len + ext;
     }
-    if (lit_len > raw_len - (out->size() - base)) {
+    if (lit_len > raw_len - pos) {
       return Status::OutOfRange("LZ literals overrun decoded length");
     }
-    if (lit_len > 0) {
-      size_t old = out->size();
-      out->resize(old + lit_len);
-      AQP_RETURN_IF_ERROR(r.GetBytes(out->data() + old, lit_len));
+    if (lit_len > static_cast<size_t>(end - p)) {
+      return Status::OutOfRange("serialized buffer truncated");
     }
-    if (out->size() - base == raw_len) break;  // Terminal sequence.
-    AQP_ASSIGN_OR_RETURN(uint8_t off_lo, r.GetU8());
-    AQP_ASSIGN_OR_RETURN(uint8_t off_hi, r.GetU8());
-    const size_t offset = static_cast<size_t>(off_lo) |
-                          (static_cast<size_t>(off_hi) << 8);
-    uint64_t match_len = (token & 0xF);
+    if (kCopy && lit_len > 0) std::memcpy(out + pos, p, lit_len);
+    p += lit_len;
+    pos += lit_len;
+    if (pos == raw_len) break;  // Terminal sequence.
+    if (end - p < 2) return Status::OutOfRange("serialized buffer truncated");
+    const size_t offset = static_cast<size_t>(p[0]) |
+                          (static_cast<size_t>(p[1]) << 8);
+    p += 2;
+    uint64_t match_len = token & 0xF;
     if (match_len == 15) {
-      AQP_ASSIGN_OR_RETURN(uint64_t ext, GetVarint(&r));
-      match_len += ext;
+      if (!ReadVarint(&p, end, &ext, &error)) return error;
+      match_len = ext > raw_len ? UINT64_MAX - kLzMinMatch : match_len + ext;
     }
     match_len += kLzMinMatch;
-    if (offset == 0 || offset > out->size() - base) {
+    if (offset == 0 || offset > pos) {
       return Status::OutOfRange("LZ match offset before stream start");
     }
-    if (match_len > raw_len - (out->size() - base)) {
+    if (match_len > raw_len - pos) {
       return Status::OutOfRange("LZ match overruns decoded length");
     }
-    // Byte-wise copy: overlapping matches (offset < match_len) replicate.
-    size_t src = out->size() - offset;
-    for (uint64_t k = 0; k < match_len; ++k) {
-      out->push_back((*out)[src + k]);
+    if (kCopy) {
+      uint8_t* dst = out + pos;
+      const uint8_t* src = dst - offset;
+      if (offset >= match_len) {
+        std::memcpy(dst, src, match_len);
+      } else {
+        // Overlapping match: the forward byte copy replicates the period.
+        for (uint64_t k = 0; k < match_len; ++k) dst[k] = src[k];
+      }
     }
+    pos += match_len;
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status LzDecode(std::string_view in, size_t raw_len, std::string* out) {
+  AQP_RETURN_IF_ERROR(LzWalk<false>(in, raw_len, nullptr));
+  const size_t base = out->size();
+  out->resize(base + raw_len);
+  return LzWalk<true>(in, raw_len,
+                      reinterpret_cast<uint8_t*>(out->data()) + base);
 }
 
 // --- Chunk encoding --------------------------------------------------------
@@ -404,109 +514,125 @@ EncodedChunk EncodeChunk(const Column& col, size_t begin, size_t end,
 
 namespace {
 
-Result<Column> DecodePlainData(ByteReader* r, DataType type, uint32_t rows,
-                               const std::vector<uint8_t>& valid) {
-  Column col(type);
-  col.Reserve(rows);
-  for (uint32_t i = 0; i < rows; ++i) {
-    switch (type) {
-      case DataType::kInt64: {
-        AQP_ASSIGN_OR_RETURN(int64_t v, r->GetI64());
-        if (valid[i]) {
-          col.AppendInt64(v);
-        } else {
-          col.AppendNull();
-        }
-        break;
-      }
-      case DataType::kDouble: {
-        AQP_ASSIGN_OR_RETURN(double v, r->GetDouble());
-        if (valid[i]) {
-          col.AppendDouble(v);
-        } else {
-          col.AppendNull();
-        }
-        break;
-      }
-      case DataType::kBool: {
-        AQP_ASSIGN_OR_RETURN(uint8_t v, r->GetU8());
-        if (valid[i]) {
-          col.AppendBool(v != 0);
-        } else {
-          col.AppendNull();
-        }
-        break;
-      }
-      case DataType::kString: {
-        AQP_ASSIGN_OR_RETURN(uint64_t len, GetVarint(r));
-        if (len > r->remaining()) {
-          return Status::OutOfRange("string length overruns chunk payload");
-        }
-        std::string s(len, '\0');
-        AQP_RETURN_IF_ERROR(r->GetBytes(s.data(), len));
-        if (valid[i]) {
-          col.AppendString(std::move(s));
-        } else {
-          col.AppendNull();
-        }
-        break;
-      }
-    }
+// The chunk decoders (§4). Each checks its bounds once per chunk, or once
+// per varint byte against `end`, writes into a value vector sized once, and
+// hands that vector with the chunk's validity bytes (empty when the chunk
+// has no validity subblock) to Column::FromValues, which resets NULL slots
+// to the default value whatever the payload holds there.
+
+// Fixed-width plain image (INT64, DOUBLE, BOOL as uint8_t): one memcpy.
+template <typename T>
+Result<Column> DecodeFixed(std::string_view data, uint32_t rows,
+                           std::vector<uint8_t> valid) {
+  const size_t bytes = size_t{rows} * sizeof(T);
+  if (data.size() < bytes) {
+    return Status::OutOfRange("serialized buffer truncated");
   }
-  return col;
+  std::vector<T> values(rows);
+  if (bytes > 0) std::memcpy(values.data(), data.data(), bytes);
+  return Column::FromValues(std::move(values), std::move(valid));
 }
 
-Result<Column> DecodeDeltaData(ByteReader* r, uint32_t rows,
-                               const std::vector<uint8_t>& valid) {
-  Column col(DataType::kInt64);
-  col.Reserve(rows);
-  int64_t prev = 0;
-  for (uint32_t i = 0; i < rows; ++i) {
-    AQP_ASSIGN_OR_RETURN(uint64_t zz, GetVarint(r));
-    const int64_t v = static_cast<int64_t>(
-        static_cast<uint64_t>(prev) +
-        static_cast<uint64_t>(ZigZagDecode(zz)));
-    prev = v;
-    if (valid[i]) {
-      col.AppendInt64(v);
-    } else {
-      col.AppendNull();
-    }
+Result<Column> DecodePlainStrings(std::string_view data, uint32_t rows,
+                                  std::vector<uint8_t> valid) {
+  const uint8_t* p = Bytes(data);
+  const uint8_t* const end = p + data.size();
+  if (data.size() < rows) {  // Every string costs at least its length byte.
+    return Status::OutOfRange("serialized buffer truncated");
   }
-  return col;
+  std::vector<std::string> values(rows);
+  Status error;
+  for (uint32_t i = 0; i < rows; ++i) {
+    uint64_t len = 0;
+    if (!ReadVarint(&p, end, &len, &error)) return error;
+    if (len > static_cast<size_t>(end - p)) {
+      return Status::OutOfRange("string length overruns chunk payload");
+    }
+    if (valid.empty() || valid[i]) {
+      values[i].assign(reinterpret_cast<const char*>(p), len);
+    }
+    p += len;
+  }
+  return Column::FromValues(std::move(values), std::move(valid));
 }
 
-Result<Column> DecodeDictData(ByteReader* r, uint32_t rows,
-                              const std::vector<uint8_t>& valid) {
-  AQP_ASSIGN_OR_RETURN(uint64_t num_unique, GetVarint(r));
-  if (num_unique > r->remaining()) {
+// §4.1 plain image of `type` (also the image RLE and LZ decode to).
+Result<Column> DecodePlain(std::string_view data, DataType type,
+                           uint32_t rows, std::vector<uint8_t> valid) {
+  switch (type) {
+    case DataType::kInt64:
+      return DecodeFixed<int64_t>(data, rows, std::move(valid));
+    case DataType::kDouble:
+      return DecodeFixed<double>(data, rows, std::move(valid));
+    case DataType::kBool:
+      return DecodeFixed<uint8_t>(data, rows, std::move(valid));
+    case DataType::kString:
+      return DecodePlainStrings(data, rows, std::move(valid));
+  }
+  return Status::Internal("unreachable type dispatch");
+}
+
+// §4.3: a running sum of zigzag varint deltas. NULL slots keep the running
+// value (the encoder wrote 0 there) until FromValues resets them.
+Result<Column> DecodeDelta(std::string_view data, uint32_t rows,
+                           std::vector<uint8_t> valid) {
+  if (data.size() < rows) {  // Every varint is at least one byte.
+    return Status::OutOfRange("serialized buffer truncated");
+  }
+  std::vector<int64_t> values(rows);
+  int64_t* out = values.data();
+  uint64_t prev = 0;
+  Status error;
+  const uint8_t* p = Bytes(data);
+  const bool ok = ForEachVarint(
+      p, p + data.size(), rows, &error, [&](uint32_t i, uint64_t zz) {
+        // Wrapping addition: delta arithmetic is mod 2^64.
+        prev += static_cast<uint64_t>(ZigZagDecode(zz));
+        out[i] = static_cast<int64_t>(prev);
+        return true;
+      });
+  if (!ok) return error;
+  return Column::FromValues(std::move(values), std::move(valid));
+}
+
+// §4.4: the sorted dictionary, then one rank per row. A NULL row's rank is
+// read but not checked (the encoder writes 0 there).
+Result<Column> DecodeDict(std::string_view data, uint32_t rows,
+                          std::vector<uint8_t> valid) {
+  const uint8_t* p = Bytes(data);
+  const uint8_t* const end = p + data.size();
+  Status error;
+  uint64_t num_unique = 0;
+  if (!ReadVarint(&p, end, &num_unique, &error)) return error;
+  if (num_unique > static_cast<size_t>(end - p)) {
     return Status::OutOfRange("dictionary size overruns chunk payload");
   }
-  std::vector<std::string> uniques;
-  uniques.reserve(num_unique);
-  for (uint64_t u = 0; u < num_unique; ++u) {
-    AQP_ASSIGN_OR_RETURN(uint64_t len, GetVarint(r));
-    if (len > r->remaining()) {
+  std::vector<std::string> uniques(num_unique);
+  for (std::string& u : uniques) {
+    uint64_t len = 0;
+    if (!ReadVarint(&p, end, &len, &error)) return error;
+    if (len > static_cast<size_t>(end - p)) {
       return Status::OutOfRange("dictionary entry overruns chunk payload");
     }
-    std::string s(len, '\0');
-    AQP_RETURN_IF_ERROR(r->GetBytes(s.data(), len));
-    uniques.push_back(std::move(s));
+    u.assign(reinterpret_cast<const char*>(p), len);
+    p += len;
   }
-  Column col(DataType::kString);
-  col.Reserve(rows);
-  for (uint32_t i = 0; i < rows; ++i) {
-    AQP_ASSIGN_OR_RETURN(uint64_t rank, GetVarint(r));
-    if (!valid[i]) {
-      col.AppendNull();
-      continue;
-    }
-    if (rank >= uniques.size()) {
-      return Status::OutOfRange("dictionary rank out of range");
-    }
-    col.AppendString(uniques[rank]);
+  if (static_cast<size_t>(end - p) < rows) {
+    return Status::OutOfRange("serialized buffer truncated");
   }
-  return col;
+  std::vector<std::string> values(rows);
+  const bool ok =
+      ForEachVarint(p, end, rows, &error, [&](uint32_t i, uint64_t rank) {
+        if (!valid.empty() && !valid[i]) return true;
+        if (rank >= uniques.size()) {
+          error = Status::OutOfRange("dictionary rank out of range");
+          return false;
+        }
+        values[i] = uniques[rank];
+        return true;
+      });
+  if (!ok) return error;
+  return Column::FromValues(std::move(values), std::move(valid));
 }
 
 }  // namespace
@@ -543,46 +669,46 @@ Result<Column> DecodeChunk(std::string_view chunk, DataType type,
   }
 
   ByteReader r(payload);
-  std::vector<uint8_t> valid;
+  std::vector<uint8_t> valid;  // Empty: no validity subblock, no NULLs.
   if (has_validity) {
     AQP_RETURN_IF_ERROR(RleDecode(&r, rows, &valid));
-  } else {
-    valid.assign(rows, 1);
   }
+  const size_t width = type == DataType::kBool ? 1 : 8;
 
   const Codec codec = static_cast<Codec>(codec_id);
   switch (codec) {
     case Codec::kPlain:
-      return DecodePlainData(&r, type, rows, valid);
+      return DecodePlain(r.rest(), type, rows, std::move(valid));
     case Codec::kRle: {
       if (type == DataType::kString) {
         return Status::InvalidArgument("RLE chunk on a STRING column");
       }
-      const size_t width = type == DataType::kBool ? 1 : 8;
       std::vector<uint8_t> image;
       AQP_RETURN_IF_ERROR(RleDecode(&r, size_t{rows} * width, &image));
-      ByteReader ir(std::string_view(
-          reinterpret_cast<const char*>(image.data()), image.size()));
-      return DecodePlainData(&ir, type, rows, valid);
+      return DecodePlain(
+          std::string_view(reinterpret_cast<const char*>(image.data()),
+                           image.size()),
+          type, rows, std::move(valid));
     }
     case Codec::kDelta:
       if (type != DataType::kInt64) {
         return Status::InvalidArgument("delta chunk on a non-INT64 column");
       }
-      return DecodeDeltaData(&r, rows, valid);
+      return DecodeDelta(r.rest(), rows, std::move(valid));
     case Codec::kDict:
       if (type != DataType::kString) {
         return Status::InvalidArgument("dict chunk on a non-STRING column");
       }
-      return DecodeDictData(&r, rows, valid);
+      return DecodeDict(r.rest(), rows, std::move(valid));
     case Codec::kBytes: {
       AQP_ASSIGN_OR_RETURN(uint64_t raw_len, GetVarint(&r));
+      // A fixed-width image holds exactly its rows.
+      if (type != DataType::kString && raw_len != size_t{rows} * width) {
+        return Status::OutOfRange("LZ image length does not match rows");
+      }
       std::string image;
-      std::string rest(r.remaining(), '\0');
-      AQP_RETURN_IF_ERROR(r.GetBytes(rest.data(), rest.size()));
-      AQP_RETURN_IF_ERROR(LzDecode(rest, raw_len, &image));
-      ByteReader ir(image);
-      return DecodePlainData(&ir, type, rows, valid);
+      AQP_RETURN_IF_ERROR(LzDecode(r.rest(), raw_len, &image));
+      return DecodePlain(image, type, rows, std::move(valid));
     }
   }
   return Status::Internal("unreachable codec dispatch");
@@ -753,7 +879,7 @@ Result<Table> ReadTableBlob(ByteReader* r) {
       if (decoded == 0 && rows == num_rows) {
         col = std::move(part);
       } else {
-        for (size_t i = 0; i < part.size(); ++i) col.AppendFrom(part, i);
+        col.AppendRange(part, 0, part.size());
       }
       decoded += rows;
       if (num_rows == 0) break;

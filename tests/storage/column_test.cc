@@ -142,5 +142,31 @@ TEST(ColumnTest, AppendRangeCopiesSubrange) {
   EXPECT_EQ(dst.null_count(), 3u);
 }
 
+TEST(ColumnTest, FromValuesAdoptsValuesAndValidity) {
+  // Empty validity: every row valid.
+  Column all = Column::FromValues(std::vector<double>{1.5, -2.0}, {});
+  EXPECT_EQ(all.type(), DataType::kDouble);
+  EXPECT_EQ(all.size(), 2u);
+  EXPECT_EQ(all.null_count(), 0u);
+  EXPECT_EQ(all.DoubleAt(1), -2.0);
+  // Nonzero bytes are valid (stored as 1); a NULL slot is reset to the
+  // default value AppendNull stores, whatever the vector held there.
+  Column ints =
+      Column::FromValues(std::vector<int64_t>{7, 99, 8}, {1, 0, 5});
+  EXPECT_EQ(ints.null_count(), 1u);
+  EXPECT_TRUE(ints.IsNull(1));
+  EXPECT_EQ(ints.Int64At(1), 0);
+  EXPECT_EQ(ints.validity()[2], 1);
+  Column strs = Column::FromValues(std::vector<std::string>{"a", "junk"},
+                                   {1, 0});
+  EXPECT_EQ(strs.type(), DataType::kString);
+  EXPECT_TRUE(strs.StringAt(1).empty());
+  // BOOL takes bytes; any nonzero byte is true.
+  Column bools = Column::FromValues(std::vector<uint8_t>{0, 3, 1}, {});
+  EXPECT_EQ(bools.type(), DataType::kBool);
+  EXPECT_EQ(bools.bool_data()[1], 1);
+  EXPECT_FALSE(bools.BoolAt(0));
+}
+
 }  // namespace
 }  // namespace aqp

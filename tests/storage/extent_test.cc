@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <random>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.h"
 #include "gov/fault_injector.h"
 #include "gtest/gtest.h"
 #include "storage/extent/codec.h"
@@ -236,6 +238,71 @@ TEST(LzTest, MalformedStreamFails) {
   EXPECT_FALSE(LzDecode(short_enc, data.size(), &dec).ok());
 }
 
+// What an LZ stream of `literals` then one match (offset, length) decodes
+// to: the definition, one byte at a time.
+std::string ExpandMatch(std::string literals, size_t offset, size_t length) {
+  for (size_t k = 0; k < length; ++k) {
+    literals.push_back(literals[literals.size() - offset]);
+  }
+  return literals;
+}
+
+// One §4.5 sequence: `literals` (< 15 bytes) then a match of length >= 4 at
+// `offset`; the stream ends when the decoded length is reached.
+std::string LzSequence(const std::string& literals, size_t offset,
+                       size_t length) {
+  const size_t code = length - 4;
+  ByteWriter w;
+  const size_t nibble = std::min<size_t>(code, 15);
+  w.PutU8(static_cast<uint8_t>((literals.size() << 4) | nibble));
+  w.PutBytes(literals.data(), literals.size());
+  w.PutU8(static_cast<uint8_t>(offset & 0xFF));
+  w.PutU8(static_cast<uint8_t>(offset >> 8));
+  if (code >= 15) PutVarint(&w, code - 15);
+  return w.Take();
+}
+
+TEST(LzTest, MatchOffsetsAroundTheMatchLength) {
+  struct Case {
+    std::string literals;
+    size_t offset;
+    size_t length;
+  };
+  const Case cases[] = {
+      {"a", 1, 10},           // Offset 1: a run of the last byte.
+      {"abcde", 5, 6},        // Offset = length - 1: overlaps by one byte.
+      {"abcdef", 6, 6},       // Offset = length: adjacent, no overlap.
+      {"abcdefgh", 3, 7},     // Offset inside the literals, overlapping.
+      {"abcdefghijk", 11, 4}  // Offset far behind, no overlap.
+  };
+  for (const Case& c : cases) {
+    const std::string want = ExpandMatch(c.literals, c.offset, c.length);
+    std::string dec = "prefix";  // Output appends.
+    const std::string enc = LzSequence(c.literals, c.offset, c.length);
+    ASSERT_TRUE(LzDecode(enc, want.size(), &dec).ok())
+        << c.literals << " offset " << c.offset;
+    EXPECT_EQ(dec, "prefix" + want) << c.literals << " offset " << c.offset;
+  }
+}
+
+TEST(LzTest, LongRunsRoundTrip) {
+  // A 1020-byte match at offset 1 (varint length extension) by hand...
+  const std::string want = ExpandMatch("z", 1, 1019);
+  std::string dec;
+  ASSERT_TRUE(LzDecode(LzSequence("z", 1, 1019), want.size(), &dec).ok());
+  EXPECT_EQ(dec, want);
+  // ...and the encoder's own long runs between literals.
+  std::string data(100000, 'x');
+  data += "a break in the run";
+  data += std::string(70000, 'y');
+  std::string enc;
+  LzEncode(reinterpret_cast<const uint8_t*>(data.data()), data.size(), &enc);
+  EXPECT_LT(enc.size(), 200u);
+  dec.clear();
+  ASSERT_TRUE(LzDecode(enc, data.size(), &dec).ok());
+  EXPECT_EQ(dec, data);
+}
+
 // --- Chunk encode/decode ---------------------------------------------------
 
 Column MakeTypedColumn(DataType type, size_t rows, bool with_nulls) {
@@ -394,6 +461,134 @@ TEST(ChunkTest, HeaderMismatchesDetected) {
   EXPECT_FALSE(DecodeChunk(bad, DataType::kInt64, 128).ok());
 }
 
+// `chunk`'s header over a new payload, with the length and CRC recomputed so
+// the decoder itself, not the CRC check, meets the damage.
+std::string Rechunk(const std::string& chunk, const std::string& payload) {
+  ByteWriter w;
+  w.PutBytes(chunk.data(), 8);  // Codec, validity flag, type, reserved, rows.
+  w.PutU64(payload.size());
+  w.PutU32(Crc32(payload.data(), payload.size()));
+  w.PutBytes(payload.data(), payload.size());
+  return w.Take();
+}
+
+// A damaged chunk either fails with a status or decodes to `rows` values
+// whose NULL slots hold the default value; it never reads out of bounds
+// (the ASan CI job runs this suite).
+void ExpectErrorOrWellFormed(const std::string& chunk, DataType type,
+                             uint32_t rows, const std::string& what) {
+  Result<Column> r = DecodeChunk(chunk, type, rows);
+  if (!r.ok()) return;
+  const Column& col = r.value();
+  ASSERT_EQ(col.size(), rows) << what;
+  size_t nulls = 0;
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (!col.IsNull(i)) continue;
+    ++nulls;
+    switch (type) {
+      case DataType::kInt64:
+        ASSERT_EQ(col.Int64At(i), 0) << what;
+        break;
+      case DataType::kDouble:
+        ASSERT_EQ(col.DoubleAt(i), 0.0) << what;
+        break;
+      case DataType::kString:
+        ASSERT_TRUE(col.StringAt(i).empty()) << what;
+        break;
+      case DataType::kBool:
+        ASSERT_FALSE(col.BoolAt(i)) << what;
+        break;
+    }
+  }
+  ASSERT_EQ(col.null_count(), nulls) << what;
+}
+
+TEST(ChunkTest, DamagedPayloadsFailOrDecodeWellFormed) {
+  const DataType types[] = {DataType::kInt64, DataType::kDouble,
+                            DataType::kString, DataType::kBool};
+  const CodecChoice choices[] = {CodecChoice::kPlain, CodecChoice::kRle,
+                                 CodecChoice::kDelta, CodecChoice::kDict,
+                                 CodecChoice::kBytes};
+  constexpr uint32_t kRows = 100;
+  for (DataType type : types) {
+    for (bool with_nulls : {false, true}) {
+      const Column col = MakeTypedColumn(type, kRows, with_nulls);
+      for (CodecChoice choice : choices) {
+        const EncodedChunk chunk = EncodeChunk(col, 0, kRows, choice);
+        const std::string payload = chunk.bytes.substr(kChunkHeaderBytes);
+        const std::string tag = std::string(DataTypeName(type)) + " codec " +
+                                std::string(CodecName(chunk.codec)) +
+                                (with_nulls ? " nulls" : "");
+        for (size_t len = 0; len < payload.size(); ++len) {
+          ExpectErrorOrWellFormed(Rechunk(chunk.bytes, payload.substr(0, len)),
+                                  type, kRows,
+                                  tag + " truncated to " + std::to_string(len));
+        }
+        for (size_t at = 0; at < payload.size(); ++at) {
+          for (uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+            std::string bad = payload;
+            bad[at] = static_cast<char>(bad[at] ^ flip);
+            ExpectErrorOrWellFormed(
+                Rechunk(chunk.bytes, bad), type, kRows,
+                tag + " byte " + std::to_string(at) + " ^ " +
+                    std::to_string(flip));
+          }
+        }
+      }
+    }
+  }
+}
+
+// A hand-built chunk: header for `codec` over INT64 rows, the RLE validity
+// subblock, then `data`.
+std::string ForgedInt64Chunk(Codec codec, const std::vector<uint8_t>& valid,
+                             const std::string& data) {
+  ByteWriter payload;
+  RleEncode(valid.data(), valid.size(), &payload);
+  payload.PutBytes(data.data(), data.size());
+  const std::string p = payload.Take();
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(codec));
+  w.PutU8(1);
+  w.PutU8(static_cast<uint8_t>(DataType::kInt64));
+  w.PutU8(0);
+  w.PutU32(static_cast<uint32_t>(valid.size()));
+  w.PutU64(p.size());
+  w.PutU32(Crc32(p.data(), p.size()));
+  w.PutBytes(p.data(), p.size());
+  return w.Take();
+}
+
+TEST(ChunkTest, ForgedValuesUnderNullSlotsDecodeAsNull) {
+  // The encoder writes 0 under a NULL slot; a forged payload writes 77 and
+  // -3 there. Both decoders must still yield NULL holding the default value.
+  const std::vector<uint8_t> valid = {1, 0, 1, 0, 2};  // Nonzero = valid.
+  const std::vector<int64_t> values = {5, 77, 9, -3, 11};
+  ByteWriter plain;
+  ByteWriter delta;
+  int64_t prev = 0;
+  for (int64_t v : values) {
+    plain.PutI64(v);
+    PutVarint(&delta, ZigZagEncode(v - prev));
+    prev = v;
+  }
+  for (const auto& [codec, data] :
+       {std::pair{Codec::kPlain, plain.Take()},
+        std::pair{Codec::kDelta, delta.Take()}}) {
+    Result<Column> r = DecodeChunk(ForgedInt64Chunk(codec, valid, data),
+                                   DataType::kInt64, 5);
+    ASSERT_TRUE(r.ok()) << CodecName(codec) << ": " << r.status().message();
+    const Column& col = r.value();
+    EXPECT_EQ(col.null_count(), 2u) << CodecName(codec);
+    for (size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(col.IsNull(i), valid[i] == 0) << CodecName(codec) << " " << i;
+      EXPECT_EQ(col.validity()[i], valid[i] != 0 ? 1 : 0);
+      EXPECT_EQ(col.Int64At(i), valid[i] != 0 ? values[i] : 0)
+          << CodecName(codec) << " row " << i;
+    }
+  }
+}
+
 // --- Zone maps -------------------------------------------------------------
 
 TEST(ZoneMapTest, NumericBoundsAndNulls) {
@@ -461,6 +656,24 @@ TEST(TableBlobTest, RoundTrip) {
   Result<Table> back = ReadTableBlob(&r);
   ASSERT_TRUE(back.ok()) << back.status().message();
   ExpectTablesIdentical(t, back.value());
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(TableBlobTest, MultiChunkRoundTripWithNulls) {
+  // More rows than one chunk holds: each column is read back as two chunk
+  // runs and appended.
+  Table t = MakeMixedTable(kDefaultExtentRows + 777);
+  ASSERT_GT(t.column(1).null_count(), 0u);
+  ByteWriter w;
+  WriteTableBlob(t, &w);
+  std::string buf = w.Take();
+  ByteReader r(buf);
+  Result<Table> back = ReadTableBlob(&r);
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  ExpectTablesIdentical(t, back.value());
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    EXPECT_EQ(back.value().column(c).null_count(), t.column(c).null_count());
+  }
   EXPECT_TRUE(r.exhausted());
 }
 
