@@ -8,17 +8,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "bench_util.h"
+#include "core/estimate.h"
 #include "common/random.h"
 #include "engine/executor.h"
 #include "sampling/bernoulli.h"
 #include "sampling/block.h"
-#include "sampling/ht_estimator.h"
 #include "workload/datagen.h"
 
 namespace aqp {
 namespace {
+
+// SUM(x), estimated through the Sample entry with no group keys.
+const std::vector<AggSpec> kSumX = {{AggKind::kSum, Col("x"), "s"}};
 
 void Run() {
   bench::Banner("E11: block vs row sampling (2M rows, 1024-row blocks)",
@@ -75,7 +79,10 @@ void Run() {
               block_method
                   ? BlockSample(data, rate, kBlock, 100 + trial).value()
                   : BernoulliRowSample(data, rate, 100 + trial).value();
-          PointEstimate est = EstimateSum(s, Col("x")).value();
+          core::PointEstimate est =
+              core::EstimateGroupedAggregates(s, {}, kSumX)
+                  .value()
+                  .estimates[0][0];
           mse += (est.estimate - truth) * (est.estimate - truth) / kTrials;
         }
         out.AddRow({bench::FmtPct(rate, 1), method, layout,

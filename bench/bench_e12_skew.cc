@@ -8,15 +8,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "bench_util.h"
+#include "core/estimate.h"
+#include "core/outlier_index.h"
 #include "sampling/bernoulli.h"
-#include "sampling/outlier_index.h"
 #include "sampling/weighted.h"
 #include "workload/datagen.h"
 
 namespace aqp {
 namespace {
+
+// SUM(x), estimated through the Sample entry with no group keys.
+const std::vector<AggSpec> kSumX = {{AggKind::kSum, Col("x"), "s"}};
 
 void Run() {
   bench::Banner("E12: measure skew vs estimator error (1M rows, 10k budget)",
@@ -48,17 +53,24 @@ void Run() {
     double top = 0.0;
     for (size_t i = 0; i < kRows / 1000; ++i) top += sorted[i];
 
-    OutlierIndex index = OutlierIndex::Build(t, "x", 0.002).value();
+    core::OutlierIndex index =
+        core::OutlierIndex::Build(t, "x", 0.002).value();
     double mse_uni = 0.0;
     double mse_pps = 0.0;
     double mse_out = 0.0;
     for (int trial = 0; trial < kTrials; ++trial) {
       Sample uni = BernoulliRowSample(t, kRate, 100 + trial).value();
-      double e1 = EstimateSum(uni, Col("x")).value().estimate;
+      double e1 = core::EstimateGroupedAggregates(uni, {}, kSumX)
+                      .value()
+                      .estimates[0][0]
+                      .estimate;
       mse_uni += (e1 - truth) * (e1 - truth) / kTrials;
 
       Sample pps = MeasureBiasedSample(t, "x", kBudget, 200 + trial).value();
-      double e2 = EstimateSum(pps, Col("x")).value().estimate;
+      double e2 = core::EstimateGroupedAggregates(pps, {}, kSumX)
+                      .value()
+                      .estimates[0][0]
+                      .estimate;
       mse_pps += (e2 - truth) * (e2 - truth) / kTrials;
 
       double e3 = index.EstimateSum(kRate, 300 + trial).value().estimate;

@@ -10,15 +10,19 @@
 // >= 2.5x faster than num_threads=1.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
+#include "core/estimate.h"
 #include "engine/executor.h"
-#include "sampling/ht_estimator.h"
 #include "sampling/stratified.h"
 #include "workload/datagen.h"
 
 namespace aqp {
 namespace {
+
+// SUM(x), estimated through the Sample entry with no group keys.
+const std::vector<AggSpec> kSumX = {{AggKind::kSum, Col("x"), "s"}};
 
 constexpr size_t kRows = 2000000;
 constexpr int kReps = 3;
@@ -166,7 +170,10 @@ void Run() {
             StratifiedSample(*cat.Get("t").value(), "k", 200000,
                              Allocation::kProportional, 11, Opt(threads), &rs)
                 .value();
-        PointEstimate est = EstimateSum(s.sample, Col("x")).value();
+        core::PointEstimate est =
+            core::EstimateGroupedAggregates(s.sample, {}, kSumX)
+                .value()
+                .estimates[0][0];
         return PathTiming{0.0, est.estimate, rs.morsels, rs.steals};
       },
       nullptr);

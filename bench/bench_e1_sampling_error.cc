@@ -5,14 +5,18 @@
 // size), and CLT confidence intervals achieve near-nominal coverage.
 
 #include <cmath>
+#include <vector>
 
 #include "bench_util.h"
+#include "core/estimate.h"
 #include "sampling/bernoulli.h"
-#include "sampling/ht_estimator.h"
 #include "workload/datagen.h"
 
 namespace aqp {
 namespace {
+
+// SUM(x), estimated through the Sample entry with no group keys.
+const std::vector<AggSpec> kSumX = {{AggKind::kSum, Col("x"), "s"}};
 
 void Run() {
   bench::Banner("E1: sampling rate vs error (uniform row sampling)",
@@ -38,7 +42,10 @@ void Run() {
     int covered = 0;
     for (int trial = 0; trial < kTrials; ++trial) {
       Sample s = BernoulliRowSample(t, rate, 100 + trial).value();
-      PointEstimate est = EstimateSum(s, Col("x")).value();
+      core::PointEstimate est =
+          core::EstimateGroupedAggregates(s, {}, kSumX)
+              .value()
+              .estimates[0][0];
       double rel = std::fabs(est.estimate - truth) / truth;
       sum_rel += rel;
       sum_rel2 += rel * rel;

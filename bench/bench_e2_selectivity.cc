@@ -7,16 +7,20 @@
 // on the predicate column keeps qualifying rows represented by design.
 
 #include <cmath>
+#include <vector>
 
 #include "bench_util.h"
+#include "core/estimate.h"
 #include "expr/expr.h"
 #include "sampling/bernoulli.h"
-#include "sampling/ht_estimator.h"
 #include "sampling/stratified.h"
 #include "workload/datagen.h"
 
 namespace aqp {
 namespace {
+
+// SUM(x), estimated through the Sample entry with no group keys.
+const std::vector<AggSpec> kSumX = {{AggKind::kSum, Col("x"), "s"}};
 
 void Run() {
   bench::Banner("E2: selectivity vs error at a fixed 20k-row budget",
@@ -80,8 +84,11 @@ void Run() {
     for (int trial = 0; trial < kTrials; ++trial) {
       double rate = static_cast<double>(kBudget) / kRows;
       Sample uni = BernoulliRowSample(t, rate, 50 + trial).value();
-      Result<PointEstimate> ue = EstimateSum(uni, Col("x"), pred);
-      double est = ue.ok() ? ue->estimate : 0.0;
+      Sample uni_kept = core::FilterSample(uni, pred).value();
+      double est = core::EstimateGroupedAggregates(uni_kept, {}, kSumX)
+                       .value()
+                       .estimates[0][0]
+                       .estimate;
       uni_rel += std::fabs(est - truth) / truth / kTrials;
       size_t q = 0;
       for (size_t i = 0; i < uni.num_rows(); ++i) {
@@ -92,8 +99,11 @@ void Run() {
       auto strat = StratifiedSample(with_bucket, "bucket", kBudget,
                                     Allocation::kEqual, 70 + trial)
                        .value();
-      Result<PointEstimate> se = EstimateSum(strat.sample, Col("x"), pred);
-      double sest = se.ok() ? se->estimate : 0.0;
+      Sample strat_kept = core::FilterSample(strat.sample, pred).value();
+      double sest = core::EstimateGroupedAggregates(strat_kept, {}, kSumX)
+                        .value()
+                        .estimates[0][0]
+                        .estimate;
       strat_rel += std::fabs(sest - truth) / truth / kTrials;
     }
     out.AddRow({bench::FmtSci(static_cast<double>(qualify_below) / 1e6),

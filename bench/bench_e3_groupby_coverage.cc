@@ -11,7 +11,6 @@
 #include "bench_util.h"
 #include "core/estimate.h"
 #include "sampling/bernoulli.h"
-#include "sampling/ht_estimator.h"
 #include "sampling/congressional.h"
 #include "workload/datagen.h"
 

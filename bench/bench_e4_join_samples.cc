@@ -6,11 +6,12 @@
 // it fully) keeps a true rate-r sample of the join.
 
 #include <cmath>
+#include <vector>
 
 #include "bench_util.h"
+#include "core/estimate.h"
 #include "common/random.h"
 #include "sampling/join_synopsis.h"
-#include "sampling/ht_estimator.h"
 #include "workload/datagen.h"
 
 namespace aqp {
@@ -54,6 +55,8 @@ void Run() {
   bench::TablePrinter out({"rate", "synopsis rows", "both-sides rows",
                            "synopsis rel err", "both-sides rel err",
                            "error ratio"});
+  const std::vector<AggSpec> sum_joined = {
+      {AggKind::kSum, Mul(Col("amount"), Col("factor")), "s"}};
   const int kTrials = 12;
   for (double rate : {0.002, 0.01, 0.05}) {
     double syn_rows = 0.0;
@@ -64,8 +67,10 @@ void Run() {
       Sample syn =
           BuildJoinSynopsis(fact, "fk", dim, "pk", rate, 100 + trial).value();
       syn_rows += static_cast<double>(syn.num_rows()) / kTrials;
-      PointEstimate es =
-          EstimateSum(syn, Mul(Col("amount"), Col("factor"))).value();
+      core::PointEstimate es =
+          core::EstimateGroupedAggregates(syn, {}, sum_joined)
+              .value()
+              .estimates[0][0];
       syn_mse += (es.estimate - truth) * (es.estimate - truth) / kTrials;
 
       Sample both =
@@ -73,8 +78,10 @@ void Run() {
       both_rows += static_cast<double>(both.num_rows()) / kTrials;
       double est = 0.0;
       if (both.num_rows() > 0) {
-        PointEstimate eb =
-            EstimateSum(both, Mul(Col("amount"), Col("factor"))).value();
+        core::PointEstimate eb =
+            core::EstimateGroupedAggregates(both, {}, sum_joined)
+                .value()
+                .estimates[0][0];
         est = eb.estimate;
       }
       both_mse += (est - truth) * (est - truth) / kTrials;

@@ -7,16 +7,20 @@
 // free but still touches the data; exact is always correct and always slow.
 
 #include <cmath>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/approx_executor.h"
+#include "core/estimate.h"
 #include "core/offline_catalog.h"
-#include "sampling/ht_estimator.h"
 #include "sql/binder.h"
 #include "workload/datagen.h"
 
 namespace aqp {
 namespace {
+
+// SUM(x), estimated through the Sample entry with no group keys.
+const std::vector<AggSpec> kSumX = {{AggKind::kSum, Col("x"), "s"}};
 
 void Run() {
   bench::Banner("E6: latency crossover (exact vs online AQP vs offline sample)",
@@ -82,9 +86,13 @@ void Run() {
       AQP_CHECK(samples.BuildUniform(cat, "t", 20000, 9).ok());
       const core::StoredSample* stored = samples.Find("t").value();
       bench::WallTimer timer;
-      PointEstimate est =
-          EstimateSum(stored->sample, Col("x"), Lt(Col("k"), Lit(int64_t{50})))
-              .value();
+      Sample kept = core::FilterSample(stored->sample,
+                                       Lt(Col("k"), Lit(int64_t{50})))
+                        .value();
+      core::PointEstimate est =
+          core::EstimateGroupedAggregates(kept, {}, kSumX)
+              .value()
+              .estimates[0][0];
       double ms = timer.Millis();
       out.AddRow({std::to_string(rows), "offline sample (20k)",
                   bench::Fmt(ms, 2),

@@ -9,8 +9,8 @@
 #include <cmath>
 
 #include "bench_util.h"
+#include "core/estimate.h"
 #include "core/offline_catalog.h"
-#include "sampling/ht_estimator.h"
 #include "workload/datagen.h"
 
 namespace aqp {
@@ -76,7 +76,11 @@ void Run() {
     truth /= static_cast<double>(full.num_rows());
 
     const core::StoredSample* stored = samples.Find("t").value();
-    PointEstimate est = EstimateAvg(stored->sample, Col("x")).value();
+    core::PointEstimate est =
+        core::EstimateGroupedAggregates(stored->sample, {},
+                                        {{AggKind::kAvg, Col("x"), "a"}})
+            .value()
+            .estimates[0][0];
     double rel = std::fabs(est.estimate - truth) / truth;
     out.AddRow({p.name,
                 std::to_string(samples.maintenance_rows_scanned() -

@@ -19,7 +19,7 @@ namespace aqp {
 /// the invariant the fault-injection tests assert on every ladder rung.
 ///
 /// Accounting rule: charges cover operator OUTPUTS (materialized tables,
-/// drawn samples, OLA accumulator arrays) plus the hash join's build table
+/// drawn samples) plus the hash join's build table
 /// and match-pair buffers, grouped aggregation's partial states and group
 /// tables, and the grouped estimator's group ids, per-worker group slots
 /// and cells, which can outgrow the inputs they come from. Other transient

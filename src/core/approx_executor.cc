@@ -68,6 +68,75 @@ double MaxRelativeCiHalfWidth(
   return worst;
 }
 
+Result<StageTarget> PickStageTarget(const Catalog& catalog,
+                                    const sql::BoundQuery& query,
+                                    const AqpOptions& options) {
+  StageTarget target;
+  for (const sql::TableRef& ref : query.tables) {
+    AQP_ASSIGN_OR_RETURN(uint64_t rows, catalog.Cardinality(ref.table));
+    if (rows >= options.min_table_rows && rows > target.rows) {
+      target.rows = rows;
+      target.table = ref.table;
+    }
+  }
+  if (target.table.empty()) return target;
+  const bool blocks = options.method == SampleSpec::Method::kSystemBlock;
+  target.unit_rows = blocks ? options.block_size : 1;
+  if (target.unit_rows == 0) {
+    return Status::InvalidArgument("block size must be positive");
+  }
+  return target;
+}
+
+Result<StageResult> RunSampledStage(const Catalog& catalog,
+                                    const sql::PreparedQuery& query,
+                                    const StageTarget& target,
+                                    const AqpOptions& options,
+                                    const char* name, double rate,
+                                    uint64_t seed, obs::QueryTrace* trace) {
+  // Stage-boundary cancellation point: a deadline that fires between the
+  // pilot and the final pass stops the query before the expensive stage.
+  AQP_RETURN_IF_ERROR(CheckCancelled(options.exec.cancel));
+  const sql::SelectStmt& stmt = query.stmt;
+  const sql::BoundQuery& bound = query.bound;
+  // Estimation-side specs over the flattened output's column names.
+  std::vector<ExprPtr> group_exprs;
+  for (size_t g = 0; g < stmt.group_by.size(); ++g) {
+    group_exprs.push_back(Col("__g" + std::to_string(g)));
+  }
+  std::vector<AggSpec> agg_specs;
+  for (size_t a = 0; a < bound.aggregates.size(); ++a) {
+    const sql::BoundAggregate& agg = bound.aggregates[a];
+    ExprPtr arg = agg.kind == AggKind::kCountStar
+                      ? nullptr
+                      : Col("__arg" + std::to_string(a));
+    agg_specs.push_back({agg.kind, arg, agg.internal_alias});
+  }
+
+  obs::TraceSpan stage_span = obs::MaybeSpan(trace, name);
+  stage_span.AddAttr("rate", rate);
+  const SampleSpec spec{options.method, rate, seed, options.block_size};
+  AQP_ASSIGN_OR_RETURN(
+      sql::BoundQuery flat,
+      sql::Bind(FlattenStatement(stmt, bound, target.table, spec), catalog));
+  StageResult out;
+  AQP_ASSIGN_OR_RETURN(
+      Table rows,
+      aqp::Execute(flat.plan, catalog, &out.stats, trace, options.exec));
+  obs::TraceSpan estimate_span = obs::MaybeSpan(trace, "estimate");
+  const SampleDesign design{rate, target.unit_rows, target.rows,
+                            out.stats.sampled_units};
+  AQP_ASSIGN_OR_RETURN(out.estimates,
+                       EstimateGroupedAggregates(rows, design, group_exprs,
+                                                 agg_specs, &options.exec));
+  estimate_span.AddAttr("rows", static_cast<uint64_t>(rows.num_rows()));
+  estimate_span.AddAttr("groups",
+                        static_cast<uint64_t>(out.estimates.num_groups));
+  estimate_span.AddAttr("cells",
+                        static_cast<uint64_t>(out.estimates.num_cells));
+  return out;
+}
+
 ApproxExecutor::ApproxExecutor(const Catalog* catalog, AqpOptions options)
     : catalog_(catalog), options_(options) {
   AQP_CHECK(catalog != nullptr);
@@ -181,78 +250,21 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
     return fallback("HAVING is answered exactly");
   }
 
-  // Pick the largest scanned table above the sampling threshold.
-  std::string target_table;
-  uint64_t target_rows = 0;
-  for (const sql::TableRef& ref : bound.tables) {
-    AQP_ASSIGN_OR_RETURN(uint64_t rows, catalog_->Cardinality(ref.table));
-    if (rows >= options_.min_table_rows && rows > target_rows) {
-      target_rows = rows;
-      target_table = ref.table;
-    }
-  }
-  if (target_table.empty()) {
+  AQP_ASSIGN_OR_RETURN(StageTarget target,
+                       PickStageTarget(*catalog_, bound, options_));
+  if (target.table.empty()) {
     return fallback("no table is large enough to benefit from sampling");
   }
-  const bool blocks = options_.method == SampleSpec::Method::kSystemBlock;
-  const uint32_t unit_rows = blocks ? options_.block_size : 1;
-  if (unit_rows == 0) {
-    return Status::InvalidArgument("block size must be positive");
-  }
   prof.sampling_design =
-      blocks ? "system-block(block_size=" +
-                   std::to_string(options_.block_size) + ")"
-             : "bernoulli-row";
-
-  // Estimation-side specs over the flattened output's column names.
-  std::vector<ExprPtr> group_exprs;
-  for (size_t g = 0; g < stmt.group_by.size(); ++g) {
-    group_exprs.push_back(Col("__g" + std::to_string(g)));
-  }
-  std::vector<AggSpec> agg_specs;
-  for (size_t a = 0; a < bound.aggregates.size(); ++a) {
-    const sql::BoundAggregate& agg = bound.aggregates[a];
-    ExprPtr arg = agg.kind == AggKind::kCountStar
-                      ? nullptr
-                      : Col("__arg" + std::to_string(a));
-    agg_specs.push_back({agg.kind, arg, agg.internal_alias});
-  }
-
-  // One stage = the flattened query with the target table sampled, run by
-  // the engine, whose scan draws the sample; then the estimate from its
-  // rows and the scan's draw.
-  auto run_stage =
-      [&](const char* stage, double rate,
-          uint64_t seed) -> Result<std::pair<GroupedEstimates, ExecStats>> {
-    // Stage-boundary cancellation point: a deadline that fires between the
-    // pilot and the final pass stops the query before the expensive stage.
-    AQP_RETURN_IF_ERROR(CheckCancelled(options_.exec.cancel));
-    obs::TraceSpan stage_span = obs::MaybeSpan(tr, stage);
-    stage_span.AddAttr("rate", rate);
-    const SampleSpec spec{options_.method, rate, seed, options_.block_size};
-    AQP_ASSIGN_OR_RETURN(
-        sql::BoundQuery flat,
-        sql::Bind(FlattenStatement(stmt, bound, target_table, spec),
-                  *catalog_));
-    ExecStats stats;
-    AQP_ASSIGN_OR_RETURN(Table rows, aqp::Execute(flat.plan, *catalog_, &stats,
-                                                  tr, options_.exec));
-    obs::TraceSpan estimate_span = obs::MaybeSpan(tr, "estimate");
-    const SampleDesign design{rate, unit_rows, target_rows,
-                              stats.sampled_units};
-    AQP_ASSIGN_OR_RETURN(GroupedEstimates estimates,
-                         EstimateGroupedAggregates(rows, design, group_exprs,
-                                                   agg_specs, &options_.exec));
-    estimate_span.AddAttr("rows", static_cast<uint64_t>(rows.num_rows()));
-    estimate_span.AddAttr("groups",
-                          static_cast<uint64_t>(estimates.num_groups));
-    estimate_span.AddAttr("cells", static_cast<uint64_t>(estimates.num_cells));
-    return std::make_pair(std::move(estimates), stats);
-  };
+      options_.method == SampleSpec::Method::kSystemBlock
+          ? "system-block(block_size=" + std::to_string(options_.block_size) +
+                ")"
+          : "bernoulli-row";
 
   // ---- Stage 1: pilot --------------------------------------------------
   Clock::time_point t0 = Clock::now();
-  const uint64_t population_units = (target_rows + unit_rows - 1) / unit_rows;
+  const uint64_t population_units =
+      (target.rows + target.unit_rows - 1) / target.unit_rows;
   double pilot_rate = options_.pilot_rate;
   // The pilot itself must see enough units for its variance estimates to
   // mean anything.
@@ -264,7 +276,7 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   if (!stmt.group_by.empty()) {
     pilot_rate = std::max(
         pilot_rate,
-        BlockRateForGroupCoverage(options_.min_group_rows, unit_rows,
+        BlockRateForGroupCoverage(options_.min_group_rows, target.unit_rows,
                                   /*delta=*/0.05));
     pilot_rate = std::min(pilot_rate, 0.5);
   }
@@ -273,17 +285,18 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   const char* kEveryRow = " rate 1 reads every row; exact execution is cheaper";
   if (pilot_rate >= 1.0) return fallback(std::string("pilot") + kEveryRow);
   AQP_ASSIGN_OR_RETURN(
-      auto pilot,
-      run_stage("pilot", pilot_rate, options_.seed + invocation_ * 2));
-  result.exec_stats = pilot.second;
+      StageResult pilot,
+      RunSampledStage(*catalog_, query, target, options_, "pilot", pilot_rate,
+                      options_.seed + invocation_ * 2, tr));
+  result.exec_stats = pilot.stats;
   result.pilot_seconds = Seconds(t0);
   prof.pilot_rate = pilot_rate;
-  prof.pilot_rows_scanned = pilot.second.rows_scanned;
+  prof.pilot_rows_scanned = pilot.stats.rows_scanned;
 
   // ---- Stage 2: plan -----------------------------------------------------
   Clock::time_point t1 = Clock::now();
   obs::TraceSpan plan_span = obs::MaybeSpan(tr, "plan");
-  size_t pilot_groups = std::max<size_t>(pilot.first.num_groups, 1);
+  size_t pilot_groups = std::max<size_t>(pilot.estimates.num_groups, 1);
   size_t num_estimates = pilot_groups * bound.aggregates.size();
   // Composite items split the error budget across their factors.
   int max_factors = 1;
@@ -295,14 +308,14 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
     max_factors = std::max(max_factors, factors);
   }
   sql::ErrorSpec spec = *stmt.error_spec;
-  PerEstimateTarget target = AllocateContract(spec, num_estimates);
-  target.relative_error =
-      AllocateCompositeError(target.relative_error, max_factors);
+  PerEstimateTarget per_estimate = AllocateContract(spec, num_estimates);
+  per_estimate.relative_error =
+      AllocateCompositeError(per_estimate.relative_error, max_factors);
 
   PlanningInputs inputs;
-  inputs.pilot = &pilot.first;
+  inputs.pilot = &pilot.estimates;
   inputs.pilot_rate = pilot_rate;
-  inputs.target = target;
+  inputs.target = per_estimate;
   inputs.max_rate = options_.max_rate;
   inputs.safety_factor = options_.safety_factor;
   inputs.min_units = options_.min_units;
@@ -322,27 +335,28 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   // ---- Stage 3: final ----------------------------------------------------
   Clock::time_point t2 = Clock::now();
   AQP_ASSIGN_OR_RETURN(
-      auto final_stage,
-      run_stage("final", plan.rate, options_.seed + invocation_ * 2 + 1));
-  const GroupedEstimates& estimates = final_stage.first;
-  result.exec_stats.rows_scanned += final_stage.second.rows_scanned;
-  result.exec_stats.blocks_read += final_stage.second.blocks_read;
-  result.exec_stats.rows_joined += final_stage.second.rows_joined;
-  result.exec_stats.parallel.MergeFrom(final_stage.second.parallel);
+      StageResult final_stage,
+      RunSampledStage(*catalog_, query, target, options_, "final", plan.rate,
+                      options_.seed + invocation_ * 2 + 1, tr));
+  const GroupedEstimates& estimates = final_stage.estimates;
+  result.exec_stats.rows_scanned += final_stage.stats.rows_scanned;
+  result.exec_stats.blocks_read += final_stage.stats.blocks_read;
+  result.exec_stats.rows_joined += final_stage.stats.rows_joined;
+  result.exec_stats.parallel.MergeFrom(final_stage.stats.parallel);
 
   // Materialize the estimates into the exact query's output shape with
   // per-cell confidence intervals.
   obs::TraceSpan assemble_span = obs::MaybeSpan(tr, "assemble");
   AQP_ASSIGN_OR_RETURN(AssembledResult assembled,
                        AssembleOutput(stmt, bound, estimates,
-                                      target.confidence));
+                                      per_estimate.confidence));
   assemble_span.End();
   result.table = std::move(assembled.table);
   result.cis = std::move(assembled.cis);
 
   result.approximated = true;
   result.final_rate = plan.rate;
-  result.sampled_table = target_table;
+  result.sampled_table = target.table;
   result.final_seconds = Seconds(t2);
   finish();
   return result;

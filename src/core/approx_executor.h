@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/estimate.h"
 #include "core/sample_planner.h"
 #include "engine/catalog.h"
 #include "engine/executor.h"
@@ -90,6 +91,43 @@ struct ApproxResult {
 /// accounting, and the service query log.
 double MaxRelativeCiHalfWidth(
     const std::vector<std::vector<stats::ConfidenceInterval>>& cis);
+
+/// The table a query's sampled stages draw from: the largest table the
+/// query scans with at least `min_table_rows` rows (`table` is empty when
+/// none has), its row count, and the rows per sampling unit of the
+/// options' method.
+struct StageTarget {
+  std::string table;
+  uint64_t rows = 0;
+  uint32_t unit_rows = 1;
+};
+
+/// Picks the stage target of `query` (InvalidArgument for a zero block
+/// size when a table qualifies).
+Result<StageTarget> PickStageTarget(const Catalog& catalog,
+                                    const sql::BoundQuery& query,
+                                    const AqpOptions& options);
+
+/// What one sampled stage produced: per-group estimates of every aggregate
+/// of the query, and what the engine did for them.
+struct StageResult {
+  GroupedEstimates estimates;
+  ExecStats stats;
+};
+
+/// Runs one sampled stage of `query`: its pre-aggregation twin (FROM, JOIN
+/// and WHERE; the group keys, aggregate arguments and "__unit") with
+/// `target.table` sampled at `rate` with `seed`, run by the engine, then
+/// EstimateGroupedAggregates over its rows and the scan's draw, under a
+/// span `name` when `trace` is non-null. A tripped cancellation token fails
+/// the stage. For a fixed seed, the units drawn at rate r are a subset of
+/// those drawn at any higher rate.
+Result<StageResult> RunSampledStage(const Catalog& catalog,
+                                    const sql::PreparedQuery& query,
+                                    const StageTarget& target,
+                                    const AqpOptions& options,
+                                    const char* name, double rate,
+                                    uint64_t seed, obs::QueryTrace* trace);
 
 /// Two-stage online approximate SQL executor with a-priori error contracts:
 ///

@@ -8,6 +8,7 @@
 #include "common/memory_tracker.h"
 #include "common/thread_pool.h"
 #include "expr/eval.h"
+#include "expr/vector_eval.h"
 
 namespace aqp {
 namespace core {
@@ -170,13 +171,24 @@ CellBlock InFirstRowOrder(const std::vector<CellBlock>& blocks,
 }
 
 // A design as the estimator body reads it, beyond rows, units and weights:
+// `equal_probability` when every unit was kept with the same probability;
 // `sized` when every sampled unit's base rows are known; they sum to sum_n,
 // their squares to sum_n2.
 struct DesignFacts {
   uint64_t units_sampled, units_population, population_rows;
-  bool sized;
+  bool equal_probability, sized;
   double sum_n, sum_n2;
 };
+
+// True when every row of `sample` weighs 1 / nominal_rate: its design kept
+// every unit with one probability. Equal weights alone do not show it: a
+// filter can leave only the rows of one stratum of a stratified sample.
+bool EqualProbability(const Sample& sample) {
+  for (double w : sample.weights) {
+    if (std::fabs(w * sample.nominal_rate - 1.0) > 1e-9) return false;
+  }
+  return true;
+}
 
 // The estimator body both entries share. Row i of `t` belongs to unit
 // `unit_of(i)` with HT weight `weight_of(i)`; unit u spans `size_of(u)`
@@ -348,18 +360,10 @@ Result<GroupedEstimates> Estimate(const Table& t, UnitOf unit_of,
   // mean-expansion estimator T = M * mean_u(y_u), whose variance is driven
   // by per-unit DISPERSION rather than raw unit totals — dramatically
   // tighter than Horvitz–Thompson for SUM/COUNT because the random sample
-  // size cancels. Unequal-weight designs fall back to the HT-Poisson law.
-  bool equal_weights = true;
-  for (size_t i = 1; i < n; ++i) {
-    if (std::fabs(weight_of(i) - weight_of(0)) >
-        1e-9 * std::fabs(weight_of(0))) {
-      equal_weights = false;
-      break;
-    }
-  }
+  // size cancels. Unequal-probability designs fall back to the HT-Poisson law.
   const uint64_t m_units = facts.units_sampled;
   const double big_m = static_cast<double>(facts.units_population);
-  const bool mean_expansion = equal_weights && m_units >= 2 &&
+  const bool mean_expansion = facts.equal_probability && m_units >= 2 &&
                               facts.units_population >= m_units &&
                               facts.units_population > 0;
   // Ratio-to-size refinement: when per-unit base sizes are known, totals are
@@ -480,27 +484,20 @@ Result<GroupedEstimates> Estimate(const Table& t, UnitOf unit_of,
                               : 0.0;
         };
         switch (spec.kind) {
-          case AggKind::kSum: {
-            if (ratio_to_size) {
-              ratio_total(sum_y[g], res_y[g], n2_present[g], &pe);
-              break;
-            }
-            double mean = sum_y[g] / m;
-            pe.estimate = big_m * mean;
-            pe.variance =
-                big_m * big_m * fpc * unit_variance(sum_y[g], sum_y2[g]) / m;
-            break;
-          }
+          case AggKind::kSum:
           case AggKind::kCount:
           case AggKind::kCountStar: {
+            const bool sum = spec.kind == AggKind::kSum;
+            const double total = sum ? sum_y[g] : sum_c[g];
             if (ratio_to_size) {
-              ratio_total(sum_c[g], res_c[g], n2_present[g], &pe);
+              ratio_total(total, sum ? res_y[g] : res_c[g], n2_present[g],
+                          &pe);
               break;
             }
-            double mean = sum_c[g] / m;
-            pe.estimate = big_m * mean;
-            pe.variance =
-                big_m * big_m * fpc * unit_variance(sum_c[g], sum_c2[g]) / m;
+            pe.estimate = big_m * (total / m);
+            pe.variance = big_m * big_m * fpc *
+                          unit_variance(total, sum ? sum_y2[g] : sum_c2[g]) /
+                          m;
             break;
           }
           case AggKind::kAvg: {
@@ -522,12 +519,9 @@ Result<GroupedEstimates> Estimate(const Table& t, UnitOf unit_of,
         pe.df = present[g] > 0 ? present[g] - 1 : 0;
         switch (spec.kind) {
           case AggKind::kSum:
-            pe.estimate = t_y[g];
-            pe.variance = ht_var[g];
-            break;
           case AggKind::kCount:
           case AggKind::kCountStar:
-            pe.estimate = t_c[g];
+            pe.estimate = spec.kind == AggKind::kSum ? t_y[g] : t_c[g];
             pe.variance = ht_var[g];
             break;
           case AggKind::kAvg:
@@ -563,6 +557,7 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
   }
   const DesignFacts facts{sample.num_units_sampled,
                           sample.num_units_population, sample.population_rows,
+                          EqualProbability(sample),
                           sample.unit_sizes.size() == sample.num_units_sampled,
                           sum_n, sum_n2};
   return Estimate(
@@ -570,6 +565,33 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
       [&](size_t i) { return sample.weights[i]; },
       [&](uint32_t u) { return sample.unit_sizes[u]; }, facts, group_exprs,
       aggs, /*exec=*/nullptr);
+}
+
+Result<Sample> FilterSample(const Sample& sample, const ExprPtr& predicate,
+                            const ExecOptions& exec,
+                            ParallelRunStats* run_stats) {
+  const bool use_morsels = exec.UseMorsels(sample.table.num_rows());
+  const size_t threads = use_morsels ? exec.ResolvedThreads() : 1;
+  AQP_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> selected,
+      EvalPredicateBatch(*predicate, sample.table, exec.morsel_rows, threads,
+                         run_stats, exec.cancel, exec.memory));
+  AQP_RETURN_IF_ERROR(CheckCancelled(exec.cancel));
+  Sample out;
+  out.table = use_morsels ? sample.table.Take(selected, threads, run_stats)
+                          : sample.table.Take(selected);
+  out.weights.reserve(selected.size());
+  out.unit_ids.reserve(selected.size());
+  for (uint32_t i : selected) {
+    out.weights.push_back(sample.weights[i]);
+    out.unit_ids.push_back(sample.unit_ids[i]);
+  }
+  out.unit_sizes = sample.unit_sizes;
+  out.num_units_sampled = sample.num_units_sampled;
+  out.num_units_population = sample.num_units_population;
+  out.nominal_rate = sample.nominal_rate;
+  out.population_rows = sample.population_rows;
+  return out;
 }
 
 Result<GroupedEstimates> EstimateGroupedAggregates(
@@ -583,8 +605,8 @@ Result<GroupedEstimates> EstimateGroupedAggregates(
   const uint64_t big_n = design.population_rows;
   const uint64_t k = design.unit_rows;
   const double weight = 1.0 / design.rate;
-  const DesignFacts facts{design.drawn.units, (big_n + k - 1) / k, big_n, true,
-                          static_cast<double>(design.drawn.rows),
+  const DesignFacts facts{design.drawn.units, (big_n + k - 1) / k, big_n,
+                          true, true, static_cast<double>(design.drawn.rows),
                           static_cast<double>(design.drawn.rows_squared)};
   return Estimate(
       rows, [&](size_t i) { return static_cast<uint32_t>(units[i]); },

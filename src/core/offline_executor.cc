@@ -6,46 +6,10 @@
 #include "common/cancellation.h"
 #include "common/check.h"
 #include "core/result_assembly.h"
-#include "expr/vector_eval.h"
 #include "obs/metrics.h"
 
 namespace aqp {
 namespace core {
-namespace {
-
-// Restricts a sample to the rows matching `predicate`, keeping the design
-// metadata intact (units that lose all rows simply stop contributing).
-// Predicate evaluation and the gather run morsel-parallel when the sample is
-// big enough; the output is the same for every thread count.
-Result<Sample> FilterSample(const Sample& sample, const ExprPtr& predicate,
-                            const ExecOptions& exec,
-                            ParallelRunStats* run_stats) {
-  const bool use_morsels = exec.UseMorsels(sample.table.num_rows());
-  const size_t threads = use_morsels ? exec.ResolvedThreads() : 1;
-  AQP_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> selected,
-      EvalPredicateBatch(*predicate, sample.table, exec.morsel_rows, threads,
-                         run_stats, exec.cancel, exec.memory));
-  AQP_RETURN_IF_ERROR(CheckCancelled(exec.cancel));
-  Sample out;
-  out.table = use_morsels ? sample.table.Take(selected, threads, run_stats)
-                          : sample.table.Take(selected);
-  out.weights.reserve(selected.size());
-  out.unit_ids.reserve(selected.size());
-  for (uint32_t i : selected) {
-    out.weights.push_back(sample.weights[i]);
-    out.unit_ids.push_back(sample.unit_ids[i]);
-  }
-  out.unit_sizes = sample.unit_sizes;
-  out.num_units_sampled = sample.num_units_sampled;
-  out.num_units_population = sample.num_units_population;
-  out.nominal_rate = sample.nominal_rate;
-  out.population_rows = sample.population_rows;
-  return out;
-}
-
-}  // namespace
-
 Status CheckSampleAnswerable(const sql::QueryShape& shape) {
   if (!shape.has_aggregates) {
     return Status::Unimplemented("sample AQP answers aggregate queries only");

@@ -1,91 +1,86 @@
 #ifndef AQP_CORE_ONLINE_AGGREGATION_H_
 #define AQP_CORE_ONLINE_AGGREGATION_H_
 
-#include <cstdint>
+#include <string_view>
 #include <vector>
 
-#include "common/memory_tracker.h"
-#include "common/random.h"
 #include "common/result.h"
-#include "engine/exec_options.h"
-#include "expr/expr.h"
-#include "obs/profile.h"
+#include "core/approx_executor.h"
+#include "engine/catalog.h"
+#include "sql/binder.h"
 #include "stats/confidence.h"
-#include "stats/descriptive.h"
-#include "storage/table.h"
 
 namespace aqp {
 namespace core {
 
-/// Progressive snapshot after a chunk of rows has been consumed.
-struct OlaProgress {
-  uint64_t rows_seen = 0;
-  double fraction = 0.0;  // rows_seen / table rows.
-  stats::ConfidenceInterval sum_ci;
-  stats::ConfidenceInterval avg_ci;
-  stats::ConfidenceInterval count_ci;  // Qualifying-row count.
-  bool complete = false;               // Entire table consumed: exact result.
+/// One round of online aggregation: the query's answer from the sample a
+/// round of `rate` drew, in the exact query's output shape.
+struct OlaRound {
+  double rate = 0.0;
+  Table table;
+  /// cis[row][item] at the round's confidence; zero-width for group keys
+  /// and for every cell of a complete round.
+  std::vector<std::vector<stats::ConfidenceInterval>> cis;
+  ExecStats stats;        // What this round's engine run did.
+  bool complete = false;  // The round read every row: the exact answer.
 };
 
-/// Online aggregation (Hellerstein, Haas, Wang 1997): consume the table in a
-/// random order and keep refreshing running estimates with shrinking
-/// confidence intervals. The caller — or an interactive UI — may stop as
-/// soon as the interval is tight enough. Intervals use the finite-population
-/// correction, so they collapse to zero width at 100%.
+/// Online aggregation (Hellerstein, Haas, Wang 1997) as repeated estimation
+/// over a growing random sample: round k runs the query's sampled stage
+/// (RunSampledStage) at rate r_k with the aggregator's one seed and
+/// assembles its output, so GROUP BY, several aggregates, joins and
+/// extent-backed tables all work. With one seed, rounds are nested: the
+/// units kept at rate r are among those kept at any higher rate. Each round
+/// estimates from its own sample, charging its memory to
+/// `options.exec.memory`; nothing is kept between rounds.
 ///
-/// The paper's caveat applies and is part of the contract here: intervals
-/// are valid *pointwise*; stopping the first time a monitored interval looks
-/// good ("peeking") consumes more than the nominal error budget.
+/// The paper's caveat applies: intervals are valid *pointwise*; stopping
+/// the first time a monitored interval looks good ("peeking") consumes more
+/// than the nominal error budget.
 class OnlineAggregator {
  public:
-  /// Aggregates `measure` over rows of `table` matching `predicate`
-  /// (nullptr = all rows). The random consumption order is fixed by `seed`.
-  /// `exec` controls morsel-parallel setup and stepping; the consumption
-  /// order, every estimate, and every interval are identical for every
-  /// thread count (epoch semantics below).
-  static Result<OnlineAggregator> Create(const Table& table, ExprPtr measure,
-                                         ExprPtr predicate, uint64_t seed,
-                                         ExecOptions exec = {});
+  /// Prepares `sql` against `catalog`, which must outlive the aggregator.
+  /// The query must have aggregates, all SUM/COUNT/COUNT(*)/AVG, and no
+  /// HAVING (InvalidArgument otherwise); a WITH ERROR clause is ignored.
+  /// Rounds sample the table the executor's stages would (PickStageTarget)
+  /// with the options' method, block size, seed and exec; when no table
+  /// reaches `options.min_table_rows`, every round is exact.
+  static Result<OnlineAggregator> Create(const Catalog& catalog,
+                                         std::string_view sql,
+                                         AqpOptions options);
 
-  /// Consumes up to `chunk_rows` more rows and returns the refreshed
-  /// estimates at the given confidence. Each Step is one epoch: the chunk is
-  /// folded morsel-parallel into per-morsel partial accumulators, which
-  /// merge in morsel order into the shared running accumulator once, at the
-  /// epoch boundary. Estimates therefore refresh per epoch (never
-  /// mid-chunk), and the CI half-width tightens monotonically in expectation
-  /// as epochs consume more rows — collapsing to zero at 100% via the
-  /// finite-population correction.
-  OlaProgress Step(size_t chunk_rows, double confidence);
+  /// Runs one round at `rate` and returns its answer with intervals at
+  /// `confidence`. A rate of at least 1 (or no table to sample) runs the
+  /// exact plan: zero-width intervals, marked complete. A round that fails
+  /// — a tripped cancellation token returns the engine's Cancelled status —
+  /// leaves the caller's previous round as the answer.
+  Result<OlaRound> Round(double rate, double confidence) const;
 
-  /// Steps until the SUM interval's relative half-width drops to
-  /// `target_relative_error` (or the table is exhausted).
-  OlaProgress RunToTarget(double target_relative_error, double confidence,
-                          size_t chunk_rows);
-
-  bool done() const { return consumed_ >= order_.size(); }
-  uint64_t rows_seen() const { return consumed_; }
-
-  /// Snapshot of what the aggregator has done so far: setup span (measure
-  /// eval + permutation), rows consumed, steps taken, and the fraction of
-  /// the table it cost. Callable mid-stream — OLA's profile is progressive
-  /// like its answer.
-  obs::ExecutionProfile Profile() const;
+  /// Runs rounds at doubling rates — the smallest power of two not below
+  /// `first_rate`, then twice that, up to 1 — and returns the first sampled
+  /// round that drew at least `options.min_units` units and whose aggregate
+  /// intervals all have a relative half-width of at most
+  /// `target_relative_error` around a non-zero estimate, or else the exact
+  /// round. A round that kept no qualifying row (0 with a zero-width
+  /// interval) never meets the target. The earlier rates sum to less than
+  /// the last, so all rounds keep under twice the last round's rows in
+  /// expectation. Under SYSTEM those are the rows read; a BERNOULLI round
+  /// draws per row and reads the whole table every round.
+  Result<OlaRound> RunToTarget(double target_relative_error,
+                               double confidence, double first_rate) const;
 
  private:
-  OnlineAggregator() = default;
+  OnlineAggregator(const Catalog* catalog, sql::PreparedQuery query,
+                   AqpOptions options, StageTarget target)
+      : catalog_(catalog),
+        query_(std::move(query)),
+        options_(std::move(options)),
+        target_(std::move(target)) {}
 
-  std::vector<uint32_t> order_;       // Random permutation of row indices.
-  std::vector<double> values_;        // Measure per row (NaN if null).
-  std::vector<uint8_t> qualifies_;    // Predicate mask per row.
-  size_t consumed_ = 0;
-  uint64_t population_ = 0;
-  stats::Accumulator acc_;            // Over qualifying, non-null measures.
-  uint64_t qualifying_seen_ = 0;
-  uint64_t steps_ = 0;
-  ExecOptions exec_;
-  // Budget charge for order_/values_/qualifies_; released on destruction.
-  ScopedMemoryCharge memory_charge_;
-  obs::ExecutionProfile profile_;
+  const Catalog* catalog_;
+  sql::PreparedQuery query_;
+  AqpOptions options_;
+  StageTarget target_;
 };
 
 }  // namespace core

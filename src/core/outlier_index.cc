@@ -1,4 +1,4 @@
-#include "sampling/outlier_index.h"
+#include "core/outlier_index.h"
 
 #include <algorithm>
 #include <cmath>
@@ -8,6 +8,7 @@
 #include "stats/descriptive.h"
 
 namespace aqp {
+namespace core {
 
 Result<OutlierIndex> OutlierIndex::Build(const Table& table,
                                          const std::string& measure_column,
@@ -82,14 +83,18 @@ Result<PointEstimate> OutlierIndex::EstimateSum(
   // Sampled contribution of the inliers.
   AQP_ASSIGN_OR_RETURN(Sample sample,
                        BernoulliRowSample(*inliers_, inlier_rate, seed));
-  AQP_ASSIGN_OR_RETURN(PointEstimate inlier_est,
-                       aqp::EstimateSum(sample, Col(measure_column_),
-                                        predicate));
-  PointEstimate out;
-  out.estimate = exact_sum + inlier_est.estimate;
-  out.variance = inlier_est.variance;  // Outlier part is exact: variance 0.
-  out.df = inlier_est.df;
+  if (predicate != nullptr) {
+    AQP_ASSIGN_OR_RETURN(sample, FilterSample(sample, predicate));
+  }
+  AQP_ASSIGN_OR_RETURN(
+      GroupedEstimates inliers,
+      EstimateGroupedAggregates(sample, {},
+                                {{AggKind::kSum, Col(measure_column_), "s"}}));
+  // The outlier part is exact: it adds no variance.
+  PointEstimate out = inliers.estimates[0][0];
+  out.estimate += exact_sum;
   return out;
 }
 
+}  // namespace core
 }  // namespace aqp

@@ -1,14 +1,15 @@
-#ifndef AQP_SAMPLING_OUTLIER_INDEX_H_
-#define AQP_SAMPLING_OUTLIER_INDEX_H_
+#ifndef AQP_CORE_OUTLIER_INDEX_H_
+#define AQP_CORE_OUTLIER_INDEX_H_
 
 #include <memory>
 #include <string>
 
 #include "common/result.h"
-#include "sampling/ht_estimator.h"
+#include "core/estimate.h"
 #include "storage/table.h"
 
 namespace aqp {
+namespace core {
 
 /// Outlier index (Chaudhuri, Das, Datar, Motwani, Narasayya, ICDE'01): the
 /// rows whose measure deviates most from the mean are stored exactly in a
@@ -40,6 +41,7 @@ class OutlierIndex {
   std::string measure_column_;
 };
 
+}  // namespace core
 }  // namespace aqp
 
-#endif  // AQP_SAMPLING_OUTLIER_INDEX_H_
+#endif  // AQP_CORE_OUTLIER_INDEX_H_

@@ -37,12 +37,12 @@ struct ParallelReport {
 /// What the system actually did to answer one query — the paper's central
 /// adoption complaint ("users cannot see what the AQP system did") turned
 /// into a first-class result field. Every executor (two-stage online,
-/// offline-sample, online aggregation, exact fallback) fills one in; it
+/// offline-sample, grace-sample, exact fallback) fills one in; it
 /// renders as an EXPLAIN ANALYZE-style text tree or as JSON.
 struct ExecutionProfile {
   std::string query;
   /// Which execution strategy answered: "online-two-stage", "offline-sample",
-  /// "grace-sample", "online-aggregation", or "exact".
+  /// "grace-sample", or "exact".
   std::string executor;
 
   bool approximated = false;

@@ -34,8 +34,8 @@ struct Sample {
   uint64_t num_units_sampled = 0;
   uint64_t num_units_population = 0;
 
-  /// Nominal inclusion probability for equal-probability designs (Bernoulli
-  /// rate or k/N); informational for unequal-probability designs.
+  /// Nominal inclusion probability (Bernoulli rate or k/N). The estimator
+  /// takes a design as equal-probability iff every row weighs 1 / this.
   double nominal_rate = 1.0;
 
   /// Rows in the sampled population.

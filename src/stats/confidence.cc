@@ -36,39 +36,6 @@ double CriticalValue(double confidence, uint64_t df) {
 
 }  // namespace
 
-ConfidenceInterval MeanCi(double sample_mean, double sample_variance,
-                          uint64_t sample_size, double confidence,
-                          uint64_t population_size) {
-  ConfidenceInterval ci;
-  ci.estimate = sample_mean;
-  ci.confidence = confidence;
-  if (sample_size < 2) {
-    ci.low = -std::numeric_limits<double>::infinity();
-    ci.high = std::numeric_limits<double>::infinity();
-    return ci;
-  }
-  double t = CriticalValue(confidence, sample_size - 1);
-  double se = std::sqrt(sample_variance / static_cast<double>(sample_size)) *
-              FinitePopulationCorrection(sample_size, population_size);
-  ci.low = sample_mean - t * se;
-  ci.high = sample_mean + t * se;
-  return ci;
-}
-
-ConfidenceInterval SumCi(double sample_mean, double sample_variance,
-                         uint64_t sample_size, uint64_t population_size,
-                         double confidence) {
-  ConfidenceInterval mean_ci = MeanCi(sample_mean, sample_variance, sample_size,
-                                      confidence, population_size);
-  double scale = static_cast<double>(population_size);
-  ConfidenceInterval ci;
-  ci.estimate = mean_ci.estimate * scale;
-  ci.low = mean_ci.low * scale;
-  ci.high = mean_ci.high * scale;
-  ci.confidence = confidence;
-  return ci;
-}
-
 ConfidenceInterval EstimatorCi(double estimate, double estimator_variance,
                                double confidence, uint64_t df) {
   AQP_CHECK(estimator_variance >= 0.0);

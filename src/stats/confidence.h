@@ -23,19 +23,6 @@ struct ConfidenceInterval {
   bool Covers(double truth) const { return truth >= low && truth <= high; }
 };
 
-/// CLT-based confidence interval for a population MEAN estimated from a
-/// simple random sample: mean +/- t_{conf,n-1} * s/sqrt(n) * fpc.
-/// `population_size` == 0 disables the finite-population correction.
-ConfidenceInterval MeanCi(double sample_mean, double sample_variance,
-                          uint64_t sample_size, double confidence,
-                          uint64_t population_size = 0);
-
-/// CLT-based CI for a population SUM (total) from a simple random sample of
-/// size n out of N: N*mean +/- t * N * s/sqrt(n) * fpc.
-ConfidenceInterval SumCi(double sample_mean, double sample_variance,
-                         uint64_t sample_size, uint64_t population_size,
-                         double confidence);
-
 /// CI for a Horvitz–Thompson style estimate given its point value and an
 /// estimated variance of the estimator (normal approximation).
 ConfidenceInterval EstimatorCi(double estimate, double estimator_variance,

@@ -17,23 +17,6 @@ void Accumulator::Add(double x) {
   max_ = std::max(max_, x);
 }
 
-void Accumulator::Merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  uint64_t n = count_ + other.count_;
-  double delta = other.mean_ - mean_;
-  double na = static_cast<double>(count_);
-  double nb = static_cast<double>(other.count_);
-  mean_ += delta * nb / static_cast<double>(n);
-  m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(n);
-  count_ = n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Accumulator::sample_variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);

@@ -9,15 +9,11 @@ namespace aqp {
 namespace stats {
 
 /// Single-pass numerically-stable accumulator for count / mean / variance /
-/// min / max (Welford's online algorithm). Mergeable, so it composes across
-/// partitions, strata, and sample blocks.
+/// min / max (Welford's online algorithm).
 class Accumulator {
  public:
   /// Adds one observation.
   void Add(double x);
-
-  /// Merges another accumulator (Chan et al. parallel variance formula).
-  void Merge(const Accumulator& other);
 
   uint64_t count() const { return count_; }
   double sum() const { return mean_ * static_cast<double>(count_); }

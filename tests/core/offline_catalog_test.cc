@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sampling/ht_estimator.h"
 #include "test_util.h"
 
 namespace aqp {
@@ -47,7 +46,11 @@ TEST(SampleCatalogTest, StoredSampleAnswersQueries) {
   ASSERT_TRUE(samples.BuildUniform(cat, "t", 2000, 7).ok());
   const StoredSample* stored = samples.Find("t").value();
   double truth = testutil::ExactSum(*cat.Get("t").value(), "x");
-  PointEstimate est = EstimateSum(stored->sample, Col("x")).value();
+  PointEstimate est =
+      EstimateGroupedAggregates(stored->sample, {},
+                                {{AggKind::kSum, Col("x"), "s"}})
+          .value()
+          .estimates[0][0];
   EXPECT_NEAR(est.estimate, truth, std::fabs(truth) * 0.15);
 }
 
@@ -114,7 +117,10 @@ TEST(SampleCatalogTest, IncrementalSampleStaysUnbiased) {
     updated.RegisterOrReplace("t", std::make_shared<Table>(std::move(whole)));
     ASSERT_TRUE(samples.OnAppend(updated, "t", second_half, 200 + trial).ok());
     PointEstimate est =
-        EstimateSum(samples.Find("t").value()->sample, Col("x")).value();
+        EstimateGroupedAggregates(samples.Find("t").value()->sample, {},
+                                  {{AggKind::kSum, Col("x"), "s"}})
+            .value()
+            .estimates[0][0];
     mean_est += est.estimate / kTrials;
   }
   EXPECT_NEAR(mean_est, truth, std::fabs(truth) * 0.06);

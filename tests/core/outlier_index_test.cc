@@ -1,4 +1,4 @@
-#include "sampling/outlier_index.h"
+#include "core/outlier_index.h"
 
 #include <cmath>
 
@@ -8,6 +8,7 @@
 #include "test_util.h"
 
 namespace aqp {
+namespace core {
 namespace {
 
 // Mostly small values with a handful of enormous outliers.
@@ -77,7 +78,10 @@ TEST(OutlierIndexTest, SumEstimateSlashesErrorOnHeavyTails) {
         kTrials;
 
     Sample uniform = BernoulliRowSample(t, kRate, 200 + trial).value();
-    PointEstimate plain = EstimateSum(uniform, Col("x")).value();
+    PointEstimate plain =
+        EstimateGroupedAggregates(uniform, {}, {{AggKind::kSum, Col("x"), "s"}})
+            .value()
+            .estimates[0][0];
     mse_uniform += (plain.estimate - truth) * (plain.estimate - truth) /
                    kTrials;
   }
@@ -100,4 +104,5 @@ TEST(OutlierIndexTest, PredicatePushesIntoBothSides) {
 }
 
 }  // namespace
+}  // namespace core
 }  // namespace aqp

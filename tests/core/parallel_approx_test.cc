@@ -194,48 +194,65 @@ TEST(ParallelApproxTest, OfflineExecutorIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelApproxTest, OnlineAggregatorIdenticalAcrossThreadCounts) {
-  Table t = testutil::ZipfGroupedTable(50000, 10, 0.5, 3);
-  auto run = [&](size_t threads) {
-    OnlineAggregator ola =
-        OnlineAggregator::Create(t, Col("x"), Gt(Col("x"), Lit(2.0)), 7,
-                                 Threads(threads))
-            .value();
-    // Two epochs, both above the morsel gate; estimates after each must be
-    // thread-count independent.
-    OlaProgress first = ola.Step(12000, 0.95);
-    OlaProgress second = ola.Step(12000, 0.95);
-    return std::make_pair(first, second);
-  };
-  auto [base_first, base_second] = run(1);
-  for (size_t threads : kThreadGrid) {
-    auto [first, second] = run(threads);
-    EXPECT_EQ(base_first.sum_ci.estimate, first.sum_ci.estimate);
-    EXPECT_EQ(base_first.sum_ci.low, first.sum_ci.low);
-    EXPECT_EQ(base_first.sum_ci.high, first.sum_ci.high);
-    EXPECT_EQ(base_first.count_ci.estimate, first.count_ci.estimate);
-    EXPECT_EQ(base_second.sum_ci.estimate, second.sum_ci.estimate);
-    EXPECT_EQ(base_second.avg_ci.estimate, second.avg_ci.estimate);
-    EXPECT_EQ(base_second.rows_seen, second.rows_seen);
+  Catalog cat = StarCatalog();
+  const char* sql =
+      "SELECT fk_0, SUM(measure_0) AS s, COUNT(*) AS n, AVG(measure_1) AS a "
+      "FROM fact WHERE measure_1 > 90 GROUP BY fk_0 ORDER BY fk_0";
+  for (SampleSpec::Method method :
+       {SampleSpec::Method::kSystemBlock, SampleSpec::Method::kBernoulliRow}) {
+    auto run = [&](size_t threads) {
+      AqpOptions opt;
+      opt.method = method;
+      opt.block_size = 64;
+      opt.seed = 7;
+      opt.exec = Threads(threads);
+      OnlineAggregator ola = OnlineAggregator::Create(cat, sql, opt).value();
+      // Two rounds, both above the morsel gate; each must be thread-count
+      // independent.
+      return std::make_pair(ola.Round(0.2, 0.95).value(),
+                            ola.Round(0.4, 0.95).value());
+    };
+    auto [base_first, base_second] = run(1);
+    for (size_t threads : kThreadGrid) {
+      auto [first, second] = run(threads);
+      for (auto [want, got] : {std::make_pair(&base_first, &first),
+                               std::make_pair(&base_second, &second)}) {
+        EXPECT_TRUE(testutil::TablesBitIdentical(want->table, got->table));
+        EXPECT_EQ(want->stats.rows_scanned, got->stats.rows_scanned);
+        ASSERT_EQ(want->cis.size(), got->cis.size());
+        for (size_t i = 0; i < want->cis.size(); ++i) {
+          for (size_t j = 0; j < want->cis[i].size(); ++j) {
+            EXPECT_EQ(want->cis[i][j].low, got->cis[i][j].low);
+            EXPECT_EQ(want->cis[i][j].high, got->cis[i][j].high);
+          }
+        }
+      }
+    }
   }
 }
 
-TEST(ParallelApproxTest, OnlineAggregatorMorselFoldMatchesSerialPath) {
-  // The epoch fold reassociates the running mean/variance, so it only needs
-  // to agree with the pre-morsel serial loop to rounding error.
-  Table t = testutil::ZipfGroupedTable(50000, 10, 0.5, 3);
-  ExecOptions classic = Threads(1);
-  classic.parallel_min_rows = SIZE_MAX;
-  OnlineAggregator serial =
-      OnlineAggregator::Create(t, Col("x"), nullptr, 7, classic).value();
-  OnlineAggregator morsel =
-      OnlineAggregator::Create(t, Col("x"), nullptr, 7, Threads(4)).value();
-  OlaProgress sp = serial.Step(20000, 0.95);
-  OlaProgress mp = morsel.Step(20000, 0.95);
-  EXPECT_EQ(sp.rows_seen, mp.rows_seen);
-  EXPECT_NEAR(mp.sum_ci.estimate, sp.sum_ci.estimate,
-              std::fabs(sp.sum_ci.estimate) * 1e-12);
-  EXPECT_NEAR(mp.sum_ci.half_width(), sp.sum_ci.half_width(),
-              std::fabs(sp.sum_ci.half_width()) * 1e-9);
+TEST(ParallelApproxTest, OnlineAggregatorSerialPathMatchesMorselPath) {
+  // A SYSTEM round draws its blocks from one stream and estimates
+  // bit-identically with or without morsels, so the path below the morsel
+  // gate gives the same answer.
+  Catalog cat = StarCatalog();
+  const char* sql = "SELECT SUM(measure_0) AS s FROM fact";
+  AqpOptions serial;
+  serial.block_size = 64;
+  serial.exec = Threads(1);
+  serial.exec.parallel_min_rows = SIZE_MAX;
+  AqpOptions morsel = serial;
+  morsel.exec = Threads(4);
+  OlaRound sp =
+      OnlineAggregator::Create(cat, sql, serial).value().Round(0.3, 0.95)
+          .value();
+  OlaRound mp =
+      OnlineAggregator::Create(cat, sql, morsel).value().Round(0.3, 0.95)
+          .value();
+  EXPECT_EQ(sp.stats.rows_scanned, mp.stats.rows_scanned);
+  EXPECT_TRUE(testutil::TablesBitIdentical(sp.table, mp.table));
+  EXPECT_EQ(sp.cis[0][0].low, mp.cis[0][0].low);
+  EXPECT_EQ(sp.cis[0][0].high, mp.cis[0][0].high);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "core/approx_executor.h"
 #include "core/offline_catalog.h"
 #include "core/online_aggregation.h"
-#include "sampling/ht_estimator.h"
 #include "sql/binder.h"
 #include "workload/datagen.h"
 #include "workload/querygen.h"
@@ -149,23 +148,22 @@ TEST_F(EndToEndTest, OfflineSampleAnswersWorkloadQueries) {
 }
 
 TEST_F(EndToEndTest, OlaOverLineitem) {
-  auto lineitem = catalog_.Get("lineitem").value();
-  Table exact = sql::ExecuteSql(
-                    "SELECT SUM(quantity) AS q FROM lineitem WHERE "
-                    "shipmode = 'AIR'",
-                    catalog_)
-                    .value();
+  const char* sql =
+      "SELECT SUM(quantity) AS q FROM lineitem WHERE shipmode = 'AIR'";
+  Table exact = sql::ExecuteSql(sql, catalog_).value();
   double truth = exact.column(0).DoubleAt(0);
+  core::AqpOptions opt;
+  opt.method = SampleSpec::Method::kBernoulliRow;
+  opt.seed = 5;
   core::OnlineAggregator ola =
-      core::OnlineAggregator::Create(*lineitem, Col("quantity"),
-                                     Eq(Col("shipmode"), Lit("AIR")), 5)
-          .value();
-  core::OlaProgress p = ola.Step(8000, 0.95);
-  EXPECT_TRUE(p.sum_ci.Covers(truth))
-      << "[" << p.sum_ci.low << ", " << p.sum_ci.high << "] vs " << truth;
-  core::OlaProgress done = ola.Step(1000000, 0.95);
+      core::OnlineAggregator::Create(catalog_, sql, opt).value();
+  core::OlaRound r = ola.Round(0.1, 0.95).value();
+  EXPECT_TRUE(r.cis[0][0].Covers(truth))
+      << "[" << r.cis[0][0].low << ", " << r.cis[0][0].high << "] vs "
+      << truth;
+  core::OlaRound done = ola.Round(1.0, 0.95).value();
   EXPECT_TRUE(done.complete);
-  EXPECT_NEAR(done.sum_ci.estimate, truth, 1e-6);
+  EXPECT_NEAR(done.table.column(0).DoubleAt(0), truth, 1e-6);
 }
 
 TEST_F(EndToEndTest, GeneratedWorkloadThroughApproxExecutor) {

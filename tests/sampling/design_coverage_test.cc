@@ -7,10 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/estimate.h"
 #include "sampling/bernoulli.h"
 #include "sampling/block.h"
 #include "sampling/congressional.h"
-#include "sampling/ht_estimator.h"
 #include "sampling/reservoir.h"
 #include "sampling/stratified.h"
 #include "test_util.h"
@@ -114,21 +114,16 @@ TEST_P(DesignCoverageTest, CiCoverageNearNominal) {
         sample = CongressionalSample(t, "g", 1500, seed).value().sample;
         break;
     }
-    Result<PointEstimate> est = Status::Internal("unset");
-    switch (c.agg) {
-      case Agg::kSum:
-        est = EstimateSum(sample, Col("x"), pred);
-        break;
-      case Agg::kCount:
-        est = EstimateCount(sample, pred);
-        break;
-      case Agg::kAvg:
-        est = EstimateAvg(sample, Col("x"), pred);
-        break;
-    }
+    sample = core::FilterSample(sample, pred).value();
+    AggSpec spec{AggKind::kSum, Col("x"), "s"};
+    if (c.agg == Agg::kCount) spec = {AggKind::kCountStar, nullptr, "n"};
+    if (c.agg == Agg::kAvg) spec = {AggKind::kAvg, Col("x"), "a"};
+    Result<core::GroupedEstimates> est =
+        core::EstimateGroupedAggregates(sample, {}, {spec});
     ASSERT_TRUE(est.ok()) << est.status().ToString();
-    mean_est += est->estimate / kTrials;
-    if (est->Ci(0.95).Covers(truth)) ++covered;
+    const core::PointEstimate& pe = est->estimates[0][0];
+    mean_est += pe.estimate / kTrials;
+    if (pe.Ci(0.95).Covers(truth)) ++covered;
   }
   double coverage = static_cast<double>(covered) / kTrials;
   // Near-unbiased...

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "sampling/ht_estimator.h"
+#include "core/estimate.h"
 #include "test_util.h"
 
 namespace aqp {
@@ -85,11 +85,32 @@ TEST(JoinSynopsisTest, SynopsisSumUnbiased) {
     Sample s = BuildJoinSynopsis(star.fact, "fk", star.dim, "pk", 0.05,
                                  600 + trial)
                    .value();
-    PointEstimate est =
-        EstimateSum(s, Mul(Col("amount"), Col("factor"))).value();
+    core::PointEstimate est =
+        core::EstimateGroupedAggregates(
+            s, {}, {{AggKind::kSum, Mul(Col("amount"), Col("factor")), "s"}})
+            .value()
+            .estimates[0][0];
     mean_est += est.estimate / kTrials;
   }
   EXPECT_NEAR(mean_est, truth, truth * 0.05);
+}
+
+TEST(JoinSynopsisTest, CountStarIsTheJoinCardinality) {
+  // A synopsis has equal weights and no unit sizes, so the estimator
+  // expands the mean unit count to the fact's units: COUNT(*) over an FK
+  // join synopsis is the join cardinality exactly, with zero variance.
+  StarPair star = MakeStar(20000, 50, 7);
+  for (uint64_t seed : {600, 601, 602}) {
+    Sample s =
+        BuildJoinSynopsis(star.fact, "fk", star.dim, "pk", 0.05, seed).value();
+    core::PointEstimate n =
+        core::EstimateGroupedAggregates(s, {},
+                                        {{AggKind::kCountStar, nullptr, "n"}})
+            .value()
+            .estimates[0][0];
+    EXPECT_EQ(n.estimate, 20000.0);
+    EXPECT_EQ(n.variance, 0.0);
+  }
 }
 
 TEST(JoinOfSamplesTest, SampleSizeCollapsesQuadratically) {
@@ -115,15 +136,21 @@ TEST(JoinOfSamplesTest, StillUnbiasedButMuchHigherVariance) {
     Sample syn = BuildJoinSynopsis(star.fact, "fk", star.dim, "pk", kRate,
                                    700 + trial)
                      .value();
-    PointEstimate es =
-        EstimateSum(syn, Mul(Col("amount"), Col("factor"))).value();
+    core::PointEstimate es =
+        core::EstimateGroupedAggregates(
+            syn, {}, {{AggKind::kSum, Mul(Col("amount"), Col("factor")), "s"}})
+            .value()
+            .estimates[0][0];
     mse_syn += (es.estimate - truth) * (es.estimate - truth) / kTrials;
 
     Sample both = JoinOfSamples(star.fact, "fk", star.dim, "pk", kRate,
                                 800 + trial)
                       .value();
-    PointEstimate eb =
-        EstimateSum(both, Mul(Col("amount"), Col("factor"))).value();
+    core::PointEstimate eb =
+        core::EstimateGroupedAggregates(
+            both, {}, {{AggKind::kSum, Mul(Col("amount"), Col("factor")), "s"}})
+            .value()
+            .estimates[0][0];
     mean_both += eb.estimate / kTrials;
     mse_both += (eb.estimate - truth) * (eb.estimate - truth) / kTrials;
   }

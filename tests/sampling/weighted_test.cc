@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "sampling/bernoulli.h"
-#include "sampling/ht_estimator.h"
+#include "core/estimate.h"
 #include "test_util.h"
 
 namespace aqp {
@@ -72,11 +72,19 @@ TEST(MeasureBiasedTest, BeatsUniformOnSumVariance) {
   double mse_uniform = 0.0;
   for (int trial = 0; trial < kTrials; ++trial) {
     Sample biased = MeasureBiasedSample(t, "x", kBudget, 50 + trial).value();
-    PointEstimate eb = EstimateSum(biased, Col("x")).value();
+    core::PointEstimate eb =
+        core::EstimateGroupedAggregates(biased, {},
+                                        {{AggKind::kSum, Col("x"), "s"}})
+            .value()
+            .estimates[0][0];
     mse_biased += (eb.estimate - truth) * (eb.estimate - truth) / kTrials;
 
     Sample uniform = BernoulliRowSample(t, uniform_rate, 70 + trial).value();
-    PointEstimate eu = EstimateSum(uniform, Col("x")).value();
+    core::PointEstimate eu =
+        core::EstimateGroupedAggregates(uniform, {},
+                                        {{AggKind::kSum, Col("x"), "s"}})
+            .value()
+            .estimates[0][0];
     mse_uniform += (eu.estimate - truth) * (eu.estimate - truth) / kTrials;
   }
   EXPECT_LT(mse_biased, mse_uniform / 4.0);

@@ -33,8 +33,8 @@ TEST(BootstrapTest, CiWidthComparableToClt) {
   BootstrapOptions opts;
   opts.num_resamples = 500;
   ConfidenceInterval boot = BootstrapMeanCi(values, opts);
-  ConfidenceInterval clt =
-      MeanCi(acc.mean(), acc.sample_variance(), acc.count(), 0.95);
+  ConfidenceInterval clt = EstimatorCi(
+      acc.mean(), acc.sample_variance() / acc.count(), 0.95, acc.count() - 1);
   EXPECT_NEAR(boot.half_width(), clt.half_width(), clt.half_width() * 0.3);
 }
 

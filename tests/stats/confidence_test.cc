@@ -11,48 +11,18 @@ namespace aqp {
 namespace stats {
 namespace {
 
-TEST(MeanCiTest, CenteredOnMeanAndSymmetric) {
-  ConfidenceInterval ci = MeanCi(10.0, 4.0, 100, 0.95);
-  EXPECT_DOUBLE_EQ(ci.estimate, 10.0);
-  EXPECT_NEAR((ci.low + ci.high) / 2.0, 10.0, 1e-12);
-  // t_{0.975,99} ~ 1.984; se = 2/10 = 0.2.
-  EXPECT_NEAR(ci.half_width(), 1.984 * 0.2, 1e-2);
+TEST(EstimatorCiTest, HigherConfidenceIsWider) {
+  ConfidenceInterval c90 = EstimatorCi(10.0, 0.04, 0.90, 99);
+  ConfidenceInterval c99 = EstimatorCi(10.0, 0.04, 0.99, 99);
+  EXPECT_GT(c99.half_width(), c90.half_width());
 }
 
-TEST(MeanCiTest, TinySampleIsInfinite) {
-  ConfidenceInterval ci = MeanCi(10.0, 4.0, 1, 0.95);
-  EXPECT_TRUE(std::isinf(ci.low));
-  EXPECT_TRUE(std::isinf(ci.high));
-}
-
-TEST(MeanCiTest, HigherConfidenceIsWider) {
-  ConfidenceInterval c90 = MeanCi(10.0, 4.0, 100, 0.90);
-  ConfidenceInterval c99 = MeanCi(10.0, 4.0, 100, 0.99);
-  EXPECT_LT(c90.half_width(), c99.half_width());
-}
-
-TEST(MeanCiTest, MoreSamplesAreTighter) {
-  ConfidenceInterval small = MeanCi(10.0, 4.0, 50, 0.95);
-  ConfidenceInterval large = MeanCi(10.0, 4.0, 5000, 0.95);
-  EXPECT_LT(large.half_width(), small.half_width());
-}
-
-TEST(MeanCiTest, FpcShrinksInterval) {
-  ConfidenceInterval without = MeanCi(10.0, 4.0, 500, 0.95, 0);
-  ConfidenceInterval with_fpc = MeanCi(10.0, 4.0, 500, 0.95, 1000);
-  EXPECT_LT(with_fpc.half_width(), without.half_width());
-}
-
-TEST(MeanCiTest, FullSampleHasZeroWidth) {
-  ConfidenceInterval ci = MeanCi(10.0, 4.0, 1000, 0.95, 1000);
-  EXPECT_NEAR(ci.half_width(), 0.0, 1e-12);
-}
-
-TEST(SumCiTest, ScalesMeanCiByPopulation) {
-  ConfidenceInterval mean_ci = MeanCi(2.0, 1.0, 100, 0.95, 10000);
-  ConfidenceInterval sum_ci = SumCi(2.0, 1.0, 100, 10000, 0.95);
-  EXPECT_DOUBLE_EQ(sum_ci.estimate, 20000.0);
-  EXPECT_NEAR(sum_ci.half_width(), mean_ci.half_width() * 10000.0, 1e-6);
+TEST(EstimatorCiTest, FewerDegreesOfFreedomAreWider) {
+  ConfidenceInterval t5 = EstimatorCi(10.0, 0.04, 0.95, 5);
+  ConfidenceInterval normal = EstimatorCi(10.0, 0.04, 0.95);
+  EXPECT_GT(t5.half_width(), normal.half_width());
+  EXPECT_DOUBLE_EQ(t5.estimate, 10.0);
+  EXPECT_DOUBLE_EQ(t5.high - 10.0, 10.0 - t5.low);
 }
 
 TEST(EstimatorCiTest, NormalApprox) {
@@ -93,8 +63,9 @@ TEST(FpcTest, Values) {
   EXPECT_NEAR(fpc, std::sqrt(900.0 / 999.0), 1e-12);
 }
 
-// Property test: empirical coverage of the CLT mean CI should be close to the
-// nominal confidence across many repetitions.
+// Property test: empirical coverage of the t interval for a mean (the
+// estimator variance s^2 / n, n - 1 degrees of freedom) should be close to
+// the nominal confidence across many repetitions.
 class CoverageTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(CoverageTest, EmpiricalCoverageMatchesNominal) {
@@ -110,7 +81,8 @@ TEST_P(CoverageTest, EmpiricalCoverageMatchesNominal) {
       acc.Add(kTrueMean + 2.0 * rng.Gaussian());
     }
     ConfidenceInterval ci =
-        MeanCi(acc.mean(), acc.sample_variance(), acc.count(), confidence);
+        EstimatorCi(acc.mean(), acc.sample_variance() / kSampleSize,
+                    confidence, kSampleSize - 1);
     if (ci.Covers(kTrueMean)) ++covered;
   }
   double coverage = static_cast<double>(covered) / kTrials;

@@ -39,37 +39,6 @@ TEST(AccumulatorTest, SingleValue) {
   EXPECT_DOUBLE_EQ(acc.max(), 3.5);
 }
 
-TEST(AccumulatorTest, MergeMatchesSequential) {
-  Pcg32 rng(42);
-  Accumulator whole;
-  Accumulator part1;
-  Accumulator part2;
-  for (int i = 0; i < 1000; ++i) {
-    double x = rng.Gaussian() * 3.0 + 1.0;
-    whole.Add(x);
-    (i < 400 ? part1 : part2).Add(x);
-  }
-  part1.Merge(part2);
-  EXPECT_EQ(part1.count(), whole.count());
-  EXPECT_NEAR(part1.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(part1.sample_variance(), whole.sample_variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(part1.min(), whole.min());
-  EXPECT_DOUBLE_EQ(part1.max(), whole.max());
-}
-
-TEST(AccumulatorTest, MergeWithEmpty) {
-  Accumulator a;
-  a.Add(1.0);
-  a.Add(2.0);
-  Accumulator empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  Accumulator b;
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
 TEST(AccumulatorTest, NumericalStabilityLargeOffset) {
   // Naive sum-of-squares would lose precision here; Welford must not.
   Accumulator acc;

@@ -13,6 +13,7 @@ namespace testutil {
 namespace {
 
 using core::GroupedEstimates;
+using core::PointEstimate;
 using core::SampleDesign;
 
 // Accumulated totals of one (group, unit) cell for one aggregate.
@@ -27,11 +28,12 @@ uint64_t CellKey(uint32_t group, uint32_t unit) {
 }
 
 // A design as the estimator body reads it, beyond rows, units and weights:
+// `equal_probability` when every unit was kept with the same probability;
 // `sized` when every sampled unit's base rows are known; they sum to sum_n,
 // their squares to sum_n2.
 struct DesignFacts {
   uint64_t units_sampled, units_population, population_rows;
-  bool sized;
+  bool equal_probability, sized;
   double sum_n, sum_n2;
 };
 
@@ -130,18 +132,10 @@ Result<GroupedEstimates> Estimate(const Table& t, UnitOf unit_of,
   // mean-expansion estimator T = M * mean_u(y_u), whose variance is driven
   // by per-unit DISPERSION rather than raw unit totals — dramatically
   // tighter than Horvitz–Thompson for SUM/COUNT because the random sample
-  // size cancels. Unequal-weight designs fall back to the HT-Poisson law.
-  bool equal_weights = true;
-  for (size_t i = 1; i < n; ++i) {
-    if (std::fabs(weight_of(i) - weight_of(0)) >
-        1e-9 * std::fabs(weight_of(0))) {
-      equal_weights = false;
-      break;
-    }
-  }
+  // size cancels. Unequal-probability designs fall back to the HT-Poisson law.
   const uint64_t m_units = facts.units_sampled;
   const double big_m = static_cast<double>(facts.units_population);
-  const bool mean_expansion = equal_weights && m_units >= 2 &&
+  const bool mean_expansion = facts.equal_probability && m_units >= 2 &&
                               facts.units_population >= m_units &&
                               facts.units_population > 0;
   // Ratio-to-size refinement: when per-unit base sizes are known, totals are
@@ -347,8 +341,16 @@ Result<GroupedEstimates> EstimateReference(
     sum_n += nu;
     sum_n2 += nu * nu;
   }
+  // Equal probability: every row weighs 1 / nominal_rate.
+  bool equal_probability = true;
+  for (size_t i = 0; i < sample.num_rows(); ++i) {
+    if (std::fabs(sample.weights[i] * sample.nominal_rate - 1.0) > 1e-9) {
+      equal_probability = false;
+    }
+  }
   const DesignFacts facts{sample.num_units_sampled,
                           sample.num_units_population, sample.population_rows,
+                          equal_probability,
                           sample.unit_sizes.size() == sample.num_units_sampled,
                           sum_n, sum_n2};
   return Estimate(
@@ -369,8 +371,8 @@ Result<GroupedEstimates> EstimateReference(
   const uint64_t big_n = design.population_rows;
   const uint64_t k = design.unit_rows;
   const double weight = 1.0 / design.rate;
-  const DesignFacts facts{design.drawn.units, (big_n + k - 1) / k, big_n, true,
-                          static_cast<double>(design.drawn.rows),
+  const DesignFacts facts{design.drawn.units, (big_n + k - 1) / k, big_n,
+                          true, true, static_cast<double>(design.drawn.rows),
                           static_cast<double>(design.drawn.rows_squared)};
   return Estimate(
       rows, [&](size_t i) { return static_cast<uint32_t>(units[i]); },

@@ -10,9 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/estimate.h"
 #include "engine/exec_options.h"
 #include "sampling/bernoulli.h"
-#include "sampling/ht_estimator.h"
 #include "storage/table.h"
 
 namespace aqp {
@@ -183,8 +183,8 @@ struct CoverageTrial {
 
 /// One seeded coverage trial: draw a Bernoulli row sample of `table` at
 /// `rate` (serial single-stream when `exec` is null, morsel-parallel with
-/// per-morsel RNG streams otherwise), build Horvitz–Thompson CIs for
-/// SUM/COUNT/AVG of `col` at `confidence`, and record whether each interval
+/// per-morsel RNG streams otherwise), estimate SUM/COUNT/AVG of `col` with
+/// CIs at `confidence`, and record whether each interval
 /// covers the exact answer. Used by the statistical coverage harness to
 /// assert that parallel execution preserves CI validity.
 inline Result<CoverageTrial> RunCoverageTrial(const Table& table,
@@ -197,15 +197,21 @@ inline Result<CoverageTrial> RunCoverageTrial(const Table& table,
                        exec == nullptr
                            ? BernoulliRowSample(table, rate, seed)
                            : BernoulliRowSample(table, rate, seed, *exec));
-  AQP_ASSIGN_OR_RETURN(PointEstimate sum_est, EstimateSum(sample, Col(col)));
   AQP_ASSIGN_OR_RETURN(
-      PointEstimate count_est,
-      EstimateCount(sample, Gt(Col(col), Lit(truth.count_cutoff))));
-  AQP_ASSIGN_OR_RETURN(PointEstimate avg_est, EstimateAvg(sample, Col(col)));
+      core::GroupedEstimates whole,
+      core::EstimateGroupedAggregates(sample, {},
+                                      {{AggKind::kSum, Col(col), "s"},
+                                       {AggKind::kAvg, Col(col), "a"}}));
+  AQP_ASSIGN_OR_RETURN(
+      Sample above,
+      core::FilterSample(sample, Gt(Col(col), Lit(truth.count_cutoff))));
+  AQP_ASSIGN_OR_RETURN(core::GroupedEstimates count,
+                       core::EstimateGroupedAggregates(
+                           above, {}, {{AggKind::kCountStar, nullptr, "n"}}));
   CoverageTrial out;
-  out.sum_covered = sum_est.Ci(confidence).Covers(truth.sum);
-  out.count_covered = count_est.Ci(confidence).Covers(truth.count);
-  out.avg_covered = avg_est.Ci(confidence).Covers(truth.avg);
+  out.sum_covered = whole.estimates[0][0].Ci(confidence).Covers(truth.sum);
+  out.count_covered = count.estimates[0][0].Ci(confidence).Covers(truth.count);
+  out.avg_covered = whole.estimates[1][0].Ci(confidence).Covers(truth.avg);
   return out;
 }
 
