@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "core/contract.h"
 #include "core/estimate.h"
-#include "core/missing_groups.h"
 #include "core/result_assembly.h"
 #include "obs/metrics.h"
 
@@ -137,6 +136,24 @@ Result<StageResult> RunSampledStage(const Catalog& catalog,
   return out;
 }
 
+PerEstimateTarget ContractTarget(const sql::PreparedQuery& query,
+                                 size_t num_groups) {
+  // Composite items split the error budget across their factors.
+  size_t max_factors = 1;
+  for (const sql::SelectItem& item : query.stmt.items) {
+    std::unordered_map<std::string, int> counts;
+    CountAggOccurrences(item.expr, &counts);
+    size_t factors = 0;
+    for (const auto& [display, c] : counts) factors += c;
+    max_factors = std::max(max_factors, factors);
+  }
+  PerEstimateTarget target = AllocateContract(
+      *query.stmt.error_spec, num_groups * query.bound.aggregates.size());
+  target.relative_error =
+      AllocateCompositeError(target.relative_error, max_factors);
+  return target;
+}
+
 ApproxExecutor::ApproxExecutor(const Catalog* catalog, AqpOptions options)
     : catalog_(catalog), options_(options) {
   AQP_CHECK(catalog != nullptr);
@@ -261,25 +278,29 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
                 ")"
           : "bernoulli-row";
 
-  // ---- Stage 1: pilot --------------------------------------------------
+  // ---- Stage 0: price -----------------------------------------------------
   Clock::time_point t0 = Clock::now();
+  obs::TraceSpan price_span = obs::MaybeSpan(tr, "price");
+  AQP_ASSIGN_OR_RETURN(ContractPrice price,
+                       PriceContract(*catalog_, query, target, options_, tr));
+  price_span.AddAttr("pilot_rate", price.pilot_rate);
+  price_span.AddAttr("pilot_basis", price.pilot_basis);
+  if (price.priced) price_span.AddAttr("predicted_rate", price.predicted_rate);
+  price_span.End();
+  result.planning_seconds = Seconds(t0);
+  const double decline_rate = options_.safety_factor * options_.max_rate;
+  if (price.priced && price.predicted_rate > decline_rate) {
+    return fallback("priced out before pilot: predicted rate " +
+                    std::to_string(price.predicted_rate) + " exceeds " +
+                    std::to_string(decline_rate) +
+                    " (safety_factor x max_rate); exact execution is cheaper");
+  }
+
+  // ---- Stage 1: pilot --------------------------------------------------
+  t0 = Clock::now();
   const uint64_t population_units =
       (target.rows + target.unit_rows - 1) / target.unit_rows;
-  double pilot_rate = options_.pilot_rate;
-  // The pilot itself must see enough units for its variance estimates to
-  // mean anything.
-  if (population_units > 0) {
-    pilot_rate = std::max(
-        pilot_rate, std::min(0.5, static_cast<double>(options_.min_units) /
-                                      static_cast<double>(population_units)));
-  }
-  if (!stmt.group_by.empty()) {
-    pilot_rate = std::max(
-        pilot_rate,
-        BlockRateForGroupCoverage(options_.min_group_rows, target.unit_rows,
-                                  /*delta=*/0.05));
-    pilot_rate = std::min(pilot_rate, 0.5);
-  }
+  const double pilot_rate = price.pilot_rate;
   // A stage at rate 1 would read every row: a sampled scan at that rate is
   // a plain scan, with no units to estimate from.
   const char* kEveryRow = " rate 1 reads every row; exact execution is cheaper";
@@ -298,19 +319,7 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   obs::TraceSpan plan_span = obs::MaybeSpan(tr, "plan");
   size_t pilot_groups = std::max<size_t>(pilot.estimates.num_groups, 1);
   size_t num_estimates = pilot_groups * bound.aggregates.size();
-  // Composite items split the error budget across their factors.
-  int max_factors = 1;
-  for (const sql::SelectItem& item : stmt.items) {
-    std::unordered_map<std::string, int> counts;
-    CountAggOccurrences(item.expr, &counts);
-    int factors = 0;
-    for (const auto& [display, c] : counts) factors += c;
-    max_factors = std::max(max_factors, factors);
-  }
-  sql::ErrorSpec spec = *stmt.error_spec;
-  PerEstimateTarget per_estimate = AllocateContract(spec, num_estimates);
-  per_estimate.relative_error =
-      AllocateCompositeError(per_estimate.relative_error, max_factors);
+  const PerEstimateTarget per_estimate = ContractTarget(query, pilot_groups);
 
   PlanningInputs inputs;
   inputs.pilot = &pilot.estimates;
@@ -321,7 +330,7 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   inputs.min_units = options_.min_units;
   inputs.population_units = population_units;
   SamplingPlan plan = PlanSamplingRate(inputs);
-  result.planning_seconds = Seconds(t1);
+  result.planning_seconds += Seconds(t1);
   prof.worst_required_rate = plan.worst_required_rate;
   plan_span.AddAttr("estimates", static_cast<uint64_t>(num_estimates));
   plan_span.AddAttr("planned_rate", plan.rate);

@@ -20,11 +20,15 @@ namespace core {
 struct AqpOptions {
   /// Pilot-stage sampling rate. Every pilot is raised to draw about
   /// `min_units` units (up to a rate of 0.5). A GROUP BY pilot is raised
-  /// further, toward the rate at which a group of `min_group_rows` rows is
-  /// seen with probability 0.95 (BlockRateForGroupCoverage), and then capped
-  /// at 0.5. The cap usually binds: a group that fits in one block (100 rows
-  /// at the default 1024-row blocks needs a rate of 0.95) is seen with
-  /// probability 0.5 only.
+  /// further, to the rate at which the least-spread group-key value with at
+  /// least `min_group_rows` qualifying rows is seen with probability 0.95,
+  /// read from the catalog's column statistics (PriceContract), and capped
+  /// at 0.5. Only where the statistics cannot say (an expression key,
+  /// several keys, a key with over ColumnStats::kMaxValues values, a
+  /// predicate they cannot price) is the pilot sized for the worst case: a
+  /// group of `min_group_rows` rows packed into as few blocks as it fits
+  /// (BlockRateForGroupCoverage). There the 0.5 cap usually binds: 100 rows
+  /// in one 1024-row block would need 0.95.
   double pilot_rate = 0.01;
   uint64_t min_group_rows = 100;
 
@@ -108,6 +112,52 @@ Result<StageTarget> PickStageTarget(const Catalog& catalog,
                                     const sql::BoundQuery& query,
                                     const AqpOptions& options);
 
+/// The per-estimate target of `query`'s contract over `num_groups` groups:
+/// Boole's split of the confidence across every (group, aggregate)
+/// estimate, and the relative error split across the factors of the widest
+/// composite SELECT item.
+PerEstimateTarget ContractTarget(const sql::PreparedQuery& query,
+                                 size_t num_groups);
+
+/// What the catalog's column statistics say about a contract before any
+/// sampling (core/pricing.cc).
+struct ContractPrice {
+  /// The rate the pilot should run at, and what set it: "floor" (pilot_rate
+  /// or min_units units), "least-spread value <v> of <q.column>", or "no
+  /// statistics: <why>" (the worst-case grouped rate).
+  double pilot_rate = 0.0;
+  std::string pilot_basis;
+  /// Whether any item was priced, and the largest final rate the priced
+  /// items are predicted to need before the safety factor — a lower bound
+  /// under the model's assumptions.
+  bool priced = false;
+  double predicted_rate = 0.0;
+};
+
+/// Prices `query`'s contract (it must carry one) on `target` from column
+/// statistics, building those it reads on first use (charged to
+/// `options.exec.memory`, traced under `trace`). Costs O(log NDV) per
+/// predicate term and O(NDV) of the group key, with no table pass once the
+/// statistics exist.
+///
+/// The pilot rate is the largest of `pilot_rate`, min_units units, and the
+/// block rate at which the least-spread group-key value — counting only
+/// values with at least `min_group_rows` qualifying rows — is seen with
+/// probability 0.95, capped at 0.5. A key on the far side of a
+/// single-condition inner equi-join is sized by the near-side join column.
+///
+/// The predicted rate inverts the ratio-to-size variance of each priced
+/// group's COUNT, from its per-block row counts, under the query's Boole
+/// allocation. SUM and COUNT items are priced by COUNT's variance (a lower
+/// bound for SUM's); AVG and composite items, far-side keys and predicates
+/// on the key's own column are not priced. Predicates are assumed
+/// independent of the key and of the layout.
+Result<ContractPrice> PriceContract(const Catalog& catalog,
+                                    const sql::PreparedQuery& query,
+                                    const StageTarget& target,
+                                    const AqpOptions& options,
+                                    obs::QueryTrace* trace);
+
 /// What one sampled stage produced: per-group estimates of every aggregate
 /// of the query, and what the engine did for them.
 struct StageResult {
@@ -131,6 +181,9 @@ Result<StageResult> RunSampledStage(const Catalog& catalog,
 
 /// Two-stage online approximate SQL executor with a-priori error contracts:
 ///
+///   0. PRICE: size the pilot from the catalog's column statistics, and
+///      decline (exact fallback, no pilot) when they predict a final rate
+///      above safety_factor * max_rate.
 ///   1. PILOT: run the query's pre-aggregation pipeline with the largest
 ///      scanned table block-sampled at a small rate (the
 ///      sampling-equivalence rules make this a valid sample of the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "engine/executor.h"
+
 namespace aqp {
 
 Status Catalog::Register(const std::string& name,
@@ -19,6 +21,7 @@ void Catalog::RegisterOrReplace(const std::string& name,
   extent_tables_.erase(name);
   tables_[name] = std::move(table);
   ++versions_[name];
+  stats_.Drop(name);
 }
 
 void Catalog::RegisterExtentBacked(
@@ -27,6 +30,7 @@ void Catalog::RegisterExtentBacked(
   tables_.erase(name);
   extent_tables_[name] = std::move(reader);
   ++versions_[name];
+  stats_.Drop(name);
 }
 
 Result<std::shared_ptr<const extent::ExtentReader>> Catalog::GetExtentReader(
@@ -64,6 +68,7 @@ Status Catalog::Drop(const std::string& name) {
     return Status::NotFound("no table named " + name);
   }
   ++versions_[name];
+  stats_.Drop(name);
   return Status::OK();
 }
 
@@ -89,6 +94,40 @@ std::vector<std::string> Catalog::TableNames() const {
   for (const auto& [name, _] : extent_tables_) names.push_back(name);
   std::sort(names.begin(), names.end());
   return names;
+}
+
+Result<std::shared_ptr<const ColumnStats>> Catalog::ColumnStatistics(
+    const std::string& name, const std::string& column, uint32_t unit_rows,
+    const ExecOptions& exec, obs::QueryTrace* trace) const {
+  AQP_ASSIGN_OR_RETURN(uint64_t version, Version(name));
+  AQP_ASSIGN_OR_RETURN(aqp::Schema schema, Schema(name));
+  AQP_RETURN_IF_ERROR(schema.FieldIndex(column).status());
+  return stats_.GetOrBuild(
+      {name, version, column, unit_rows}, [&]() -> Result<ColumnStats> {
+        obs::TraceSpan span = obs::MaybeSpan(trace, "stats.build");
+        span.AddAttr("table", name);
+        span.AddAttr("column", column);
+        Table read;
+        const Column* values = nullptr;
+        auto it = tables_.find(name);
+        if (it != tables_.end()) {
+          AQP_ASSIGN_OR_RETURN(size_t index,
+                               it->second->schema().FieldIndex(column));
+          values = &it->second->column(index);
+        } else {
+          PlanPtr scan = PlanNode::Project(PlanNode::Scan(name), {Col(column)},
+                                           {column});
+          AQP_ASSIGN_OR_RETURN(read,
+                               Execute(scan, *this, nullptr, nullptr, exec));
+          values = &read.column(0);
+        }
+        AQP_ASSIGN_OR_RETURN(ColumnStats stats,
+                             BuildColumnStats(*values, unit_rows, exec.memory));
+        span.AddAttr("rows", stats.rows);
+        span.AddAttr("values", static_cast<uint64_t>(stats.values.size()));
+        span.AddAttr("exact", stats.exact ? "true" : "false");
+        return stats;
+      });
 }
 
 }  // namespace aqp

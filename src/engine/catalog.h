@@ -7,6 +7,9 @@
 #include <vector>
 
 #include "common/result.h"
+#include "engine/column_stats.h"
+#include "engine/exec_options.h"
+#include "obs/trace.h"
 #include "storage/extent/extent_reader.h"
 #include "storage/table.h"
 
@@ -78,6 +81,17 @@ class Catalog {
   /// Registered table names, sorted.
   std::vector<std::string> TableNames() const;
 
+  /// Statistics of `column` of `name` over blocks of `unit_rows` rows
+  /// (engine/column_stats.h). The first request builds them in one pass over
+  /// that column alone — the in-memory column itself, or one engine scan of
+  /// it for an extent-backed name — under a "stats.build" span of `trace`
+  /// (may be null), charging the pass's working set to `exec.memory`. They
+  /// stay cached until `name`'s version changes; concurrent first requests
+  /// build once. NotFound for an unknown table or column.
+  Result<std::shared_ptr<const ColumnStats>> ColumnStatistics(
+      const std::string& name, const std::string& column, uint32_t unit_rows,
+      const ExecOptions& exec = {}, obs::QueryTrace* trace = nullptr) const;
+
  private:
   std::unordered_map<std::string, std::shared_ptr<const Table>> tables_;
   /// Extent-backed bindings; disjoint from tables_ by construction.
@@ -85,6 +99,8 @@ class Catalog {
       extent_tables_;
   /// Version per name ever registered (persists across Drop).
   std::unordered_map<std::string, uint64_t> versions_;
+  /// Column statistics built so far; dropped per name on a version bump.
+  mutable ColumnStatsCache stats_;
 };
 
 }  // namespace aqp

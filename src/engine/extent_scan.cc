@@ -11,38 +11,11 @@
 namespace aqp {
 namespace {
 
-// Ordering between a zone bound and a conjunct literal. nullopt = the pair
-// is not comparable (type mismatch, NULL) — callers treat that as "cannot
-// prune". Mixed int64/double compares through long double so a 2^53+ int64
-// never collapses onto a neighboring double and flips an inequality.
-std::optional<int> CompareValues(const Value& x, const Value& y) {
-  if (x.is_null() || y.is_null()) return std::nullopt;
-  auto sign = [](long double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); };
-  if (x.is_int64() && y.is_int64()) {
-    return x.int64() < y.int64() ? -1 : (x.int64() > y.int64() ? 1 : 0);
-  }
-  if ((x.is_int64() || x.is_double()) && (y.is_int64() || y.is_double())) {
-    const long double xv =
-        x.is_int64() ? static_cast<long double>(x.int64()) : x.dbl();
-    const long double yv =
-        y.is_int64() ? static_cast<long double>(y.int64()) : y.dbl();
-    return sign(xv - yv);
-  }
-  if (x.is_string() && y.is_string()) {
-    const int c = x.str().compare(y.str());
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-  if (x.is_bool() && y.is_bool()) {
-    return static_cast<int>(x.boolean()) - static_cast<int>(y.boolean());
-  }
-  return std::nullopt;
-}
-
 // `lit` may lie within [min, max]? nullopt comparisons conservatively say
 // yes.
 bool LiteralInBounds(const Value& lit, const Value& min, const Value& max) {
-  std::optional<int> lo = CompareValues(lit, min);
-  std::optional<int> hi = CompareValues(lit, max);
+  std::optional<int> lo = TryCompareValues(lit, min);
+  std::optional<int> hi = TryCompareValues(lit, max);
   if (!lo.has_value() || !hi.has_value()) return true;
   return *lo >= 0 && *hi <= 0;
 }
@@ -133,25 +106,25 @@ bool ConjunctMayMatch(const extent::ExtentMeta& meta,
       return LiteralInBounds(c.a, z.min, z.max);
     case PruneConjunct::Kind::kLt: {
       // Some row < lit requires min < lit.
-      std::optional<int> cmp = CompareValues(z.min, c.a);
+      std::optional<int> cmp = TryCompareValues(z.min, c.a);
       return !cmp.has_value() || *cmp < 0;
     }
     case PruneConjunct::Kind::kLe: {
-      std::optional<int> cmp = CompareValues(z.min, c.a);
+      std::optional<int> cmp = TryCompareValues(z.min, c.a);
       return !cmp.has_value() || *cmp <= 0;
     }
     case PruneConjunct::Kind::kGt: {
-      std::optional<int> cmp = CompareValues(z.max, c.a);
+      std::optional<int> cmp = TryCompareValues(z.max, c.a);
       return !cmp.has_value() || *cmp > 0;
     }
     case PruneConjunct::Kind::kGe: {
-      std::optional<int> cmp = CompareValues(z.max, c.a);
+      std::optional<int> cmp = TryCompareValues(z.max, c.a);
       return !cmp.has_value() || *cmp >= 0;
     }
     case PruneConjunct::Kind::kBetween: {
       // Overlap test: max >= lo && min <= hi.
-      std::optional<int> lo = CompareValues(z.max, c.a);
-      std::optional<int> hi = CompareValues(z.min, c.b);
+      std::optional<int> lo = TryCompareValues(z.max, c.a);
+      std::optional<int> hi = TryCompareValues(z.min, c.b);
       if (lo.has_value() && *lo < 0) return false;
       if (hi.has_value() && *hi > 0) return false;
       return true;

@@ -45,4 +45,27 @@ std::string Value::ToString() const {
   return str();
 }
 
+std::optional<int> TryCompareValues(const Value& x, const Value& y) {
+  if (x.is_null() || y.is_null()) return std::nullopt;
+  auto sign = [](long double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); };
+  if (x.is_int64() && y.is_int64()) {
+    return x.int64() < y.int64() ? -1 : (x.int64() > y.int64() ? 1 : 0);
+  }
+  if ((x.is_int64() || x.is_double()) && (y.is_int64() || y.is_double())) {
+    const long double xv =
+        x.is_int64() ? static_cast<long double>(x.int64()) : x.dbl();
+    const long double yv =
+        y.is_int64() ? static_cast<long double>(y.int64()) : y.dbl();
+    return sign(xv - yv);
+  }
+  if (x.is_string() && y.is_string()) {
+    const int c = x.str().compare(y.str());
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  }
+  if (x.is_bool() && y.is_bool()) {
+    return static_cast<int>(x.boolean()) - static_cast<int>(y.boolean());
+  }
+  return std::nullopt;
+}
+
 }  // namespace aqp

@@ -2,6 +2,7 @@
 #define AQP_STORAGE_VALUE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -63,6 +64,12 @@ class Value {
  private:
   std::variant<std::monostate, int64_t, double, std::string, bool> v_;
 };
+
+/// Ordering of two values: negative, zero or positive. nullopt when the pair
+/// does not compare (a NULL, or mismatched types); INT64 and DOUBLE compare
+/// with each other through long double, so an int64 beyond 2^53 never
+/// collapses onto a neighbouring double and flips an inequality.
+std::optional<int> TryCompareValues(const Value& x, const Value& y);
 
 }  // namespace aqp
 

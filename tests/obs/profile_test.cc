@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/approx_executor.h"
 #include "obs/metrics.h"
+#include "sql/binder.h"
 #include "workload/datagen.h"
 
 namespace aqp {
@@ -147,6 +149,118 @@ TEST(ProfileTest, EstimateAndSampledScanSpansShowTheirInputs) {
     EXPECT_GE(units * 64, rows);
     EXPECT_GE(cells, units);
   }
+}
+
+std::string AttrText(const SpanRecord& span, const std::string& key) {
+  for (const auto& [k, v] : span.attrs) {
+    if (k == key) return v;
+  }
+  ADD_FAILURE() << span.name << " has no attribute " << key;
+  return "";
+}
+
+// 128k rows keyed by `keys` uniform values, over 1000 blocks of 128 rows.
+Catalog KeyedCatalog(uint32_t keys) {
+  Pcg32 rng(5);
+  std::vector<int64_t> k(128000);
+  std::vector<double> m(k.size());
+  for (size_t i = 0; i < k.size(); ++i) {
+    k[i] = rng.UniformUint32(keys);
+    m[i] = 1.0 + rng.NextDouble();
+  }
+  Catalog cat;
+  EXPECT_TRUE(
+      cat.Register("t", std::make_shared<Table>(
+                            Table::Make(Schema({{"k", DataType::kInt64},
+                                                {"m", DataType::kDouble}}),
+                                        {Column::FromInt64(std::move(k)),
+                                         Column::FromDouble(std::move(m))})
+                                .value()))
+          .ok());
+  return cat;
+}
+
+core::AqpOptions KeyedOptions() {
+  core::AqpOptions opt;
+  opt.block_size = 128;
+  opt.min_table_rows = 1000;
+  return opt;
+}
+
+TEST(ProfileTest, PriceSpanShowsHowThePilotWasSized) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  Catalog cat = KeyedCatalog(10);
+  core::ApproxExecutor exec(&cat, KeyedOptions());
+  const std::string sql =
+      "SELECT k, SUM(m) AS s FROM t GROUP BY k WITH ERROR 20% CONFIDENCE 90%";
+  core::ApproxResult first = exec.Execute(sql).value();
+  core::ApproxResult second = exec.Execute(sql).value();
+  reg.set_enabled(was_enabled);
+  ASSERT_TRUE(first.approximated);
+  std::vector<const SpanRecord*> prices;
+  FindSpans(first.profile.trace.root(), "price", &prices);
+  ASSERT_EQ(prices.size(), 1u);
+  EXPECT_EQ(AttrText(*prices[0], "pilot_basis"), "floor");
+  EXPECT_DOUBLE_EQ(std::stod(AttrText(*prices[0], "pilot_rate")),
+                   first.profile.pilot_rate);
+  EXPECT_LT(std::stod(AttrText(*prices[0], "predicted_rate")), 0.2);
+  // The first query built the key's statistics under its price span; the
+  // second read them from the catalog.
+  std::vector<const SpanRecord*> builds;
+  FindSpans(*prices[0], "stats.build", &builds);
+  ASSERT_EQ(builds.size(), 1u);
+  EXPECT_EQ(AttrText(*builds[0], "column"), "k");
+  builds.clear();
+  FindSpans(second.profile.trace.root(), "stats.build", &builds);
+  EXPECT_TRUE(builds.empty());
+  EXPECT_NE(first.profile.ToText().find("pilot_basis=floor"),
+            std::string::npos);
+}
+
+TEST(ProfileTest, StatisticsBuildIsChargedToTheQuery) {
+  Catalog cat = KeyedCatalog(10);
+  MemoryTracker tracker;
+  core::AqpOptions opt = KeyedOptions();
+  opt.exec.memory = &tracker;
+  sql::PreparedQuery q =
+      sql::Prepare("SELECT k, SUM(m) AS s FROM t GROUP BY k "
+                   "WITH ERROR 10% CONFIDENCE 95%",
+                   cat)
+          .value();
+  core::StageTarget target = core::PickStageTarget(cat, q.bound, opt).value();
+  ASSERT_TRUE(core::PriceContract(cat, q, target, opt, nullptr).ok());
+  EXPECT_GT(tracker.peak(), 0u);
+  EXPECT_EQ(tracker.used(), 0u);
+}
+
+TEST(ProfileTest, PricedOutQueryRunsNoPilot) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  Catalog cat = KeyedCatalog(1000);
+  core::ApproxExecutor exec(&cat, KeyedOptions());
+  core::ApproxResult r =
+      exec.Execute(
+              "SELECT k, SUM(m) AS s, COUNT(*) AS n FROM t GROUP BY k "
+              "WITH ERROR 10% CONFIDENCE 95%")
+          .value();
+  reg.set_enabled(was_enabled);
+  const ExecutionProfile& prof = r.profile;
+  EXPECT_FALSE(prof.approximated);
+  EXPECT_EQ(prof.executor, "exact");
+  EXPECT_EQ(
+      prof.fallback_reason.rfind("priced out before pilot: predicted rate ", 0),
+      0u)
+      << prof.fallback_reason;
+  std::vector<const SpanRecord*> spans;
+  FindSpans(prof.trace.root(), "pilot", &spans);
+  EXPECT_TRUE(spans.empty());
+  FindSpans(prof.trace.root(), "price", &spans);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_GT(std::stod(AttrText(*spans[0], "predicted_rate")), 0.2);
+  EXPECT_EQ(prof.pilot_rate, 0.0);
 }
 
 TEST(ProfileTest, DisabledObservabilityStillFillsResultFields) {
