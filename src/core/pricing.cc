@@ -95,20 +95,23 @@ class Pricer {
     return std::shared_ptr<const ColumnStats>();
   }
 
-  // Fraction of its table's rows that `e` keeps, or nullopt when the
-  // statistics cannot say. Conjunctions multiply, as if independent; the
-  // terms are comparisons, IN lists and BETWEEN of an exact column against
-  // literals. `*columns` collects the columns read.
+  // Fraction of the rows of ref `near` (the sampled table) that `e` keeps,
+  // or nullopt when the statistics cannot say. Conjunctions multiply, as if
+  // independent; the terms are comparisons, IN lists and BETWEEN of an exact
+  // column of `near` against literals. A term on another ref is not priced:
+  // its share of that table's rows says little of the share of sampled rows
+  // it keeps. `*columns` collects the columns read.
   Result<std::optional<double>> Selectivity(const sql::SqlExprPtr& e,
+                                            size_t near,
                                             std::vector<ColumnRef>* columns) {
     using K = sql::SqlExpr::Kind;
     const std::optional<double> kUnknown;
     if (e->kind == K::kBinary && e->op == OpKind::kAnd) {
       AQP_ASSIGN_OR_RETURN(std::optional<double> a,
-                           Selectivity(e->children[0], columns));
+                           Selectivity(e->children[0], near, columns));
       if (!a.has_value()) return a;
       AQP_ASSIGN_OR_RETURN(std::optional<double> b,
-                           Selectivity(e->children[1], columns));
+                           Selectivity(e->children[1], near, columns));
       if (!b.has_value()) return b;
       return std::optional<double>(*a * *b);
     }
@@ -122,7 +125,7 @@ class Pricer {
                  : nullptr;
     };
     std::optional<ColumnRef> column = Resolve(lhs->column);
-    if (!column.has_value()) return kUnknown;
+    if (!column.has_value() || column->ref != near) return kUnknown;
     AQP_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnStats> stats,
                          Stats(*column));
     if (stats == nullptr || stats->rows == 0) return kUnknown;
@@ -211,6 +214,7 @@ class Pricer {
     // on the far side of an inner equi-join, from the near-side join column:
     // each group then holds every row of at least one of its values.
     std::shared_ptr<const ColumnStats> key;
+    std::optional<ColumnRef> key_column;
     std::string key_name;
     bool priceable = true;
     if (grouped) {
@@ -218,16 +222,16 @@ class Pricer {
           stmt.group_by[0]->kind != sql::SqlExpr::Kind::kColumn) {
         return no_statistics("group key is not one column");
       }
-      std::optional<ColumnRef> column = Resolve(stmt.group_by[0]->column);
-      if (column.has_value() && column->ref != near) {
-        column = NearJoinColumn(column->ref, near);
+      key_column = Resolve(stmt.group_by[0]->column);
+      if (key_column.has_value() && key_column->ref != near) {
+        key_column = NearJoinColumn(key_column->ref, near);
         priceable = false;  // A group is a union of near-side values.
       }
-      if (!column.has_value()) {
+      if (!key_column.has_value()) {
         return no_statistics("group key off the sampled table");
       }
-      AQP_ASSIGN_OR_RETURN(key, Stats(*column));
-      key_name = refs[column->ref].qualifier() + "." + column->column;
+      AQP_ASSIGN_OR_RETURN(key, Stats(*key_column));
+      key_name = refs[key_column->ref].qualifier() + "." + key_column->column;
       if (key == nullptr) return no_statistics(key_name + " unavailable");
       if (!key->exact) {
         return no_statistics(key_name + " has over " +
@@ -240,9 +244,17 @@ class Pricer {
     std::vector<ColumnRef> predicate_columns;
     if (stmt.where != nullptr) {
       AQP_ASSIGN_OR_RETURN(std::optional<double> sel,
-                           Selectivity(stmt.where, &predicate_columns));
+                           Selectivity(stmt.where, near, &predicate_columns));
       if (!sel.has_value()) return no_statistics("predicate");
       s = *sel;
+    }
+    // A predicate on the column the key's spread is read from keeps some of
+    // its values whole and drops the rest: no one share s describes them.
+    for (const ColumnRef& c : predicate_columns) {
+      if (grouped && c.ref == key_column->ref &&
+          c.column == key_column->column) {
+        return no_statistics("predicate on " + key_name);
+      }
     }
 
     // The values a group of the answer is made of (one whole-table value
@@ -286,19 +298,12 @@ class Pricer {
     }
 
     // Predicted rate: COUNT's model for every SUM / COUNT item. AVG and
-    // composite items are not priced; a predicate on the key's own column
-    // breaks the independence the model rests on.
+    // composite items are not priced.
     const bool priced_item = std::any_of(
         stmt.items.begin(), stmt.items.end(), [](const sql::SelectItem& item) {
           return item.expr->kind == sql::SqlExpr::Kind::kAggCall &&
                  item.expr->agg_kind != AggKind::kAvg;
         });
-    for (const ColumnRef& c : predicate_columns) {
-      if (grouped && c.ref == near &&
-          c.column == sql::BaseName(stmt.group_by[0]->column)) {
-        priceable = false;
-      }
-    }
     if (!priceable || !priced_item) return price;
     size_t groups = 0;
     for (const auto& [value, spread] : values) {

@@ -87,7 +87,10 @@ class Catalog {
   /// it for an extent-backed name — under a "stats.build" span of `trace`
   /// (may be null), charging the pass's working set to `exec.memory`. They
   /// stay cached until `name`'s version changes; concurrent first requests
-  /// build once. NotFound for an unknown table or column.
+  /// build once. A build that fails other than by cancellation or deadline
+  /// (say, the pass does not fit `exec.memory`) is not retried until the
+  /// version changes: later requests get its error at once. NotFound for an
+  /// unknown table or column.
   Result<std::shared_ptr<const ColumnStats>> ColumnStatistics(
       const std::string& name, const std::string& column, uint32_t unit_rows,
       const ExecOptions& exec = {}, obs::QueryTrace* trace = nullptr) const;

@@ -96,23 +96,6 @@ auto HashedIds(KeyAt key, Hash hash) {
   };
 }
 
-// Value ids through an array of `span` slots (`index(i)` is row i's slot).
-template <typename IndexAt>
-auto DenseIds(uint64_t span, IndexAt index) {
-  constexpr uint32_t kNone = UINT32_MAX;
-  return [index, slots = std::vector<uint32_t>(span, kNone), next = 0u](
-             size_t i, bool* inserted) mutable {
-    uint32_t& slot = slots[index(i)];
-    *inserted = slot == kNone;
-    if (*inserted) slot = next++;
-    return slot;
-  };
-}
-
-// INT64 columns whose values span at most this many integers index an
-// array by value instead of hashing.
-constexpr uint64_t kDenseSpan = uint64_t{1} << 16;
-
 }  // namespace
 
 std::optional<uint64_t> ColumnStats::RowsMatching(OpKind op,
@@ -162,27 +145,10 @@ Result<ColumnStats> BuildColumnStats(const Column& column, uint32_t unit_rows,
   switch (column.type()) {
     case DataType::kInt64: {
       const int64_t* v = column.int64_data();
-      const auto [lo, hi] = std::minmax_element(v, v + column.size());
-      const uint64_t span =
-          column.size() == 0 ? 0 : static_cast<uint64_t>(*hi) - *lo + 1;
-      if (span == 0 || span > kDenseSpan) {
-        tracked = TrackValues(column, unit_rows, memory,
-                              HashedIds([&](size_t i) { return v[i]; },
-                                        [](int64_t k) { return HashInt64(k); }),
-                              &out, &first_row);
-        break;
-      }
-      AQP_ASSIGN_OR_RETURN(ScopedMemoryCharge slots,
-                           ScopedMemoryCharge::Make(
-                               memory, span * sizeof(uint32_t),
-                               "column statistics"));
-      const int64_t base = *lo;
-      tracked = TrackValues(
-          column, unit_rows, memory,
-          DenseIds(span, [&](size_t i) {
-            return static_cast<uint64_t>(v[i] - base);
-          }),
-          &out, &first_row);
+      tracked = TrackValues(column, unit_rows, memory,
+                            HashedIds([&](size_t i) { return v[i]; },
+                                      [](int64_t k) { return HashInt64(k); }),
+                            &out, &first_row);
       break;
     }
     case DataType::kDouble: {
@@ -208,8 +174,9 @@ Result<ColumnStats> BuildColumnStats(const Column& column, uint32_t unit_rows,
       const uint8_t* v = column.bool_data();
       tracked = TrackValues(
           column, unit_rows, memory,
-          DenseIds(2, [&](size_t i) { return uint64_t{v[i] != 0}; }), &out,
-          &first_row);
+          HashedIds([&](size_t i) { return int64_t{v[i] != 0}; },
+                    [](int64_t k) { return HashInt64(k); }),
+          &out, &first_row);
       break;
     }
   }

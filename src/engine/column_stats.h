@@ -65,8 +65,11 @@ Result<ColumnStats> BuildColumnStats(const Column& column, uint32_t unit_rows,
 /// A catalog's cache of built statistics, one slot per (name, version,
 /// column, unit rows). Thread-safe: concurrent first requests for one slot
 /// build it once while the others wait; requests for other slots do not
-/// wait. A failed build leaves the slot empty for the next request. Copies
-/// and moves start empty (statistics are rebuilt on demand).
+/// wait. A build that fails for any cause but cancellation or a deadline is
+/// remembered: later requests for the slot get its error with no second pass
+/// (until the version changes). A cancelled or timed-out build leaves the
+/// slot empty for the next request. Copies and moves start empty (statistics
+/// are rebuilt on demand).
 class ColumnStatsCache {
  public:
   ColumnStatsCache() = default;
@@ -91,8 +94,17 @@ class ColumnStatsCache {
     std::shared_ptr<Slot> slot = SlotFor(key);
     std::lock_guard<std::mutex> lock(slot->mu);
     if (slot->stats == nullptr) {
-      AQP_ASSIGN_OR_RETURN(ColumnStats built, build());
-      slot->stats = std::make_shared<const ColumnStats>(std::move(built));
+      AQP_RETURN_IF_ERROR(slot->failed);
+      Result<ColumnStats> built = build();
+      if (!built.ok()) {
+        const StatusCode code = built.status().code();
+        if (code != StatusCode::kCancelled &&
+            code != StatusCode::kDeadlineExceeded) {
+          slot->failed = built.status();
+        }
+        return built.status();
+      }
+      slot->stats = std::make_shared<const ColumnStats>(std::move(*built));
     }
     return slot->stats;
   }
@@ -104,6 +116,7 @@ class ColumnStatsCache {
   struct Slot {
     std::mutex mu;
     std::shared_ptr<const ColumnStats> stats;
+    Status failed;  // A remembered failed build; OK when there is none.
   };
   std::shared_ptr<Slot> SlotFor(const Key& key);
 

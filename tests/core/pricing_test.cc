@@ -108,6 +108,47 @@ TEST(ContractPricingTest, SmallGroupInOneBlockKeepsTheWorstCasePilot) {
                    kWorstCase);
 }
 
+TEST(ContractPricingTest, PredicateOnTheKeyKeepsTheWorstCasePilot) {
+  // As above: all 100 rows of group 10 pass `k IN (3, 10)`, though the
+  // predicate keeps about a tenth of the table.
+  Catalog cat = MakeCatalog([](size_t i, Pcg32& rng) -> int64_t {
+    const int64_t g = rng.UniformUint32(10);
+    return i >= 100 * kBlock && i < 100 * kBlock + 100 ? 10 : g;
+  });
+  ContractPrice p = Price(
+      cat, "SELECT k, COUNT(*) AS n FROM fact WHERE k IN (3, 10) GROUP BY k");
+  EXPECT_DOUBLE_EQ(p.pilot_rate, kWorstCase);
+  EXPECT_EQ(p.pilot_basis, "no statistics: predicate on fact.k");
+  EXPECT_FALSE(p.priced);
+  // Likewise a predicate on the near-side join column a far-side key is
+  // sized by.
+  ContractPrice far = Price(
+      cat,
+      "SELECT d.band, COUNT(*) AS n FROM fact AS f JOIN dim AS d "
+      "ON f.k = d.pk WHERE f.k < 5 GROUP BY d.band");
+  EXPECT_DOUBLE_EQ(far.pilot_rate, kWorstCase);
+  EXPECT_EQ(far.pilot_basis, "no statistics: predicate on f.k");
+}
+
+TEST(ContractPricingTest, PredicateOffTheSampledTableIsNotPriced) {
+  // fk 0..9 fill 90% of fact; band = pk % 10, so `d.band = 3` keeps 10% of
+  // dim's rows but under 1% of fact's.
+  Catalog cat = MakeCatalog([](size_t, Pcg32& rng) -> int64_t {
+    return rng.UniformUint32(10) != 0 ? rng.UniformUint32(10)
+                                      : rng.UniformUint32(1000);
+  });
+  const std::string from =
+      " FROM fact AS f JOIN dim AS d ON f.k = d.pk WHERE d.band = 3";
+  ContractPrice count = Price(cat, "SELECT COUNT(*) AS n" + from);
+  EXPECT_EQ(count.pilot_basis, "no statistics: predicate");
+  EXPECT_DOUBLE_EQ(count.pilot_rate, kFloor);
+  EXPECT_FALSE(count.priced);
+  ContractPrice grouped =
+      Price(cat, "SELECT d.band, SUM(f.m) AS s" + from + " GROUP BY d.band");
+  EXPECT_DOUBLE_EQ(grouped.pilot_rate, kWorstCase);
+  EXPECT_FALSE(grouped.priced);
+}
+
 TEST(ContractPricingTest, FarSideKeyIsSizedByTheNearSideJoinColumn) {
   // fk value 7 fills blocks 10..19 and nothing else: 1280 rows in 10 blocks.
   Catalog cat = MakeCatalog([](size_t i, Pcg32& rng) -> int64_t {
@@ -205,6 +246,7 @@ TEST(ContractPricingTest, SelectivePredicatePricesTheUngroupedCount) {
   ContractPrice own = Price(
       cat, "SELECT k, COUNT(*) AS n FROM fact WHERE k IN (1, 2) GROUP BY k");
   EXPECT_FALSE(own.priced);
+  EXPECT_DOUBLE_EQ(own.pilot_rate, kWorstCase);
 }
 
 }  // namespace

@@ -19,7 +19,8 @@ namespace {
 constexpr uint32_t kBlock = 64;
 
 // k: INT64 key over 0..keys-1 with ~10% NULLs; s: STRING key over 7 values;
-// d: DOUBLE over 5 values; id: row number (distinct per row).
+// d: DOUBLE over 5 values; id: row number (distinct per row); b: BOOL in
+// runs of 50 rows.
 std::shared_ptr<const Table> MakeTable(size_t rows, int64_t keys,
                                        uint64_t seed) {
   Pcg32 rng(seed);
@@ -27,6 +28,7 @@ std::shared_ptr<const Table> MakeTable(size_t rows, int64_t keys,
   std::vector<uint8_t> valid(rows, 1);
   std::vector<std::string> s(rows);
   std::vector<double> d(rows);
+  std::vector<bool> b(rows);
   for (size_t i = 0; i < rows; ++i) {
     k[i] = static_cast<int64_t>(rng.UniformUint32(static_cast<uint32_t>(keys)));
     // Runs of one key, so blocks hold uneven shares.
@@ -35,16 +37,19 @@ std::shared_ptr<const Table> MakeTable(size_t rows, int64_t keys,
     s[i] = "s" + std::to_string(rng.UniformUint32(7));
     d[i] = 0.5 * rng.UniformUint32(5) - 1.0;
     id[i] = static_cast<int64_t>(i);
+    b[i] = (i / 50) % 3 == 0;
   }
   return std::make_shared<Table>(
       Table::Make(Schema({{"k", DataType::kInt64},
                           {"s", DataType::kString},
                           {"d", DataType::kDouble},
-                          {"id", DataType::kInt64}}),
+                          {"id", DataType::kInt64},
+                          {"b", DataType::kBool}}),
                   {Column::FromValues(std::move(k), std::move(valid)),
                    Column::FromString(std::move(s)),
                    Column::FromDouble(std::move(d)),
-                   Column::FromInt64(std::move(id))})
+                   Column::FromInt64(std::move(id)),
+                   Column::FromBool(std::move(b))})
           .value());
 }
 
@@ -84,7 +89,7 @@ void ExpectSpread(const ValueSpread& got, const ValueSpread& want,
 
 TEST(ColumnStatsTest, MatchesBruteForceWithNulls) {
   auto table = MakeTable(10000, 40, 7);
-  for (size_t col = 0; col < 3; ++col) {
+  for (size_t col : {0, 1, 2, 4}) {
     const Column& c = table->column(col);
     ColumnStats stats = BuildColumnStats(c, kBlock, nullptr).value();
     ValueSpread nulls;
@@ -183,6 +188,50 @@ TEST(ColumnStatsTest, CatalogCachesUntilTheVersionChanges) {
             StatusCode::kNotFound);
 }
 
+// A build that does not fit the query's budget is not paid for again by the
+// next request; a cancelled one is.
+TEST(ColumnStatsTest, FailedBuildIsRememberedUntilTheVersionChanges) {
+  auto table = MakeTable(9000, 30, 9);
+  const std::string path = ::testing::TempDir() + "aqp_column_stats_fail.aqpx";
+  extent::ExtentWriter::Options o;
+  o.extent_rows = 2048;
+  ASSERT_TRUE(extent::WriteTableToExtents(path, *table, o).ok());
+  Catalog cat;
+  cat.RegisterExtentBacked("ext", extent::ExtentReader::Open(path).value());
+  auto request = [&](MemoryTracker* memory, const CancellationToken* cancel,
+                     size_t* builds) {
+    ExecOptions exec;
+    exec.memory = memory;
+    exec.cancel = cancel;
+    obs::QueryTrace trace;
+    auto stats = cat.ColumnStatistics("ext", "k", kBlock, exec, &trace);
+    *builds = trace.root().children.size();
+    return stats.status().code();
+  };
+  size_t builds = 0;
+  MemoryTracker tiny(/*budget_bytes=*/1024);
+  EXPECT_EQ(request(&tiny, nullptr, &builds), StatusCode::kResourceExhausted);
+  EXPECT_EQ(builds, 1u);
+  MemoryTracker tiny_again(/*budget_bytes=*/1024);
+  EXPECT_EQ(request(&tiny_again, nullptr, &builds),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(builds, 0u) << "no second scan";
+  EXPECT_EQ(tiny_again.peak(), 0u);
+  EXPECT_EQ(request(nullptr, nullptr, &builds), StatusCode::kResourceExhausted);
+  EXPECT_EQ(builds, 0u);
+
+  // A new version builds afresh; a cancelled build is not remembered.
+  cat.RegisterExtentBacked("ext", extent::ExtentReader::Open(path).value());
+  CancellationSource source;
+  source.RequestCancel(StopCause::kUserCancel, "test");
+  const CancellationToken token = source.token();
+  EXPECT_EQ(request(nullptr, &token, &builds), StatusCode::kCancelled);
+  EXPECT_EQ(builds, 1u);
+  EXPECT_EQ(request(nullptr, nullptr, &builds), StatusCode::kOk);
+  EXPECT_EQ(builds, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(ColumnStatsTest, ExtentBackedTwinGivesTheSameStatistics) {
   auto table = MakeTable(9000, 30, 9);
   const std::string path = ::testing::TempDir() + "aqp_column_stats.aqpx";
@@ -193,7 +242,7 @@ TEST(ColumnStatsTest, ExtentBackedTwinGivesTheSameStatistics) {
   Catalog cat;
   ASSERT_TRUE(cat.Register("mem", table).ok());
   cat.RegisterExtentBacked("ext", extent::ExtentReader::Open(path).value());
-  for (const char* column : {"k", "s", "d", "id"}) {
+  for (const char* column : {"k", "s", "d", "id", "b"}) {
     MemoryTracker tracker;
     ExecOptions exec;
     exec.memory = &tracker;
