@@ -125,7 +125,9 @@ void BM_EvalPredicate(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalPredicate);
 
-void BM_HashGroupBy(benchmark::State& state) {
+// 2^19 rows: a Zipf(0.8) INT64 key "g" over 1000 values and an exponential
+// double "x".
+Table GroupByTable() {
   workload::ColumnSpec group;
   group.name = "g";
   group.dist = workload::ColumnSpec::Dist::kZipfInt;
@@ -134,7 +136,11 @@ void BM_HashGroupBy(benchmark::State& state) {
   workload::ColumnSpec measure;
   measure.name = "x";
   measure.dist = workload::ColumnSpec::Dist::kExponential;
-  Table t = workload::GenerateTable({group, measure}, 1 << 19, 5).value();
+  return workload::GenerateTable({group, measure}, 1 << 19, 5).value();
+}
+
+void BM_HashGroupBy(benchmark::State& state) {
+  Table t = GroupByTable();
   for (auto _ : state) {
     benchmark::DoNotOptimize(GroupByAggregate(
         t, {Col("g")}, {"g"}, {{AggKind::kSum, Col("x"), "s"}}));
@@ -142,6 +148,24 @@ void BM_HashGroupBy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
 BENCHMARK(BM_HashGroupBy);
+
+// SUM + COUNT(*) + MIN without group keys over the same table. Arg 0 runs
+// serially as one morsel; arg n > 0 runs default-sized morsels on n threads.
+void BM_GlobalAggregate(benchmark::State& state) {
+  Table t = GroupByTable();
+  ExecOptions exec;
+  exec.num_threads = static_cast<size_t>(state.range(0));
+  AggregateOptions options;
+  if (state.range(0) > 0) options.exec = &exec;
+  const std::vector<AggSpec> aggs = {{AggKind::kSum, Col("x"), "s"},
+                                     {AggKind::kCountStar, nullptr, "n"},
+                                     {AggKind::kMin, Col("x"), "mn"}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GroupByAggregate(t, {}, {}, aggs, options));
+  }
+  state.SetItemsProcessed(state.iterations() * t.num_rows());
+}
+BENCHMARK(BM_GlobalAggregate)->Arg(0)->Arg(4);
 
 void BM_HashJoin(benchmark::State& state) {
   Catalog cat;

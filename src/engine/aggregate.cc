@@ -6,16 +6,17 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <type_traits>
 #include <unordered_set>
 #include <utility>
 
 #include "common/cancellation.h"
-#include "common/check.h"
 #include "common/hash.h"
 #include "common/hash_id_table.h"
 #include "common/memory_tracker.h"
 #include "expr/eval.h"
+#include "storage/value.h"
 
 namespace aqp {
 
@@ -74,41 +75,14 @@ namespace {
 
 // NaN results carry whatever payload/sign the hardware propagated, and the
 // propagation order through commutative ops (MULSD/ADDSD pick the first
-// operand's NaN) is a compiler choice that can differ between the row loop
-// and the span loop even when the source-level op order is identical. A
-// fresh invalid-op QNaN on x86 is negative (0xFFF8...), a propagated input
-// NaN usually is not. Canonicalizing at finalization keeps aggregate output
-// bit-identical between the span and row loops without constraining codegen.
+// operand's NaN) is a compiler choice that can differ between two loops even
+// when the source-level op order is identical. A fresh invalid-op QNaN on
+// x86 is negative (0xFFF8...), a propagated input NaN usually is not.
+// Canonicalizing at finalization keeps aggregate output bit-identical
+// between the grouped and one-group loops (and the row oracle) without
+// constraining codegen.
 double CanonicalNaN(double v) {
   return std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v;
-}
-
-}  // namespace
-
-namespace {
-
-// Compares boxed values of the same (or numeric-compatible) type. Two INT64
-// values compare as integers: as doubles, distinct values beyond ±2^53
-// would round to equals.
-int CompareValues(const Value& a, const Value& b) {
-  if (a.type() == DataType::kInt64 && b.type() == DataType::kInt64) {
-    return a.int64() < b.int64() ? -1 : (a.int64() > b.int64() ? 1 : 0);
-  }
-  if (IsNumeric(a.type()) && IsNumeric(b.type())) {
-    double x = a.AsDouble();
-    double y = b.AsDouble();
-    return x < y ? -1 : (x > y ? 1 : 0);
-  }
-  AQP_CHECK(a.type() == b.type());
-  switch (a.type()) {
-    case DataType::kString:
-      return a.str().compare(b.str()) < 0 ? -1 : (a.str() == b.str() ? 0 : 1);
-    case DataType::kBool:
-      return (a.boolean() ? 1 : 0) - (b.boolean() ? 1 : 0);
-    default:
-      AQP_CHECK(false);
-      return 0;
-  }
 }
 
 // Calls fn(i) for each row in [begin, end) whose validity byte is set (every
@@ -134,283 +108,12 @@ void WithNumericData(const Column& c, Fn&& fn) {
   }
 }
 
-}  // namespace
-
-void AccumulateRow(AggAccumulator& st, AggKind kind, const Column* arg,
-                   size_t i) {
-  if (kind == AggKind::kCountStar) {
-    st.weight_total += 1.0;
-    ++st.count;
-    return;
-  }
-  if (arg->IsNull(i)) return;
-  switch (kind) {
-    case AggKind::kCount:
-      st.weight_total += 1.0;
-      ++st.count;
-      break;
-    case AggKind::kSum:
-    case AggKind::kAvg: {
-      double x = arg->NumericAt(i);
-      st.weighted_sum += x;
-      st.weight_total += 1.0;
-      ++st.count;
-      break;
-    }
-    case AggKind::kVar:
-    case AggKind::kStddev: {
-      double x = arg->NumericAt(i);
-      ++st.count;
-      double delta = x - st.mean;
-      st.mean += delta / static_cast<double>(st.count);
-      st.m2 += delta * (x - st.mean);
-      break;
-    }
-    case AggKind::kMin:
-    case AggKind::kMax: {
-      Value v = arg->GetValue(i);
-      AggAccumulator::NonLinear& nl = st.MutableNonLinear();
-      if (!nl.has_value) {
-        nl.min_v = v;
-        nl.max_v = v;
-        nl.has_value = true;
-      } else {
-        if (CompareValues(v, nl.min_v) < 0) nl.min_v = v;
-        if (CompareValues(v, nl.max_v) > 0) nl.max_v = std::move(v);
-      }
-      break;
-    }
-    case AggKind::kCountDistinct:
-      st.MutableNonLinear().distinct.insert(arg->HashAt(i, /*seed=*/17));
-      break;
-    case AggKind::kCountStar:
-      break;  // Handled above.
-  }
-}
-
-namespace {
-
-// Batch twin of AccumulateRow: folds rows [begin, end) of `arg` into `st`
-// with type-specialized tight loops over the column's contiguous storage —
-// no per-row Value boxing, no type re-dispatch. Every floating-point
-// operation runs in the same order with the same operands as the row loop,
-// so the resulting accumulator state is bit-identical to row-at-a-time
-// accumulation (the row oracle the differential suites compare against
-// relies on it). Non-numeric MIN/MAX and COUNT DISTINCT keep the row loop:
-// their cost is in string compares and hashing, not dispatch.
-void AccumulateSpan(AggAccumulator& st, AggKind kind, const Column* arg,
-                    size_t begin, size_t end) {
-  if (kind == AggKind::kCountStar) {
-    // Integer-valued adds below 2^53 are exact, so one bulk add equals
-    // (end - begin) repeated += 1.0 bit for bit.
-    st.weight_total += static_cast<double>(end - begin);
-    st.count += end - begin;
-    return;
-  }
-  const uint8_t* valid = arg->has_nulls() ? arg->validity() : nullptr;
-  if (kind == AggKind::kCount) {
-    size_t c = end - begin;
-    if (valid != nullptr) {
-      c = 0;
-      for (size_t i = begin; i < end; ++i) c += valid[i];
-    }
-    st.weight_total += static_cast<double>(c);
-    st.count += c;
-    return;
-  }
-  const bool numeric = IsNumeric(arg->type());
-  if (!numeric || kind == AggKind::kCountDistinct) {
-    for (size_t i = begin; i < end; ++i) AccumulateRow(st, kind, arg, i);
-    return;
-  }
-  WithNumericData(*arg, [&](const auto* x) {
-    switch (kind) {
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        ForEachValid(valid, begin, end, [&](size_t i) {
-          st.weighted_sum += static_cast<double>(x[i]);
-          st.weight_total += 1.0;
-          ++st.count;
-        });
-        break;
-      case AggKind::kVar:
-      case AggKind::kStddev:
-        ForEachValid(valid, begin, end, [&](size_t i) {
-          const double v = static_cast<double>(x[i]);
-          ++st.count;
-          double delta = v - st.mean;
-          st.mean += delta / static_cast<double>(st.count);
-          st.m2 += delta * (v - st.mean);
-        });
-        break;
-      case AggKind::kMin:
-      case AggKind::kMax: {
-        // Track winning row indices; box a Value only once at the end. The
-        // strict </> in the column's own type keeps the FIRST row on ties
-        // and ignores unordered (NaN) candidates — CompareValues' behavior.
-        size_t best_min = SIZE_MAX;
-        size_t best_max = SIZE_MAX;
-        ForEachValid(valid, begin, end, [&](size_t i) {
-          if (best_min == SIZE_MAX) {
-            best_min = i;
-            best_max = i;
-            return;
-          }
-          if (x[i] < x[best_min]) best_min = i;
-          if (x[i] > x[best_max]) best_max = i;
-        });
-        if (best_min == SIZE_MAX) break;
-        Value vmin = arg->GetValue(best_min);
-        Value vmax = arg->GetValue(best_max);
-        AggAccumulator::NonLinear& nl = st.MutableNonLinear();
-        if (!nl.has_value) {
-          nl.min_v = std::move(vmin);
-          nl.max_v = std::move(vmax);
-          nl.has_value = true;
-        } else {
-          if (CompareValues(vmin, nl.min_v) < 0) nl.min_v = std::move(vmin);
-          if (CompareValues(vmax, nl.max_v) > 0) nl.max_v = std::move(vmax);
-        }
-        break;
-      }
-      default:
-        break;  // Handled above.
-    }
-  });
-}
-
-// The final value of one aggregate from its accumulator. The grouped path's
-// AppendFlat restates these rules for its flat arrays; a change here belongs
-// there too.
-Status AppendFinal(AggKind kind, const AggAccumulator& st, Column& col) {
-  switch (kind) {
-    case AggKind::kCountStar:
-    case AggKind::kCount:
-      col.AppendInt64(static_cast<int64_t>(std::llround(st.weight_total)));
-      break;
-    case AggKind::kSum:
-      if (st.count == 0) {
-        col.AppendNull();
-      } else {
-        col.AppendDouble(CanonicalNaN(st.weighted_sum));
-      }
-      break;
-    case AggKind::kAvg:
-      if (st.weight_total == 0.0) {
-        col.AppendNull();
-      } else {
-        col.AppendDouble(CanonicalNaN(st.weighted_sum / st.weight_total));
-      }
-      break;
-    case AggKind::kVar:
-      if (st.count < 2) {
-        col.AppendNull();
-      } else {
-        col.AppendDouble(
-            CanonicalNaN(st.m2 / static_cast<double>(st.count - 1)));
-      }
-      break;
-    case AggKind::kStddev:
-      if (st.count < 2) {
-        col.AppendNull();
-      } else {
-        col.AppendDouble(CanonicalNaN(
-            std::sqrt(st.m2 / static_cast<double>(st.count - 1))));
-      }
-      break;
-    case AggKind::kMin:
-      if (!st.has_value()) {
-        col.AppendNull();
-      } else {
-        return col.AppendValue(st.nonlinear->min_v);
-      }
-      break;
-    case AggKind::kMax:
-      if (!st.has_value()) {
-        col.AppendNull();
-      } else {
-        return col.AppendValue(st.nonlinear->max_v);
-      }
-      break;
-    case AggKind::kCountDistinct:
-      col.AppendInt64(static_cast<int64_t>(
-          st.nonlinear != nullptr ? st.nonlinear->distinct.size() : 0));
-      break;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-// The grouped path's Fold restates these rules over its flat arrays; a
-// change here belongs there too.
-void AggAccumulator::Merge(const AggAccumulator& other) {
-  weighted_sum += other.weighted_sum;
-  weight_total += other.weight_total;
-  if (other.count > 0) {
-    if (count == 0) {
-      mean = other.mean;
-      m2 = other.m2;
-    } else {
-      // Chan et al. (1979) pairwise combine of Welford states.
-      double na = static_cast<double>(count);
-      double nb = static_cast<double>(other.count);
-      double delta = other.mean - mean;
-      double nn = na + nb;
-      mean += delta * (nb / nn);
-      m2 += other.m2 + delta * delta * (na * nb / nn);
-    }
-  }
-  count += other.count;
-  if (other.nonlinear == nullptr) return;
-  const NonLinear& theirs = *other.nonlinear;
-  NonLinear& mine = MutableNonLinear();
-  if (theirs.has_value) {
-    if (!mine.has_value) {
-      mine.min_v = theirs.min_v;
-      mine.max_v = theirs.max_v;
-      mine.has_value = true;
-    } else {
-      if (CompareValues(theirs.min_v, mine.min_v) < 0) {
-        mine.min_v = theirs.min_v;
-      }
-      if (CompareValues(theirs.max_v, mine.max_v) > 0) {
-        mine.max_v = theirs.max_v;
-      }
-    }
-  }
-  mine.distinct.insert(theirs.distinct.begin(), theirs.distinct.end());
-}
-
-Result<Table> FinalizeAggregates(
-    std::vector<Column> key_columns,
-    const std::vector<std::string>& group_names,
-    const std::vector<AggSpec>& aggs, const std::vector<DataType>& out_types,
-    const std::vector<std::vector<AggAccumulator>>& states, size_t num_groups) {
-  Schema out_schema;
-  std::vector<Column> out_columns;
-  for (size_t c = 0; c < key_columns.size(); ++c) {
-    out_schema.AddField({group_names[c], key_columns[c].type()});
-    out_columns.push_back(std::move(key_columns[c]));
-  }
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    out_schema.AddField({aggs[a].alias, out_types[a]});
-    Column col(out_types[a]);
-    col.Reserve(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      AQP_RETURN_IF_ERROR(AppendFinal(aggs[a].kind, states[a][g], col));
-    }
-    out_columns.push_back(std::move(col));
-  }
-  return Table::Make(std::move(out_schema), std::move(out_columns));
-}
-
-namespace {
-
 // ---------------------------------------------------------------------------
-// Grouped aggregation. One skeleton serves every input size:
+// Aggregation. One skeleton serves every input size and every number of
+// group keys; an aggregate without keys is its one-group case:
 //   1. Each morsel turns its keys into a vector of morsel-local group ids
 //      (first-appearance order within the morsel) with a typed key kernel.
+//      Without keys every row is group 0 and no id vector is written.
 //   2. Each aggregate accumulates column at a time over that vector into
 //      flat per-group arrays: the morsel's partials.
 //   3. Partials merge in parallel over a fixed number of group partitions.
@@ -420,7 +123,9 @@ namespace {
 //   4. Groups come out in first-appearance order (a group's position is
 //      the rank of its first row), finalized straight from the flat arrays.
 // A single-morsel input (everything below parallel_min_rows) stops after
-// step 2: its local groups already are the output groups.
+// step 2: its local groups already are the output groups. So does the one
+// group of an aggregate without keys, which folds its partials in morsel
+// order without partitioning them.
 // ---------------------------------------------------------------------------
 
 // Merge partitions, chosen by the top bits of a group's key hash. Fixed,
@@ -435,7 +140,7 @@ enum class AggKernel {
   kCount,   // COUNT(*), COUNT: a row count.
   kSum,     // SUM, AVG over a numeric argument: sum and count.
   kMinMax,  // MIN, MAX over INT64 or DOUBLE: best value and count.
-  kRow,     // VAR/STDDEV, COUNT DISTINCT, other MIN/MAX: AccumulateRow.
+  kRow,     // VAR/STDDEV, COUNT DISTINCT, other MIN/MAX: a RowState.
 };
 
 // One aggregate, resolved against its input.
@@ -462,6 +167,81 @@ AggKernel KernelFor(AggKind kind, const Column* arg) {
   }
 }
 
+// One group's state of an aggregate the flat arrays do not serve
+// (AggKernel::kRow). VAR/STDDEV keep Welford moments, folded in by typed
+// loops. MIN/MAX over a STRING or BOOL argument keep the best value and
+// COUNT DISTINCT the hashes of the values seen, both boxed and folded in one
+// row at a time, so a VAR group stays three words.
+struct RowState {
+  uint64_t count = 0;  // Non-NULL values seen.
+  double mean = 0.0;   // Welford, for VAR/STDDEV.
+  double m2 = 0.0;
+  struct Boxed {
+    Value best;                             // MIN/MAX.
+    std::unordered_set<uint64_t> distinct;  // COUNT DISTINCT.
+  };
+  std::unique_ptr<Boxed> boxed;  // Allocated by the group's first value.
+
+  Boxed& MutableBoxed() {
+    if (boxed == nullptr) boxed = std::make_unique<Boxed>();
+    return *boxed;
+  }
+};
+
+// Folds `x` into Welford moments.
+void AddMoment(uint64_t& count, double& mean, double& m2, double x) {
+  ++count;
+  const double delta = x - mean;
+  mean += delta / static_cast<double>(count);
+  m2 += delta * (x - mean);
+}
+
+// True when `x` beats `best` for MIN/MAX `kind`: strictly, so ties keep the
+// first row.
+bool BetterValue(AggKind kind, const Value& x, const Value& best) {
+  const int c = TryCompareValues(x, best).value_or(0);
+  return kind == AggKind::kMax ? c > 0 : c < 0;
+}
+
+// Folds row i of `arg` into `st` for COUNT DISTINCT or MIN/MAX `kind`.
+void AccumulateBoxed(RowState& st, AggKind kind, const Column& arg, size_t i) {
+  if (arg.IsNull(i)) return;
+  ++st.count;
+  if (kind == AggKind::kCountDistinct) {
+    st.MutableBoxed().distinct.insert(arg.HashAt(i, /*seed=*/17));
+    return;
+  }
+  Value v = arg.GetValue(i);
+  RowState::Boxed& b = st.MutableBoxed();
+  if (st.count == 1 || BetterValue(kind, v, b.best)) b.best = std::move(v);
+}
+
+// Folds `from` into `into`: the Welford states combine with the Chan et al.
+// (1979) pairwise formula, MIN/MAX compare, the distinct sets union.
+void MergeRow(AggKind kind, RowState& into, const RowState& from) {
+  if (from.count == 0) return;
+  if (kind == AggKind::kVar || kind == AggKind::kStddev) {
+    if (into.count == 0) {
+      into.mean = from.mean;
+      into.m2 = from.m2;
+    } else {
+      const double na = static_cast<double>(into.count);
+      const double nb = static_cast<double>(from.count);
+      const double delta = from.mean - into.mean;
+      const double nn = na + nb;
+      into.mean += delta * (nb / nn);
+      into.m2 += from.m2 + delta * delta * (na * nb / nn);
+    }
+  } else if (kind == AggKind::kCountDistinct) {
+    into.MutableBoxed().distinct.insert(from.boxed->distinct.begin(),
+                                        from.boxed->distinct.end());
+  } else if (into.count == 0 ||
+             BetterValue(kind, from.boxed->best, into.boxed->best)) {
+    into.MutableBoxed().best = from.boxed->best;
+  }
+  into.count += from.count;
+}
+
 // Per-group state of one aggregate in flat arrays indexed by group id; the
 // aggregate's kernel decides which arrays are live.
 struct FlatStates {
@@ -469,12 +249,12 @@ struct FlatStates {
   std::vector<double> sum;          // kSum.
   std::vector<int64_t> int_best;    // kMinMax over INT64.
   std::vector<double> double_best;  // kMinMax over DOUBLE.
-  std::vector<AggAccumulator> acc;  // kRow.
+  std::vector<RowState> rows;       // kRow.
 
   // Grows to `groups` groups; new groups start empty.
   void Resize(const AggPlan& p, size_t groups) {
     if (p.kernel == AggKernel::kRow) {
-      acc.resize(groups);
+      rows.resize(groups);
       return;
     }
     count.resize(groups);
@@ -492,11 +272,11 @@ struct FlatStates {
     uint64_t bytes = (count.capacity() + sum.capacity() +
                       int_best.capacity() + double_best.capacity()) *
                          8 +
-                     acc.capacity() * sizeof(AggAccumulator);
-    for (const AggAccumulator& a : acc) {
-      if (a.nonlinear == nullptr) continue;
-      bytes += sizeof(AggAccumulator::NonLinear) +
-               2 * sizeof(uint64_t) * a.nonlinear->distinct.size();
+                     rows.capacity() * sizeof(RowState);
+    for (const RowState& r : rows) {
+      if (r.boxed == nullptr) continue;
+      bytes += sizeof(RowState::Boxed) +
+               2 * sizeof(uint64_t) * r.boxed->distinct.size();
     }
     return bytes;
   }
@@ -512,16 +292,28 @@ void MinMaxLoop(const T* x, const uint8_t* valid, const uint32_t* gids,
                 size_t begin, size_t end, uint64_t* count, T* best) {
   // The first non-NULL value seeds a group; a later one replaces it only
   // when strictly better, so ties keep the first row and NaN candidates
-  // never win — AccumulateRow's rule.
+  // never win.
+  if (gids == nullptr) {
+    uint64_t c = *count;
+    T b = *best;
+    ForEachValid(valid, begin, end, [&](size_t i) {
+      if (c++ == 0 || Better<kMax>(x[i], b)) b = x[i];
+    });
+    *count = c;
+    *best = b;
+    return;
+  }
   ForEachValid(valid, begin, end, [&](size_t i) {
     const uint32_t g = gids[i - begin];
     if (count[g]++ == 0 || Better<kMax>(x[i], best[g])) best[g] = x[i];
   });
 }
 
-// Folds rows [begin, end), whose morsel-local group ids are gids[0, ...),
-// into `st`. Each group sees its rows' adds in row order, as in
-// AccumulateRow, so the partials are bit-identical to the row loop's.
+// Folds rows [begin, end) into `st`. Row i is in group gids[i - begin], or
+// in group 0 when `gids` is null: the one-group loops keep that group's
+// state in locals and store it once. Either way each group sees its rows'
+// adds in row order, as a row-at-a-time loop does, so the partials are
+// bit-identical to its.
 void Accumulate(const AggPlan& p, const uint32_t* gids, size_t begin,
                 size_t end, FlatStates& st) {
   const Column* arg = p.arg;
@@ -530,12 +322,30 @@ void Accumulate(const AggPlan& p, const uint32_t* gids, size_t begin,
   uint64_t* count = st.count.data();
   switch (p.kernel) {
     case AggKernel::kCount:
+      if (gids == nullptr) {
+        count[0] += end - begin;
+        if (valid != nullptr) {
+          count[0] -= std::count(valid + begin, valid + end, uint8_t{0});
+        }
+        return;
+      }
       ForEachValid(valid, begin, end,
                    [&](size_t i) { ++count[gids[i - begin]]; });
       return;
     case AggKernel::kSum: {
       double* sum = st.sum.data();
       WithNumericData(*arg, [&](const auto* x) {
+        if (gids == nullptr) {
+          double s = sum[0];
+          uint64_t c = count[0];
+          ForEachValid(valid, begin, end, [&](size_t i) {
+            s += static_cast<double>(x[i]);
+            ++c;
+          });
+          sum[0] = s;
+          count[0] = c;
+          return;
+        }
         ForEachValid(valid, begin, end, [&](size_t i) {
           const uint32_t g = gids[i - begin];
           sum[g] += static_cast<double>(x[i]);
@@ -562,8 +372,31 @@ void Accumulate(const AggPlan& p, const uint32_t* gids, size_t begin,
       }
       return;
     case AggKernel::kRow:
+      if (p.kind == AggKind::kVar || p.kind == AggKind::kStddev) {
+        WithNumericData(*arg, [&](const auto* x) {
+          if (gids == nullptr) {
+            RowState& r = st.rows[0];
+            uint64_t c = r.count;
+            double mean = r.mean;
+            double m2 = r.m2;
+            ForEachValid(valid, begin, end, [&](size_t i) {
+              AddMoment(c, mean, m2, static_cast<double>(x[i]));
+            });
+            r.count = c;
+            r.mean = mean;
+            r.m2 = m2;
+            return;
+          }
+          ForEachValid(valid, begin, end, [&](size_t i) {
+            RowState& r = st.rows[gids[i - begin]];
+            AddMoment(r.count, r.mean, r.m2, static_cast<double>(x[i]));
+          });
+        });
+        return;
+      }
       for (size_t i = begin; i < end; ++i) {
-        AccumulateRow(st.acc[gids[i - begin]], p.kind, arg, i);
+        AccumulateBoxed(st.rows[gids != nullptr ? gids[i - begin] : 0],
+                        p.kind, *arg, i);
       }
       return;
   }
@@ -578,8 +411,7 @@ void FoldBest(bool is_max, std::vector<T>& into, uint32_t g,
   }
 }
 
-// Folds partial `l` of `from` into group `g` of `into`: AggAccumulator::
-// Merge, restricted to the arrays the kernel keeps.
+// Folds partial `l` of `from` into group `g` of `into`.
 void Fold(const AggPlan& p, FlatStates& into, uint32_t g,
           const FlatStates& from, uint32_t l) {
   switch (p.kernel) {
@@ -603,14 +435,13 @@ void Fold(const AggPlan& p, FlatStates& into, uint32_t g,
       return;
     }
     case AggKernel::kRow:
-      into.acc[g].Merge(from.acc[l]);
+      MergeRow(p.kind, into.rows[g], from.rows[l]);
       return;
   }
 }
 
-// The final value of aggregate `p` for group `g`. For the flat kernels this
-// restates AppendFinal's rules over the flat arrays, without boxing a group
-// into an AggAccumulator; a change to one belongs in the other.
+// The final value of aggregate `p` for group `g`: NULL for a group without
+// values, except that COUNTs are 0.
 Status AppendFlat(const AggPlan& p, const FlatStates& st, uint32_t g,
                   Column& col) {
   switch (p.kernel) {
@@ -636,8 +467,26 @@ Status AppendFlat(const AggPlan& p, const FlatStates& st, uint32_t g,
         col.AppendDouble(st.double_best[g]);
       }
       break;
-    case AggKernel::kRow:
-      return AppendFinal(p.kind, st.acc[g], col);
+    case AggKernel::kRow: {
+      const RowState& r = st.rows[g];
+      if (p.kind == AggKind::kCountDistinct) {
+        col.AppendInt64(static_cast<int64_t>(
+            r.count == 0 ? 0 : r.boxed->distinct.size()));
+      } else if (p.kind == AggKind::kMin || p.kind == AggKind::kMax) {
+        if (r.count == 0) {
+          col.AppendNull();
+        } else {
+          return col.AppendValue(r.boxed->best);
+        }
+      } else if (r.count < 2) {
+        col.AppendNull();
+      } else {
+        const double var = r.m2 / static_cast<double>(r.count - 1);
+        col.AppendDouble(
+            CanonicalNaN(p.kind == AggKind::kVar ? var : std::sqrt(var)));
+      }
+      break;
+    }
   }
   return Status::OK();
 }
@@ -648,7 +497,8 @@ Status AppendFlat(const AggPlan& p, const FlatStates& st, uint32_t g,
 // and the first row it was seen at. Its Table is a group table: one per
 // worker for the morsel pass, one per partition for the merge. It has
 //   Group(begin, end, table, gids, keys): the ids of rows [begin, end) into
-//       gids, each new group's Key appended to `keys`;
+//       gids (NoKeys writes none: every row is group 0), each new group's
+//       Key appended to `keys`;
 //   Insert(table, hash, key, &inserted): the id of `key`;
 //   Hash(key): the key's hash, which picks its merge partition (and is the
 //       probe hash of the hashed kernels).
@@ -833,12 +683,45 @@ class DirectKeys {
   uint32_t null_slot_;
 };
 
-// Calls fn with the key kernel for `cols`: DirectKeys when one INT64 column
-// spans fewer than `direct_slots` values, Int64Keys for another single INT64
-// column, ColumnKeys otherwise.
+// No key columns: every row is group 0. Group writes no ids, and a morsel
+// has its one group even when it is empty, so an aggregate without keys
+// yields one row over no rows too.
+class NoKeys {
+ public:
+  struct Key {
+    uint32_t first_row;
+  };
+  struct Table {
+    bool has_group = false;
+    void Clear() { has_group = false; }
+    uint64_t ApproxBytes() const { return 0; }
+  };
+
+  static uint64_t Hash(const Key& /*key*/) { return 0; }
+
+  void Group(size_t begin, size_t /*end*/, Table& t, uint32_t* /*gids*/,
+             std::vector<Key>& keys) const {
+    const Key k{static_cast<uint32_t>(begin)};
+    bool inserted = false;
+    Insert(t, Hash(k), k, &inserted);
+    if (inserted) keys.push_back(k);
+  }
+
+  uint32_t Insert(Table& t, uint64_t /*hash*/, const Key& /*key*/,
+                  bool* inserted) const {
+    *inserted = !t.has_group;
+    t.has_group = true;
+    return 0;
+  }
+};
+
+// Calls fn with the key kernel for `cols`: NoKeys for none, DirectKeys when
+// one INT64 column spans fewer than `direct_slots` values, Int64Keys for
+// another single INT64 column, ColumnKeys otherwise.
 template <typename Fn>
 auto WithKeyKernel(const std::vector<const Column*>& cols, size_t direct_slots,
                    Fn&& fn) {
+  if (cols.empty()) return fn(NoKeys());
   if (cols.size() == 1 && cols[0]->type() == DataType::kInt64) {
     // NULL slots are scanned too: their stored values can only widen the
     // range, and a NULL key never indexes by its value.
@@ -965,8 +848,12 @@ Result<Table> AggregateGroups(const Keys& keys,
   const ExecOptions* exec = options.exec;
   const bool use_morsels = exec != nullptr && exec->UseMorsels(n);
   const size_t morsel_rows = use_morsels ? exec->morsel_rows : n;
+  constexpr bool one_group = std::is_same_v<Keys, NoKeys>;
+  // An empty input is no morsel, or the one empty morsel of the one group.
   const size_t num_morsels =
-      n == 0 ? 0 : (n + morsel_rows - 1) / morsel_rows;
+      n == 0 ? size_t{one_group} : (n + morsel_rows - 1) / morsel_rows;
+  // Steps 3-4 run only for several morsels holding more than one group.
+  const bool partitioned = num_morsels > 1 && !one_group;
   const size_t num_threads = use_morsels ? exec->ResolvedThreads() : 1;
   MemoryTracker* memory = exec != nullptr ? exec->memory : nullptr;
   const ThreadPool::ParallelForOptions pf{exec != nullptr ? exec->cancel
@@ -985,20 +872,22 @@ Result<Table> AggregateGroups(const Keys& keys,
                                size_t end) {
     Scratch& s = scratch[worker];
     s.table.Clear();
-    s.gids.resize(end - begin);
-    MorselState<Keys>& st = morsels[m];
-    keys.Group(begin, end, s.table, s.gids.data(), st.keys);
-    if (num_morsels > 1) {
-      st.OrderByPartition(s.gids.data(), end - begin, s.id_of);
+    uint32_t* gids = nullptr;  // Without keys, every row is group 0.
+    if (!one_group) {
+      s.gids.resize(end - begin);
+      gids = s.gids.data();
     }
+    MorselState<Keys>& st = morsels[m];
+    keys.Group(begin, end, s.table, gids, st.keys);
+    if (partitioned) st.OrderByPartition(gids, end - begin, s.id_of);
     st.aggs.resize(plans.size());
     for (size_t a = 0; a < plans.size(); ++a) {
       st.aggs[a].Resize(plans[a], st.keys.size());
-      Accumulate(plans[a], s.gids.data(), begin, end, st.aggs[a]);
+      Accumulate(plans[a], gids, begin, end, st.aggs[a]);
     }
   };
-  if (!use_morsels) {
-    if (n > 0) accumulate_morsel(0, 0, 0, n);
+  if (!use_morsels || n == 0) {
+    if (num_morsels == 1) accumulate_morsel(0, 0, 0, n);
   } else {
     ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
         n, morsel_rows, num_threads, pf, accumulate_morsel);
@@ -1012,12 +901,25 @@ Result<Table> AggregateGroups(const Keys& keys,
       ScopedMemoryCharge morsel_charge,
       ScopedMemoryCharge::Make(memory, morsel_bytes, "aggregate state"));
 
-  if (num_morsels <= 1) {
+  if (!partitioned) {
     std::vector<uint32_t> first_rows;
     std::vector<StateBlock> blocks;
+    std::vector<FlatStates> folded;
     if (num_morsels == 1) {
       for (const auto& k : morsels[0].keys) first_rows.push_back(k.first_row);
       blocks.push_back({&morsels[0].aggs, first_rows.size()});
+    } else if (num_morsels > 1) {
+      // The one group folds its partials in morsel order, from empty, as
+      // step 3 folds a group's.
+      folded.resize(plans.size());
+      for (size_t a = 0; a < plans.size(); ++a) {
+        folded[a].Resize(plans[a], 1);
+        for (const MorselState<Keys>& st : morsels) {
+          Fold(plans[a], folded[a], 0, st.aggs[a], 0);
+        }
+      }
+      first_rows.push_back(0);
+      blocks.push_back({&folded, 1});
     }
     return FinalizeGroups(key_cols, first_rows, group_names, aggs, plans,
                           blocks, nullptr);
@@ -1103,12 +1005,7 @@ Result<GroupIndex> BuildGroupIndex(const Table& input,
                                    const std::vector<ExprPtr>& group_exprs) {
   GroupIndex index;
   const size_t n = input.num_rows();
-  index.group_ids.resize(n);
-  if (group_exprs.empty()) {
-    // Single global group, present even for empty input.
-    index.num_groups = 1;
-    return index;
-  }
+  index.group_ids.resize(n);  // All 0: NoKeys writes no ids.
   AQP_ASSIGN_OR_RETURN(GroupKeyColumns keys, EvalGroupKeys(input, group_exprs));
   // The aggregation's key kernel, run serially as one morsel.
   std::vector<uint32_t> first_rows;
@@ -1157,53 +1054,14 @@ Result<Table> GroupByAggregate(const Table& input,
     args.push_back(std::move(c));
   }
 
-  if (!group_exprs.empty()) {
-    AQP_ASSIGN_OR_RETURN(GroupKeyColumns keys,
-                         EvalGroupKeys(input, group_exprs));
-    const size_t direct_slots = options.exec != nullptr
-                                    ? options.exec->morsel_rows
-                                    : ExecOptions{}.morsel_rows;
-    return WithKeyKernel(keys.cols, direct_slots, [&](const auto& kernel) {
-      return AggregateGroups(kernel, keys.cols, group_names, aggs, plans, n,
-                             options);
-    });
-  }
-
-  // Global aggregates: one accumulator per aggregate, folded span by span;
-  // on the morsel path, one partial per morsel, merged in morsel order.
-  std::vector<std::vector<AggAccumulator>> states(
-      aggs.size(), std::vector<AggAccumulator>(1));
-  if (options.exec == nullptr || !options.exec->UseMorsels(n)) {
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AccumulateSpan(states[a][0], aggs[a].kind, plans[a].arg, 0, n);
-    }
-  } else {
-    const size_t morsel_rows = options.exec->morsel_rows;
-    const size_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
-    std::vector<std::vector<AggAccumulator>> partials(
-        num_morsels, std::vector<AggAccumulator>(aggs.size()));
-    ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
-        n, morsel_rows, options.exec->ResolvedThreads(),
-        ThreadPool::ParallelForOptions{options.exec->cancel},
-        [&](size_t, size_t m, size_t begin, size_t end) {
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            AccumulateSpan(partials[m][a], aggs[a].kind, plans[a].arg, begin,
-                           end);
-          }
-        });
-    // Partials from skipped morsels are empty, not wrong — but the merged
-    // total would silently undercount; surface the cancellation instead.
-    AQP_RETURN_IF_ERROR(CheckCancelled(options.exec->cancel));
-    for (size_t m = 0; m < num_morsels; ++m) {
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        states[a][0].Merge(partials[m][a]);
-      }
-    }
-    if (options.run_stats != nullptr) options.run_stats->MergeFrom(rs);
-  }
-  std::vector<DataType> out_types;
-  for (const AggPlan& p : plans) out_types.push_back(p.out_type);
-  return FinalizeAggregates({}, group_names, aggs, out_types, states, 1);
+  AQP_ASSIGN_OR_RETURN(GroupKeyColumns keys, EvalGroupKeys(input, group_exprs));
+  const size_t direct_slots = options.exec != nullptr
+                                  ? options.exec->morsel_rows
+                                  : ExecOptions{}.morsel_rows;
+  return WithKeyKernel(keys.cols, direct_slots, [&](const auto& kernel) {
+    return AggregateGroups(kernel, keys.cols, group_names, aggs, plans, n,
+                           options);
+  });
 }
 
 }  // namespace aqp

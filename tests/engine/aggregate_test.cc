@@ -338,12 +338,14 @@ Catalog OneTable(Table t) {
 TEST(GroupedAggregateOracleTest, TwoInt64Keys) {
   Catalog catalog = OneTable(KeyTable(11, 3000, 20, 0.0));
   ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {"a", "b"}), catalog);
+  ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {}), catalog);
 }
 
 TEST(GroupedAggregateOracleTest, NullableInt64Key) {
   Catalog catalog = OneTable(KeyTable(12, 3000, 40, 0.1));
   ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {"a"}), catalog);
   ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {"b", "a"}), catalog);
+  ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {}), catalog);
 }
 
 TEST(GroupedAggregateOracleTest, SumsOverSignedZeroNaNAndInfinities) {
@@ -359,6 +361,13 @@ TEST(GroupedAggregateOracleTest, SumsOverSignedZeroNaNAndInfinities) {
   Catalog catalog = OneTable(std::move(t));
   ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {"a"}), catalog);
   ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {"a", "b"}), catalog);
+  ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {}), catalog);
+  // Only -0.0 values: the one group's sum is +0.0, as the oracle's is.
+  ExpectMatchesOracle(
+      GroupedPlan(PlanNode::Filter(PlanNode::Scan("t"),
+                                   Ge(Col("id"), Lit(int64_t{2000}))),
+                  {}),
+      catalog);
 }
 
 TEST(GroupedAggregateOracleTest, MorselsTheFilterEmpties) {
@@ -370,10 +379,18 @@ TEST(GroupedAggregateOracleTest, MorselsTheFilterEmpties) {
       Or(Lt(Col("id"), Lit(int64_t{300})), Ge(Col("id"), Lit(int64_t{3700}))));
   ExpectMatchesOracle(GroupedPlan(ends, {"a"}), catalog);
   ExpectMatchesOracle(GroupedPlan(ends, {"a", "b"}), catalog);
-  // A filter that keeps nothing: no groups.
+  ExpectMatchesOracle(GroupedPlan(ends, {}), catalog);
+  // A filter that keeps nothing: no groups, or the one group without keys.
   PlanPtr none =
       PlanNode::Filter(PlanNode::Scan("t"), Lt(Col("id"), Lit(int64_t{0})));
   ExpectMatchesOracle(GroupedPlan(none, {"a"}), catalog);
+  ExpectMatchesOracle(GroupedPlan(none, {}), catalog);
+  for (size_t threads : kThreadCounts) {
+    Result<Table> one = Execute(GroupedPlan(none, {}), catalog, nullptr,
+                                nullptr, SmallMorsels(threads));
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_EQ(one->num_rows(), 1u) << "threads=" << threads;
+  }
 }
 
 TEST(GroupedAggregateOracleTest, MoreGroupsThanMorselRows) {
@@ -382,6 +399,7 @@ TEST(GroupedAggregateOracleTest, MoreGroupsThanMorselRows) {
   Catalog catalog = OneTable(KeyTable(15, 5000, 2000, 0.02));
   ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {"a"}), catalog);
   ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {"a", "b"}), catalog);
+  ExpectMatchesOracle(GroupedPlan(PlanNode::Scan("t"), {}), catalog);
 }
 
 // Grouped aggregation charges its partials and group tables to the query's

@@ -1,10 +1,13 @@
 #include "support/row_reference.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "engine/aggregate.h"
 #include "engine/executor.h"
 #include "expr/eval.h"
+#include "storage/value.h"
 
 namespace aqp {
 namespace testutil {
@@ -148,6 +152,205 @@ Result<TablePtr> RunJoin(const PlanNode& node, const Table& left,
   }
   AQP_ASSIGN_OR_RETURN(Table t, Table::Make(std::move(schema), std::move(out)));
   return Own(std::move(t));
+}
+
+// ---- Aggregates -------------------------------------------------------------
+// The oracle's own accumulator, merge and finalization: every field any
+// aggregate kind needs, folded one row at a time. None of it is shared with
+// the engine it checks.
+
+// Running state of one aggregate for one group.
+struct AggAccumulator {
+  double weighted_sum = 0.0;  // Sum of x over non-null args.
+  double weight_total = 0.0;  // Non-null args (or all rows), as a double.
+  uint64_t count = 0;         // The same count, as an integer.
+  double mean = 0.0;          // Welford, for VAR/STDDEV.
+  double m2 = 0.0;
+  bool has_value = false;  // MIN/MAX: a non-NULL value was seen.
+  Value min_v;
+  Value max_v;
+  std::unordered_set<uint64_t> distinct;  // Hashes for COUNT DISTINCT.
+
+  // Folds `other` in: the sums add, MIN/MAX compare, the distinct sets
+  // union, and the variance state combines with the Chan et al. (1979)
+  // parallel-Welford formula.
+  void Merge(const AggAccumulator& other);
+};
+
+int CompareValues(const Value& a, const Value& b) {
+  return TryCompareValues(a, b).value_or(0);
+}
+
+// Folds row `i` of `arg` (null only for COUNT(*)) into `st`.
+void AccumulateRow(AggAccumulator& st, AggKind kind, const Column* arg,
+                   size_t i) {
+  if (kind == AggKind::kCountStar) {
+    st.weight_total += 1.0;
+    ++st.count;
+    return;
+  }
+  if (arg->IsNull(i)) return;
+  switch (kind) {
+    case AggKind::kCount:
+      st.weight_total += 1.0;
+      ++st.count;
+      break;
+    case AggKind::kSum:
+    case AggKind::kAvg: {
+      double x = arg->NumericAt(i);
+      st.weighted_sum += x;
+      st.weight_total += 1.0;
+      ++st.count;
+      break;
+    }
+    case AggKind::kVar:
+    case AggKind::kStddev: {
+      double x = arg->NumericAt(i);
+      ++st.count;
+      double delta = x - st.mean;
+      st.mean += delta / static_cast<double>(st.count);
+      st.m2 += delta * (x - st.mean);
+      break;
+    }
+    case AggKind::kMin:
+    case AggKind::kMax: {
+      Value v = arg->GetValue(i);
+      if (!st.has_value) {
+        st.min_v = v;
+        st.max_v = v;
+        st.has_value = true;
+      } else {
+        if (CompareValues(v, st.min_v) < 0) st.min_v = v;
+        if (CompareValues(v, st.max_v) > 0) st.max_v = std::move(v);
+      }
+      break;
+    }
+    case AggKind::kCountDistinct:
+      st.distinct.insert(arg->HashAt(i, /*seed=*/17));
+      break;
+    case AggKind::kCountStar:
+      break;  // Handled above.
+  }
+}
+
+void AggAccumulator::Merge(const AggAccumulator& other) {
+  weighted_sum += other.weighted_sum;
+  weight_total += other.weight_total;
+  if (other.count > 0) {
+    if (count == 0) {
+      mean = other.mean;
+      m2 = other.m2;
+    } else {
+      double na = static_cast<double>(count);
+      double nb = static_cast<double>(other.count);
+      double delta = other.mean - mean;
+      double nn = na + nb;
+      mean += delta * (nb / nn);
+      m2 += other.m2 + delta * delta * (na * nb / nn);
+    }
+  }
+  count += other.count;
+  if (other.has_value) {
+    if (!has_value) {
+      min_v = other.min_v;
+      max_v = other.max_v;
+      has_value = true;
+    } else {
+      if (CompareValues(other.min_v, min_v) < 0) min_v = other.min_v;
+      if (CompareValues(other.max_v, max_v) > 0) max_v = other.max_v;
+    }
+  }
+  distinct.insert(other.distinct.begin(), other.distinct.end());
+}
+
+// NaN payloads and signs depend on the hardware and on operand order, so a
+// NaN result is written as the one canonical quiet NaN.
+double CanonicalNaN(double v) {
+  return std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v;
+}
+
+// The final value of one aggregate from its accumulator.
+Status AppendFinal(AggKind kind, const AggAccumulator& st, Column& col) {
+  switch (kind) {
+    case AggKind::kCountStar:
+    case AggKind::kCount:
+      col.AppendInt64(static_cast<int64_t>(std::llround(st.weight_total)));
+      break;
+    case AggKind::kSum:
+      if (st.count == 0) {
+        col.AppendNull();
+      } else {
+        col.AppendDouble(CanonicalNaN(st.weighted_sum));
+      }
+      break;
+    case AggKind::kAvg:
+      if (st.weight_total == 0.0) {
+        col.AppendNull();
+      } else {
+        col.AppendDouble(CanonicalNaN(st.weighted_sum / st.weight_total));
+      }
+      break;
+    case AggKind::kVar:
+      if (st.count < 2) {
+        col.AppendNull();
+      } else {
+        col.AppendDouble(
+            CanonicalNaN(st.m2 / static_cast<double>(st.count - 1)));
+      }
+      break;
+    case AggKind::kStddev:
+      if (st.count < 2) {
+        col.AppendNull();
+      } else {
+        col.AppendDouble(CanonicalNaN(
+            std::sqrt(st.m2 / static_cast<double>(st.count - 1))));
+      }
+      break;
+    case AggKind::kMin:
+      if (!st.has_value) {
+        col.AppendNull();
+      } else {
+        return col.AppendValue(st.min_v);
+      }
+      break;
+    case AggKind::kMax:
+      if (!st.has_value) {
+        col.AppendNull();
+      } else {
+        return col.AppendValue(st.max_v);
+      }
+      break;
+    case AggKind::kCountDistinct:
+      col.AppendInt64(static_cast<int64_t>(st.distinct.size()));
+      break;
+  }
+  return Status::OK();
+}
+
+// The aggregation output: the key columns (named `group_names`), then one
+// column per aggregate, of type `out_types[a]`, finalized from
+// `states[a][g]` for each of the `num_groups` groups.
+Result<Table> FinalizeAggregates(
+    std::vector<Column> key_columns,
+    const std::vector<std::string>& group_names,
+    const std::vector<AggSpec>& aggs, const std::vector<DataType>& out_types,
+    const std::vector<std::vector<AggAccumulator>>& states, size_t num_groups) {
+  Schema out_schema;
+  std::vector<Column> out_columns;
+  for (size_t c = 0; c < key_columns.size(); ++c) {
+    out_schema.AddField({group_names[c], key_columns[c].type()});
+    out_columns.push_back(std::move(key_columns[c]));
+  }
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    out_schema.AddField({aggs[a].alias, out_types[a]});
+    Column col(out_types[a]);
+    col.Reserve(num_groups);
+    for (size_t g = 0; g < num_groups; ++g) {
+      AQP_RETURN_IF_ERROR(AppendFinal(aggs[a].kind, states[a][g], col));
+    }
+    out_columns.push_back(std::move(col));
+  }
+  return Table::Make(std::move(out_schema), std::move(out_columns));
 }
 
 Result<TablePtr> RunAggregate(const PlanNode& node, const Table& input,

@@ -19,9 +19,10 @@ namespace testutil {
 ///   - Filter: EvalPredicate, then a row-by-row gather.
 ///   - Project: Eval per expression.
 ///   - Join: a row-by-row hash join, build side right.
-///   - Aggregate: the per-row accumulator, folded into per-morsel partials
-///     merged in morsel order, the same floating-point grouping the engine
-///     uses for this `options`' morsel geometry.
+///   - Aggregate: the oracle's own per-row accumulator and finalization,
+///     sharing no code with the engine's kernels, folded into per-morsel
+///     partials merged in morsel order: the same floating-point grouping the
+///     engine uses for this `options`' morsel geometry.
 ///   - Sort, limit, union: plain loops.
 /// Only the morsel geometry of `options` (`morsel_rows`, `parallel_min_rows`)
 /// shapes the result; apart from the engine scan, the oracle runs serially.
