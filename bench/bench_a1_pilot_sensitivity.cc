@@ -54,9 +54,9 @@ void Run() {
       core::ApproxResult r =
           exec.Execute(kQuery + " WITH ERROR 5% CONFIDENCE 95%").value();
       total_ms += timer.Millis() / kTrials;
-      pilot_ms += r.pilot_seconds * 1000.0 / kTrials;
-      final_ms += r.final_seconds * 1000.0 / kTrials;
-      rate += (r.approximated ? r.final_rate : 1.0) / kTrials;
+      pilot_ms += r.profile.pilot_seconds * 1000.0 / kTrials;
+      final_ms += r.profile.final_seconds * 1000.0 / kTrials;
+      rate += (r.approximated ? r.profile.sampled_fraction : 1.0) / kTrials;
       double est = r.approximated ? r.table.column(0).DoubleAt(0) : truth;
       rel += std::fabs(est - truth) / truth / kTrials;
     }

@@ -44,9 +44,10 @@ void Run() {
     double est = r.approximated ? r.table.column(0).DoubleAt(0) : truth;
     out.AddRow({std::to_string(block),
                 std::to_string(1000000 / block + (1000000 % block ? 1 : 0)),
-                r.approximated ? bench::FmtPct(r.final_rate, 2) : "-",
-                std::to_string(r.exec_stats.rows_scanned),
-                std::to_string(r.exec_stats.blocks_read),
+                r.approximated ? bench::FmtPct(r.profile.sampled_fraction, 2)
+                               : "-",
+                std::to_string(r.profile.rows_scanned),
+                std::to_string(r.profile.blocks_read),
                 bench::FmtPct(std::fabs(est - truth) / truth, 2),
                 r.approximated ? "yes" : "no (fallback)"});
   }

@@ -111,8 +111,9 @@ bench::TablePrinter GroupByLayouts() {
         core::ApproxResult r = exec.Execute(q).value();
         ++runs;
         if (!r.approximated) {
-          ++(r.fallback_reason.rfind("priced out", 0) == 0 ? priced_out
-                                                           : declined);
+          const bool before_pilot =
+              r.profile.fallback_reason.rfind("priced out", 0) == 0;
+          ++(before_pilot ? priced_out : declined);
           continue;
         }
         ++approx;
@@ -212,7 +213,7 @@ void Run() {
         double rel = std::fabs(est - truth[q]) / std::fabs(truth[q]);
         max_err = std::max(max_err, rel);
         sum_err += rel;
-        sum_rate += r.final_rate;
+        sum_rate += r.profile.sampled_fraction;
         if (rel > target) ++violations;
       }
     }

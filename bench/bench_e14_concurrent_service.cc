@@ -205,19 +205,21 @@ void Run() {
   }
 
   // --- Cold-path engine subtest: row-at-a-time oracle vs the engine. ---
-  // The plans the engine-path queries bind to run once through the
-  // row-at-a-time oracle the differential suites use and once through
-  // Execute; nothing is cached. At full table size the engine must hold a
-  // >= 5x cold p50 advantage — the constant-factor claim E16 measures per
-  // operator, asserted here on whole queries. Tiny CI tables are dominated
-  // by fixed costs, so the factor is only asserted at >= 200k rows.
+  // The plans the engine-path queries bind to run through the row-at-a-time
+  // oracle the differential suites use and through Execute, in kSpeedPasses
+  // alternating passes; nothing is cached. Each side's speed is the median
+  // of its passes' p50s, so one noisy window on a small host decides
+  // nothing. At full table size the engine must hold a >= 5x cold p50
+  // advantage — the constant-factor claim E16 measures per operator,
+  // asserted here on whole queries. Tiny CI tables are dominated by fixed
+  // costs, so the factor is only asserted at >= 200k rows.
   std::vector<PlanPtr> plans;
   for (int q = 0; q < kQueriesPerSession; ++q) {
     Result<sql::BoundQuery> bound = sql::BindSql(EnginePathSql(0, q), cat);
     AQP_CHECK(bound.ok()) << bound.status().ToString();
     plans.push_back(bound.value().plan);
   }
-  auto time_plans = [&](const char* phase, auto&& run) {
+  auto time_plans = [&](auto&& run) {
     PhaseResult r;
     std::vector<double> ms;
     bench::WallTimer wall;
@@ -231,20 +233,33 @@ void Run() {
     r.p50_ms = PercentileMs(ms, 0.50);
     r.p99_ms = PercentileMs(ms, 0.99);
     AQP_CHECK(r.failed == 0) << r.failed << " engine-path queries failed";
+    return r;
+  };
+  constexpr int kSpeedPasses = 5;
+  std::vector<PhaseResult> oracle_passes, engine_passes;
+  for (int pass = 0; pass < kSpeedPasses; ++pass) {
+    oracle_passes.push_back(time_plans([&](const PlanPtr& plan) {
+      return testutil::ExecuteRowReference(plan, cat);
+    }));
+    engine_passes.push_back(time_plans(
+        [&](const PlanPtr& plan) { return Execute(plan, cat); }));
+  }
+  // One table row per side: its median pass by p50.
+  auto median_pass = [&](const char* phase,
+                         std::vector<PhaseResult> passes) {
+    std::sort(passes.begin(), passes.end(),
+              [](const PhaseResult& a, const PhaseResult& b) {
+                return a.p50_ms < b.p50_ms;
+              });
+    const PhaseResult& r = passes[passes.size() / 2];
     out.AddRow({phase, "1", std::to_string(r.ok), bench::Fmt(r.wall_ms, 1),
                 bench::Fmt(static_cast<double>(r.ok) / (r.wall_ms / 1000.0),
                            1),
                 bench::Fmt(r.p50_ms, 2), bench::Fmt(r.p99_ms, 2), "0", "-"});
     return r.p50_ms;
   };
-  const double oracle_cold_p50 =
-      time_plans("cold-row-oracle", [&](const PlanPtr& plan) {
-        return testutil::ExecuteRowReference(plan, cat);
-      });
-  const double engine_cold_p50 =
-      time_plans("cold-engine", [&](const PlanPtr& plan) {
-        return Execute(plan, cat);
-      });
+  const double oracle_cold_p50 = median_pass("cold-row-oracle", oracle_passes);
+  const double engine_cold_p50 = median_pass("cold-engine", engine_passes);
   out.Print();
 
   // The acceptance claim: at max concurrency, warm beats cold.
@@ -252,10 +267,11 @@ void Run() {
       << "warm p50 " << warm_p50_at_max << "ms !< cold p50 "
       << cold_p50_at_max << "ms";
 
-  std::printf("\nengine cold p50: row oracle %.2fms, engine %.2fms (%.1fx)\n",
-              oracle_cold_p50, engine_cold_p50,
-              engine_cold_p50 > 0.0 ? oracle_cold_p50 / engine_cold_p50
-                                        : 0.0);
+  std::printf(
+      "\nengine cold p50, median of %d alternating passes: row oracle "
+      "%.2fms, engine %.2fms (%.1fx)\n",
+      kSpeedPasses, oracle_cold_p50, engine_cold_p50,
+      engine_cold_p50 > 0.0 ? oracle_cold_p50 / engine_cold_p50 : 0.0);
   if (rows >= 200000) {
     AQP_CHECK(engine_cold_p50 * 5.0 <= oracle_cold_p50)
         << "engine cold p50 " << engine_cold_p50

@@ -77,7 +77,7 @@ void Run() {
                   r.approximated ? "online AQP (5%)" : "online AQP (fallback)",
                   bench::Fmt(ms, 2),
                   bench::FmtPct(std::fabs(est - truth) / truth, 2),
-                  std::to_string(r.exec_stats.rows_scanned)});
+                  std::to_string(r.profile.rows_scanned)});
     }
 
     // Offline pre-computed sample (build cost excluded here; that is E7).

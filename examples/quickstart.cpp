@@ -41,17 +41,20 @@ int main() {
   core::ApproxResult approx =
       executor.Execute(query + " WITH ERROR 5% CONFIDENCE 95%").value();
 
+  // The profile is the record of what the executor did: why it declined,
+  // what it sampled, and how long each stage took.
+  const obs::ExecutionProfile& profile = approx.profile;
   if (!approx.approximated) {
     std::printf("Executor declined to sample (%s); answer is exact.\n",
-                approx.fallback_reason.c_str());
+                profile.fallback_reason.c_str());
     return 0;
   }
   std::printf(
       "Approximate answer (sampled %.1f%% of '%s', pilot %.1fms + plan "
       "%.1fms + final %.1fms):\n%s\n",
-      approx.final_rate * 100.0, approx.sampled_table.c_str(),
-      approx.pilot_seconds * 1000.0, approx.planning_seconds * 1000.0,
-      approx.final_seconds * 1000.0, approx.table.ToString().c_str());
+      profile.sampled_fraction * 100.0, profile.sampled_table.c_str(),
+      profile.pilot_seconds * 1000.0, profile.planning_seconds * 1000.0,
+      profile.final_seconds * 1000.0, approx.table.ToString().c_str());
 
   // 4. Per-cell confidence intervals.
   std::printf("Revenue confidence intervals (95%% joint):\n");

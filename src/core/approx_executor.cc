@@ -1,6 +1,5 @@
 #include "core/approx_executor.h"
 
-#include <chrono>
 #include <cmath>
 #include <unordered_map>
 
@@ -14,12 +13,6 @@
 namespace aqp {
 namespace core {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double Seconds(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 // The pre-aggregation twin of the user query: selects the group keys, the
 // aggregate arguments, and each row's sampling unit, keeping FROM / JOIN /
@@ -54,6 +47,21 @@ sql::SelectStmt FlattenStatement(const sql::SelectStmt& stmt,
 }
 
 }  // namespace
+
+void RecordExecStats(const ExecStats& stats, const ExecOptions& exec,
+                     obs::ExecutionProfile* profile) {
+  profile->rows_scanned = stats.rows_scanned;
+  profile->blocks_read = stats.blocks_read;
+  profile->rows_joined = stats.rows_joined;
+  if (stats.parallel.morsels > 0) {
+    obs::ParallelReport par;
+    par.num_threads = exec.ResolvedThreads();
+    par.morsels = stats.parallel.morsels;
+    par.steals = stats.parallel.steals;
+    par.worker_rows = stats.parallel.worker_items;
+    profile->parallel = std::move(par);
+  }
+}
 
 double MaxRelativeCiHalfWidth(
     const std::vector<std::vector<stats::ConfidenceInterval>>& cis) {
@@ -133,6 +141,8 @@ Result<StageResult> RunSampledStage(const Catalog& catalog,
                         static_cast<uint64_t>(out.estimates.num_groups));
   estimate_span.AddAttr("cells",
                         static_cast<uint64_t>(out.estimates.num_cells));
+  estimate_span.End();
+  out.seconds = stage_span.End();
   return out;
 }
 
@@ -169,7 +179,8 @@ Result<ApproxResult> ApproxExecutor::Execute(std::string_view sql,
 Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
                                              obs::QueryTrace* parent_trace) {
   ++invocation_;
-  const Clock::time_point start = Clock::now();
+  // Inert: times the whole execution without recording a node.
+  obs::TraceSpan total_span;
   const bool instrumented = obs::Enabled();
   const sql::SelectStmt& stmt = query.stmt;
   const sql::BoundQuery& bound = query.bound;
@@ -184,6 +195,14 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   const bool external_trace = parent_trace != nullptr;
   obs::QueryTrace* tr =
       external_trace ? parent_trace : (instrumented ? &prof.trace : nullptr);
+  // What the engine did, summed over every stage that ran.
+  ExecStats stats;
+  auto add_stats = [&](const ExecStats& stage) {
+    stats.rows_scanned += stage.rows_scanned;
+    stats.blocks_read += stage.blocks_read;
+    stats.rows_joined += stage.rows_joined;
+    stats.parallel.MergeFrom(stage.parallel);
+  };
 
   if (stmt.error_spec.has_value()) {
     obs::ContractReport contract;
@@ -192,32 +211,16 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
     prof.contract = contract;
   }
 
-  // Mirrors the scalar result fields into the profile and records the
-  // query-level metrics; every exit path funnels through here.
+  // Records the cost paid and the query-level metrics; every exit path
+  // funnels through here.
   auto finish = [&]() {
     prof.approximated = result.approximated;
-    prof.fallback_reason = result.fallback_reason;
-    prof.sampled_table = result.sampled_table;
-    prof.sampled_fraction = result.approximated ? result.final_rate : 1.0;
-    prof.rows_scanned = result.exec_stats.rows_scanned;
-    prof.blocks_read = result.exec_stats.blocks_read;
-    prof.rows_joined = result.exec_stats.rows_joined;
-    prof.pilot_seconds = result.pilot_seconds;
-    prof.planning_seconds = result.planning_seconds;
-    prof.final_seconds = result.final_seconds;
-    prof.total_seconds = Seconds(start);
-    if (result.exec_stats.parallel.morsels > 0) {
-      obs::ParallelReport par;
-      par.num_threads = options_.exec.ResolvedThreads();
-      par.morsels = result.exec_stats.parallel.morsels;
-      par.steals = result.exec_stats.parallel.steals;
-      par.worker_rows = result.exec_stats.parallel.worker_items;
-      prof.parallel = std::move(par);
-    }
+    RecordExecStats(stats, options_.exec, &prof);
     prof.estimated_error = MaxRelativeCiHalfWidth(result.cis);
     if (prof.contract.has_value()) {
       prof.contract->achieved_error = prof.estimated_error;
     }
+    prof.total_seconds = total_span.End();
     if (tr != nullptr && !external_trace) prof.trace.Finish();
     if (instrumented) {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -227,26 +230,23 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
       static obs::Counter* fallbacks =
           reg.GetCounter("aqp_queries_fallback_total");
       static obs::LatencyHistogram* latency =
-          reg.GetHistogram("aqp_query_seconds");
+          reg.GetHistogram("aqp_core_query_seconds");
       static obs::LatencyHistogram* pilot_latency =
-          reg.GetHistogram("aqp_pilot_seconds");
+          reg.GetHistogram("aqp_core_pilot_seconds");
       queries->Increment();
       (result.approximated ? approx : fallbacks)->Increment();
       latency->Observe(prof.total_seconds);
-      if (result.pilot_seconds > 0.0) {
-        pilot_latency->Observe(result.pilot_seconds);
-      }
+      if (prof.pilot_seconds > 0.0) pilot_latency->Observe(prof.pilot_seconds);
     }
   };
 
   auto fallback = [&](std::string reason) -> Result<ApproxResult> {
-    result.approximated = false;
-    result.fallback_reason = std::move(reason);
+    prof.fallback_reason = std::move(reason);
     prof.executor = "exact";
     obs::TraceSpan exact_span = obs::MaybeSpan(tr, "exact-execute");
-    AQP_ASSIGN_OR_RETURN(result.table,
-                         aqp::Execute(bound.plan, *catalog_,
-                                      &result.exec_stats, tr, options_.exec));
+    AQP_ASSIGN_OR_RETURN(
+        result.table,
+        aqp::Execute(bound.plan, *catalog_, &stats, tr, options_.exec));
     exact_span.End();
     finish();
     return result;
@@ -279,15 +279,13 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
           : "bernoulli-row";
 
   // ---- Stage 0: price -----------------------------------------------------
-  Clock::time_point t0 = Clock::now();
   obs::TraceSpan price_span = obs::MaybeSpan(tr, "price");
   AQP_ASSIGN_OR_RETURN(ContractPrice price,
                        PriceContract(*catalog_, query, target, options_, tr));
   price_span.AddAttr("pilot_rate", price.pilot_rate);
   price_span.AddAttr("pilot_basis", price.pilot_basis);
   if (price.priced) price_span.AddAttr("predicted_rate", price.predicted_rate);
-  price_span.End();
-  result.planning_seconds = Seconds(t0);
+  prof.planning_seconds = price_span.End();
   const double decline_rate = options_.safety_factor * options_.max_rate;
   if (price.priced && price.predicted_rate > decline_rate) {
     return fallback("priced out before pilot: predicted rate " +
@@ -297,7 +295,6 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   }
 
   // ---- Stage 1: pilot --------------------------------------------------
-  t0 = Clock::now();
   const uint64_t population_units =
       (target.rows + target.unit_rows - 1) / target.unit_rows;
   const double pilot_rate = price.pilot_rate;
@@ -309,13 +306,12 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
       StageResult pilot,
       RunSampledStage(*catalog_, query, target, options_, "pilot", pilot_rate,
                       options_.seed + invocation_ * 2, tr));
-  result.exec_stats = pilot.stats;
-  result.pilot_seconds = Seconds(t0);
+  add_stats(pilot.stats);
+  prof.pilot_seconds = pilot.seconds;
   prof.pilot_rate = pilot_rate;
   prof.pilot_rows_scanned = pilot.stats.rows_scanned;
 
   // ---- Stage 2: plan -----------------------------------------------------
-  Clock::time_point t1 = Clock::now();
   obs::TraceSpan plan_span = obs::MaybeSpan(tr, "plan");
   size_t pilot_groups = std::max<size_t>(pilot.estimates.num_groups, 1);
   size_t num_estimates = pilot_groups * bound.aggregates.size();
@@ -330,43 +326,37 @@ Result<ApproxResult> ApproxExecutor::Execute(const sql::PreparedQuery& query,
   inputs.min_units = options_.min_units;
   inputs.population_units = population_units;
   SamplingPlan plan = PlanSamplingRate(inputs);
-  result.planning_seconds += Seconds(t1);
   prof.worst_required_rate = plan.worst_required_rate;
   plan_span.AddAttr("estimates", static_cast<uint64_t>(num_estimates));
   plan_span.AddAttr("planned_rate", plan.rate);
   plan_span.AddAttr("feasible", plan.feasible ? "true" : "false");
-  plan_span.End();
+  prof.planning_seconds += plan_span.End();
   if (!plan.feasible) {
     return fallback("sampling plan infeasible: " + plan.reason);
   }
   if (plan.rate >= 1.0) return fallback(std::string("planned") + kEveryRow);
 
   // ---- Stage 3: final ----------------------------------------------------
-  Clock::time_point t2 = Clock::now();
   AQP_ASSIGN_OR_RETURN(
       StageResult final_stage,
       RunSampledStage(*catalog_, query, target, options_, "final", plan.rate,
                       options_.seed + invocation_ * 2 + 1, tr));
-  const GroupedEstimates& estimates = final_stage.estimates;
-  result.exec_stats.rows_scanned += final_stage.stats.rows_scanned;
-  result.exec_stats.blocks_read += final_stage.stats.blocks_read;
-  result.exec_stats.rows_joined += final_stage.stats.rows_joined;
-  result.exec_stats.parallel.MergeFrom(final_stage.stats.parallel);
+  add_stats(final_stage.stats);
+  prof.final_seconds = final_stage.seconds;
 
   // Materialize the estimates into the exact query's output shape with
   // per-cell confidence intervals.
   obs::TraceSpan assemble_span = obs::MaybeSpan(tr, "assemble");
   AQP_ASSIGN_OR_RETURN(AssembledResult assembled,
-                       AssembleOutput(stmt, bound, estimates,
+                       AssembleOutput(stmt, bound, final_stage.estimates,
                                       per_estimate.confidence));
   assemble_span.End();
   result.table = std::move(assembled.table);
   result.cis = std::move(assembled.cis);
 
   result.approximated = true;
-  result.final_rate = plan.rate;
-  result.sampled_table = target.table;
-  result.final_seconds = Seconds(t2);
+  prof.sampled_fraction = plan.rate;
+  prof.sampled_table = target.table;
   finish();
   return result;
 }

@@ -58,36 +58,38 @@ struct AqpOptions {
   ExecOptions exec;
 };
 
-/// Result of an approximate execution. `table` always has the exact query's
-/// output shape; when `approximated` is false it IS the exact answer and
-/// `fallback_reason` says why sampling was declined.
+/// Result of an approximate execution: the answer, and the profile of how
+/// it was reached. `table` always has the exact query's output shape; when
+/// `approximated` is false it IS the exact answer and
+/// `profile.fallback_reason` says why sampling was declined. Everything else
+/// the executor decided or paid (rates, sampled table, rows scanned, stage
+/// seconds) lives only in `profile`.
 struct ApproxResult {
   Table table;
+  /// Also in `profile.approximated`: callers branch on it before reading the
+  /// answer, and the profile carries it so a profile alone (logged, cached or
+  /// rendered) still says whether the answer was sampled.
   bool approximated = false;
-  std::string fallback_reason;
-
-  double final_rate = 1.0;
-  std::string sampled_table;
 
   /// cis[row][item]: confidence interval of each output cell at the
   /// contract's (allocated) confidence; zero-width for group-key items.
   std::vector<std::vector<stats::ConfidenceInterval>> cis;
 
-  /// Latency decomposition (seconds).
-  double pilot_seconds = 0.0;
-  double planning_seconds = 0.0;
-  double final_seconds = 0.0;
-
-  ExecStats exec_stats;
-
-  /// What the executor actually did: sampling design, rates, per-stage span
-  /// timings, contract requested vs. achieved. Render with
-  /// `profile.ToText()` (EXPLAIN ANALYZE tree) or `profile.ToJson()`.
-  /// Span collection is gated on the global observability flag
-  /// (`obs::MetricsRegistry::Global().set_enabled(...)` / env `AQP_OBS=0`);
-  /// the scalar fields are always filled.
+  /// What the executor actually did: sampling design, rates, what it
+  /// scanned, per-stage span timings, contract requested vs. achieved.
+  /// Render with `profile.ToText()` (EXPLAIN ANALYZE tree) or
+  /// `profile.ToJson()`. Span collection is gated on the global
+  /// observability flag (`obs::MetricsRegistry::Global().set_enabled(...)` /
+  /// env `AQP_OBS=0`); the scalar fields, stage seconds included, are always
+  /// filled.
   obs::ExecutionProfile profile;
 };
+
+/// Records what the engine did for a query in `profile`: rows scanned,
+/// blocks read, rows joined, and, when any region ran parallel, the morsel
+/// attribution at `exec`'s resolved thread count.
+void RecordExecStats(const ExecStats& stats, const ExecOptions& exec,
+                     obs::ExecutionProfile* profile);
 
 /// Widest finite relative CI half-width across all of `cis`' cells — the
 /// error the system can attest a posteriori (0 when every cell is exact).
@@ -159,17 +161,20 @@ Result<ContractPrice> PriceContract(const Catalog& catalog,
                                     obs::QueryTrace* trace);
 
 /// What one sampled stage produced: per-group estimates of every aggregate
-/// of the query, and what the engine did for them.
+/// of the query, what the engine did for them, and how long the stage's
+/// span was open.
 struct StageResult {
   GroupedEstimates estimates;
   ExecStats stats;
+  double seconds = 0.0;
 };
 
 /// Runs one sampled stage of `query`: its pre-aggregation twin (FROM, JOIN
 /// and WHERE; the group keys, aggregate arguments and "__unit") with
 /// `target.table` sampled at `rate` with `seed`, run by the engine, then
 /// EstimateGroupedAggregates over its rows and the scan's draw, under a
-/// span `name` when `trace` is non-null. A tripped cancellation token fails
+/// span `name` (recorded when `trace` is non-null, timed either way: its
+/// duration is the result's `seconds`). A tripped cancellation token fails
 /// the stage. For a fixed seed, the units drawn at rate r are a subset of
 /// those drawn at any higher rate.
 Result<StageResult> RunSampledStage(const Catalog& catalog,

@@ -1,6 +1,5 @@
 #include "core/offline_executor.h"
 
-#include <chrono>
 #include <cmath>
 
 #include "common/cancellation.h"
@@ -47,7 +46,8 @@ Result<ApproxResult> OfflineExecutor::Execute(std::string_view sql,
 Result<ApproxResult> OfflineExecutor::Execute(const sql::PreparedQuery& query,
                                               double confidence,
                                               obs::QueryTrace* parent_trace) {
-  const auto start = std::chrono::steady_clock::now();
+  // Inert: times the whole execution without recording a node.
+  obs::TraceSpan total_span;
   AQP_RETURN_IF_ERROR(CheckCancelled(exec_.cancel));
   AQP_RETURN_IF_ERROR(CheckSampleAnswerable(query.shape));
   const sql::SelectStmt& stmt = query.stmt;
@@ -79,6 +79,10 @@ Result<ApproxResult> OfflineExecutor::Execute(const sql::PreparedQuery& query,
                       static_cast<uint64_t>(stored->sample.num_rows()));
   select_span.End();
 
+  // Query-time cost of the offline path: only the stored sample is read.
+  ExecStats stats;
+  stats.rows_scanned = stored->sample.num_rows();
+
   // Qualify the stored sample's columns to the query's table alias so both
   // qualified and bare references resolve.
   Sample sample = stored->sample;
@@ -95,7 +99,7 @@ Result<ApproxResult> OfflineExecutor::Execute(const sql::PreparedQuery& query,
     AQP_ASSIGN_OR_RETURN(ExprPtr predicate, sql::LowerSqlExpr(stmt.where));
     AQP_ASSIGN_OR_RETURN(
         sample,
-        FilterSample(sample, predicate, exec_, &result.exec_stats.parallel));
+        FilterSample(sample, predicate, exec_, &stats.parallel));
     filter_span.AddAttr("rows_out",
                         static_cast<uint64_t>(sample.num_rows()));
   }
@@ -125,34 +129,20 @@ Result<ApproxResult> OfflineExecutor::Execute(const sql::PreparedQuery& query,
   result.table = std::move(assembled.table);
   result.cis = std::move(assembled.cis);
   result.approximated = true;
-  result.sampled_table = stmt.from.table;
-  result.final_rate = stored->sample.nominal_rate;
 
   prof.approximated = true;
-  prof.sampled_table = result.sampled_table;
-  prof.sampled_fraction = result.final_rate;
+  prof.sampled_table = stmt.from.table;
+  prof.sampled_fraction = stored->sample.nominal_rate;
   prof.estimated_error = MaxRelativeCiHalfWidth(result.cis);
-  // Query-time cost of the offline path: only the stored sample is read.
-  prof.rows_scanned = stored->sample.num_rows();
-  if (result.exec_stats.parallel.morsels > 0) {
-    obs::ParallelReport par;
-    par.num_threads = exec_.ResolvedThreads();
-    par.morsels = result.exec_stats.parallel.morsels;
-    par.steals = result.exec_stats.parallel.steals;
-    par.worker_rows = result.exec_stats.parallel.worker_items;
-    prof.parallel = std::move(par);
-  }
-  result.final_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  prof.final_seconds = result.final_seconds;
-  prof.total_seconds = result.final_seconds;
+  RecordExecStats(stats, exec_, &prof);
+  // The whole query is this path's one stage.
+  prof.final_seconds = prof.total_seconds = total_span.End();
   if (tr != nullptr && !external_trace) prof.trace.Finish();
   if (instrumented) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     static obs::Counter* queries = reg.GetCounter("aqp_offline_queries_total");
     static obs::LatencyHistogram* latency =
-        reg.GetHistogram("aqp_offline_query_seconds");
+        reg.GetHistogram("aqp_core_offline_query_seconds");
     queries->Increment();
     latency->Observe(prof.total_seconds);
   }

@@ -1149,36 +1149,14 @@ Result<BatchView> ExecProject(const PlanNode& node, ExecContext& ctx) {
     out.unit_rows = child.unit_rows;
     out.col_idx.reserve(node.exprs().size());
     out.names.reserve(node.exprs().size());
+    const Schema schema = ViewSchema(child);
     for (size_t i = 0; i < node.exprs().size(); ++i) {
       const std::string& ref = node.exprs()[i]->column_name();
-      // Same two-pass resolution as Schema::FieldIndex: exact match, then a
-      // unique unqualified-vs-qualified suffix match.
-      size_t found = child.names.size();
-      for (size_t j = 0; j < child.names.size(); ++j) {
-        if (child.names[j] == ref) {
-          found = j;
-          break;
-        }
-      }
-      if (found == child.names.size() &&
-          ref.find('.') == std::string::npos) {
-        const std::string suffix = "." + ref;
-        int matches = 0;
-        for (size_t j = 0; j < child.names.size(); ++j) {
-          const std::string& f = child.names[j];
-          if (f.size() > suffix.size() &&
-              f.compare(f.size() - suffix.size(), suffix.size(), suffix) ==
-                  0) {
-            found = j;
-            ++matches;
-          }
-        }
-        if (matches != 1) found = child.names.size();
-      }
-      if (found == child.names.size()) {
+      Result<size_t> found = schema.FieldIndex(ref);
+      if (!found.ok()) {
         return Status::InvalidArgument("unknown column: " + ref);
       }
-      out.col_idx.push_back(child.col_idx[found]);
+      out.col_idx.push_back(child.col_idx[found.value()]);
       out.names.push_back(node.names()[i]);
     }
     return out;

@@ -111,8 +111,8 @@ std::string HelpFor(const std::string& family, MetricSample::Kind kind) {
   if (family == "synopsis_drift_invalidations") {
     return "Hard-drift verdicts (cached synopses dropped for rebuild).";
   }
-  if (family == "synopsis_drift_check_ms") {
-    return "Wall milliseconds per drift check (rescan + score).";
+  if (family == "aqp_synopsis_drift_check_seconds") {
+    return "Wall seconds per drift check (rescan + score).";
   }
   return std::string("AQP ") + KindName(kind) + " metric.";
 }

@@ -45,6 +45,8 @@ struct ExecutionProfile {
   /// "grace-sample", or "exact".
   std::string executor;
 
+  /// Also on core::ApproxResult, where callers branch on it; kept here so a
+  /// profile on its own (logged, cached, rendered) says whether it sampled.
   bool approximated = false;
   std::string fallback_reason;  // Why exact execution was chosen, if it was.
 
@@ -102,6 +104,11 @@ struct ExecutionProfile {
   uint64_t blocks_read = 0;
   uint64_t rows_joined = 0;
   uint64_t pilot_rows_scanned = 0;
+  /// Stage seconds, each the duration of its stage's span: `pilot` and
+  /// `final` (the offline executor's whole query), and `price` + `plan` for
+  /// planning. Total is an unrecorded span around the whole execution. Spans
+  /// time themselves even when tracing is off, so these are always filled;
+  /// when traced they equal the spans' `duration_seconds` exactly.
   double pilot_seconds = 0.0;
   double planning_seconds = 0.0;
   double final_seconds = 0.0;

@@ -56,8 +56,11 @@ TraceSpan& TraceSpan::operator=(TraceSpan&& other) noexcept {
     End();
     trace_ = other.trace_;
     record_ = other.record_;
+    start_ = other.start_;
+    seconds_ = other.seconds_;
     other.trace_ = nullptr;
     other.record_ = nullptr;
+    other.seconds_ = 0.0;
   }
   return *this;
 }
@@ -75,11 +78,19 @@ void TraceSpan::AddAttr(std::string key, double value) {
   AddAttr(std::move(key), FormatDouble(value));
 }
 
-void TraceSpan::End() {
-  if (record_ == nullptr) return;
+double TraceSpan::End() {
+  if (seconds_ >= 0.0) return seconds_;
+  if (record_ == nullptr) {
+    seconds_ = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                             start_)
+                   .count();
+    return seconds_;
+  }
   trace_->Close(record_);
+  seconds_ = record_->duration_seconds;
   trace_ = nullptr;
   record_ = nullptr;
+  return seconds_;
 }
 
 namespace {
@@ -140,6 +151,7 @@ TraceSpan QueryTrace::Span(std::string name) {
 
 void QueryTrace::Close(SpanRecord* record) {
   // Closing a span implicitly closes any still-open descendants (LIFO).
+  if (!record->open) return;
   double now = ElapsedSeconds();
   while (!open_.empty()) {
     SpanRecord* top = open_.back();

@@ -29,8 +29,9 @@ class QueryTrace;
 
 /// RAII handle on an open span: closes (stamps the duration) on
 /// destruction or on an explicit End(). Move-only. A default-constructed
-/// TraceSpan is an inert no-op, which is how call sites behave when handed
-/// a null QueryTrace.
+/// TraceSpan is inert, which is how call sites behave when handed a null
+/// QueryTrace: it records no node and ignores attributes, but still times
+/// itself, so End() reports a stage's duration whether or not it is traced.
 class TraceSpan {
  public:
   TraceSpan() = default;
@@ -45,8 +46,11 @@ class TraceSpan {
   void AddAttr(std::string key, uint64_t value);
   void AddAttr(std::string key, double value);
 
-  /// Closes the span now (idempotent).
-  void End();
+  /// Closes the span now and returns how long it was open, in seconds: the
+  /// recorded node's `duration_seconds` exactly, or the inert span's own
+  /// clock. Idempotent: later calls return the same duration. A span whose
+  /// parent closed first was closed with it and reports that duration.
+  double End();
 
   bool active() const { return record_ != nullptr; }
 
@@ -57,6 +61,9 @@ class TraceSpan {
 
   QueryTrace* trace_ = nullptr;
   SpanRecord* record_ = nullptr;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
+  double seconds_ = -1.0;  // The duration once ended; negative while open.
 };
 
 /// The span tree of one query execution. Spans open under the innermost

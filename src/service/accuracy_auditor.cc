@@ -80,7 +80,7 @@ bool AccuracyAuditor::MaybeEnqueue(const std::string& sql,
   p.sql = sql;
   p.answer = result.table;
   p.cis = result.cis;
-  p.table = result.sampled_table;
+  p.table = result.profile.sampled_table;
   p.rung = result.profile.degradation_rung;
   p.estimated_error = result.profile.estimated_error;
   p.pre_inflation_error = result.profile.pre_inflation_error;

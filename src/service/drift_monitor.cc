@@ -10,6 +10,7 @@
 #include "gov/fault_injector.h"
 #include "gov/query_context.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace aqp {
 namespace service {
@@ -183,7 +184,7 @@ void DriftMonitor::Sweep() {
 
 void DriftMonitor::CheckTable(const SynopsisBaselineInfo& info,
                               double now_unix_seconds) {
-  const auto start = std::chrono::steady_clock::now();
+  obs::TraceSpan check_span;  // Inert: times the check, records nothing.
 
   // Chaos site: a failed rescan is abandoned like any governed-budget miss —
   // counted, never retried before the next sweep, never foreground-visible.
@@ -243,10 +244,7 @@ void DriftMonitor::CheckTable(const SynopsisBaselineInfo& info,
     cache_->MarkDrifted(info.table, report.score);
   }
 
-  const double check_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
+  const double check_seconds = check_span.End();
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -256,13 +254,14 @@ void DriftMonitor::CheckTable(const SynopsisBaselineInfo& info,
     table_scores_[info.table] = report.score;
   }
 
-  PublishVerdict(info, report, action, staleness, check_ms);
+  PublishVerdict(info, report, action, staleness, check_seconds);
 }
 
 void DriftMonitor::PublishVerdict(const SynopsisBaselineInfo& info,
                                   const core::TableDriftReport& report,
                                   const std::string& action,
-                                  double staleness_seconds, double check_ms) {
+                                  double staleness_seconds,
+                                  double check_seconds) {
   if (obs::Enabled()) {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     reg.GetGauge(Labeled("synopsis.drift.score_ratio", info.table))
@@ -282,14 +281,15 @@ void DriftMonitor::PublishVerdict(const SynopsisBaselineInfo& info,
     if (action == "invalidate") {
       reg.GetCounter("synopsis.drift.invalidations")->Increment();
     }
-    reg.GetHistogram("synopsis.drift.check_ms")->Observe(check_ms);
+    reg.GetHistogram("aqp_synopsis_drift_check_seconds")
+        ->Observe(check_seconds);
   }
 
   if (log_ != nullptr) {
     obs::QueryLogEvent e;
     e.kind = "drift";
     e.status = "ok";
-    e.wall_ms = check_ms;
+    e.wall_ms = check_seconds * 1e3;
     e.drift_table = info.table;
     e.drift_score = report.score;
     e.drift_ks = report.ks;

@@ -130,7 +130,7 @@ class DriftMonitor {
   void PublishVerdict(const SynopsisBaselineInfo& info,
                       const core::TableDriftReport& report,
                       const std::string& action, double staleness_seconds,
-                      double check_ms);
+                      double check_seconds);
 
   const Catalog* catalog_;
   SynopsisCache* cache_;

@@ -77,12 +77,12 @@ void RecordQueryMetrics(double wait_seconds, double exec_seconds,
                         const char* outcome) {
   if (!obs::Enabled()) return;
   auto& reg = obs::MetricsRegistry::Global();
-  static obs::LatencyHistogram* wait_ms =
-      reg.GetHistogram("service.admission_wait_ms");
-  static obs::LatencyHistogram* query_ms =
-      reg.GetHistogram("service.query_ms");
-  wait_ms->Observe(wait_seconds * 1e3);
-  query_ms->Observe(exec_seconds * 1e3);
+  static obs::LatencyHistogram* wait =
+      reg.GetHistogram("aqp_service_admission_wait_seconds");
+  static obs::LatencyHistogram* query =
+      reg.GetHistogram("aqp_service_query_seconds");
+  wait->Observe(wait_seconds);
+  query->Observe(exec_seconds);
   reg.GetCounter(std::string("service.queries.") + outcome)->Increment();
 }
 

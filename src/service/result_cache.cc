@@ -28,8 +28,9 @@ uint64_t ApproxResultBytes(const core::ApproxResult& result) {
   for (const auto& row : result.cis) {
     bytes += row.capacity() * sizeof(stats::ConfidenceInterval);
   }
-  bytes += result.fallback_reason.size() + result.sampled_table.size();
-  bytes += result.profile.query.size() + result.profile.executor.size();
+  const obs::ExecutionProfile& profile = result.profile;
+  bytes += profile.query.size() + profile.executor.size() +
+           profile.fallback_reason.size() + profile.sampled_table.size();
   // Flat allowance for the profile's span tree and small strings.
   bytes += 1024;
   return bytes;

@@ -36,7 +36,8 @@ TEST(ApproxExecutorTest, FallbackWithoutContract) {
   ApproxResult r =
       exec.Execute("SELECT SUM(measure_0) AS s FROM fact").value();
   EXPECT_FALSE(r.approximated);
-  EXPECT_NE(r.fallback_reason.find("no error contract"), std::string::npos);
+  EXPECT_NE(r.profile.fallback_reason.find("no error contract"),
+            std::string::npos);
   // Result is the exact answer.
   Table exact =
       sql::ExecuteSql("SELECT SUM(measure_0) AS s FROM fact", cat).value();
@@ -52,7 +53,7 @@ TEST(ApproxExecutorTest, FallbackForNonLinearAggregate) {
                            "WITH ERROR 5% CONFIDENCE 95%")
                        .value();
   EXPECT_FALSE(r.approximated);
-  EXPECT_NE(r.fallback_reason.find("non-linear"), std::string::npos);
+  EXPECT_NE(r.profile.fallback_reason.find("non-linear"), std::string::npos);
 }
 
 TEST(ApproxExecutorTest, FallbackForNonAggregateQuery) {
@@ -75,7 +76,7 @@ TEST(ApproxExecutorTest, FallbackForTinyTables) {
                            "WITH ERROR 5% CONFIDENCE 95%")
                        .value();
   EXPECT_FALSE(r.approximated);
-  EXPECT_NE(r.fallback_reason.find("large enough"), std::string::npos);
+  EXPECT_NE(r.profile.fallback_reason.find("large enough"), std::string::npos);
 }
 
 TEST(ApproxExecutorTest, GlobalSumWithinContract) {
@@ -88,7 +89,7 @@ TEST(ApproxExecutorTest, GlobalSumWithinContract) {
                            "SELECT SUM(measure_0) AS s FROM fact "
                            "WITH ERROR 5% CONFIDENCE 95%")
                        .value();
-  ASSERT_TRUE(r.approximated) << r.fallback_reason;
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
   double estimate = r.table.column(0).DoubleAt(0);
   EXPECT_NEAR(estimate, truth, std::fabs(truth) * 0.05);
   ASSERT_EQ(r.cis.size(), 1u);
@@ -96,9 +97,9 @@ TEST(ApproxExecutorTest, GlobalSumWithinContract) {
   // (coverage across seeds is asserted in ContractCoverageAcrossSeeds).
   EXPECT_LT(r.cis[0][0].low, r.cis[0][0].high);
   EXPECT_TRUE(r.cis[0][0].Covers(estimate));
-  EXPECT_GT(r.final_rate, 0.0);
-  EXPECT_LE(r.final_rate, 0.8);
-  EXPECT_EQ(r.sampled_table, "fact");
+  EXPECT_GT(r.profile.sampled_fraction, 0.0);
+  EXPECT_LE(r.profile.sampled_fraction, 0.8);
+  EXPECT_EQ(r.profile.sampled_table, "fact");
 }
 
 TEST(ApproxExecutorTest, OutputShapeMatchesExact) {
@@ -111,7 +112,7 @@ TEST(ApproxExecutorTest, OutputShapeMatchesExact) {
   ApproxResult r = exec.Execute(std::string(kSql) +
                                 " WITH ERROR 10% CONFIDENCE 90%")
                        .value();
-  ASSERT_TRUE(r.approximated) << r.fallback_reason;
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
   EXPECT_EQ(r.table.num_columns(), exact.num_columns());
   EXPECT_EQ(r.table.schema().field(0).name, "fk_0");
   EXPECT_EQ(r.table.schema().field(1).name, "total");
@@ -130,7 +131,7 @@ TEST(ApproxExecutorTest, GroupedEstimatesNearTruth) {
   ApproxResult r = exec.Execute(std::string(kExact) +
                                 " WITH ERROR 5% CONFIDENCE 95%")
                        .value();
-  ASSERT_TRUE(r.approximated) << r.fallback_reason;
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
   ASSERT_EQ(r.table.num_rows(), exact.num_rows());
   for (size_t i = 0; i < exact.num_rows(); ++i) {
     double truth = exact.column(1).DoubleAt(i);
@@ -150,7 +151,7 @@ TEST(ApproxExecutorTest, CompositeAggregateItem) {
   ApproxResult r = exec.Execute(std::string(kExact) +
                                 " WITH ERROR 5% CONFIDENCE 95%")
                        .value();
-  ASSERT_TRUE(r.approximated) << r.fallback_reason;
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
   EXPECT_NEAR(r.table.column(0).DoubleAt(0), truth, std::fabs(truth) * 0.05);
   // Composite CI covers.
   EXPECT_TRUE(r.cis[0][0].Covers(truth));
@@ -166,8 +167,8 @@ TEST(ApproxExecutorTest, JoinQueryApproximated) {
   ApproxResult r = exec.Execute(std::string(kExact) +
                                 " WITH ERROR 10% CONFIDENCE 90%")
                        .value();
-  ASSERT_TRUE(r.approximated) << r.fallback_reason;
-  EXPECT_EQ(r.sampled_table, "fact");  // Fact side is the big one.
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
+  EXPECT_EQ(r.profile.sampled_table, "fact");  // Fact side is the big one.
   ASSERT_EQ(r.table.num_rows(), exact.num_rows());
   for (size_t i = 0; i < exact.num_rows(); ++i) {
     double truth = exact.column(1).DoubleAt(i);
@@ -186,7 +187,7 @@ TEST(ApproxExecutorTest, SelectiveWherePreserved) {
   ApproxResult r = exec.Execute(std::string(kExact) +
                                 " WITH ERROR 10% CONFIDENCE 90%")
                        .value();
-  ASSERT_TRUE(r.approximated) << r.fallback_reason;
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
   double est = static_cast<double>(r.table.column(0).Int64At(0));
   EXPECT_NEAR(est, truth, truth * 0.1);
 }
@@ -201,7 +202,7 @@ TEST(ApproxExecutorTest, InfeasiblyTightContractFallsBack) {
                            "WITH ERROR 0.1% CONFIDENCE 99%")
                        .value();
   EXPECT_FALSE(r.approximated);
-  EXPECT_NE(r.fallback_reason.find("infeasible"), std::string::npos);
+  EXPECT_NE(r.profile.fallback_reason.find("infeasible"), std::string::npos);
   // Exact answer still returned.
   EXPECT_EQ(r.table.num_rows(), 1u);
 }
@@ -235,7 +236,7 @@ TEST(ApproxExecutorTest, ContractCoverageAcrossSeeds) {
                              "SELECT SUM(measure_0) AS s FROM fact "
                              "WITH ERROR 5% CONFIDENCE 95%")
                          .value();
-    ASSERT_TRUE(r.approximated) << r.fallback_reason;
+    ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
     double rel = std::fabs(r.table.column(0).DoubleAt(0) - truth) /
                  std::fabs(truth);
     if (rel <= 0.05) ++within;
@@ -251,10 +252,10 @@ TEST(ApproxExecutorTest, LatencyDecompositionPopulated) {
                            "WITH ERROR 5% CONFIDENCE 95%")
                        .value();
   ASSERT_TRUE(r.approximated);
-  EXPECT_GT(r.pilot_seconds, 0.0);
-  EXPECT_GE(r.planning_seconds, 0.0);
-  EXPECT_GT(r.final_seconds, 0.0);
-  EXPECT_GT(r.exec_stats.rows_scanned, 0u);
+  EXPECT_GT(r.profile.pilot_seconds, 0.0);
+  EXPECT_GE(r.profile.planning_seconds, 0.0);
+  EXPECT_GT(r.profile.final_seconds, 0.0);
+  EXPECT_GT(r.profile.rows_scanned, 0u);
 }
 
 TEST(ApproxExecutorTest, BernoulliRowMethodAlsoWorks) {
@@ -269,7 +270,7 @@ TEST(ApproxExecutorTest, BernoulliRowMethodAlsoWorks) {
                            "SELECT AVG(measure_1) AS a FROM fact "
                            "WITH ERROR 3% CONFIDENCE 95%")
                        .value();
-  ASSERT_TRUE(r.approximated) << r.fallback_reason;
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
   EXPECT_NEAR(r.table.column(0).DoubleAt(0), truth, std::fabs(truth) * 0.03);
 }
 

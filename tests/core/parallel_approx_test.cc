@@ -74,13 +74,13 @@ TEST(ParallelApproxTest, ApproxExecutorIdenticalAcrossThreadCounts) {
   opt.exec = Threads(1);
   ApproxExecutor baseline_exec(&cat, opt);
   ApproxResult baseline = baseline_exec.Execute(kSql).value();
-  ASSERT_TRUE(baseline.approximated) << baseline.fallback_reason;
+  ASSERT_TRUE(baseline.approximated) << baseline.profile.fallback_reason;
   for (size_t threads : kThreadGrid) {
     AqpOptions topt = BaseOptions();
     topt.exec = Threads(threads);
     ApproxExecutor exec(&cat, topt);
     ApproxResult r = exec.Execute(kSql).value();
-    ASSERT_TRUE(r.approximated) << r.fallback_reason;
+    ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
     ExpectSameNumericCells(baseline.table, r.table);
     ASSERT_EQ(baseline.cis.size(), r.cis.size());
     for (size_t i = 0; i < baseline.cis.size(); ++i) {
@@ -90,7 +90,7 @@ TEST(ParallelApproxTest, ApproxExecutorIdenticalAcrossThreadCounts) {
         EXPECT_EQ(baseline.cis[i][j].high, r.cis[i][j].high);
       }
     }
-    EXPECT_EQ(baseline.final_rate, r.final_rate);
+    EXPECT_EQ(baseline.profile.sampled_fraction, r.profile.sampled_fraction);
   }
 }
 
@@ -102,12 +102,12 @@ TEST(ParallelApproxTest, ApproxExecutorGroupedIdenticalAcrossThreadCounts) {
   AqpOptions opt = BaseOptions();
   opt.exec = Threads(1);
   ApproxResult baseline = ApproxExecutor(&cat, opt).Execute(kSql).value();
-  ASSERT_TRUE(baseline.approximated) << baseline.fallback_reason;
+  ASSERT_TRUE(baseline.approximated) << baseline.profile.fallback_reason;
   for (size_t threads : kThreadGrid) {
     AqpOptions topt = BaseOptions();
     topt.exec = Threads(threads);
     ApproxResult r = ApproxExecutor(&cat, topt).Execute(kSql).value();
-    ASSERT_TRUE(r.approximated) << r.fallback_reason;
+    ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
     ExpectSameNumericCells(baseline.table, r.table);
   }
 }
@@ -123,13 +123,13 @@ TEST(ParallelApproxTest, GroupedCisBitIdenticalAcrossRunsAndThreadCounts) {
   AqpOptions opt = BaseOptions();
   opt.exec = Threads(1);
   ApproxResult baseline = ApproxExecutor(&cat, opt).Execute(kSql).value();
-  ASSERT_TRUE(baseline.approximated) << baseline.fallback_reason;
+  ASSERT_TRUE(baseline.approximated) << baseline.profile.fallback_reason;
   for (size_t threads : kThreadGrid) {
     for (int run = 0; run < 2; ++run) {
       AqpOptions topt = BaseOptions();
       topt.exec = Threads(threads);
       ApproxResult r = ApproxExecutor(&cat, topt).Execute(kSql).value();
-      ASSERT_TRUE(r.approximated) << r.fallback_reason;
+      ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
       ASSERT_TRUE(testutil::TablesBitIdentical(baseline.table, r.table));
       ASSERT_EQ(baseline.cis.size(), r.cis.size());
       for (size_t i = 0; i < r.cis.size(); ++i) {
@@ -156,11 +156,16 @@ TEST(ParallelApproxTest, ApproxExecutorProfileReportsParallelism) {
                            "SELECT SUM(measure_0) AS s FROM fact "
                            "WITH ERROR 5% CONFIDENCE 95%")
                        .value();
-  ASSERT_TRUE(r.approximated) << r.fallback_reason;
-  EXPECT_GT(r.exec_stats.parallel.morsels, 0u);
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
   ASSERT_TRUE(r.profile.parallel.has_value());
+  EXPECT_GT(r.profile.parallel->morsels, 0u);
   EXPECT_EQ(r.profile.parallel->num_threads, 4u);
-  EXPECT_EQ(r.profile.parallel->morsels, r.exec_stats.parallel.morsels);
+  // The morsels are attributed: every steal is a morsel, and the workers'
+  // rows add up to work actually done.
+  EXPECT_LE(r.profile.parallel->steals, r.profile.parallel->morsels);
+  uint64_t worker_rows = 0;
+  for (uint64_t rows : r.profile.parallel->worker_rows) worker_rows += rows;
+  EXPECT_GT(worker_rows, 0u);
 }
 
 TEST(ParallelApproxTest, OfflineExecutorIdenticalAcrossThreadCounts) {
@@ -188,8 +193,8 @@ TEST(ParallelApproxTest, OfflineExecutorIdenticalAcrossThreadCounts) {
   }
   OfflineExecutor par_exec(&cat, &samples, Threads(4));
   ApproxResult par = par_exec.Execute(kSql).value();
-  EXPECT_GT(par.exec_stats.parallel.morsels, 0u);
   ASSERT_TRUE(par.profile.parallel.has_value());
+  EXPECT_GT(par.profile.parallel->morsels, 0u);
   EXPECT_EQ(par.profile.parallel->num_threads, 4u);
 }
 

@@ -200,10 +200,10 @@ TEST(ContractPricingTest, ThousandKeyContractIsDeclinedBeforeThePilot) {
   ApproxExecutor exec(&cat, Options());
   ApproxResult r = exec.Execute(Contract(sql)).value();
   EXPECT_FALSE(r.approximated);
-  EXPECT_EQ(r.fallback_reason.rfind("priced out before pilot", 0), 0u)
-      << r.fallback_reason;
+  EXPECT_EQ(r.profile.fallback_reason.rfind("priced out before pilot", 0), 0u)
+      << r.profile.fallback_reason;
   EXPECT_EQ(r.profile.pilot_rate, 0.0);
-  EXPECT_EQ(r.pilot_seconds, 0.0);
+  EXPECT_EQ(r.profile.pilot_seconds, 0.0);
   // Declined, yet exact.
   Table exact = sql::ExecuteSql(sql, cat).value();
   EXPECT_EQ(r.table.num_rows(), exact.num_rows());
@@ -228,7 +228,7 @@ TEST(ContractPricingTest, AvgOnlyIsNeverPricedOut) {
   ApproxExecutor exec(&cat, Options());
   ApproxResult r = exec.Execute(Contract(sql)).value();
   EXPECT_GT(r.profile.pilot_rate, 0.0) << "the pilot decides";
-  EXPECT_EQ(r.fallback_reason.find("priced out"), std::string::npos);
+  EXPECT_EQ(r.profile.fallback_reason.find("priced out"), std::string::npos);
 }
 
 TEST(ContractPricingTest, SelectivePredicatePricesTheUngroupedCount) {

@@ -131,7 +131,7 @@ TEST(Rung0OracleTest, StagesMatchTheSampleCopyDesign) {
         sql::PreparedQuery q = sql::Prepare(query, catalog).value();
         ApproxExecutor exec(&catalog, opt);
         ApproxResult got = exec.Execute(q).value();
-        ASSERT_TRUE(got.approximated) << got.fallback_reason;
+        ASSERT_TRUE(got.approximated) << got.profile.fallback_reason;
         // A fresh executor's first call seeds its stages seed+2, seed+3.
         const uint64_t pilot_seed = opt.seed + 2;
         const uint64_t final_seed = opt.seed + 3;
@@ -158,12 +158,12 @@ TEST(Rung0OracleTest, StagesMatchTheSampleCopyDesign) {
             (fact.num_rows() + unit_rows - 1) / unit_rows;
         SamplingPlan plan = PlanSamplingRate(inputs);
         ASSERT_TRUE(plan.feasible);
-        EXPECT_TRUE(SameBits(plan.rate, got.final_rate))
-            << plan.rate << " vs " << got.final_rate;
+        EXPECT_TRUE(SameBits(plan.rate, got.profile.sampled_fraction))
+            << plan.rate << " vs " << got.profile.sampled_fraction;
 
         // Final: the old draw's estimates assemble exactly the answer.
         GroupedEstimates final_stage =
-            OldStage(fact, q, opt, got.final_rate, final_seed);
+            OldStage(fact, q, opt, got.profile.sampled_fraction, final_seed);
         AssembledResult want =
             AssembleOutput(q.stmt, q.bound, final_stage, target.confidence)
                 .value();
@@ -195,8 +195,8 @@ TEST(Rung0OracleTest, RateOneStagesFallBackToExact) {
     SCOPED_TRACE(c.reason);
     ApproxResult got = ApproxExecutor(&catalog, c.opt).Execute(c.query).value();
     EXPECT_FALSE(got.approximated);
-    EXPECT_NE(got.fallback_reason.find(c.reason), std::string::npos)
-        << got.fallback_reason;
+    EXPECT_NE(got.profile.fallback_reason.find(c.reason), std::string::npos)
+        << got.profile.fallback_reason;
     EXPECT_TRUE(testutil::TablesBitIdentical(
         got.table, sql::ExecuteSql(c.query, catalog).value()));
   }
@@ -220,10 +220,11 @@ TEST(Rung0OracleTest, ExtentBackedTwinAnswersAtRungZero) {
       ApproxResult mem = ApproxExecutor(&memory, opt).Execute(query).value();
       Result<ApproxResult> ext = ApproxExecutor(&extents, opt).Execute(query);
       ASSERT_TRUE(ext.ok()) << ext.status().message();
-      ASSERT_TRUE(mem.approximated) << mem.fallback_reason;
-      ASSERT_TRUE(ext->approximated) << ext->fallback_reason;
+      ASSERT_TRUE(mem.approximated) << mem.profile.fallback_reason;
+      ASSERT_TRUE(ext->approximated) << ext->profile.fallback_reason;
       EXPECT_EQ(ext->profile.degradation_rung, 0);
-      EXPECT_TRUE(SameBits(ext->final_rate, mem.final_rate));
+      EXPECT_TRUE(SameBits(ext->profile.sampled_fraction,
+                           mem.profile.sampled_fraction));
       EXPECT_TRUE(testutil::TablesBitIdentical(ext->table, mem.table));
       ExpectSameCis(ext.value(), mem.cis);
     }

@@ -425,7 +425,7 @@ TEST(DifferentialTest, ApproxExecutorCiBoundsBitIdenticalAcrossPaths) {
       const core::ApproxResult& a = reference.value();
       const core::ApproxResult& b = got.value();
       EXPECT_EQ(a.approximated, b.approximated) << sql;
-      EXPECT_EQ(a.final_rate, b.final_rate) << sql;
+      EXPECT_EQ(a.profile.sampled_fraction, b.profile.sampled_fraction) << sql;
       EXPECT_TRUE(testutil::TablesBitIdentical(a.table, b.table))
           << sql << " [threads=" << threads << "]";
       ASSERT_EQ(a.cis.size(), b.cis.size()) << sql;

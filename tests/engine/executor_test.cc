@@ -1,6 +1,8 @@
 #include "engine/executor.h"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -66,6 +68,32 @@ TEST(ExecutorTest, ProjectComputesExpressions) {
   Table out = Execute(p, cat).value();
   EXPECT_EQ(out.schema().field(1).name, "double_amount");
   EXPECT_DOUBLE_EQ(out.column(1).DoubleAt(0), 20.0);
+}
+
+TEST(ExecutorTest, ProjectResolvesColumnRefsLikeTheSchema) {
+  Catalog cat = MakeCatalog();
+  auto twin = std::make_shared<Table>(
+      Schema({{"a.x", DataType::kInt64}, {"b.x", DataType::kInt64}}));
+  EXPECT_TRUE(twin->AppendRow({Value(int64_t{1}), Value(int64_t{2})}).ok());
+  EXPECT_TRUE(cat.Register("twin", twin).ok());
+  // A bare name matches its one qualified field.
+  Table out = Execute(PlanNode::Project(PlanNode::Scan("orders"),
+                                        {Col("amount"), Col("o.id")},
+                                        {"amount", "id"}),
+                      cat)
+                  .value();
+  EXPECT_DOUBLE_EQ(out.column(0).DoubleAt(0), 10.0);
+  EXPECT_EQ(out.column(1).Int64At(0), 1);
+  // Missing and ambiguous refs both fail as unknown columns.
+  for (const auto& [table, ref] :
+       {std::pair<std::string, std::string>{"orders", "nope"},
+        std::pair<std::string, std::string>{"twin", "x"}}) {
+    Result<Table> r = Execute(
+        PlanNode::Project(PlanNode::Scan(table), {Col(ref)}, {"c"}), cat);
+    ASSERT_FALSE(r.ok()) << ref;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(), "unknown column: " + ref);
+  }
 }
 
 TEST(ExecutorTest, InnerJoinMatchesKeys) {

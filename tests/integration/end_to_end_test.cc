@@ -100,7 +100,7 @@ TEST_F(EndToEndTest, ApproxExecutorOnLineitemJoin) {
   core::ApproxResult r =
       exec.Execute(std::string(kBase) + " WITH ERROR 8% CONFIDENCE 90%")
           .value();
-  ASSERT_TRUE(r.approximated) << r.fallback_reason;
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
   ASSERT_EQ(r.table.num_rows(), exact.num_rows());
   for (size_t i = 0; i < exact.num_rows(); ++i) {
     EXPECT_EQ(r.table.column(0).StringAt(i), exact.column(0).StringAt(i));

@@ -281,8 +281,50 @@ TEST(ProfileTest, DisabledObservabilityStillFillsResultFields) {
   ASSERT_TRUE(prof.contract.has_value());
   EXPECT_GT(prof.contract->achieved_error, 0.0);
   EXPECT_GT(prof.sampled_fraction, 0.0);
+  // ...the stages are still timed, by spans that record nothing...
+  EXPECT_GT(prof.pilot_seconds, 0.0);
+  EXPECT_GT(prof.planning_seconds, 0.0);
+  EXPECT_GT(prof.final_seconds, 0.0);
+  EXPECT_GT(prof.total_seconds, 0.0);
   // ...but no stage spans were recorded.
   EXPECT_TRUE(prof.trace.root().children.empty());
+}
+
+// The stage spans are the only timer: each stage's seconds are its span's
+// recorded duration, bit for bit, and planning is the price span plus the
+// plan span.
+TEST(ProfileTest, StageSecondsAreTheirSpansDurations) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  Catalog cat = TestCatalog();
+  core::ApproxExecutor exec(&cat, FastOptions());
+  core::ApproxResult r = exec.Execute(
+                                 "SELECT fk_0, SUM(measure_0) AS s FROM fact "
+                                 "GROUP BY fk_0 WITH ERROR 10% CONFIDENCE 90%")
+                             .value();
+  reg.set_enabled(was_enabled);
+  ASSERT_TRUE(r.approximated) << r.profile.fallback_reason;
+  const ExecutionProfile& prof = r.profile;
+  auto only = [&](const std::string& name) -> const SpanRecord& {
+    std::vector<const SpanRecord*> spans;
+    FindSpans(prof.trace.root(), name, &spans);
+    EXPECT_EQ(spans.size(), 1u) << name;
+    return spans.empty() ? prof.trace.root() : *spans[0];
+  };
+  const SpanRecord& price = only("price");
+  const SpanRecord& pilot = only("pilot");
+  const SpanRecord& plan = only("plan");
+  const SpanRecord& final_stage = only("final");
+  EXPECT_EQ(prof.pilot_seconds, pilot.duration_seconds);
+  EXPECT_EQ(prof.final_seconds, final_stage.duration_seconds);
+  EXPECT_EQ(prof.planning_seconds,
+            price.duration_seconds + plan.duration_seconds);
+  EXPECT_GT(prof.pilot_seconds, 0.0);
+  EXPECT_GT(prof.final_seconds, 0.0);
+  // Every stage ran inside the query's own span.
+  EXPECT_GE(prof.total_seconds,
+            prof.planning_seconds + prof.pilot_seconds + prof.final_seconds);
 }
 
 }  // namespace

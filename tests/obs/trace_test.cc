@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <utility>
@@ -69,6 +70,38 @@ TEST(TraceTest, DefaultConstructedSpanIsInert) {
   EXPECT_FALSE(inert.active());
   inert.AddAttr("k", "v");  // No-op, must not crash.
   inert.End();
+}
+
+// Spins until the steady clock has moved past `since`.
+void WaitForClockTick(std::chrono::steady_clock::time_point since) {
+  while (std::chrono::steady_clock::now() <= since) {
+  }
+}
+
+TEST(TraceTest, EndReturnsTheRecordedDuration) {
+  QueryTrace trace;
+  TraceSpan outer = trace.Span("outer");
+  TraceSpan inner = trace.Span("inner");
+  WaitForClockTick(std::chrono::steady_clock::now());
+  const double outer_seconds = outer.End();  // Closes `inner` with it.
+  const SpanRecord& o = *trace.root().children[0];
+  EXPECT_EQ(outer_seconds, o.duration_seconds);
+  EXPECT_GT(outer_seconds, 0.0);
+  EXPECT_EQ(outer.End(), outer_seconds);  // Idempotent.
+  EXPECT_EQ(inner.End(), o.children[0]->duration_seconds);
+}
+
+TEST(TraceTest, InertSpanTimesItselfAndRecordsNothing) {
+  TraceSpan inert = MaybeSpan(nullptr, "stage");
+  WaitForClockTick(std::chrono::steady_clock::now());
+  const double seconds = inert.End();
+  EXPECT_GT(seconds, 0.0);
+  EXPECT_EQ(inert.End(), seconds);
+  // A moved-to inert span keeps the original start.
+  TraceSpan a;
+  WaitForClockTick(std::chrono::steady_clock::now());
+  TraceSpan b = std::move(a);
+  EXPECT_GT(b.End(), 0.0);
 }
 
 TEST(TraceTest, MaybeSpanOnNullTraceIsInert) {

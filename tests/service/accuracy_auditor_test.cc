@@ -45,7 +45,7 @@ class AccuracyAuditorTest : public ::testing::Test {
   core::ApproxResult FakeAnswer(bool ci_covers) {
     core::ApproxResult r;
     r.approximated = true;
-    r.sampled_table = "t";
+    r.profile.sampled_table = "t";
     Schema schema;
     schema.AddField({"s", DataType::kDouble});
     Table answer(schema);
@@ -223,7 +223,7 @@ TEST_F(AccuracyAuditorTest, GroupedAnswerChecksOnlyAggregateCells) {
 
   core::ApproxResult r;
   r.approximated = true;
-  r.sampled_table = "t";
+  r.profile.sampled_table = "t";
   Schema schema;
   schema.AddField({"k", DataType::kInt64});
   schema.AddField({"s", DataType::kDouble});

@@ -225,6 +225,24 @@ TEST_P(TracePropagationTest, ObservabilityOffMeansNoTraceAndNoSpans) {
   EXPECT_TRUE(r.value().profile.trace.root().children.empty());
 }
 
+// The stage spans time themselves even when they record nothing, so an
+// untraced query still reports its stage seconds (and the query log's
+// pilot/plan/final milliseconds).
+TEST_P(TracePropagationTest, ObservabilityOffStillTimesTheStages) {
+  gov::ScopedFaultInjection quiet;
+  obs::MetricsRegistry::Global().set_enabled(false);
+  QueryService service(&catalog_, Options());
+  auto session = service.OpenSession();
+  auto r = service.Execute(session, {kSumQuery});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const obs::ExecutionProfile& profile = r.value().profile;
+  EXPECT_GT(profile.pilot_rate, 0.0) << profile.fallback_reason;
+  EXPECT_GT(profile.pilot_seconds, 0.0);
+  EXPECT_GT(profile.planning_seconds, 0.0);
+  EXPECT_GT(profile.total_seconds, 0.0);
+  EXPECT_TRUE(profile.trace.root().children.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(PoolWidths, TracePropagationTest,
                          ::testing::Values(1, 4));
 
