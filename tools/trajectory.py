@@ -56,7 +56,6 @@ def summarize(values):
     """Median, quartiles and IQR of one metric's per-seed values."""
     if len(values) > 1:
         q1, med, q3 = statistics.quantiles(values, n=4)
-        med = statistics.median(values)
     else:
         q1 = med = q3 = values[0]
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
