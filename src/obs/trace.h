@@ -35,7 +35,11 @@ class QueryTrace;
 class TraceSpan {
  public:
   TraceSpan() = default;
-  TraceSpan(TraceSpan&& other) noexcept { *this = std::move(other); }
+  TraceSpan(TraceSpan&& other) noexcept
+      : trace_(std::exchange(other.trace_, nullptr)),
+        record_(std::exchange(other.record_, nullptr)),
+        start_(other.start_),
+        seconds_(std::exchange(other.seconds_, 0.0)) {}
   TraceSpan& operator=(TraceSpan&& other) noexcept;
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -56,11 +60,13 @@ class TraceSpan {
 
  private:
   friend class QueryTrace;
+  // A recorded span's duration comes from its node, so it reads no clock.
   TraceSpan(QueryTrace* trace, SpanRecord* record)
-      : trace_(trace), record_(record) {}
+      : trace_(trace), record_(record), start_() {}
 
   QueryTrace* trace_ = nullptr;
   SpanRecord* record_ = nullptr;
+  // Read only by an inert span.
   std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
   double seconds_ = -1.0;  // The duration once ended; negative while open.

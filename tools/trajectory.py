@@ -3,20 +3,22 @@
 recorded commit, under bench/trajectory/, so a change can be compared with
 the commits before it.
 
-    tools/trajectory.py record --label NAME [--seeds 1-5] [--seconds 10]
-                               [--workloads aqp_contract,...]
+    tools/trajectory.py record --label NAME
     tools/trajectory.py show METRIC
 
-`record` runs perfbench/spread.py over every seed of every workload twice:
-once end to end (--trace 0) and once traced (--trace 1) for the per-layer
-metrics. It writes bench/trajectory/BENCH_<NAME>.json with the host (nproc,
-CPU model), the commit and whether the tree differed from it, the seeds,
-the run length, and per workload the median, quartiles and IQR of every
-metric. Run it from a clean checkout of the commit being recorded, on an
+`record` runs perfbench/spread.py over seeds 1-5 of every BENCHMARK.json
+workload, 10 s per run, twice: once end to end (--trace 0) and once traced
+(--trace 1) for the per-layer metrics. It writes
+bench/trajectory/BENCH_<NAME>.json with the host (nproc, CPU model), the
+commit and whether the tree differed from it, the seeds, the run length, and
+per workload the median, quartiles and IQR of every metric. The seeds and
+the run length are fixed so that every file can be compared with every
+other. Run it from a clean checkout of the commit being recorded, on an
 otherwise idle host.
 
 `show` prints one metric per workload across every committed file, oldest
-first, as median [q1, q3].
+first, as median [q1, q3]. It refuses files recorded with other seeds or
+another run length.
 """
 
 import argparse
@@ -33,6 +35,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 TRAJECTORY = os.path.join(ROOT, "bench", "trajectory")
+SEEDS = [1, 2, 3, 4, 5]
+SECONDS = 10
 
 
 def git(*args):
@@ -62,12 +66,13 @@ def summarize(values):
             "n": len(values)}
 
 
-def spread(workloads, seeds, seconds, trace, scratch):
+def spread(workloads, trace, scratch):
     """Runs perfbench/spread.py and returns its per-workload values."""
     out = os.path.join(scratch, "trace%d.json" % trace)
     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "spread.py"),
-           "--workloads", ",".join(workloads), "--seeds", seeds,
-           "--seconds", str(seconds), "--trace", str(trace), "--json", out]
+           "--workloads", ",".join(workloads),
+           "--seeds", "%d-%d" % (SEEDS[0], SEEDS[-1]),
+           "--seconds", str(SECONDS), "--trace", str(trace), "--json", out]
     if subprocess.run(cmd, cwd=ROOT, stdout=sys.stderr).returncode != 0:
         raise SystemExit("trajectory: perfbench/spread.py failed (trace %d)"
                          % trace)
@@ -78,25 +83,20 @@ def spread(workloads, seeds, seconds, trace, scratch):
 def record(args):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
-    lo, _, hi = args.seeds.partition("-")
-    seeds = list(range(int(lo), int(hi or lo) + 1))
-    if len(seeds) < 5:
-        raise SystemExit("trajectory: record needs at least 5 seeds")
+    workloads = [w["name"] for w in bench["workloads"]]
     doc = {
         "label": args.label,
         "recorded_unix": int(time.time()),
         "commit": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench")),
         "host": {"nproc": os.cpu_count(), "cpu_model": cpu_model()},
-        "seeds": seeds,
-        "seconds": args.seconds,
+        "seeds": SEEDS,
+        "seconds": SECONDS,
         "workloads": {w: {} for w in workloads},
     }
     with tempfile.TemporaryDirectory() as scratch:
         for trace, part in ((0, "end_to_end"), (1, "per_layer")):
-            report = spread(workloads, args.seeds, args.seconds, trace, scratch)
+            report = spread(workloads, trace, scratch)
             for w in workloads:
                 doc["workloads"][w][part] = {
                     name: summarize(m["values"])
@@ -111,9 +111,16 @@ def record(args):
 
 def show(args):
     docs = []
-    for path in glob.glob(os.path.join(TRAJECTORY, "BENCH_*.json")):
+    for path in sorted(glob.glob(os.path.join(TRAJECTORY, "BENCH_*.json"))):
         with open(path) as f:
-            docs.append(json.load(f))
+            d = json.load(f)
+        if d["seeds"] != SEEDS or d["seconds"] != SECONDS:
+            raise SystemExit(
+                "trajectory: %s was recorded with seeds %s and %s s runs, "
+                "not seeds %s and %s s; its medians are not comparable" %
+                (os.path.relpath(path, ROOT), d["seeds"], d["seconds"], SEEDS,
+                 SECONDS))
+        docs.append(d)
     if not docs:
         raise SystemExit("trajectory: no files under %s" % TRAJECTORY)
     docs.sort(key=lambda d: d["recorded_unix"])
@@ -135,10 +142,6 @@ def main():
     rec = sub.add_parser("record", help="run perfbench and write one file")
     rec.add_argument("--label", required=True,
                      help="names the file: bench/trajectory/BENCH_<label>.json")
-    rec.add_argument("--seeds", default="1-5")
-    rec.add_argument("--seconds", type=int, default=10)
-    rec.add_argument("--workloads", default=None,
-                     help="comma-separated; default every BENCHMARK.json one")
     rec.set_defaults(run=record)
     sh = sub.add_parser("show", help="print one metric across the files")
     sh.add_argument("metric")
