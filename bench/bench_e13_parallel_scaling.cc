@@ -167,7 +167,7 @@ void Run() {
       [&](size_t threads) {
         ParallelRunStats rs;
         StratifiedSampleResult s =
-            StratifiedSample(*cat.Get("t").value(), "k", 200000,
+            StratifiedSample(*ReadTable(cat, "t").value(), "k", 200000,
                              Allocation::kProportional, 11, Opt(threads), &rs)
                 .value();
         core::PointEstimate est =

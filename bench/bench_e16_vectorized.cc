@@ -102,7 +102,7 @@ void Run() {
   Catalog catalog;
   AQP_CHECK(
       catalog.Register("t", std::make_shared<Table>(std::move(table))).ok());
-  const Table& t = *catalog.Get("t").value();
+  const Table& t = *ReadTable(catalog, "t").value();
 
   // Predicates per filter class.
   ExprPtr f64_pred = Lt(Col("x"), Lit(2.5));

@@ -356,14 +356,15 @@ void Run() {
 
   // --- Phase E: breaker trip under a persistent fault. --------------------
   bench::TablePrinter breaker_out({"queries", "failed", "trips", "denials",
-                                   "open circuits", "fast-fail hint ms"});
+                                   "open circuits", "fast-fail hint s"});
   {
     gov::ScopedFaultInjection arm(52, 1.0, {"engine.scan"});
     service::ServiceOptions o = BaseOptions();
     o.gov.retry.max_attempts = 0;  // Retry cannot save a persistent fault.
     o.breaker.window = 8;
     o.breaker.min_samples = 4;
-    o.breaker.open_ms = 60000;  // Stays open for the whole phase.
+    const int64_t open_ms = 60000;
+    o.breaker.open_ms = open_ms;  // Stays open for the whole phase.
     service::QueryService svc(&cat, o);
     auto session = svc.OpenSession();
     uint64_t failed = 0;
@@ -376,16 +377,19 @@ void Run() {
     AQP_CHECK(b.open_circuits >= 1);
 
     // With every scanning rung's circuit open, the tier fast-fails with a
-    // parseable retry-after hint instead of burning the deadline.
+    // parseable retry-after hint instead of burning the deadline. The hint
+    // is the cooldown's remainder in milliseconds, so the table prints its
+    // whole-second ceiling, which does not move as milliseconds pass.
     auto last = svc.Execute(session, {ChaosSql(60)});
     AQP_CHECK(!last.ok());
     int64_t hint = service::RetryAfterMsFromStatus(last.status());
-    AQP_CHECK(hint > 0) << "fast-fail carried no retry-after hint: "
-                        << last.status().ToString();
+    AQP_CHECK(hint > 0 && hint <= open_ms)
+        << "fast-fail hint outside (0, open_ms]: "
+        << last.status().ToString();
     breaker_out.AddRow({"12", std::to_string(failed), std::to_string(b.trips),
                         std::to_string(b.denials),
                         std::to_string(b.open_circuits),
-                        std::to_string(hint)});
+                        std::to_string((hint + 999) / 1000)});
   }
   std::printf("\n");
   breaker_out.Print();

@@ -8,6 +8,7 @@
 #include "bench_util.h"  // Reuse the tiny table printer from bench/.
 #include "core/approx_executor.h"
 #include "core/offline_catalog.h"
+#include "engine/executor.h"
 #include "sql/binder.h"
 #include "workload/datagen.h"
 
@@ -80,8 +81,8 @@ int main() {
   workload::StarSchemaSpec delta_spec = spec;
   delta_spec.fact_rows = 50000;
   Catalog delta = workload::GenerateStarSchema(delta_spec, 99).value();
-  const Table& batch = *delta.Get("fact").value();
-  Table grown = *catalog.Get("fact").value();
+  const Table& batch = *ReadTable(delta, "fact").value();
+  Table grown = *ReadTable(catalog, "fact").value();
   AQP_CHECK(grown.Append(batch).ok());
   catalog.RegisterOrReplace("fact", std::make_shared<Table>(std::move(grown)));
   AQP_CHECK(samples.OnAppend(catalog, "fact", batch, 5).ok());

@@ -1,10 +1,10 @@
 #include "core/drift_baseline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/hash.h"
+#include "obs/trace.h"
 #include "storage/column.h"
 #include "storage/value.h"
 
@@ -14,11 +14,6 @@ namespace core {
 namespace {
 
 constexpr size_t kCancelCheckRows = 16384;
-
-double NowUnixSeconds() {
-  auto now = std::chrono::system_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(now).count();
-}
 
 /// Upper bound on one column sketch's footprint, charged before the scan so
 /// a budget refusal aborts the build instead of overshooting mid-scan.
@@ -80,7 +75,7 @@ Result<TableDriftBaseline> BuildDriftBaseline(
   TableDriftBaseline out;
   out.table = name;
   out.catalog_version = catalog_version;
-  out.built_unix_seconds = NowUnixSeconds();
+  out.built_unix_seconds = obs::NowUnixSeconds();
 
   size_t rows = table.num_rows();
   if (opts.max_rows > 0) {

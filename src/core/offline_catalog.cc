@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/random.h"
+#include "engine/executor.h"
 #include "sampling/reservoir.h"
 #include "sampling/stratified.h"
 
@@ -22,8 +23,10 @@ uint64_t StoredSample::ApproxBytes() const {
 
 Result<StoredSample> BuildUniformStoredSample(const Catalog& catalog,
                                               const std::string& table,
-                                              uint64_t budget, uint64_t seed) {
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base, catalog.Get(table));
+                                              uint64_t budget, uint64_t seed,
+                                              const ExecOptions& exec) {
+  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
+                       ReadTable(catalog, table, nullptr, exec));
   AQP_ASSIGN_OR_RETURN(Sample sample, ReservoirSample(*base, budget, seed));
   StoredSample stored;
   stored.base_table = table;
@@ -35,11 +38,13 @@ Result<StoredSample> BuildUniformStoredSample(const Catalog& catalog,
 
 Result<StoredSample> BuildStratifiedStoredSample(
     const Catalog& catalog, const std::string& table,
-    const std::string& strata_column, uint64_t budget, uint64_t seed) {
+    const std::string& strata_column, uint64_t budget, uint64_t seed,
+    const ExecOptions& exec) {
   if (strata_column.empty()) {
     return Status::InvalidArgument("strata column must be named");
   }
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base, catalog.Get(table));
+  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
+                       ReadTable(catalog, table, nullptr, exec));
   AQP_ASSIGN_OR_RETURN(
       StratifiedSampleResult result,
       StratifiedSample(*base, strata_column, budget, Allocation::kEqual,

@@ -30,17 +30,20 @@ struct StoredSample {
 };
 
 /// Builds a uniform reservoir StoredSample of `budget` rows of `table` —
-/// the build step shared by SampleCatalog and the cross-query SynopsisCache
-/// (which deduplicates builds and shares the artifact across sessions).
+/// the build step shared by SampleCatalog, the cross-query SynopsisCache
+/// (which deduplicates builds and shares the artifact across sessions) and
+/// the grace rung. The table is read by ReadTable (engine/executor.h) under
+/// `exec`, which an extent-backed table's decode is charged to.
 Result<StoredSample> BuildUniformStoredSample(const Catalog& catalog,
                                               const std::string& table,
-                                              uint64_t budget, uint64_t seed);
+                                              uint64_t budget, uint64_t seed,
+                                              const ExecOptions& exec = {});
 
 /// Builds a stratified StoredSample on `strata_column` (equal allocation).
-Result<StoredSample> BuildStratifiedStoredSample(const Catalog& catalog,
-                                                 const std::string& table,
-                                                 const std::string& strata_column,
-                                                 uint64_t budget, uint64_t seed);
+Result<StoredSample> BuildStratifiedStoredSample(
+    const Catalog& catalog, const std::string& table,
+    const std::string& strata_column, uint64_t budget, uint64_t seed,
+    const ExecOptions& exec = {});
 
 /// Catalog of pre-computed (offline) samples with explicit maintenance
 /// accounting. Every build or refresh records how many base rows had to be

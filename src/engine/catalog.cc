@@ -42,25 +42,12 @@ Result<std::shared_ptr<const extent::ExtentReader>> Catalog::GetExtentReader(
   return it->second;
 }
 
-Result<std::shared_ptr<const Table>> Catalog::Get(
-    const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    if (extent_tables_.count(name) > 0) {
-      return Status::FailedPrecondition(
-          "table " + name +
-          " is extent-backed; scan it through the engine instead of Get()");
-    }
-    return Status::NotFound("no table named " + name);
-  }
-  return it->second;
-}
-
 Result<aqp::Schema> Catalog::Schema(const std::string& name) const {
   auto it = extent_tables_.find(name);
   if (it != extent_tables_.end()) return it->second->schema();
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> t, Get(name));
-  return t->schema();
+  auto t = tables_.find(name);
+  if (t == tables_.end()) return Status::NotFound("no table named " + name);
+  return t->second->schema();
 }
 
 Status Catalog::Drop(const std::string& name) {
@@ -83,8 +70,9 @@ Result<uint64_t> Catalog::Version(const std::string& name) const {
 Result<uint64_t> Catalog::Cardinality(const std::string& name) const {
   auto it = extent_tables_.find(name);
   if (it != extent_tables_.end()) return it->second->num_rows();
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> t, Get(name));
-  return static_cast<uint64_t>(t->num_rows());
+  auto t = tables_.find(name);
+  if (t == tables_.end()) return Status::NotFound("no table named " + name);
+  return static_cast<uint64_t>(t->second->num_rows());
 }
 
 std::vector<std::string> Catalog::TableNames() const {
@@ -107,22 +95,13 @@ Result<std::shared_ptr<const ColumnStats>> Catalog::ColumnStatistics(
         obs::TraceSpan span = obs::MaybeSpan(trace, "stats.build");
         span.AddAttr("table", name);
         span.AddAttr("column", column);
-        Table read;
-        const Column* values = nullptr;
-        auto it = tables_.find(name);
-        if (it != tables_.end()) {
-          AQP_ASSIGN_OR_RETURN(size_t index,
-                               it->second->schema().FieldIndex(column));
-          values = &it->second->column(index);
-        } else {
-          PlanPtr scan = PlanNode::Project(PlanNode::Scan(name), {Col(column)},
-                                           {column});
-          AQP_ASSIGN_OR_RETURN(read,
-                               Execute(scan, *this, nullptr, nullptr, exec));
-          values = &read.column(0);
-        }
+        const std::vector<std::string> columns = {column};
+        AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> read,
+                             ReadTable(*this, name, &columns, exec));
+        AQP_ASSIGN_OR_RETURN(size_t index, read->schema().FieldIndex(column));
         AQP_ASSIGN_OR_RETURN(ColumnStats stats,
-                             BuildColumnStats(*values, unit_rows, exec.memory));
+                             BuildColumnStats(read->column(index), unit_rows,
+                                              exec.memory));
         span.AddAttr("rows", stats.rows);
         span.AddAttr("values", static_cast<uint64_t>(stats.values.size()));
         span.AddAttr("exact", stats.exact ? "true" : "false");

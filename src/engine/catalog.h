@@ -15,6 +15,8 @@
 
 namespace aqp {
 
+struct ExecStats;
+
 /// Name -> table registry, the executor's source of scan inputs. Tables are
 /// held by shared_ptr so samples and synopses can alias base data cheaply.
 ///
@@ -23,8 +25,9 @@ namespace aqp {
 /// (docs/STORAGE.md), and scans stream morsels from disk with zone-map
 /// pruning (engine/extent_scan.h). Extent-backed names share the namespace,
 /// version counter, Schema and Cardinality with in-memory tables, so the
-/// binder, synopsis and result caches treat them identically; only Get()
-/// differs — it refuses to materialize the file behind the caller's back.
+/// binder, synopsis and result caches treat them identically. A reader that
+/// needs a name's rows goes through ReadTable (engine/executor.h), which
+/// alone decides whether they come from memory or from a governed decode.
 class Catalog {
  public:
   /// Registers a table under `name`; fails if the name is taken.
@@ -48,12 +51,6 @@ class Catalog {
   /// The extent reader behind an extent-backed name; NotFound otherwise.
   Result<std::shared_ptr<const extent::ExtentReader>> GetExtentReader(
       const std::string& name) const;
-
-  /// Looks up an in-memory table; NotFound if missing. FailedPrecondition
-  /// for extent-backed names: whole-file materialization must be an explicit
-  /// engine decision (a governed, charged scan), never a silent side effect
-  /// of a registry lookup.
-  Result<std::shared_ptr<const Table>> Get(const std::string& name) const;
 
   /// The schema of `name`, in-memory or extent-backed (the open extent
   /// reader's; nothing is decoded); NotFound if missing.
@@ -83,9 +80,9 @@ class Catalog {
 
   /// Statistics of `column` of `name` over blocks of `unit_rows` rows
   /// (engine/column_stats.h). The first request builds them in one pass over
-  /// that column alone — the in-memory column itself, or one engine scan of
-  /// it for an extent-backed name — under a "stats.build" span of `trace`
-  /// (may be null), charging the pass's working set to `exec.memory`. They
+  /// that column alone, read through ReadTable, under a "stats.build" span
+  /// of `trace` (may be null), charging the pass's working set (an
+  /// extent-backed column's decode included) to `exec.memory`. They
   /// stay cached until `name`'s version changes; concurrent first requests
   /// build once. A build that fails other than by cancellation or deadline
   /// (say, the pass does not fit `exec.memory`) is not retried until the
@@ -96,6 +93,11 @@ class Catalog {
       const ExecOptions& exec = {}, obs::QueryTrace* trace = nullptr) const;
 
  private:
+  friend Result<std::shared_ptr<const Table>> ReadTable(
+      const Catalog& catalog, const std::string& name,
+      const std::vector<std::string>* columns, const ExecOptions& exec,
+      ExecStats* stats);
+
   std::unordered_map<std::string, std::shared_ptr<const Table>> tables_;
   /// Extent-backed bindings; disjoint from tables_ by construction.
   std::unordered_map<std::string, std::shared_ptr<const extent::ExtentReader>>

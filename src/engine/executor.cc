@@ -449,42 +449,45 @@ void MergeExtentStats(const ExtentScanStats& es, ExecContext& ctx) {
   ctx.stats->extents_pruned += es.extents_pruned;
 }
 
-// The schema indices of the stored columns `node` must produce from a table
-// with `schema`, ascending: every column unless the plan's column needs say
-// otherwise. Needs resolve exactly as the operators above will resolve
-// them; a name the schema cannot resolve keeps every column, so the
-// operator reports the same error it would over the whole table. "__unit"
-// is the scan's own (ExposesUnit), never stored. At least one column is
-// kept, so row counts (COUNT(*)) survive.
-std::vector<size_t> NeededColumns(const PlanNode& node, const Schema& schema,
-                                  const ExecContext& ctx) {
-  std::vector<size_t> all(schema.num_fields());
-  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
-  if (ctx.needs == nullptr) return all;
+// The stored columns `node` must produce, by name: null (every column)
+// unless the plan's column needs say otherwise.
+const std::vector<std::string>* NeededNames(const PlanNode& node,
+                                            const ExecContext& ctx) {
+  if (ctx.needs == nullptr) return nullptr;
   auto it = ctx.needs->find(&node);
-  if (it == ctx.needs->end() || !it->second.has_value()) return all;
-  std::vector<bool> keep(schema.num_fields(), false);
-  for (const std::string& name : *it->second) {
-    if (name == "__unit") continue;
-    Result<size_t> c = schema.FieldIndex(name);
-    if (!c.ok()) return all;
-    keep[c.value()] = true;
+  if (it == ctx.needs->end() || !it->second.has_value()) return nullptr;
+  return &*it->second;
+}
+
+// The schema indices of `names` (null = every column), ascending. Names
+// resolve exactly as the operators above will resolve them; a name the
+// schema cannot resolve ("__unit", the sampled scan's own) is skipped, and
+// an operator that needs it reports it as missing either way. At least one
+// column is kept, so row counts (COUNT(*)) survive.
+std::vector<size_t> ResolveColumns(const Schema& schema,
+                                   const std::vector<std::string>* names) {
+  std::vector<bool> keep(schema.num_fields(), names == nullptr);
+  if (names != nullptr) {
+    for (const std::string& name : *names) {
+      Result<size_t> c = schema.FieldIndex(name);
+      if (c.ok()) keep[c.value()] = true;
+    }
   }
   std::vector<size_t> cols;
   for (size_t c = 0; c < keep.size(); ++c) {
     if (keep[c]) cols.push_back(c);
   }
-  if (cols.empty() && !all.empty()) cols.push_back(0);
+  if (cols.empty() && !keep.empty()) cols.push_back(0);
   return cols;
 }
 
 // True when the sampled scan `node` must output "__unit": the plan above
 // reads that name from it.
 bool ExposesUnit(const PlanNode& node, const ExecContext& ctx) {
-  if (!node.sample().is_sampled() || ctx.needs == nullptr) return false;
-  auto it = ctx.needs->find(&node);
-  return it != ctx.needs->end() && it->second.has_value() &&
-         std::count(it->second->begin(), it->second->end(), "__unit") > 0;
+  if (!node.sample().is_sampled()) return false;
+  const std::vector<std::string>* names = NeededNames(node, ctx);
+  return names != nullptr &&
+         std::count(names->begin(), names->end(), "__unit") > 0;
 }
 
 // A scan's input: the catalog table or the decoded extent file. A SYSTEM
@@ -494,67 +497,63 @@ struct ScanInput {
   bool sampled = false;
 };
 
-// Resolves a scan's base table: in-memory tables come straight from the
-// catalog (shared storage, uncharged); extent-backed tables decode here the
-// columns the plan needs, as a governed parallel read — charged like any
-// operator output, so a beyond-budget full scan is refused instead of
-// silently swapping. A SYSTEM block sample decodes only the extents its
-// blocks fall in.
+// Resolves a scan's base table through ReadTable: the catalog's own
+// in-memory table, or the columns the plan needs decoded from the extent
+// file, charged like any operator output. A SYSTEM block sample of an
+// extent-backed table decodes only the extents its blocks fall in.
 Result<ScanInput> ScanBaseTable(const PlanNode& node, ExecContext& ctx) {
-  if (!ctx.catalog.IsExtentBacked(node.table_name())) {
-    AQP_ASSIGN_OR_RETURN(TablePtr t, ctx.catalog.Get(node.table_name()));
+  const SampleSpec& spec = node.sample();
+  if (!spec.is_sampled() || spec.method != SampleSpec::Method::kSystemBlock ||
+      !ctx.catalog.IsExtentBacked(node.table_name())) {
+    AQP_ASSIGN_OR_RETURN(TablePtr t,
+                         ReadTable(ctx.catalog, node.table_name(),
+                                   NeededNames(node, ctx), ctx.options,
+                                   ctx.stats));
     return ScanInput{std::move(t)};
   }
   AQP_ASSIGN_OR_RETURN(std::shared_ptr<const extent::ExtentReader> reader,
                        ctx.catalog.GetExtentReader(node.table_name()));
   const std::vector<size_t> cols =
-      NeededColumns(node, reader->schema(), ctx);
-  const ExtentScanOptions options =
-      MakeExtentScanOptions(reader->num_rows(), ctx);
-  const SampleSpec& spec = node.sample();
+      ResolveColumns(reader->schema(), NeededNames(node, ctx));
   ExtentScanStats es;
-  if (spec.is_sampled() && spec.method == SampleSpec::Method::kSystemBlock) {
-    const std::vector<std::pair<uint64_t, uint64_t>> blocks =
-        DrawSampleBlocks(reader->num_rows(), spec);
-    AQP_ASSIGN_OR_RETURN(Table t,
-                         ReadExtentRows(*reader, blocks, options, &es, &cols));
-    MergeExtentStats(es, ctx);
-    if (ctx.stats != nullptr) {
-      ctx.stats->rows_scanned += t.num_rows();
-      ctx.stats->blocks_read += blocks.size();
-    }
-    ctx.scan_units = blocks.size();
-    if (ExposesUnit(node, ctx)) {
-      // The rows came back already sampled, so "__unit" is built from the
-      // drawn ranges rather than derived from base rows.
-      if (ctx.stats != nullptr) {
-        ctx.stats->sampled_units.MergeFrom(DrawnBlocks(blocks));
-      }
-      std::vector<int64_t> units;
-      units.reserve(t.num_rows());
-      for (const auto& [first, last] : blocks) {
-        units.insert(units.end(), last - first,
-                     static_cast<int64_t>(first / spec.block_size));
-      }
-      Schema schema = t.schema();
-      schema.AddField({"__unit", DataType::kInt64});
-      std::vector<Column> columns;
-      for (size_t c = 0; c < t.num_columns(); ++c) {
-        columns.push_back(std::move(t.mutable_column(c)));
-      }
-      columns.push_back(Column::FromInt64(std::move(units)));
-      AQP_ASSIGN_OR_RETURN(
-          t, Table::Make(std::move(schema), std::move(columns)));
-    }
-    AQP_ASSIGN_OR_RETURN(TablePtr out,
-                         TrackTable(std::move(t), ctx, "scan output"));
-    return ScanInput{std::move(out), /*sampled=*/true};
-  }
-  AQP_ASSIGN_OR_RETURN(Table t, ReadAllExtents(*reader, options, &es, &cols));
+  const std::vector<std::pair<uint64_t, uint64_t>> blocks =
+      DrawSampleBlocks(reader->num_rows(), spec);
+  AQP_ASSIGN_OR_RETURN(
+      Table t,
+      ReadExtentRows(*reader, blocks,
+                     MakeExtentScanOptions(reader->num_rows(), ctx), &es,
+                     &cols));
   MergeExtentStats(es, ctx);
+  if (ctx.stats != nullptr) {
+    ctx.stats->rows_scanned += t.num_rows();
+    ctx.stats->blocks_read += blocks.size();
+  }
+  ctx.scan_units = blocks.size();
+  if (ExposesUnit(node, ctx)) {
+    // The rows came back already sampled, so "__unit" is built from the
+    // drawn ranges rather than derived from base rows.
+    if (ctx.stats != nullptr) {
+      ctx.stats->sampled_units.MergeFrom(DrawnBlocks(blocks));
+    }
+    std::vector<int64_t> units;
+    units.reserve(t.num_rows());
+    for (const auto& [first, last] : blocks) {
+      units.insert(units.end(), last - first,
+                   static_cast<int64_t>(first / spec.block_size));
+    }
+    Schema schema = t.schema();
+    schema.AddField({"__unit", DataType::kInt64});
+    std::vector<Column> columns;
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      columns.push_back(std::move(t.mutable_column(c)));
+    }
+    columns.push_back(Column::FromInt64(std::move(units)));
+    AQP_ASSIGN_OR_RETURN(
+        t, Table::Make(std::move(schema), std::move(columns)));
+  }
   AQP_ASSIGN_OR_RETURN(TablePtr out,
-                       TrackTable(std::move(t), ctx, "extent scan output"));
-  return ScanInput{std::move(out)};
+                       TrackTable(std::move(t), ctx, "scan output"));
+  return ScanInput{std::move(out), /*sampled=*/true};
 }
 
 // Fused filter+scan over an extent-backed base: prune extents with the
@@ -569,7 +568,7 @@ Result<TablePtr> ExecExtentFilterScan(const PlanNode& filter_node,
   AQP_ASSIGN_OR_RETURN(std::shared_ptr<const extent::ExtentReader> reader,
                        ctx.catalog.GetExtentReader(scan_node.table_name()));
   const std::vector<size_t> cols =
-      NeededColumns(filter_node, reader->schema(), ctx);
+      ResolveColumns(reader->schema(), NeededNames(filter_node, ctx));
   ExtentScanStats es;
   AQP_ASSIGN_OR_RETURN(
       Table t, FusedExtentFilterScan(
@@ -969,7 +968,7 @@ Result<BatchView> ExecScan(const PlanNode& node, ExecContext& ctx) {
   AQP_ASSIGN_OR_RETURN(v.sel, TrackSel(std::move(keep), ctx, "scan selection"));
   if (exposes_unit) {
     // The columns the plan reads, then the units, derived from base rows.
-    v.col_idx = NeededColumns(node, v.base->schema(), ctx);
+    v.col_idx = ResolveColumns(v.base->schema(), NeededNames(node, ctx));
     v.names.clear();
     for (size_t c : v.col_idx) {
       v.names.push_back(v.base->schema().field(c).name);
@@ -1430,6 +1429,27 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
     pruned->Increment(effective->extents_pruned - before.extents_pruned);
   }
   return result;
+}
+
+Result<TablePtr> ReadTable(const Catalog& catalog, const std::string& name,
+                           const std::vector<std::string>* columns,
+                           const ExecOptions& exec, ExecStats* stats) {
+  auto it = catalog.tables_.find(name);
+  if (it != catalog.tables_.end()) return it->second;
+  auto ext = catalog.extent_tables_.find(name);
+  if (ext == catalog.extent_tables_.end()) {
+    return Status::NotFound("no table named " + name);
+  }
+  const extent::ExtentReader& reader = *ext->second;
+  const std::vector<size_t> cols = ResolveColumns(reader.schema(), columns);
+  ExecContext ctx{catalog, stats, nullptr, exec};
+  ExtentScanStats es;
+  AQP_ASSIGN_OR_RETURN(
+      Table t, ReadAllExtents(reader,
+                              MakeExtentScanOptions(reader.num_rows(), ctx),
+                              &es, &cols));
+  MergeExtentStats(es, ctx);
+  return TrackTable(std::move(t), ctx, "extent scan output");
 }
 
 }  // namespace aqp

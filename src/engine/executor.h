@@ -2,6 +2,9 @@
 #define AQP_ENGINE_EXECUTOR_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -54,6 +57,19 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
                       ExecStats* stats = nullptr,
                       obs::QueryTrace* trace = nullptr,
                       const ExecOptions& options = {});
+
+/// Reads the whole of table `name`: the one place that decides where a
+/// catalog name's rows live. An in-memory name returns the catalog's own
+/// shared table, whatever `columns` asks: a lookup, nothing copied or
+/// charged. An extent-backed name decodes `columns` (null = every column;
+/// names the file does not store are skipped, and at least one column is
+/// kept so row counts survive) with `exec`'s threads and cancellation,
+/// charged to `exec.memory` until the last reference dies; `stats`, when
+/// non-null, counts the extents read. NotFound for an unknown name.
+Result<std::shared_ptr<const Table>> ReadTable(
+    const Catalog& catalog, const std::string& name,
+    const std::vector<std::string>* columns = nullptr,
+    const ExecOptions& exec = {}, ExecStats* stats = nullptr);
 
 }  // namespace aqp
 

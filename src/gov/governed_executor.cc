@@ -230,10 +230,18 @@ Result<core::ApproxResult> GovernedExecutor::RunLadder(
       options_.synopsis_drift_score >= options_.drift_decline_threshold &&
       options_.drift_decline_threshold > 0.0;
   if (drift_declined) BumpCounter("gov.drift_declined");
+  // Rungs 1 and 2 answer through the offline executor. The context's token
+  // has already tripped (that is why we are here), so they run without it
+  // but keep the memory budget honest — the sample is small, and if even it
+  // does not fit the ladder descends.
+  ExecOptions exec = options_.aqp.exec;
+  exec.cancel = nullptr;
+  exec.memory = &ctx.memory();
   if (samples_ != nullptr && !drift_declined && GateAllow(1, retry).allow) {
     Result<core::ApproxResult> offline =
         AttemptWithRetry(1, ctx, retry, trace, [&] {
-          return RunSampleRung(query, *samples_, ctx, trace);
+          return core::OfflineExecutor(catalog_, samples_, exec)
+              .Execute(query, options_.confidence, trace);
         });
     if (offline.ok()) {
       core::ApproxResult result = std::move(offline).value();
@@ -255,7 +263,7 @@ Result<core::ApproxResult> GovernedExecutor::RunLadder(
   // Rung 2: the same estimator over a bounded grace sample of current data.
   if (GateAllow(2, retry).allow) {
     Result<core::ApproxResult> grace = AttemptWithRetry(
-        2, ctx, retry, trace, [&] { return RunGraceRung(query, ctx, trace); });
+        2, ctx, retry, trace, [&] { return RunGraceRung(query, exec, trace); });
     if (grace.ok()) {
       core::ApproxResult result = std::move(grace).value();
       double raw_error = core::MaxRelativeCiHalfWidth(result.cis);
@@ -280,35 +288,24 @@ Result<core::ApproxResult> GovernedExecutor::RunLadder(
   return Status::ResourceExhausted(std::move(message));
 }
 
-Result<core::ApproxResult> GovernedExecutor::RunSampleRung(
-    const sql::PreparedQuery& query, const core::SampleCatalog& samples,
-    QueryContext& ctx, obs::QueryTrace* trace) {
-  // The context's token has already tripped (that is why we are here);
-  // rungs 1 and 2 run without it but keep the memory budget honest — the
-  // sample is small, and if even it does not fit the ladder descends.
-  ExecOptions exec = options_.aqp.exec;
-  exec.cancel = nullptr;
-  exec.memory = &ctx.memory();
-  core::OfflineExecutor offline(catalog_, &samples, exec);
-  return offline.Execute(query, options_.confidence, trace);
-}
-
 Result<core::ApproxResult> GovernedExecutor::RunGraceRung(
-    const sql::PreparedQuery& query, QueryContext& ctx,
+    const sql::PreparedQuery& query, const ExecOptions& exec,
     obs::QueryTrace* trace) {
   AQP_RETURN_IF_ERROR(core::CheckSampleAnswerable(query.shape));
   // The grace sample: ola_grace_rows rows of the CURRENT table drawn without
   // replacement, the design of a uniform synopsis. Algorithm L skips between
-  // takes, so the draw costs O(k log(N/k)) after the deadline, not O(N).
+  // takes, so the draw costs O(k log(N/k)) after the deadline, not O(N) —
+  // for an in-memory table; an extent-backed one is decoded first (charged
+  // to the query's memory), which is O(N).
   obs::TraceSpan draw_span = obs::MaybeSpan(trace, "draw-sample");
   AQP_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("grace.sample"));
   AQP_ASSIGN_OR_RETURN(
       core::StoredSample grace,
       core::BuildUniformStoredSample(*catalog_, query.stmt.from.table,
                                      options_.ola_grace_rows,
-                                     options_.aqp.seed));
+                                     options_.aqp.seed, exec));
   AQP_ASSIGN_OR_RETURN(ScopedMemoryCharge charge,
-                       ScopedMemoryCharge::Make(&ctx.memory(),
+                       ScopedMemoryCharge::Make(exec.memory,
                                                 grace.ApproxBytes(),
                                                 "grace sample"));
   draw_span.AddAttr("rows", static_cast<uint64_t>(grace.sample.num_rows()));
@@ -317,7 +314,8 @@ Result<core::ApproxResult> GovernedExecutor::RunGraceRung(
   AQP_RETURN_IF_ERROR(
       source.Adopt(std::make_shared<const core::StoredSample>(std::move(grace))));
   AQP_ASSIGN_OR_RETURN(core::ApproxResult result,
-                       RunSampleRung(query, source, ctx, trace));
+                       core::OfflineExecutor(catalog_, &source, exec)
+                           .Execute(query, options_.confidence, trace));
   result.profile.executor = "grace-sample";
   result.profile.sampling_design =
       "reservoir(rows=" + std::to_string(options_.ola_grace_rows) + ")";

@@ -163,14 +163,8 @@ class GovernedExecutor {
                                        QueryContext& ctx, Status failure,
                                        RetryState& retry,
                                        obs::QueryTrace* trace);
-  /// Answers `query` from `samples` through the offline executor: rung 1
-  /// passes the stored synopses, rung 2 its grace sample.
-  Result<core::ApproxResult> RunSampleRung(const sql::PreparedQuery& query,
-                                           const core::SampleCatalog& samples,
-                                           QueryContext& ctx,
-                                           obs::QueryTrace* trace);
   Result<core::ApproxResult> RunGraceRung(const sql::PreparedQuery& query,
-                                          QueryContext& ctx,
+                                          const ExecOptions& exec,
                                           obs::QueryTrace* trace);
   /// Runs `attempt` under a "rung-N" span, retrying kInternal failures with
   /// backoff while the shared attempt budget and the deadline allow.

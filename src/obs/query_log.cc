@@ -1,21 +1,13 @@
 #include "obs/query_log.h"
 
-#include <chrono>
 #include <cstdlib>
 #include <string>
 
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace aqp {
 namespace obs {
-namespace {
-
-double NowUnixSeconds() {
-  auto now = std::chrono::system_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(now).count();
-}
-
-}  // namespace
 
 std::string QueryLogEvent::ToJson() const {
   JsonWriter w;

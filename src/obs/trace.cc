@@ -191,6 +191,11 @@ std::string QueryTrace::ToJson() const {
   return w.str();
 }
 
+double NowUnixSeconds() {
+  auto now = std::chrono::system_clock::now().time_since_epoch();
+  return std::chrono::duration<double>(now).count();
+}
+
 TraceSpan MaybeSpan(QueryTrace* trace, std::string name) {
   if (trace == nullptr) return TraceSpan();
   return trace->Span(std::move(name));

@@ -131,6 +131,11 @@ class QueryTrace {
   std::vector<SpanRecord*> open_;
 };
 
+/// Wall-clock now, in seconds since the Unix epoch: the timestamp query-log
+/// events, drift baselines and synopses carry. A point in time, not a
+/// duration; durations come from spans.
+double NowUnixSeconds();
+
 /// Opens a span on `trace`, or returns an inert span when `trace` is null —
 /// the pattern for optionally-traced code paths (the engine executor).
 TraceSpan MaybeSpan(QueryTrace* trace, std::string name);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "engine/executor.h"
 #include "gov/fault_injector.h"
 #include "gov/query_context.h"
 #include "obs/metrics.h"
@@ -15,11 +16,6 @@
 namespace aqp {
 namespace service {
 namespace {
-
-double NowUnixSeconds() {
-  auto now = std::chrono::system_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(now).count();
-}
 
 /// Composes `family{table="<name>"}` — the registry is flat-name, so labels
 /// ride inside the name and the Prometheus exporter splits them back out.
@@ -168,7 +164,7 @@ void DriftMonitor::Sweep() {
     }
   }
 
-  const double now = NowUnixSeconds();
+  const double now = obs::NowUnixSeconds();
   double max_score = 0.0;
   for (const auto& [table, info] : by_table) {
     CheckTable(*info, now);
@@ -194,30 +190,29 @@ void DriftMonitor::CheckTable(const SynopsisBaselineInfo& info,
     return;
   }
 
-  auto table_ptr = catalog_->Get(info.table);
-  if (!table_ptr.ok()) {
-    // Dropped table: its versioned keys are unreachable anyway; the LRU
-    // ages the entries out. Count the miss and move on.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++failed_;
-    return;
-  }
   uint64_t version = info.catalog_version;
   if (auto v = catalog_->Version(info.table); v.ok()) version = v.value();
 
   // Governed rescan: the monitor's cost is bounded by ITS budget, never the
-  // foreground's. A rescan that blows the deadline or the memory budget is
-  // abandoned; the table is retried on the next sweep.
+  // foreground's — an extent-backed table's decode included. A rescan that
+  // blows the deadline or the memory budget is abandoned; the table is
+  // retried on the next sweep. A dropped table fails its read: its
+  // versioned keys are unreachable anyway, and the LRU ages the entries out.
   gov::QueryContext ctx(
       gov::Limits{options_.deadline_ms, options_.memory_budget_bytes});
   ctx.Start();
+  ExecOptions exec;
+  exec.num_threads = 1;  // A background decode leaves the pool to queries.
+  ctx.Bind(&exec);
   core::DriftBaselineOptions rescan;
   rescan.sketch = options_.sketch;
   rescan.max_rows = options_.max_rows;
-  const CancellationToken token = ctx.token();
-  auto current = core::BuildDriftBaseline(*table_ptr.value(), info.table,
-                                          version, rescan, &ctx.memory(),
-                                          &token);
+  auto table = ReadTable(*catalog_, info.table, nullptr, exec);
+  Result<core::TableDriftBaseline> current =
+      table.ok() ? core::BuildDriftBaseline(*table.value(), info.table,
+                                            version, rescan, exec.memory,
+                                            exec.cancel)
+                 : table.status();
   if (!current.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++failed_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -10,17 +9,12 @@
 #include "common/thread_pool.h"
 #include "gov/fault_injector.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/synopsis_store.h"
 
 namespace aqp {
 namespace service {
 namespace {
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Stamps the service-tier fields onto a result's profile and installs the
 /// submit-scoped trace (admission → cache → rungs → morsels) as the
@@ -226,13 +220,11 @@ std::future<Result<core::ApproxResult>> QueryService::Submit(
 
   // Admission blocks the SUBMITTING thread: overload is backpressure to the
   // client, not an unbounded internal queue.
-  auto wait_start = std::chrono::steady_clock::now();
   obs::TraceSpan admission_span = obs::MaybeSpan(trace.get(), "admission");
   uint64_t queue_depth = 0;
   Status admitted = admission_.Acquire(&queue_depth);
-  double wait_seconds = SecondsSince(wait_start);
   admission_span.AddAttr("queue_depth", queue_depth);
-  admission_span.End();
+  const double wait_seconds = admission_span.End();
   if (!admitted.ok()) {
     if (obs::Enabled()) {
       obs::MetricsRegistry::Global()
@@ -261,7 +253,7 @@ std::future<Result<core::ApproxResult>> QueryService::Submit(
   ThreadPool::Shared().Post([this, promise, session = std::move(session),
                              submission = std::move(submission), wait_seconds,
                              queue_depth, trace = std::move(trace)]() mutable {
-    auto exec_start = std::chrono::steady_clock::now();
+    obs::TraceSpan service_span;  // Inert: times the service, records nothing.
     std::shared_ptr<Watchdog::Ticket> ticket;
     Result<core::ApproxResult> result =
         RunAdmitted(*session, submission, wait_seconds, queue_depth,
@@ -275,7 +267,7 @@ std::future<Result<core::ApproxResult>> QueryService::Submit(
     // owns the one Release. The service-time sample feeds the retry-after
     // hint's EWMA.
     if (ticket == nullptr || !ticket->slot_released.exchange(true)) {
-      admission_.Release(SecondsSince(exec_start));
+      admission_.Release(service_span.End());
     }
     {
       // Last member access: after outstanding_ hits 0 the destructor may
@@ -298,7 +290,9 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     Session& session, const Submission& submission, double wait_seconds,
     uint64_t queue_depth, obs::QueryTrace* trace,
     std::shared_ptr<Watchdog::Ticket>* ticket_out) {
-  auto exec_start = std::chrono::steady_clock::now();
+  // Inert: times the execution, records nothing. Its End() is the wall time
+  // every exit below logs and observes.
+  obs::TraceSpan exec_span;
 
   gov::GovernedOptions gopts = options_.gov;
   if (submission.deadline_ms.has_value()) {
@@ -311,13 +305,14 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
   // A failed submission logs one "failed" event and counts as failed,
   // whether it failed to prepare or every rung failed to answer.
   auto fail = [&](Status status) -> Result<core::ApproxResult> {
+    const double exec_seconds = exec_span.End();
     obs::QueryLogEvent e = MakeEvent(submission.sql, session.id(), "failed",
                                      wait_seconds, queue_depth,
-                                     wait_seconds + SecondsSince(exec_start),
+                                     wait_seconds + exec_seconds,
                                      /*profile=*/nullptr);
     e.retry_after_ms = RetryAfterMsFromStatus(status);
     query_log_.Append(std::move(e));
-    RecordQueryMetrics(wait_seconds, SecondsSince(exec_start), "failed");
+    RecordQueryMetrics(wait_seconds, exec_seconds, "failed");
     return status;
   };
 
@@ -385,12 +380,12 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
       probe_span.End();
       core::ApproxResult result = *cached;  // Deep copy; cache stays immutable.
       StampProfile(&result, wait_seconds, queue_depth, "result-cache", trace);
-      double wall_seconds = wait_seconds + SecondsSince(exec_start);
+      const double exec_seconds = exec_span.End();
       query_log_.Append(MakeEvent(submission.sql, session.id(), "ok",
-                                  wait_seconds, queue_depth, wall_seconds,
+                                  wait_seconds, queue_depth,
+                                  wait_seconds + exec_seconds,
                                   &result.profile));
-      RecordQueryMetrics(wait_seconds, SecondsSince(exec_start),
-                         "result_cache_hit");
+      RecordQueryMetrics(wait_seconds, exec_seconds, "result_cache_hit");
       return result;
     }
     probe_span.AddAttr("hit", "false");
@@ -402,13 +397,13 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
   if (fingerprint_ok) {
     if (Status quarantined = breaker_.CheckQuarantine(fingerprint);
         !quarantined.ok()) {
-      double wall_seconds = wait_seconds + SecondsSince(exec_start);
-      obs::QueryLogEvent e =
-          MakeEvent(submission.sql, session.id(), "quarantined", wait_seconds,
-                    queue_depth, wall_seconds, /*profile=*/nullptr);
+      const double exec_seconds = exec_span.End();
+      obs::QueryLogEvent e = MakeEvent(
+          submission.sql, session.id(), "quarantined", wait_seconds,
+          queue_depth, wait_seconds + exec_seconds, /*profile=*/nullptr);
       e.retry_after_ms = RetryAfterMsFromStatus(quarantined);
       query_log_.Append(std::move(e));
-      RecordQueryMetrics(wait_seconds, SecondsSince(exec_start), "quarantined");
+      RecordQueryMetrics(wait_seconds, exec_seconds, "quarantined");
       return quarantined;
     }
   }
@@ -424,10 +419,7 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
   double synopsis_age_seconds = 0.0;
   if (options_.use_synopsis_cache && versions_ok) {
     obs::TraceSpan synopsis_span = obs::MaybeSpan(trace, "synopsis-cache");
-    const double now_unix =
-        std::chrono::duration<double>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count();
+    const double now_unix = obs::NowUnixSeconds();
     auto adopt = [&](const std::string& table, const SynopsisSpec& spec) {
       auto cached = synopsis_cache_.GetOrBuild(*catalog_, table, spec);
       if (!cached.ok()) return;
@@ -509,7 +501,6 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
   // MUST precede ctx going out of scope (and every return below): detaches
   // the context from the watchdog's view.
   watchdog_.Unregister(*ticket_out);
-  double wall_seconds = wait_seconds + SecondsSince(exec_start);
 
   // Conclusive failures feed the poison tracker; successes clear it. A
   // breaker-caused exhaustion carries a retry-after hint and is NOT poison —
@@ -538,13 +529,15 @@ Result<core::ApproxResult> QueryService::RunAdmitted(
     result_cache_.Insert(fingerprint, r);
   }
   StampProfile(&r, wait_seconds, queue_depth, std::move(cache_source), trace);
+  const double exec_seconds = exec_span.End();
   query_log_.Append(MakeEvent(submission.sql, session.id(), "ok", wait_seconds,
-                              queue_depth, wall_seconds, &r.profile));
+                              queue_depth, wait_seconds + exec_seconds,
+                              &r.profile));
   // Offer the completed approximate answer to the background accuracy
   // auditor (result-cache hits returned above — the original execution was
   // already offered; re-auditing an identical answer adds no information).
   auditor_.MaybeEnqueue(submission.sql, r);
-  RecordQueryMetrics(wait_seconds, SecondsSince(exec_start), "ok");
+  RecordQueryMetrics(wait_seconds, exec_seconds, "ok");
   return result;
 }
 

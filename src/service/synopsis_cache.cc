@@ -1,9 +1,10 @@
 #include "service/synopsis_cache.h"
 
-#include <chrono>
 #include <utility>
 
+#include "engine/executor.h"
 #include "gov/fault_injector.h"
+#include "obs/trace.h"
 
 namespace aqp {
 namespace service {
@@ -14,11 +15,6 @@ std::string CacheKey(const std::string& table, uint64_t version,
   return table + "\x1f" + std::to_string(version) + "\x1f" +
          spec.strata_column + "\x1f" + std::to_string(spec.budget) + "\x1f" +
          std::to_string(spec.seed);
-}
-
-double NowUnixSeconds() {
-  auto now = std::chrono::system_clock::now().time_since_epoch();
-  return std::chrono::duration<double>(now).count();
 }
 
 }  // namespace
@@ -88,7 +84,7 @@ Result<CachedSynopsis> SynopsisCache::GetOrBuild(const Catalog& catalog,
   // (the synopsis serves, just unmonitored).
   std::shared_ptr<const core::TableDriftBaseline> baseline;
   if (built.ok() && options_.capture_baselines) {
-    if (auto table_ptr = catalog.Get(table); table_ptr.ok()) {
+    if (auto table_ptr = ReadTable(catalog, table); table_ptr.ok()) {
       auto b = core::BuildDriftBaseline(*table_ptr.value(), table, version,
                                         options_.baseline, tracker_);
       if (b.ok()) {
@@ -114,7 +110,8 @@ Result<CachedSynopsis> SynopsisCache::GetOrBuild(const Catalog& catalog,
   out.sample = sample;
   out.baseline = baseline;
   out.built_unix_seconds =
-      baseline != nullptr ? baseline->built_unix_seconds : NowUnixSeconds();
+      baseline != nullptr ? baseline->built_unix_seconds
+                          : obs::NowUnixSeconds();
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     // Clear() raced the build; hand the artifact back uncached.

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
 #include "test_util.h"
 
 namespace aqp {
@@ -45,7 +46,7 @@ TEST(SampleCatalogTest, StoredSampleAnswersQueries) {
   SampleCatalog samples;
   ASSERT_TRUE(samples.BuildUniform(cat, "t", 2000, 7).ok());
   const StoredSample* stored = samples.Find("t").value();
-  double truth = testutil::ExactSum(*cat.Get("t").value(), "x");
+  double truth = testutil::ExactSum(*ReadTable(cat, "t").value(), "x");
   PointEstimate est =
       EstimateGroupedAggregates(stored->sample, {},
                                 {{AggKind::kSum, Col("x"), "s"}})
@@ -62,7 +63,7 @@ TEST(SampleCatalogTest, RebuildPolicyChargesFullScan) {
 
   // Append 1000 rows to the base table.
   Table extra = testutil::ZipfGroupedTable(1000, 12, 0.8, 99);
-  auto base = cat.Get("t").value();
+  auto base = ReadTable(cat, "t").value();
   Table updated = *base;
   ASSERT_TRUE(updated.Append(extra).ok());
   cat.RegisterOrReplace("t", std::make_shared<Table>(std::move(updated)));
@@ -80,7 +81,7 @@ TEST(SampleCatalogTest, IncrementalPolicyChargesDeltaOnly) {
   uint64_t after_build = samples.maintenance_rows_scanned();
 
   Table extra = testutil::ZipfGroupedTable(1000, 12, 0.8, 99);
-  auto base = cat.Get("t").value();
+  auto base = ReadTable(cat, "t").value();
   Table updated = *base;
   ASSERT_TRUE(updated.Append(extra).ok());
   cat.RegisterOrReplace("t", std::make_shared<Table>(std::move(updated)));
@@ -98,7 +99,7 @@ TEST(SampleCatalogTest, IncrementalSampleStaysUnbiased) {
   // Build on half the data, append the other half incrementally; the
   // maintained sample must still estimate the FULL table sum correctly.
   Catalog cat = BaseCatalog(20000, 3);
-  auto full = cat.Get("t").value();
+  auto full = ReadTable(cat, "t").value();
   Table first_half = full->Slice(0, 10000);
   Table second_half = full->Slice(10000, 10000);
   Catalog working;

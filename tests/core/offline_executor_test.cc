@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
 #include "sql/binder.h"
 #include "workload/datagen.h"
 
@@ -115,7 +116,7 @@ TEST_F(OfflineExecutorTest, QueryLatencyIndependentOfBaseSize) {
   // Keep schema knowledge by re-registering an empty shell... actually the
   // binder needs the table for name resolution, so register a tiny stub with
   // the same schema.
-  auto base = catalog_.Get("lineitem").value();
+  auto base = ReadTable(catalog_, "lineitem").value();
   auto stub = std::make_shared<Table>(base->schema());
   stripped.RegisterOrReplace("lineitem", stub);
   OfflineExecutor exec(&stripped, &samples_);

@@ -11,6 +11,7 @@
 
 #include "common/cancellation.h"
 #include "common/memory_tracker.h"
+#include "engine/executor.h"
 #include "sql/parser.h"
 #include "storage/extent/extent_writer.h"
 #include "test_util.h"
@@ -298,8 +299,9 @@ TEST(OlaTest, ExtentBackedGroupByRoundsMatchInMemoryAndNest) {
   const std::string path = ::testing::TempDir() + "aqp_ola_fact.aqpx";
   extent::ExtentWriter::Options o;
   o.extent_rows = 4096;
-  ASSERT_TRUE(
-      extent::WriteTableToExtents(path, *memory.Get("fact").value(), o).ok());
+  ASSERT_TRUE(extent::WriteTableToExtents(
+                  path, *ReadTable(memory, "fact").value(), o)
+                  .ok());
   Catalog extents = memory;
   extents.RegisterExtentBacked("fact",
                                extent::ExtentReader::Open(path).value());

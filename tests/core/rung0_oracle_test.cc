@@ -21,6 +21,7 @@
 #include "core/estimate.h"
 #include "core/result_assembly.h"
 #include "core/sample_planner.h"
+#include "engine/executor.h"
 #include "expr/eval.h"
 #include "sampling/bernoulli.h"
 #include "sampling/block.h"
@@ -117,7 +118,7 @@ void ExpectSameCis(const ApproxResult& a,
 
 TEST(Rung0OracleTest, StagesMatchTheSampleCopyDesign) {
   Catalog catalog = StarCatalog();
-  const Table& fact = *catalog.Get("fact").value();
+  const Table& fact = *ReadTable(catalog, "fact").value();
   for (SampleSpec::Method method :
        {SampleSpec::Method::kSystemBlock, SampleSpec::Method::kBernoulliRow}) {
     for (const char* query : {kUngrouped, kGrouped}) {
@@ -207,8 +208,9 @@ TEST(Rung0OracleTest, ExtentBackedTwinAnswersAtRungZero) {
   const std::string path = ::testing::TempDir() + "aqp_rung0_fact.aqpx";
   extent::ExtentWriter::Options o;
   o.extent_rows = 4096;
-  ASSERT_TRUE(
-      extent::WriteTableToExtents(path, *memory.Get("fact").value(), o).ok());
+  ASSERT_TRUE(extent::WriteTableToExtents(
+                  path, *ReadTable(memory, "fact").value(), o)
+                  .ok());
   Catalog extents = memory;
   extents.RegisterExtentBacked("fact",
                                extent::ExtentReader::Open(path).value());

@@ -1,4 +1,5 @@
 #include "engine/catalog.h"
+#include "engine/executor.h"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,7 @@ TEST(CatalogTest, RegisterAndGet) {
   Catalog cat;
   ASSERT_TRUE(cat.Register("t", TinyTable(3)).ok());
   EXPECT_TRUE(cat.Contains("t"));
-  auto r = cat.Get("t");
+  auto r = ReadTable(cat, "t");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ((*r)->num_rows(), 3u);
 }
@@ -38,7 +39,7 @@ TEST(CatalogTest, RegisterOrReplace) {
 
 TEST(CatalogTest, GetMissingIsNotFound) {
   Catalog cat;
-  EXPECT_EQ(cat.Get("ghost").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ReadTable(cat, "ghost").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(cat.Cardinality("ghost").status().code(), StatusCode::kNotFound);
 }
 

@@ -309,11 +309,56 @@ TEST_F(ExtentScanExecTest, CatalogContract) {
   EXPECT_TRUE(catalog_.IsExtentBacked("ext"));
   EXPECT_FALSE(catalog_.IsExtentBacked("mem"));
   EXPECT_TRUE(catalog_.Contains("ext"));
-  Result<std::shared_ptr<const Table>> get = catalog_.Get("ext");
-  ASSERT_FALSE(get.ok());
-  EXPECT_EQ(get.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(catalog_.Cardinality("ext").value(), kRows);
   EXPECT_EQ(catalog_.Version("ext").value(), 1u);
+
+  // ReadTable of an in-memory name is the catalog's own table: the same
+  // pointer on every read, whatever the column list, and nothing charged.
+  MemoryTracker memory(1u << 30);
+  ExecOptions options;
+  options.num_threads = 1;
+  options.memory = &memory;
+  const std::vector<std::string> v_only = {"v"};
+  Result<std::shared_ptr<const Table>> mem =
+      ReadTable(catalog_, "mem", &v_only, options);
+  ASSERT_TRUE(mem.ok()) << mem.status().message();
+  EXPECT_EQ(mem.value(), ReadTable(catalog_, "mem").value());
+  EXPECT_EQ(mem.value()->num_columns(), 3u);
+  EXPECT_EQ(memory.used(), 0u);
+
+  // An extent-backed name decodes only the asked columns (a name the file
+  // does not store is skipped), charged while the table lives.
+  const std::vector<std::string> v_and_unit = {"v", "__unit"};
+  {
+    Result<std::shared_ptr<const Table>> ext =
+        ReadTable(catalog_, "ext", &v_and_unit, options);
+    ASSERT_TRUE(ext.ok()) << ext.status().message();
+    ASSERT_EQ(ext.value()->num_columns(), 1u);
+    EXPECT_EQ(ext.value()->schema().field(0).name, "v");
+    EXPECT_EQ(ext.value()->num_rows(), kRows);
+    EXPECT_EQ(memory.used(), ext.value()->ApproxBytes());
+    Result<Table> v = Execute(
+        PlanNode::Project(PlanNode::Scan("mem"), {Col("v")}, {"v"}), catalog_);
+    ASSERT_TRUE(v.ok());
+    ExpectTablesIdentical(v.value(), *ext.value());
+    // Every column by default, in schema order.
+    Result<std::shared_ptr<const Table>> all = ReadTable(catalog_, "ext");
+    ASSERT_TRUE(all.ok());
+    ExpectTablesIdentical(*mem.value(), *all.value());
+  }
+  EXPECT_EQ(memory.used(), 0u) << "the charge dies with the last reference";
+
+  // A budget below the decoded columns refuses the read.
+  MemoryTracker tight(1024);
+  options.memory = &tight;
+  Result<std::shared_ptr<const Table>> refused =
+      ReadTable(catalog_, "ext", nullptr, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(tight.used(), 0u);
+  EXPECT_EQ(ReadTable(catalog_, "ghost").status().code(),
+            StatusCode::kNotFound);
+
   // Replacing an extent-backed name with an in-memory table bumps the
   // version and flips the kind.
   catalog_.RegisterOrReplace("ext", std::make_shared<Table>(MakeBase(10)));

@@ -100,7 +100,7 @@ TEST_P(EnginePropertyTest, FkJoinPreservesProbeRowsAndMeasure) {
 TEST_P(EnginePropertyTest, LeftJoinRowCountAtLeastInner) {
   Catalog cat = RandomCatalog(GetParam());
   // Shrink the dimension so some probe rows dangle.
-  auto dim = cat.Get("dim").value();
+  auto dim = ReadTable(cat, "dim").value();
   cat.RegisterOrReplace("dim", std::make_shared<Table>(dim->Slice(0, 50)));
   Table inner = Execute(PlanNode::Join(PlanNode::Scan("t"),
                                        PlanNode::Scan("dim"),

@@ -6,6 +6,7 @@
 // grid of checked facts.
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
 #include "gov/fault_injector.h"
 #include "gov/governed_executor.h"
 #include "workload/datagen.h"
@@ -39,7 +40,7 @@ class FaultMatrixTest : public ::testing::Test {
     qopt.predicate_columns = {"quantity", "extendedprice"};
     qopt.group_by_columns = {"shipmode"};
     qopt.error_clause = "WITH ERROR 10% CONFIDENCE 90%";
-    workload::QueryGenerator gen(*catalog_.Get("lineitem").value(), qopt);
+    workload::QueryGenerator gen(*ReadTable(catalog_, "lineitem").value(), qopt);
     return gen.Generate(n, 29).value();
   }
 

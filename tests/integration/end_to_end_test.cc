@@ -8,6 +8,7 @@
 #include "core/approx_executor.h"
 #include "core/offline_catalog.h"
 #include "core/online_aggregation.h"
+#include "engine/executor.h"
 #include "sql/binder.h"
 #include "workload/datagen.h"
 #include "workload/querygen.h"
@@ -112,7 +113,7 @@ TEST_F(EndToEndTest, ApproxExecutorOnLineitemJoin) {
 }
 
 TEST_F(EndToEndTest, OfflineSampleAnswersWorkloadQueries) {
-  auto lineitem = catalog_.Get("lineitem").value();
+  auto lineitem = ReadTable(catalog_, "lineitem").value();
   core::SampleCatalog samples;
   ASSERT_TRUE(samples.BuildStratified(catalog_, "lineitem", "shipmode", 6000,
                                       7)
@@ -167,7 +168,7 @@ TEST_F(EndToEndTest, OlaOverLineitem) {
 }
 
 TEST_F(EndToEndTest, GeneratedWorkloadThroughApproxExecutor) {
-  auto lineitem = catalog_.Get("lineitem").value();
+  auto lineitem = ReadTable(catalog_, "lineitem").value();
   workload::QueryGenOptions opt;
   opt.table = "lineitem";
   opt.numeric_columns = {"extendedprice", "quantity"};

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
 #include "obs/query_log.h"
 #include "workload/datagen.h"
 
@@ -214,7 +215,7 @@ TEST_F(AccuracyAuditorTest, GroupedAnswerChecksOnlyAggregateCells) {
   AccuracyAuditor auditor(&catalog_, opts);
 
   // Exact per-group sums for SELECT k, SUM(x) GROUP BY k.
-  const Table& t = *catalog_.Get("t").value();
+  const Table& t = *ReadTable(catalog_, "t").value();
   std::map<int64_t, double> sums;
   for (size_t r = 0; r < t.num_rows(); ++r) {
     sums[t.column(0).GetValue(r).int64()] +=

@@ -1,10 +1,13 @@
 #include "service/drift_monitor.h"
 
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "storage/extent/extent_writer.h"
 #include "test_util.h"
 
 namespace aqp {
@@ -184,6 +187,26 @@ TEST(DriftMonitorTest, DroppedTableCountsAsFailedCheck) {
   DriftMonitorStats s = monitor.stats();
   EXPECT_EQ(s.failed, 1u);
   EXPECT_EQ(s.checks, 0u);
+}
+
+TEST(DriftMonitorTest, ExtentBackedTableIsChecked) {
+  // The synopsis, its baseline and the rescan all read the extent file
+  // through the engine; unchanged data rescans to a zero score.
+  Rig rig(20000, 3);
+  const std::string path = ::testing::TempDir() + "aqp_drift_t.aqpx";
+  ASSERT_TRUE(extent::WriteTableToExtents(path, *rig.handle).ok());
+  Result<std::shared_ptr<const extent::ExtentReader>> reader =
+      extent::ExtentReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  rig.catalog.RegisterExtentBacked("t", reader.value());
+  rig.BuildSynopsis();
+  DriftMonitor monitor(&rig.catalog, &rig.cache, TestOptions());
+  monitor.CheckNow();
+  DriftMonitorStats s = monitor.stats();
+  EXPECT_EQ(s.failed, 0u);
+  EXPECT_EQ(s.checks, 1u);
+  EXPECT_EQ(monitor.TableScore("t"), 0.0);
+  std::remove(path.c_str());
 }
 
 TEST(DriftMonitorTest, VerdictsReachTheQueryLog) {

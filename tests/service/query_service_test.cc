@@ -5,8 +5,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "engine/executor.h"
 #include "gov/fault_injector.h"
 #include "obs/metrics.h"
+#include "storage/extent/extent_writer.h"
 #include "test_util.h"
 #include "workload/datagen.h"
 
@@ -93,7 +97,7 @@ TEST_F(QueryServiceTest, TableReplaceInvalidatesResultCache) {
   // Replace the table: its version bumps, so the old fingerprint is
   // unreachable and the repeat must execute (a miss), not hit.
   Catalog fresh = workload::GenerateLineitemLike(50000, 23).value();
-  catalog_.RegisterOrReplace("lineitem", fresh.Get("lineitem").value());
+  catalog_.RegisterOrReplace("lineitem", ReadTable(fresh, "lineitem").value());
 
   auto r = service.Execute(session, {kSumQuery});
   ASSERT_TRUE(r.ok());
@@ -123,6 +127,64 @@ TEST_F(QueryServiceTest, ZeroDeadlineAnswersFromSharedSynopsis) {
   ASSERT_TRUE(service.Execute(session, submission).ok());
   EXPECT_EQ(service.synopsis_cache_stats().builds, builds);
   EXPECT_GE(service.synopsis_cache_stats().hits, 1u);
+}
+
+// Every rung answers over an extent-backed name exactly as over its
+// in-memory twin: rung 0 samples it, rung 1 builds the synopsis from it,
+// and rung 2 draws the grace sample from it.
+TEST_F(QueryServiceTest, ExtentBackedNameAnswersAtEveryRung) {
+  gov::ScopedFaultInjection quiet;
+  const std::string path = ::testing::TempDir() + "aqp_service_lineitem.aqpx";
+  extent::ExtentWriter::Options extents;
+  extents.extent_rows = 8192;
+  ASSERT_TRUE(extent::WriteTableToExtents(
+                  path, *ReadTable(catalog_, "lineitem").value(), extents)
+                  .ok());
+  Result<std::shared_ptr<const extent::ExtentReader>> reader =
+      extent::ExtentReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  catalog_.RegisterExtentBacked("lineitem_ext", reader.value());
+
+  struct Rung {
+    int rung;
+    std::optional<int64_t> deadline_ms;
+    bool use_synopsis_cache;
+  };
+  for (const Rung& rung : {Rung{0, std::nullopt, true}, Rung{1, 0, true},
+                           Rung{2, 0, false}}) {
+    ServiceOptions opts = Options();
+    opts.use_synopsis_cache = rung.use_synopsis_cache;
+    std::vector<core::ApproxResult> answers;
+    for (const std::string table : {"lineitem", "lineitem_ext"}) {
+      QueryService service(&catalog_, opts);
+      Submission submission{"SELECT shipmode, SUM(extendedprice) AS s FROM " +
+                            table +
+                            " GROUP BY shipmode WITH ERROR 5% CONFIDENCE 95%"};
+      submission.deadline_ms = rung.deadline_ms;
+      auto r = service.Execute(service.OpenSession(), submission);
+      ASSERT_TRUE(r.ok()) << table << " at rung " << rung.rung << ": "
+                          << r.status().ToString();
+      EXPECT_EQ(r.value().profile.degradation_rung, rung.rung) << table;
+      answers.push_back(std::move(r).value());
+    }
+    EXPECT_TRUE(
+        testutil::TablesBitIdentical(answers[0].table, answers[1].table))
+        << "rung " << rung.rung;
+    ASSERT_EQ(answers[0].cis.size(), answers[1].cis.size());
+    for (size_t row = 0; row < answers[0].cis.size(); ++row) {
+      ASSERT_EQ(answers[0].cis[row].size(), answers[1].cis[row].size());
+      for (size_t i = 0; i < answers[0].cis[row].size(); ++i) {
+        const stats::ConfidenceInterval& a = answers[0].cis[row][i];
+        const stats::ConfidenceInterval& b = answers[1].cis[row][i];
+        EXPECT_EQ(std::bit_cast<uint64_t>(a.low), std::bit_cast<uint64_t>(b.low))
+            << "rung " << rung.rung << " row " << row;
+        EXPECT_EQ(std::bit_cast<uint64_t>(a.high),
+                  std::bit_cast<uint64_t>(b.high))
+            << "rung " << rung.rung << " row " << row;
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(QueryServiceTest, SessionMemoryBudgetIsEnforced) {

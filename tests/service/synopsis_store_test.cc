@@ -18,6 +18,7 @@
 
 #include "core/drift_baseline.h"
 #include "core/offline_catalog.h"
+#include "engine/executor.h"
 #include "gov/fault_injector.h"
 #include "service/query_service.h"
 #include "service/synopsis_cache.h"
@@ -71,7 +72,7 @@ class SynopsisStoreTest : public ::testing::Test {
             .value());
     if (with_baseline) {
       p.baseline = std::make_shared<const core::TableDriftBaseline>(
-          core::BuildDriftBaseline(*catalog_.Get("lineitem").value(),
+          core::BuildDriftBaseline(*ReadTable(catalog_, "lineitem").value(),
                                    "lineitem", p.catalog_version)
               .value());
     }

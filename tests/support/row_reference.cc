@@ -40,9 +40,8 @@ Table GatherRows(const Table& t, const std::vector<uint32_t>& rows) {
 }
 
 Result<TablePtr> RunScan(const PlanPtr& plan, const RowContext& ctx) {
-  if (!plan->sample().is_sampled() &&
-      !ctx.catalog.IsExtentBacked(plan->table_name())) {
-    return ctx.catalog.Get(plan->table_name());
+  if (!plan->sample().is_sampled()) {
+    return ReadTable(ctx.catalog, plan->table_name(), nullptr, ctx.options);
   }
   AQP_ASSIGN_OR_RETURN(
       Table t, Execute(plan, ctx.catalog, nullptr, nullptr, ctx.options));

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
 #include "stats/descriptive.h"
 
 namespace aqp {
@@ -123,7 +124,7 @@ TEST(DatagenTest, StarSchemaShape) {
   EXPECT_TRUE(cat.Contains("dim_1"));
   EXPECT_EQ(cat.Cardinality("fact").value(), 5000u);
   EXPECT_EQ(cat.Cardinality("dim_0").value(), 50u);
-  auto fact = cat.Get("fact").value();
+  auto fact = ReadTable(cat, "fact").value();
   EXPECT_TRUE(fact->schema().HasField("fk_0"));
   EXPECT_TRUE(fact->schema().HasField("measure_0"));
   // FKs are valid dim references.
@@ -137,7 +138,7 @@ TEST(DatagenTest, LineitemLikeShape) {
   Catalog cat = GenerateLineitemLike(10000, 5).value();
   EXPECT_EQ(cat.Cardinality("lineitem").value(), 10000u);
   EXPECT_EQ(cat.Cardinality("orders").value(), 2500u);
-  auto li = cat.Get("lineitem").value();
+  auto li = ReadTable(cat, "lineitem").value();
   EXPECT_TRUE(li->schema().HasField("extendedprice"));
   EXPECT_TRUE(li->schema().HasField("shipmode"));
   // orderkey joins are valid.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/executor.h"
 #include "sql/binder.h"
 #include "workload/datagen.h"
 
@@ -27,7 +28,7 @@ QueryGenOptions TestOptions() {
 
 TEST(QueryGenTest, RequiresNumericColumns) {
   Catalog cat = TestCatalog();
-  auto fact = cat.Get("fact").value();
+  auto fact = ReadTable(cat, "fact").value();
   QueryGenOptions opt;
   QueryGenerator gen(*fact, opt);
   EXPECT_FALSE(gen.Generate(5, 1).ok());
@@ -35,7 +36,7 @@ TEST(QueryGenTest, RequiresNumericColumns) {
 
 TEST(QueryGenTest, GeneratedQueriesParseAndExecute) {
   Catalog cat = TestCatalog();
-  auto fact = cat.Get("fact").value();
+  auto fact = ReadTable(cat, "fact").value();
   QueryGenerator gen(*fact, TestOptions());
   auto queries = gen.Generate(20, 3).value();
   ASSERT_EQ(queries.size(), 20u);
@@ -47,7 +48,7 @@ TEST(QueryGenTest, GeneratedQueriesParseAndExecute) {
 
 TEST(QueryGenTest, DeterministicPerSeed) {
   Catalog cat = TestCatalog();
-  auto fact = cat.Get("fact").value();
+  auto fact = ReadTable(cat, "fact").value();
   QueryGenerator gen(*fact, TestOptions());
   auto a = gen.Generate(10, 5).value();
   auto b = gen.Generate(10, 5).value();
@@ -56,7 +57,7 @@ TEST(QueryGenTest, DeterministicPerSeed) {
 
 TEST(QueryGenTest, SelectivityRoughlyCalibrated) {
   Catalog cat = TestCatalog();
-  auto fact = cat.Get("fact").value();
+  auto fact = ReadTable(cat, "fact").value();
   QueryGenOptions opt = TestOptions();
   opt.group_by_probability = 0.0;
   opt.predicate_probability = 1.0;
@@ -82,7 +83,7 @@ TEST(QueryGenTest, SelectivityRoughlyCalibrated) {
 
 TEST(QueryGenTest, DriftRotatesPopularity) {
   Catalog cat = TestCatalog();
-  auto fact = cat.Get("fact").value();
+  auto fact = ReadTable(cat, "fact").value();
   QueryGenOptions opt = TestOptions();
   opt.drift = 0.5;
   QueryGenerator drifted(*fact, opt);
@@ -97,7 +98,7 @@ TEST(QueryGenTest, DriftRotatesPopularity) {
 
 TEST(QueryGenTest, ErrorClauseAppended) {
   Catalog cat = TestCatalog();
-  auto fact = cat.Get("fact").value();
+  auto fact = ReadTable(cat, "fact").value();
   QueryGenOptions opt = TestOptions();
   opt.error_clause = "WITH ERROR 5% CONFIDENCE 95%";
   QueryGenerator gen(*fact, opt);
