@@ -1,7 +1,8 @@
 #include "engine/catalog.h"
-#include "engine/executor.h"
 
 #include <gtest/gtest.h>
+
+#include "engine/executor.h"
 
 namespace aqp {
 namespace {
