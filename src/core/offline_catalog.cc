@@ -21,63 +21,51 @@ uint64_t StoredSample::ApproxBytes() const {
   return bytes;
 }
 
-Result<StoredSample> BuildUniformStoredSample(const Catalog& catalog,
-                                              const std::string& table,
-                                              uint64_t budget, uint64_t seed,
-                                              const ExecOptions& exec) {
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
-                       ReadTable(catalog, table, nullptr, exec));
-  AQP_ASSIGN_OR_RETURN(Sample sample, ReservoirSample(*base, budget, seed));
+Result<StoredSample> BuildStoredSample(const Table& base,
+                                       const std::string& table,
+                                       const std::string& strata_column,
+                                       uint64_t budget, uint64_t seed) {
   StoredSample stored;
-  stored.base_table = table;
-  stored.budget = budget;
-  stored.base_rows_at_build = base->num_rows();
-  stored.sample = std::move(sample);
-  return stored;
-}
-
-Result<StoredSample> BuildStratifiedStoredSample(
-    const Catalog& catalog, const std::string& table,
-    const std::string& strata_column, uint64_t budget, uint64_t seed,
-    const ExecOptions& exec) {
   if (strata_column.empty()) {
-    return Status::InvalidArgument("strata column must be named");
+    AQP_ASSIGN_OR_RETURN(stored.sample, ReservoirSample(base, budget, seed));
+  } else {
+    AQP_ASSIGN_OR_RETURN(StratifiedSampleResult result,
+                         StratifiedSample(base, strata_column, budget,
+                                          Allocation::kEqual, seed));
+    stored.sample = std::move(result.sample);
   }
-  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
-                       ReadTable(catalog, table, nullptr, exec));
-  AQP_ASSIGN_OR_RETURN(
-      StratifiedSampleResult result,
-      StratifiedSample(*base, strata_column, budget, Allocation::kEqual,
-                       seed));
-  StoredSample stored;
   stored.base_table = table;
   stored.strata_column = strata_column;
   stored.budget = budget;
-  stored.base_rows_at_build = base->num_rows();
-  stored.sample = std::move(result.sample);
+  stored.base_rows_at_build = base.num_rows();
   return stored;
 }
 
 Status SampleCatalog::BuildUniform(const Catalog& catalog,
                                    const std::string& table, uint64_t budget,
                                    uint64_t seed) {
-  AQP_ASSIGN_OR_RETURN(StoredSample stored,
-                       BuildUniformStoredSample(catalog, table, budget, seed));
-  maintenance_rows_ += stored.base_rows_at_build;  // Building scans the table.
-  samples_[Key(table, "")] =
-      std::make_shared<const StoredSample>(std::move(stored));
-  return Status::OK();
+  return Build(catalog, table, "", budget, seed);
 }
 
 Status SampleCatalog::BuildStratified(const Catalog& catalog,
                                       const std::string& table,
                                       const std::string& strata_column,
                                       uint64_t budget, uint64_t seed) {
-  AQP_ASSIGN_OR_RETURN(StoredSample stored,
-                       BuildStratifiedStoredSample(catalog, table,
-                                                   strata_column, budget,
-                                                   seed));
-  maintenance_rows_ += stored.base_rows_at_build;
+  if (strata_column.empty()) {
+    return Status::InvalidArgument("strata column must be named");
+  }
+  return Build(catalog, table, strata_column, budget, seed);
+}
+
+Status SampleCatalog::Build(const Catalog& catalog, const std::string& table,
+                            const std::string& strata_column, uint64_t budget,
+                            uint64_t seed) {
+  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
+                       ReadTable(catalog, table));
+  AQP_ASSIGN_OR_RETURN(
+      StoredSample stored,
+      BuildStoredSample(*base, table, strata_column, budget, seed));
+  maintenance_rows_ += stored.base_rows_at_build;  // Building scans the table.
   samples_[Key(table, strata_column)] =
       std::make_shared<const StoredSample>(std::move(stored));
   return Status::OK();
@@ -123,16 +111,9 @@ Status SampleCatalog::OnAppend(const Catalog& catalog,
         stored_ptr->strata_column.empty();
     if (!can_increment) {
       // Full rebuild against the (already updated) base table.
-      if (stored_ptr->strata_column.empty()) {
-        AQP_RETURN_IF_ERROR(
-            BuildUniform(catalog, table, stored_ptr->budget,
-                         seed + (next_stream_++)));
-      } else {
-        AQP_RETURN_IF_ERROR(BuildStratified(catalog, table,
-                                            stored_ptr->strata_column,
-                                            stored_ptr->budget,
-                                            seed + (next_stream_++)));
-      }
+      const std::string strata_column = stored_ptr->strata_column;
+      AQP_RETURN_IF_ERROR(Build(catalog, table, strata_column,
+                                stored_ptr->budget, seed + (next_stream_++)));
       continue;
     }
     // Incremental reservoir continuation: each appended row (global ordinal

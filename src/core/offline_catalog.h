@@ -29,21 +29,17 @@ struct StoredSample {
   uint64_t ApproxBytes() const;
 };
 
-/// Builds a uniform reservoir StoredSample of `budget` rows of `table` —
-/// the build step shared by SampleCatalog, the cross-query SynopsisCache
-/// (which deduplicates builds and shares the artifact across sessions) and
-/// the grace rung. The table is read by ReadTable (engine/executor.h) under
-/// `exec`, which an extent-backed table's decode is charged to.
-Result<StoredSample> BuildUniformStoredSample(const Catalog& catalog,
-                                              const std::string& table,
-                                              uint64_t budget, uint64_t seed,
-                                              const ExecOptions& exec = {});
-
-/// Builds a stratified StoredSample on `strata_column` (equal allocation).
-Result<StoredSample> BuildStratifiedStoredSample(
-    const Catalog& catalog, const std::string& table,
-    const std::string& strata_column, uint64_t budget, uint64_t seed,
-    const ExecOptions& exec = {});
+/// Builds a StoredSample of `budget` rows of `base`, the rows of catalog
+/// table `table`: a uniform reservoir sample when `strata_column` is empty,
+/// else an equal-allocation stratified sample on it. The build step shared
+/// by SampleCatalog, the cross-query SynopsisCache (which deduplicates
+/// builds and shares the artifact across sessions) and the grace rung; each
+/// reads `base` once, through ReadTable (engine/executor.h), under its own
+/// budget.
+Result<StoredSample> BuildStoredSample(const Table& base,
+                                       const std::string& table,
+                                       const std::string& strata_column,
+                                       uint64_t budget, uint64_t seed);
 
 /// Catalog of pre-computed (offline) samples with explicit maintenance
 /// accounting. Every build or refresh records how many base rows had to be
@@ -110,6 +106,11 @@ class SampleCatalog {
                   const std::string& strata_column) const {
     return table + "\x1f" + strata_column;
   }
+
+  /// Reads `table` and (re)builds its sample on `strata_column`.
+  Status Build(const Catalog& catalog, const std::string& table,
+               const std::string& strata_column, uint64_t budget,
+               uint64_t seed);
 
   MaintenancePolicy policy_;
   /// Samples are held by shared_ptr so a catalog view can alias artifacts

@@ -96,7 +96,7 @@ class Catalog {
   friend Result<std::shared_ptr<const Table>> ReadTable(
       const Catalog& catalog, const std::string& name,
       const std::vector<std::string>* columns, const ExecOptions& exec,
-      ExecStats* stats);
+      ExecStats* stats, uint64_t max_rows);
 
   std::unordered_map<std::string, std::shared_ptr<const Table>> tables_;
   /// Extent-backed bindings; disjoint from tables_ by construction.

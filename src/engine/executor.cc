@@ -1433,7 +1433,8 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
 
 Result<TablePtr> ReadTable(const Catalog& catalog, const std::string& name,
                            const std::vector<std::string>* columns,
-                           const ExecOptions& exec, ExecStats* stats) {
+                           const ExecOptions& exec, ExecStats* stats,
+                           uint64_t max_rows) {
   auto it = catalog.tables_.find(name);
   if (it != catalog.tables_.end()) return it->second;
   auto ext = catalog.extent_tables_.find(name);
@@ -1443,11 +1444,12 @@ Result<TablePtr> ReadTable(const Catalog& catalog, const std::string& name,
   const extent::ExtentReader& reader = *ext->second;
   const std::vector<size_t> cols = ResolveColumns(reader.schema(), columns);
   ExecContext ctx{catalog, stats, nullptr, exec};
+  const ExtentScanOptions opts = MakeExtentScanOptions(reader.num_rows(), ctx);
   ExtentScanStats es;
   AQP_ASSIGN_OR_RETURN(
-      Table t, ReadAllExtents(reader,
-                              MakeExtentScanOptions(reader.num_rows(), ctx),
-                              &es, &cols));
+      Table t, max_rows > 0 && max_rows < reader.num_rows()
+                   ? ReadExtentRows(reader, {{0, max_rows}}, opts, &es, &cols)
+                   : ReadAllExtents(reader, opts, &es, &cols));
   MergeExtentStats(es, ctx);
   return TrackTable(std::move(t), ctx, "extent scan output");
 }

@@ -64,12 +64,17 @@ Result<Table> Execute(const PlanPtr& plan, const Catalog& catalog,
 /// charged. An extent-backed name decodes `columns` (null = every column;
 /// names the file does not store are skipped, and at least one column is
 /// kept so row counts survive) with `exec`'s threads and cancellation,
-/// charged to `exec.memory` until the last reference dies; `stats`, when
-/// non-null, counts the extents read. NotFound for an unknown name.
+/// charged to `exec.memory` before it is decoded and until the last
+/// reference dies; `stats`, when non-null, counts the extents read. A
+/// nonzero `max_rows` decodes only the extents holding the leading
+/// `max_rows` rows, and returns those rows; an in-memory name still returns
+/// its whole table, so a caller with a row limit applies it itself.
+/// NotFound for an unknown name.
 Result<std::shared_ptr<const Table>> ReadTable(
     const Catalog& catalog, const std::string& name,
     const std::vector<std::string>* columns = nullptr,
-    const ExecOptions& exec = {}, ExecStats* stats = nullptr);
+    const ExecOptions& exec = {}, ExecStats* stats = nullptr,
+    uint64_t max_rows = 0);
 
 }  // namespace aqp
 

@@ -310,6 +310,16 @@ Result<Table> ReadAllExtents(const extent::ExtentReader& reader,
   stats->extents_total += n;
   const std::vector<size_t> decode =
       columns != nullptr ? *columns : AllColumns(reader.schema());
+  // The whole decode is charged before any of it happens, so a file that
+  // does not fit the budget is refused, not materialized and then refused.
+  uint64_t projected = 0;
+  for (size_t i = 0; i < n; ++i) {
+    projected +=
+        ProjectedDecodedBytes(reader.extent(i), reader.schema(), decode);
+  }
+  AQP_ASSIGN_OR_RETURN(
+      ScopedMemoryCharge charge,
+      ScopedMemoryCharge::Make(options.memory, projected, "extent read"));
   std::vector<size_t> extents(n);
   for (size_t i = 0; i < n; ++i) extents[i] = i;
   return ScanExtents(reader, extents, decode, decode.size(),

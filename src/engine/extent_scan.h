@@ -77,8 +77,10 @@ struct ExtentScanStats {
 /// Parts are assembled column by column in extent order, so the result is
 /// deterministic for every thread count. Used by bare and Bernoulli-sampled
 /// scans (a Bernoulli sample draws from exactly the same per-morsel RNG
-/// streams as its in-memory twin). The caller charges the result to its
-/// MemoryTracker; an over-budget full materialization is how governance
+/// streams as its in-memory twin). The projected decoded size is charged
+/// to `options.memory` before anything is decoded and released on return,
+/// when the caller charges the result itself: a file that does not fit the
+/// budget is refused with ResourceExhausted unread, which is how governance
 /// learns the query needed the fused path or a sample.
 Result<Table> ReadAllExtents(const extent::ExtentReader& reader,
                              const ExtentScanOptions& options,

@@ -11,6 +11,7 @@
 #include "common/memory_tracker.h"
 #include "common/str_util.h"
 #include "core/offline_executor.h"
+#include "engine/executor.h"
 #include "gov/fault_injector.h"
 #include "obs/metrics.h"
 #include "sql/binder.h"
@@ -295,15 +296,21 @@ Result<core::ApproxResult> GovernedExecutor::RunGraceRung(
   // The grace sample: ola_grace_rows rows of the CURRENT table drawn without
   // replacement, the design of a uniform synopsis. Algorithm L skips between
   // takes, so the draw costs O(k log(N/k)) after the deadline, not O(N) —
-  // for an in-memory table; an extent-backed one is decoded first (charged
-  // to the query's memory), which is O(N).
+  // for an in-memory table; an extent-backed one first decodes the columns
+  // the statement reads (charged to the query's memory), which is O(N).
   obs::TraceSpan draw_span = obs::MaybeSpan(trace, "draw-sample");
   AQP_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("grace.sample"));
+  const std::string& table = query.stmt.from.table;
+  std::vector<std::string> reads = sql::StatementColumns(query.stmt);
+  for (std::string& name : reads) name = sql::BaseName(name);
+  AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
+                       ReadTable(*catalog_, table, &reads, exec));
   AQP_ASSIGN_OR_RETURN(
       core::StoredSample grace,
-      core::BuildUniformStoredSample(*catalog_, query.stmt.from.table,
-                                     options_.ola_grace_rows,
-                                     options_.aqp.seed, exec));
+      core::BuildStoredSample(*base, table, /*strata_column=*/"",
+                              options_.ola_grace_rows, options_.aqp.seed));
+  base.reset();  // Only the sample is kept.
+
   AQP_ASSIGN_OR_RETURN(ScopedMemoryCharge charge,
                        ScopedMemoryCharge::Make(exec.memory,
                                                 grace.ApproxBytes(),

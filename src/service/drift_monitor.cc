@@ -194,9 +194,10 @@ void DriftMonitor::CheckTable(const SynopsisBaselineInfo& info,
   if (auto v = catalog_->Version(info.table); v.ok()) version = v.value();
 
   // Governed rescan: the monitor's cost is bounded by ITS budget, never the
-  // foreground's — an extent-backed table's decode included. A rescan that
-  // blows the deadline or the memory budget is abandoned; the table is
-  // retried on the next sweep. A dropped table fails its read: its
+  // foreground's — an extent-backed table's decode included, which reads
+  // only the extents holding the max_rows leading rows the sketches scan. A
+  // rescan that blows the deadline or the memory budget is abandoned; the
+  // table is retried on the next sweep. A dropped table fails its read: its
   // versioned keys are unreachable anyway, and the LRU ages the entries out.
   gov::QueryContext ctx(
       gov::Limits{options_.deadline_ms, options_.memory_budget_bytes});
@@ -207,7 +208,8 @@ void DriftMonitor::CheckTable(const SynopsisBaselineInfo& info,
   core::DriftBaselineOptions rescan;
   rescan.sketch = options_.sketch;
   rescan.max_rows = options_.max_rows;
-  auto table = ReadTable(*catalog_, info.table, nullptr, exec);
+  auto table = ReadTable(*catalog_, info.table, nullptr, exec, nullptr,
+                         rescan.max_rows);
   Result<core::TableDriftBaseline> current =
       table.ok() ? core::BuildDriftBaseline(*table.value(), info.table,
                                             version, rescan, exec.memory,

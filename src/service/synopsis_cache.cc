@@ -17,6 +17,11 @@ std::string CacheKey(const std::string& table, uint64_t version,
          std::to_string(spec.seed);
 }
 
+CachedSynopsis Cached(const PersistedSynopsis& s) {
+  return CachedSynopsis{s.sample, s.baseline, s.drift_score,
+                        s.built_unix_seconds};
+}
+
 }  // namespace
 
 Result<CachedSynopsis> SynopsisCache::GetOrBuild(const Catalog& catalog,
@@ -49,12 +54,7 @@ Result<CachedSynopsis> SynopsisCache::GetOrBuild(const Catalog& catalog,
       ++hits_;
     }
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    CachedSynopsis out;
-    out.sample = it->second.sample;
-    out.baseline = it->second.baseline;
-    out.drift_score = it->second.drift_score;
-    out.built_unix_seconds = it->second.built_unix_seconds;
-    return out;
+    return Cached(it->second.synopsis);
   }
 
   ++misses_;
@@ -64,102 +64,100 @@ Result<CachedSynopsis> SynopsisCache::GetOrBuild(const Catalog& catalog,
 
   // The build runs outside the lock — this is the whole point: one table
   // scan, with every concurrent requester parked on the cv, not rescanning.
-  // Also the `synopsis.build` chaos site: an injected failure takes the
-  // same path as a real one — not cached, waiters retry.
-  Result<core::StoredSample> built = [&]() -> Result<core::StoredSample> {
-    if (Status fault =
-            gov::FaultInjector::Global().MaybeFail("synopsis.build");
-        !fault.ok()) {
-      return fault;
-    }
-    return spec.stratified()
-               ? core::BuildStratifiedStoredSample(catalog, table,
-                                                   spec.strata_column,
-                                                   spec.budget, spec.seed)
-               : core::BuildUniformStoredSample(catalog, table, spec.budget,
-                                                spec.seed);
-  }();
-
-  // Drift baseline from the same table snapshot; failures are non-fatal
-  // (the synopsis serves, just unmonitored).
+  // The one read feeds both the sample and the drift baseline. An in-memory
+  // name is a lookup; an extent-backed name is decoded under a tracker
+  // capped at the cache's byte budget and chained to the cache's, so a file
+  // that does not fit is refused before it is decoded (the query answers at
+  // rung 0). Also the `synopsis.build` chaos site: an injected failure takes
+  // the same path as a real one — not cached, waiters retry.
   std::shared_ptr<const core::TableDriftBaseline> baseline;
-  if (built.ok() && options_.capture_baselines) {
-    if (auto table_ptr = ReadTable(catalog, table); table_ptr.ok()) {
-      auto b = core::BuildDriftBaseline(*table_ptr.value(), table, version,
+  Result<core::StoredSample> built = [&]() -> Result<core::StoredSample> {
+    AQP_RETURN_IF_ERROR(
+        gov::FaultInjector::Global().MaybeFail("synopsis.build"));
+    MemoryTracker read_memory(byte_budget_, tracker_);
+    ExecOptions exec;
+    exec.memory = &read_memory;
+    AQP_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
+                         ReadTable(catalog, table, nullptr, exec));
+    Result<core::StoredSample> sample = core::BuildStoredSample(
+        *base, table, spec.strata_column, spec.budget, spec.seed);
+    // Drift baseline from the same snapshot; failures are non-fatal (the
+    // synopsis serves, just unmonitored).
+    if (sample.ok() && options_.capture_baselines) {
+      auto b = core::BuildDriftBaseline(*base, table, version,
                                         options_.baseline, tracker_);
       if (b.ok()) {
         baseline = std::make_shared<const core::TableDriftBaseline>(
             std::move(b).value());
       }
     }
-  }
+    return sample;
+  }();
 
   lock.lock();
+  // Waiters wake once the lock drops, to whatever state the code below
+  // leaves.
+  cv_.notify_all();
   if (!built.ok()) {
     // Failures are not cached: waiters observe the erase, loop, and retry
     // (the next attempt may succeed, e.g. after the table reappears).
     ++build_failures_;
     entries_.erase(key);
-    cv_.notify_all();
     return built.status();
   }
-  auto sample =
-      std::make_shared<const core::StoredSample>(std::move(built).value());
   ++builds_;
-  CachedSynopsis out;
-  out.sample = sample;
-  out.baseline = baseline;
-  out.built_unix_seconds =
+  PersistedSynopsis synopsis{
+      table,
+      version,
+      spec,
       baseline != nullptr ? baseline->built_unix_seconds
-                          : obs::NowUnixSeconds();
+                          : obs::NowUnixSeconds(),
+      /*drift_score=*/0.0,
+      std::make_shared<const core::StoredSample>(std::move(built).value()),
+      baseline};
+  const CachedSynopsis out = Cached(synopsis);
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    // Clear() raced the build; hand the artifact back uncached.
-    cv_.notify_all();
-    return out;
-  }
-  Entry& entry = it->second;
-  if (entry.doomed) {
+  // Clear() raced the build; hand the artifact back uncached.
+  if (it == entries_.end()) return out;
+  if (it->second.doomed) {
     // InvalidateTable raced the build: the table is known-drifted, so the
     // artifact (built from the pre-invalidation snapshot) must not be
     // published. Hand it back uncached; waiters retry and rebuild fresh.
     ++invalidations_;
     entries_.erase(it);
-    cv_.notify_all();
     return out;
   }
+  Publish(key, it->second, std::move(synopsis));
+  return out;
+}
+
+void SynopsisCache::Publish(const std::string& key, Entry& entry,
+                            PersistedSynopsis synopsis) {
   entry.building = false;
-  entry.build_status = Status::OK();
-  entry.sample = sample;
-  entry.baseline = baseline;
-  entry.table = table;
-  entry.catalog_version = version;
-  entry.spec = spec;
-  entry.built_unix_seconds = out.built_unix_seconds;
-  entry.bytes = sample->ApproxBytes() +
-                (baseline != nullptr ? baseline->ApproxBytes() : 0);
+  entry.synopsis = std::move(synopsis);
+  entry.bytes = entry.synopsis.sample->ApproxBytes() +
+                (entry.synopsis.baseline != nullptr
+                     ? entry.synopsis.baseline->ApproxBytes()
+                     : 0);
   bytes_used_ += entry.bytes;
-  if (tracker_ != nullptr) {
-    // The tracker is accounting (the cache enforces its own byte budget);
-    // a refusal from a budgeted tracker simply leaves this entry uncounted.
-    if (!tracker_->TryCharge(entry.bytes, "synopsis-cache entry").ok()) {
-      bytes_used_ -= entry.bytes;
-      entry.bytes = 0;
-    }
+  // The tracker is accounting (the cache enforces its own byte budget); a
+  // refusal from a budgeted tracker simply leaves this entry uncounted.
+  if (tracker_ != nullptr &&
+      !tracker_->TryCharge(entry.bytes, "synopsis-cache entry").ok()) {
+    bytes_used_ -= entry.bytes;
+    entry.bytes = 0;
   }
   lru_.push_front(key);
   entry.lru_it = lru_.begin();
   EvictToBudget(key);
-  cv_.notify_all();
-  return out;
 }
 
 size_t SynopsisCache::MarkDrifted(const std::string& table, double score) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t flagged = 0;
   for (auto& [key, entry] : entries_) {
-    if (entry.building || entry.table != table) continue;
-    entry.drift_score = score;
+    if (entry.building || entry.synopsis.table != table) continue;
+    entry.synopsis.drift_score = score;
     ++flagged;
   }
   if (flagged > 0) ++drift_flags_;
@@ -172,7 +170,7 @@ size_t SynopsisCache::InvalidateTable(const std::string& table) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     Entry& entry = it->second;
     if (entry.building) {
-      // The builder's Entry::table is only set at publish; match in-flight
+      // An entry's synopsis is only set at publish; match in-flight
       // claims by key prefix ("table\x1f...") instead.
       if (it->first.compare(0, table.size() + 1, table + "\x1f") == 0) {
         entry.doomed = true;
@@ -180,7 +178,7 @@ size_t SynopsisCache::InvalidateTable(const std::string& table) {
       ++it;
       continue;
     }
-    if (entry.table != table) {
+    if (entry.synopsis.table != table) {
       ++it;
       continue;
     }
@@ -196,14 +194,10 @@ std::vector<SynopsisBaselineInfo> SynopsisCache::Baselines() const {
   std::vector<SynopsisBaselineInfo> out;
   out.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) {
-    if (entry.building || entry.baseline == nullptr) continue;
-    SynopsisBaselineInfo info;
-    info.table = entry.table;
-    info.catalog_version = entry.catalog_version;
-    info.baseline = entry.baseline;
-    info.drift_score = entry.drift_score;
-    info.built_unix_seconds = entry.built_unix_seconds;
-    out.push_back(std::move(info));
+    const PersistedSynopsis& s = entry.synopsis;
+    if (entry.building || s.baseline == nullptr) continue;
+    out.push_back({s.table, s.catalog_version, s.baseline, s.drift_score,
+                   s.built_unix_seconds});
   }
   return out;
 }
@@ -213,16 +207,8 @@ std::vector<PersistedSynopsis> SynopsisCache::SnapshotForPersist() const {
   std::vector<PersistedSynopsis> out;
   out.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) {
-    if (entry.building || entry.sample == nullptr) continue;
-    PersistedSynopsis p;
-    p.table = entry.table;
-    p.catalog_version = entry.catalog_version;
-    p.spec = entry.spec;
-    p.built_unix_seconds = entry.built_unix_seconds;
-    p.drift_score = entry.drift_score;
-    p.sample = entry.sample;
-    p.baseline = entry.baseline;
-    out.push_back(std::move(p));
+    if (entry.building || entry.synopsis.sample == nullptr) continue;
+    out.push_back(entry.synopsis);
   }
   return out;
 }
@@ -242,30 +228,7 @@ size_t SynopsisCache::Preload(const Catalog& catalog,
 
     std::lock_guard<std::mutex> lock(mu_);
     if (entries_.count(key) > 0) continue;  // Live build/entry wins.
-    Entry entry;
-    entry.building = false;
-    entry.build_status = Status::OK();
-    entry.sample = p.sample;
-    entry.baseline = p.baseline;
-    entry.table = p.table;
-    entry.catalog_version = p.catalog_version;
-    entry.spec = p.spec;
-    entry.drift_score = p.drift_score;
-    entry.built_unix_seconds = p.built_unix_seconds;
-    entry.bytes = p.sample->ApproxBytes() +
-                  (p.baseline != nullptr ? p.baseline->ApproxBytes() : 0);
-    auto [it, inserted] = entries_.emplace(key, std::move(entry));
-    bytes_used_ += it->second.bytes;
-    if (tracker_ != nullptr) {
-      if (!tracker_->TryCharge(it->second.bytes, "synopsis-cache entry")
-               .ok()) {
-        bytes_used_ -= it->second.bytes;
-        it->second.bytes = 0;
-      }
-    }
-    lru_.push_front(key);
-    it->second.lru_it = lru_.begin();
-    EvictToBudget(key);
+    Publish(key, entries_[key], std::move(p));
     ++adopted;
   }
   return adopted;
@@ -291,16 +254,9 @@ void SynopsisCache::EvictToBudget(const std::string& keep) {
       if (lru_.size() == 1) return;  // Only the protected entry remains.
       victim = std::prev(victim);
     }
-    auto it = entries_.find(*victim);
-    if (it != entries_.end()) {
-      bytes_used_ -= it->second.bytes;
-      if (tracker_ != nullptr && it->second.bytes > 0) {
-        tracker_->Release(it->second.bytes);
-      }
-      entries_.erase(it);
-      ++evictions_;
-    }
-    lru_.erase(victim);
+    // Every LRU node names a ready entry.
+    DropReadyEntry(entries_.find(*victim));
+    ++evictions_;
   }
 }
 

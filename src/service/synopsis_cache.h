@@ -131,7 +131,11 @@ class SynopsisCache {
   /// Returns the synopsis for (table@current-version, spec), building it on
   /// first use. Concurrent calls for the same cold key perform one build.
   /// Build failures are returned to every waiter and NOT cached — the next
-  /// call retries.
+  /// call retries. A build reads the table once for the sample and the
+  /// baseline; an extent-backed table's decode is charged to a tracker
+  /// capped at `byte_budget` (0 = unbounded) under `tracker`, so a file
+  /// whose columns do not fit fails the build with ResourceExhausted,
+  /// unread.
   Result<CachedSynopsis> GetOrBuild(const Catalog& catalog,
                                     const std::string& table,
                                     const SynopsisSpec& spec);
@@ -172,18 +176,16 @@ class SynopsisCache {
  private:
   struct Entry {
     bool building = true;
-    bool doomed = false;  // InvalidateTable hit a mid-flight build.
-    Status build_status;  // Meaningful once !building.
-    std::shared_ptr<const core::StoredSample> sample;
-    std::shared_ptr<const core::TableDriftBaseline> baseline;
-    std::string table;
-    uint64_t catalog_version = 0;
-    SynopsisSpec spec;  // What was built, for persistence round-trips.
-    double drift_score = 0.0;
-    double built_unix_seconds = 0.0;
+    bool doomed = false;         // InvalidateTable hit a mid-flight build.
+    PersistedSynopsis synopsis;  // Set once !building.
     uint64_t bytes = 0;
     std::list<std::string>::iterator lru_it;  // Valid when ready & cached.
   };
+
+  /// Makes the entry claimed under `key` ready with `synopsis`: charges its
+  /// bytes, puts it at the LRU front and evicts to budget. Caller holds mu_.
+  void Publish(const std::string& key, Entry& entry,
+               PersistedSynopsis synopsis);
 
   /// Evicts LRU-tail entries until bytes_used_ fits the budget, sparing
   /// `keep`. Caller holds mu_.

@@ -23,23 +23,6 @@ void CollectColumns(const SqlExprPtr& e, std::vector<std::string>* out) {
   for (const SqlExprPtr& c : e->children) CollectColumns(c, out);
 }
 
-// Every column name the statement reads: SELECT items, WHERE, GROUP BY,
-// HAVING and the join conditions.
-std::vector<std::string> StatementColumns(const SelectStmt& stmt) {
-  std::vector<std::string> names;
-  for (const SelectItem& item : stmt.items) CollectColumns(item.expr, &names);
-  CollectColumns(stmt.where, &names);
-  for (const SqlExprPtr& g : stmt.group_by) CollectColumns(g, &names);
-  CollectColumns(stmt.having, &names);
-  for (const JoinClause& join : stmt.joins) {
-    for (const auto& [a, b] : join.conditions) {
-      names.push_back(a);
-      names.push_back(b);
-    }
-  }
-  return names;
-}
-
 // Wraps `scan` in a Project renaming each column the statement reads
 // (`reads`, the names it uses) to "<qualifier>.<base>", at least one. A
 // sampled scan also offers "__unit" (engine/plan.h), kept like any other
@@ -187,6 +170,21 @@ int SingleTable(const Expr& e, const Schema& schema,
 }
 
 }  // namespace
+
+std::vector<std::string> StatementColumns(const SelectStmt& stmt) {
+  std::vector<std::string> names;
+  for (const SelectItem& item : stmt.items) CollectColumns(item.expr, &names);
+  CollectColumns(stmt.where, &names);
+  for (const SqlExprPtr& g : stmt.group_by) CollectColumns(g, &names);
+  CollectColumns(stmt.having, &names);
+  for (const JoinClause& join : stmt.joins) {
+    for (const auto& [a, b] : join.conditions) {
+      names.push_back(a);
+      names.push_back(b);
+    }
+  }
+  return names;
+}
 
 Result<BoundQuery> Bind(const SelectStmt& stmt, const Catalog& catalog) {
   BoundQuery bound;

@@ -90,6 +90,10 @@ Result<PreparedQuery> Prepare(std::string_view sql, const Catalog& catalog,
 /// Base column name: the part after the last '.' ("l.price" -> "price").
 std::string BaseName(const std::string& name);
 
+/// Every column name `stmt` reads, as written: SELECT items, WHERE, GROUP
+/// BY, HAVING and the join conditions.
+std::vector<std::string> StatementColumns(const SelectStmt& stmt);
+
 /// Lowers a parser-level expression (no aggregate calls) to an engine
 /// expression. Exposed for executors that evaluate pieces of a statement
 /// outside a bound plan (e.g. the offline executor's predicate pushdown).

@@ -348,13 +348,36 @@ TEST_F(ExtentScanExecTest, CatalogContract) {
   }
   EXPECT_EQ(memory.used(), 0u) << "the charge dies with the last reference";
 
-  // A budget below the decoded columns refuses the read.
+  // A row limit decodes only the extents holding the leading rows: 1500
+  // rows touch the first two of eight 1024-row extents. An in-memory name
+  // still returns its whole table.
+  {
+    ExecStats stats;
+    Result<std::shared_ptr<const Table>> head =
+        ReadTable(catalog_, "ext", nullptr, options, &stats, 1500);
+    ASSERT_TRUE(head.ok()) << head.status().message();
+    EXPECT_EQ(head.value()->num_rows(), 1500u);
+    EXPECT_EQ(stats.extents_total, 8u);
+    EXPECT_EQ(stats.extents_pruned, 6u);
+    std::vector<uint32_t> leading(1500);
+    for (uint32_t i = 0; i < leading.size(); ++i) leading[i] = i;
+    ExpectTablesIdentical(mem.value()->Take(leading), *head.value());
+    EXPECT_EQ(ReadTable(catalog_, "mem", nullptr, options, nullptr, 1500)
+                  .value(),
+              mem.value());
+  }
+  EXPECT_EQ(memory.used(), 0u);
+
+  // A budget below the decoded columns refuses the read before anything is
+  // decoded: the refused charge is the read's projection, not its output.
   MemoryTracker tight(1024);
   options.memory = &tight;
   Result<std::shared_ptr<const Table>> refused =
       ReadTable(catalog_, "ext", nullptr, options);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.status().message().find("extent read"), std::string::npos)
+      << refused.status().message();
   EXPECT_EQ(tight.used(), 0u);
   EXPECT_EQ(ReadTable(catalog_, "ghost").status().code(),
             StatusCode::kNotFound);

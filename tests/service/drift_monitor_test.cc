@@ -209,6 +209,37 @@ TEST(DriftMonitorTest, ExtentBackedTableIsChecked) {
   std::remove(path.c_str());
 }
 
+TEST(DriftMonitorTest, ExtentRescanReadsOnlyTheLeadingRows) {
+  // A budget the whole file's decode does not fit fails every rescan; with
+  // max_rows the rescan decodes only the extents holding the leading rows,
+  // and the same budget covers it.
+  Rig rig(20000, 3);
+  const std::string path = ::testing::TempDir() + "aqp_drift_head.aqpx";
+  extent::ExtentWriter::Options extents;
+  extents.extent_rows = 1024;
+  ASSERT_TRUE(extent::WriteTableToExtents(path, *rig.handle, extents).ok());
+  Result<std::shared_ptr<const extent::ExtentReader>> reader =
+      extent::ExtentReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  rig.catalog.RegisterExtentBacked("t", reader.value());
+  rig.BuildSynopsis();
+
+  DriftMonitorOptions whole = TestOptions();
+  whole.memory_budget_bytes = 200 * 1024;  // The 20000-row decode is 360 KB.
+  DriftMonitor full(&rig.catalog, &rig.cache, whole);
+  full.CheckNow();
+  EXPECT_EQ(full.stats().failed, 1u);
+  EXPECT_EQ(full.stats().checks, 0u);
+
+  DriftMonitorOptions head = whole;
+  head.max_rows = 1500;
+  DriftMonitor leading(&rig.catalog, &rig.cache, head);
+  leading.CheckNow();
+  EXPECT_EQ(leading.stats().failed, 0u);
+  EXPECT_EQ(leading.stats().checks, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(DriftMonitorTest, VerdictsReachTheQueryLog) {
   Rig rig(20000, 3);
   rig.BuildSynopsis();

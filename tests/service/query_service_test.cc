@@ -49,6 +49,25 @@ class QueryServiceTest : public ::testing::Test {
     return o;
   }
 
+  // Writes lineitem to 8 extents at `path` and registers the file as
+  // "lineitem_ext", the in-memory table's extent-backed twin.
+  void RegisterExtentTwin(const std::string& path) {
+    extent::ExtentWriter::Options extents;
+    extents.extent_rows = 8192;
+    ASSERT_TRUE(extent::WriteTableToExtents(
+                    path, *ReadTable(catalog_, "lineitem").value(), extents)
+                    .ok());
+    Result<std::shared_ptr<const extent::ExtentReader>> reader =
+        extent::ExtentReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    catalog_.RegisterExtentBacked("lineitem_ext", reader.value());
+  }
+
+  static std::string GroupByQuery(const std::string& table) {
+    return "SELECT shipmode, SUM(extendedprice) AS s FROM " + table +
+           " GROUP BY shipmode WITH ERROR 5% CONFIDENCE 95%";
+  }
+
   Catalog catalog_;
 };
 
@@ -135,15 +154,7 @@ TEST_F(QueryServiceTest, ZeroDeadlineAnswersFromSharedSynopsis) {
 TEST_F(QueryServiceTest, ExtentBackedNameAnswersAtEveryRung) {
   gov::ScopedFaultInjection quiet;
   const std::string path = ::testing::TempDir() + "aqp_service_lineitem.aqpx";
-  extent::ExtentWriter::Options extents;
-  extents.extent_rows = 8192;
-  ASSERT_TRUE(extent::WriteTableToExtents(
-                  path, *ReadTable(catalog_, "lineitem").value(), extents)
-                  .ok());
-  Result<std::shared_ptr<const extent::ExtentReader>> reader =
-      extent::ExtentReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  catalog_.RegisterExtentBacked("lineitem_ext", reader.value());
+  ASSERT_NO_FATAL_FAILURE(RegisterExtentTwin(path));
 
   struct Rung {
     int rung;
@@ -157,14 +168,18 @@ TEST_F(QueryServiceTest, ExtentBackedNameAnswersAtEveryRung) {
     std::vector<core::ApproxResult> answers;
     for (const std::string table : {"lineitem", "lineitem_ext"}) {
       QueryService service(&catalog_, opts);
-      Submission submission{"SELECT shipmode, SUM(extendedprice) AS s FROM " +
-                            table +
-                            " GROUP BY shipmode WITH ERROR 5% CONFIDENCE 95%"};
+      Submission submission{GroupByQuery(table)};
       submission.deadline_ms = rung.deadline_ms;
       auto r = service.Execute(service.OpenSession(), submission);
       ASSERT_TRUE(r.ok()) << table << " at rung " << rung.rung << ": "
                           << r.status().ToString();
       EXPECT_EQ(r.value().profile.degradation_rung, rung.rung) << table;
+      if (rung.rung == 2 && table == "lineitem_ext") {
+        // The grace rung decodes only the two columns the query reads,
+        // never the whole table.
+        EXPECT_LT(r.value().profile.memory_peak_bytes,
+                  ReadTable(catalog_, "lineitem").value()->ApproxBytes());
+      }
       answers.push_back(std::move(r).value());
     }
     EXPECT_TRUE(
@@ -184,6 +199,37 @@ TEST_F(QueryServiceTest, ExtentBackedNameAnswersAtEveryRung) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+// A synopsis build may decode an extent-backed name only within the cache's
+// byte budget. A file whose columns do not fit is refused before it is
+// decoded, nothing stays charged, and the query answers at rung 0 exactly
+// as its in-memory twin does.
+TEST_F(QueryServiceTest, ExtentSynopsisOverCacheBudgetAnswersAtRungZero) {
+  gov::ScopedFaultInjection quiet;
+  const std::string path = ::testing::TempDir() + "aqp_service_tight.aqpx";
+  ASSERT_NO_FATAL_FAILURE(RegisterExtentTwin(path));
+  ServiceOptions opts = Options();
+  opts.synopsis_cache_bytes = 64 * 1024;  // Far below the 60k-row decode.
+  opts.use_result_cache = false;  // Cache bytes are the synopses' alone.
+  std::vector<core::ApproxResult> answers;
+  for (const std::string table : {"lineitem", "lineitem_ext"}) {
+    QueryService service(&catalog_, opts);
+    auto r = service.Execute(service.OpenSession(), {GroupByQuery(table)});
+    ASSERT_TRUE(r.ok()) << table << ": " << r.status().ToString();
+    EXPECT_EQ(r.value().profile.degradation_rung, 0) << table;
+    answers.push_back(std::move(r).value());
+    if (table == "lineitem_ext") {
+      // Uniform and stratified builds were both refused, unread.
+      const SynopsisCacheStats s = service.synopsis_cache_stats();
+      EXPECT_EQ(s.builds, 0u);
+      EXPECT_EQ(s.build_failures, 2u);
+      EXPECT_EQ(s.bytes_used, 0u);
+      EXPECT_EQ(service.StatsSnapshot().cache_bytes, 0u);
+    }
+  }
+  EXPECT_TRUE(testutil::TablesBitIdentical(answers[0].table, answers[1].table));
   std::remove(path.c_str());
 }
 

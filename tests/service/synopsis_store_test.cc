@@ -67,8 +67,8 @@ class SynopsisStoreTest : public ::testing::Test {
     p.built_unix_seconds = 1700000000.0 + static_cast<double>(seed);
     p.drift_score = 0.25;
     p.sample = std::make_shared<const core::StoredSample>(
-        core::BuildUniformStoredSample(catalog_, "lineitem", spec.budget,
-                                       spec.seed)
+        core::BuildStoredSample(*ReadTable(catalog_, "lineitem").value(),
+                                "lineitem", "", spec.budget, spec.seed)
             .value());
     if (with_baseline) {
       p.baseline = std::make_shared<const core::TableDriftBaseline>(
