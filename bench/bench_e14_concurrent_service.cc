@@ -39,12 +39,7 @@ constexpr int kQueriesPerSession = 8;
 const size_t kSessions[] = {1, 2, 4, 8};
 
 size_t TableRows() {
-  const char* env = std::getenv("AQP_E14_ROWS");
-  if (env != nullptr && *env != '\0') {
-    long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 400000;
+  return bench::EnvSize("AQP_E14_ROWS", 400000);
 }
 
 Catalog MakeCatalog(size_t rows) {
@@ -346,6 +341,7 @@ void Run() {
       << "rejection took " << max_reject_ms << "ms";
 
   bench::BenchJson json("e14_concurrent_service");
+  json.SetSize("rows", rows);
   json.AddTable("main", out);
   json.AddTable("overload", overload_out);
   json.Write();

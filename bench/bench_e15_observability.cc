@@ -38,12 +38,7 @@ constexpr int kWarmRounds = 6;  // Warm-phase repetitions per window.
 constexpr int kOverheadWindows = 5;  // Alternating off/on windows per mode.
 
 size_t TableRows() {
-  const char* env = std::getenv("AQP_E15_ROWS");
-  if (env != nullptr && *env != '\0') {
-    long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 400000;
+  return bench::EnvSize("AQP_E15_ROWS", 400000);
 }
 
 Catalog MakeCatalog(size_t rows) {
@@ -303,6 +298,7 @@ void Run() {
   reg.set_enabled(obs_was_enabled);
 
   bench::BenchJson json("e15_observability");
+  json.SetSize("rows", rows);
   json.AddTable("overhead", overhead_out);
   json.AddTable("coverage", coverage_out);
   json.AddTable("overload_with_audit", overload_out);

@@ -45,12 +45,7 @@ namespace aqp {
 namespace {
 
 size_t TableRows() {
-  const char* env = std::getenv("AQP_E16_ROWS");
-  if (env != nullptr && *env != '\0') {
-    long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 2000000;
+  return bench::EnvSize("AQP_E16_ROWS", 2000000);
 }
 
 Table MakeTable(size_t rows) {
@@ -214,7 +209,7 @@ void Run() {
                                                 : simd::Backend::kScalar);
   out.Print();
 
-  bench::WriteBenchJson("e16_vectorized", out);
+  bench::WriteBenchJson("e16_vectorized", out, rows);
 
   // The smoke contract: the batch path never loses to the scalar reference.
   AQP_CHECK(all_batch_wins) << "batch path lost to scalar on some operator";

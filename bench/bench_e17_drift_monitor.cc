@@ -48,12 +48,7 @@ const char* kAggs[] = {"SUM(x)", "AVG(x)", "COUNT(*)"};
 const int kPreds[] = {2, 5, 8, 11};  // k is uniform over 0..11.
 
 size_t TableRows() {
-  const char* env = std::getenv("AQP_E17_ROWS");
-  if (env != nullptr && *env != '\0') {
-    long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 40000;
+  return bench::EnvSize("AQP_E17_ROWS", 40000);
 }
 
 /// Base table: k uniform int over 0..11 (the predicate column), x
@@ -400,6 +395,7 @@ void Run() {
   reg.set_enabled(obs_was_enabled);
 
   bench::BenchJson out("e17_drift_monitor");
+  out.SetSize("rows", rows);
   out.AddTable("coverage", coverage_out);
   out.AddTable("overhead", overhead_out);
   out.AddTable("exports", export_out);

@@ -53,23 +53,14 @@ constexpr int64_t kHungDeadlineMs = 100;
 constexpr int64_t kHungGraceMs = 200;
 
 size_t TableRows() {
-  const char* env = std::getenv("AQP_E18_ROWS");
-  if (env != nullptr && *env != '\0') {
-    long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 120000;
+  return bench::EnvSize("AQP_E18_ROWS", 120000);
 }
 
 int QueriesPerPhase() {
-  const char* env = std::getenv("AQP_E18_QUERIES");
-  if (env != nullptr && *env != '\0') {
-    long v = std::atol(env);
-    // k has 100 distinct values; past 99 the predicates would repeat and the
-    // result cache would answer them fault-free, diluting the comparison.
-    if (v > 0) return static_cast<int>(std::min<long>(v, 99));
-  }
-  return 60;
+  // k has 100 distinct values; past 99 the predicates would repeat and the
+  // result cache would answer them fault-free, diluting the comparison.
+  return static_cast<int>(
+      std::min<size_t>(bench::EnvSize("AQP_E18_QUERIES", 60), 99));
 }
 
 Catalog MakeCatalog(size_t rows) {
@@ -494,6 +485,8 @@ void Run() {
   sites_out.Print();
 
   bench::BenchJson json("e18_resilience");
+  json.SetSize("rows", rows);
+  json.SetSize("queries", static_cast<uint64_t>(queries));
   json.AddTable("goodput", goodput_out);
   json.AddTable("hung", hung_out);
   json.AddTable("breaker", breaker_out);

@@ -55,12 +55,7 @@ bool KeepArtifacts() {
 }
 
 size_t TableRows() {
-  const char* env = std::getenv("AQP_E19_ROWS");
-  if (env != nullptr && *env != '\0') {
-    long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 262144;
+  return bench::EnvSize("AQP_E19_ROWS", 262144);
 }
 
 std::string TmpPath(const std::string& name) {
@@ -286,6 +281,7 @@ void Run() {
     AQP_CHECK(warm_hits >= 1);
 
     bench::BenchJson out("e19_persistence");
+    out.SetSize("rows", rows);
     out.AddTable("pruning", prune_out);
     out.AddTable("restart", restart_out);
     out.Write();

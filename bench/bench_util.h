@@ -2,6 +2,7 @@
 #define AQP_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -24,6 +25,17 @@
 
 namespace aqp {
 namespace bench {
+
+/// The positive integer in environment variable `name`, else `fallback`:
+/// how a bench's size knob (AQP_E17_ROWS, ...) resolves.
+inline size_t EnvSize(const char* name, size_t fallback) {
+  const char* env = std::getenv(name);
+  if (env != nullptr && *env != '\0') {
+    long v = std::atol(env);
+    if (v > 0) return static_cast<size_t>(v);
+  }
+  return fallback;
+}
 
 /// Wall-clock stopwatch.
 class WallTimer {
@@ -85,9 +97,13 @@ class TablePrinter {
 /// TablePrinters and writes `BENCH_<id>.json` next to wherever the bench
 /// ran, feeding the perf-trajectory loop. Schema (see README.md):
 ///   {"bench": id, "schema_version": 1,
+///    "provenance": {..., "sizes": {"rows": n, ...}},
 ///    "tables": [{"name", "headers": [...],
 ///                "rows": [{header: cell, ...}, ...]}, ...]}
 /// Cells are the exact formatted strings printed in the human table.
+/// "sizes" holds the sizes the run resolved (SetSize), which
+/// tools/bench_compare.py checks against the baseline's before it compares
+/// a single cell.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench_id) : bench_id_(std::move(bench_id)) {}
@@ -96,6 +112,11 @@ class BenchJson {
   /// Write().
   void AddTable(const std::string& name, const TablePrinter& table) {
     tables_.emplace_back(name, table);
+  }
+
+  /// Stamps an effective run size (e.g. "rows") into the provenance.
+  void SetSize(const std::string& name, uint64_t value) {
+    sizes_.emplace_back(name, value);
   }
 
   /// Writes BENCH_<id>.json in the working directory; returns the filename
@@ -117,6 +138,9 @@ class BenchJson {
       std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
     }
     w.Key("timestamp_utc").Value(stamp);
+    w.Key("sizes").BeginObject();
+    for (const auto& [name, value] : sizes_) w.Key(name).Value(value);
+    w.EndObject();
     w.EndObject();
     w.Key("tables").BeginArray();
     for (const auto& [name, table] : tables_) {
@@ -154,13 +178,16 @@ class BenchJson {
  private:
   std::string bench_id_;
   std::vector<std::pair<std::string, TablePrinter>> tables_;
+  std::vector<std::pair<std::string, uint64_t>> sizes_;
 };
 
-/// One-table shorthand: the common bench shape is a single table.
+/// One-table shorthand: the common bench shape is a single table. `rows`,
+/// when nonzero, is stamped as the run's "rows" size.
 inline void WriteBenchJson(const std::string& bench_id,
-                           const TablePrinter& table) {
+                           const TablePrinter& table, uint64_t rows = 0) {
   BenchJson json(bench_id);
   json.AddTable("main", table);
+  if (rows > 0) json.SetSize("rows", rows);
   json.Write();
 }
 

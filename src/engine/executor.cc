@@ -16,6 +16,7 @@
 #include "common/simd.h"
 #include "common/str_util.h"
 #include "engine/extent_scan.h"
+#include "engine/row_ranges.h"
 #include "expr/eval.h"
 #include "expr/vector_eval.h"
 #include "gov/fault_injector.h"
@@ -72,8 +73,11 @@ struct ExecContext {
   // Filled once per Execute, and only when the plan reads an extent-backed
   // table or draws a sample; unsampled in-memory scans ignore it.
   const ColumnNeeds* needs = nullptr;
-  // Units the last sampled scan drew, for its trace span.
+  // Units the last sampled scan drew and the row ranges they coalesce
+  // into, and the rows the last filter evaluated, for their trace spans.
   uint64_t scan_units = 0;
+  uint64_t scan_ranges = 0;
+  uint64_t rows_evaluated = 0;
 
   // Where parallel regions report their morsel/steal counters (null when the
   // caller did not ask for stats).
@@ -88,14 +92,23 @@ struct ExecContext {
   }
 };
 
-// A late-materialized operator batch: rows of `base` viewed through an
-// optional selection vector (ascending base-row indices; null means "all
-// rows") and a column remap (view column i is base column col_idx[i], named
-// names[i]). Scan and filter produce views without copying a single cell;
-// the first table-valued operator (aggregate, join, sort, ...) — or the plan
-// root — gathers once. Selections always index BASE rows, so predicate
-// kernels run over contiguous column spans regardless of how many filters
-// stacked up.
+// A late-materialized operator batch: rows of `base` viewed through a
+// column remap (view column i is base column col_idx[i], named names[i])
+// and at most one of two selection forms, both over BASE rows in ascending
+// order:
+//   - `ranges`: sorted, coalesced [begin, end) row ranges. A SYSTEM sample
+//     keeps whole blocks, so its scan returns the kept blocks this way and
+//     writes nothing per row. The filter evaluates only the rows in the
+//     ranges, the aggregate reads bare column references over them in
+//     place, and gathers copy them range by range.
+//   - `sel`: a selection vector of row ids, from a filter or a BERNOULLI
+//     sample. The join reads every view through ids; a range view is
+//     expanded to ids for it (SelectionAsIds).
+// With neither, the view holds every base row. Scan, filter and project
+// produce views without copying a cell; the first table-valued operator
+// (aggregate, join, sort, ...) — or the plan root — gathers once.
+// Selections index base rows, so predicate kernels run over contiguous
+// column spans regardless of how many filters stacked up.
 //
 // A sampled scan that outputs "__unit" adds it as the derived column
 // kUnitColumn: each row's unit is its base row / unit_rows, computed
@@ -107,6 +120,7 @@ struct BatchView {
   std::vector<size_t> col_idx;
   std::vector<std::string> names;
   std::shared_ptr<const std::vector<uint32_t>> sel;
+  std::shared_ptr<const RowRanges> ranges;
   size_t num_rows = 0;
   uint32_t unit_rows = 0;  // Nonzero when some col_idx is kUnitColumn.
 };
@@ -132,22 +146,29 @@ Result<TablePtr> TrackTable(Table&& t, ExecContext& ctx,
   });
 }
 
-// Selection vectors are query-owned memory too: charge them like operator
-// outputs, released when the last view referencing them dies.
-Result<std::shared_ptr<const std::vector<uint32_t>>> TrackSel(
-    std::vector<uint32_t>&& sel, ExecContext& ctx, std::string_view what) {
+uint64_t SelectionBytes(const std::vector<uint32_t>& ids) {
+  return ids.capacity() * sizeof(uint32_t);
+}
+uint64_t SelectionBytes(const RowRanges& ranges) {
+  return ranges.ApproxBytes();
+}
+
+// Selections — id vectors and row ranges — are query-owned memory too:
+// charge them like operator outputs, released when the last view
+// referencing them dies.
+template <typename Sel>
+Result<std::shared_ptr<const Sel>> TrackSel(Sel&& sel, ExecContext& ctx,
+                                            std::string_view what) {
   MemoryTracker* memory = ctx.options.memory;
-  if (memory == nullptr) {
-    return std::make_shared<const std::vector<uint32_t>>(std::move(sel));
-  }
-  auto owned = std::make_unique<const std::vector<uint32_t>>(std::move(sel));
-  const uint64_t bytes = owned->capacity() * sizeof(uint32_t);
+  if (memory == nullptr) return std::make_shared<const Sel>(std::move(sel));
+  auto owned = std::make_unique<const Sel>(std::move(sel));
+  const uint64_t bytes = SelectionBytes(*owned);
   AQP_RETURN_IF_ERROR(memory->TryCharge(bytes, what));
-  return std::shared_ptr<const std::vector<uint32_t>>(
-      owned.release(), [memory, bytes](const std::vector<uint32_t>* p) {
-        delete p;
-        memory->Release(bytes);
-      });
+  return std::shared_ptr<const Sel>(owned.release(),
+                                    [memory, bytes](const Sel* p) {
+                                      delete p;
+                                      memory->Release(bytes);
+                                    });
 }
 
 // Wraps a table as the trivial view over itself.
@@ -166,7 +187,7 @@ BatchView IdentityView(TablePtr t) {
 }
 
 bool ViewIsIdentity(const BatchView& v) {
-  if (v.sel != nullptr) return false;
+  if (v.sel != nullptr || v.ranges != nullptr) return false;
   if (v.col_idx.size() != v.base->num_columns()) return false;
   for (size_t i = 0; i < v.col_idx.size(); ++i) {
     if (v.col_idx[i] != i) return false;
@@ -244,24 +265,57 @@ Column GatherViewColumn(const BatchView& v, size_t i,
   return Column::FromInt64(std::move(units));
 }
 
+// Column i of `v` over the view's own selection; a range view is copied
+// range by range.
+Column GatherViewColumn(const BatchView& v, size_t i) {
+  if (v.ranges == nullptr) return GatherViewColumn(v, i, v.sel.get());
+  const std::vector<RowRanges::Range>& ranges = v.ranges->ranges();
+  if (v.col_idx[i] == kUnitColumn) {
+    std::vector<int64_t> units;
+    units.reserve(v.num_rows);
+    for (const RowRanges::Range& r : ranges) {
+      for (uint64_t row = r.begin; row < r.end; ++row) {
+        units.push_back(static_cast<int64_t>(row / v.unit_rows));
+      }
+    }
+    return Column::FromInt64(std::move(units));
+  }
+  const Column& col = v.base->column(v.col_idx[i]);
+  Column out(col.type());
+  out.Reserve(v.num_rows);
+  for (const RowRanges::Range& r : ranges) {
+    out.AppendRange(col, r.begin, r.end - r.begin);
+  }
+  return out;
+}
+
 // Gathers a view into a new table. Selection gathers run column-parallel
 // on the morsel path (single-column views included, so morsel attribution
 // reflects the gather uniformly).
 Result<Table> GatherView(const BatchView& v, ExecContext& ctx) {
   std::vector<Column> columns;
-  if (v.sel == nullptr) {
+  if (v.sel == nullptr && v.ranges == nullptr) {
     columns.reserve(v.col_idx.size());
     for (size_t i = 0; i < v.col_idx.size(); ++i) {
       columns.push_back(GatherViewColumn(v, i, nullptr));
     }
   } else {
     AQP_ASSIGN_OR_RETURN(
-        columns, GatherColumns(v.col_idx.size(), v.sel->size(), ctx,
-                               [&](size_t i) {
-                                 return GatherViewColumn(v, i, v.sel.get());
-                               }));
+        columns, GatherColumns(v.col_idx.size(), v.num_rows, ctx,
+                               [&](size_t i) { return GatherViewColumn(v, i); }));
   }
   return Table::Make(ViewSchema(v), std::move(columns));
+}
+
+// The view with a range selection replaced by the same rows as ids, for
+// operators that read rows through ids (the join); other views pass
+// through.
+Result<BatchView> SelectionAsIds(BatchView v, ExecContext& ctx) {
+  if (v.ranges == nullptr) return v;
+  AQP_ASSIGN_OR_RETURN(v.sel,
+                       TrackSel(v.ranges->ToIds(), ctx, "scan selection"));
+  v.ranges = nullptr;
+  return v;
 }
 
 // Collapses a view into a real table: the one gather of the pipeline.
@@ -313,6 +367,7 @@ BatchView NarrowView(BatchView v, const std::vector<std::string>& refs) {
   BatchView out;
   out.base = v.base;
   out.sel = v.sel;
+  out.ranges = v.ranges;
   out.num_rows = v.num_rows;
   out.unit_rows = v.unit_rows;
   for (size_t i = 0; i < v.col_idx.size(); ++i) {
@@ -363,72 +418,49 @@ SampledUnits DrawnBlocks(
   return drawn;
 }
 
-// Draws the kept-row set for a sampled scan: exactly the same rows for a
-// given (seed, morsel_rows) regardless of thread count. `*drawn_out`
-// receives the draw's units: the kept blocks (SYSTEM) or rows (BERNOULLI).
-Result<std::vector<uint32_t>> DrawSampleKeep(const Table& table,
-                                             const SampleSpec& spec,
-                                             bool use_morsels,
-                                             ExecContext& ctx,
-                                             uint64_t* blocks_read_out,
-                                             SampledUnits* drawn_out) {
-  const size_t n = table.num_rows();
+// Draws the kept rows of a BERNOULLI sample: exactly the same rows for a
+// given (seed, morsel_rows) regardless of thread count. Row-level Bernoulli
+// still visits every row — the system-efficiency gap the paper highlights.
+Result<std::vector<uint32_t>> DrawBernoulliKeep(size_t n,
+                                                const SampleSpec& spec,
+                                                bool use_morsels,
+                                                ExecContext& ctx) {
   std::vector<uint32_t> keep;
-  uint64_t blocks_read = 0;
-  if (spec.method == SampleSpec::Method::kBernoulliRow) {
-    // Row-level Bernoulli still scans every block — the system-efficiency
-    // gap the paper highlights.
-    blocks_read = table.NumBlocks(spec.block_size);
-    if (use_morsels) {
-      // Per-morsel RNG: morsel m draws from stream m of the query seed, so
-      // the kept set depends only on (seed, morsel_rows) — never on which
-      // worker ran the morsel or how many threads participated.
-      const size_t morsel_rows = ctx.options.morsel_rows;
-      const size_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
-      std::vector<std::vector<uint32_t>> local(num_morsels);
-      ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
-          n, morsel_rows, ctx.options.ResolvedThreads(), ctx.pf_options(),
-          [&](size_t, size_t m, size_t begin, size_t end) {
-            Pcg32 rng = MorselRng(spec.seed, m);
-            for (size_t i = begin; i < end; ++i) {
-              if (rng.Bernoulli(spec.rate)) {
-                local[m].push_back(static_cast<uint32_t>(i));
-              }
-            }
-          });
-      // A cancellation that landed mid-draw leaves `local` incomplete; the
-      // partial kept set must never masquerade as a valid sample.
-      AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
-      size_t total = 0;
-      for (const std::vector<uint32_t>& v : local) total += v.size();
-      keep.reserve(total);
-      for (const std::vector<uint32_t>& v : local) {
-        keep.insert(keep.end(), v.begin(), v.end());
-      }
-      if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
-    } else {
-      // Small input: one morsel, one stream — MorselRng(seed, 0) is the
-      // plain Pcg32(seed) the classic path always used.
-      Pcg32 rng = MorselRng(spec.seed, 0);
-      for (size_t i = 0; i < n; ++i) {
-        if (rng.Bernoulli(spec.rate)) keep.push_back(static_cast<uint32_t>(i));
-      }
+  if (!use_morsels) {
+    // Small input: one morsel, one stream — MorselRng(seed, 0) is the plain
+    // Pcg32(seed) the classic path always used.
+    Pcg32 rng = MorselRng(spec.seed, 0);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(spec.rate)) keep.push_back(static_cast<uint32_t>(i));
     }
-    *drawn_out = SampledUnits{keep.size(), keep.size(), keep.size()};
-  } else {
-    // Block-level: keep whole blocks, skip the rest entirely; only the
-    // gather parallelizes.
-    const std::vector<std::pair<uint64_t, uint64_t>> blocks =
-        DrawSampleBlocks(n, spec);
-    blocks_read = blocks.size();
-    *drawn_out = DrawnBlocks(blocks);
-    for (const auto& [first, last] : blocks) {
-      for (uint64_t i = first; i < last; ++i) {
-        keep.push_back(static_cast<uint32_t>(i));
-      }
-    }
+    return keep;
   }
-  *blocks_read_out = blocks_read;
+  // Per-morsel RNG: morsel m draws from stream m of the query seed, so the
+  // kept set depends only on (seed, morsel_rows) — never on which worker ran
+  // the morsel or how many threads participated.
+  const size_t morsel_rows = ctx.options.morsel_rows;
+  const size_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
+  std::vector<std::vector<uint32_t>> local(num_morsels);
+  ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
+      n, morsel_rows, ctx.options.ResolvedThreads(), ctx.pf_options(),
+      [&](size_t, size_t m, size_t begin, size_t end) {
+        Pcg32 rng = MorselRng(spec.seed, m);
+        for (size_t i = begin; i < end; ++i) {
+          if (rng.Bernoulli(spec.rate)) {
+            local[m].push_back(static_cast<uint32_t>(i));
+          }
+        }
+      });
+  // A cancellation that landed mid-draw leaves `local` incomplete; the
+  // partial kept set must never masquerade as a valid sample.
+  AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
+  size_t total = 0;
+  for (const std::vector<uint32_t>& v : local) total += v.size();
+  keep.reserve(total);
+  for (const std::vector<uint32_t>& v : local) {
+    keep.insert(keep.end(), v.begin(), v.end());
+  }
+  if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
   return keep;
 }
 
@@ -529,6 +561,9 @@ Result<ScanInput> ScanBaseTable(const PlanNode& node, ExecContext& ctx) {
     ctx.stats->blocks_read += blocks.size();
   }
   ctx.scan_units = blocks.size();
+  if (ctx.trace != nullptr) {
+    ctx.scan_ranges = RowRanges::Coalesce(blocks).ranges().size();
+  }
   if (ExposesUnit(node, ctx)) {
     // The rows came back already sampled, so "__unit" is built from the
     // drawn ranges rather than derived from base rows.
@@ -576,6 +611,7 @@ Result<TablePtr> ExecExtentFilterScan(const PlanNode& filter_node,
                    MakeExtentScanOptions(reader->num_rows(), ctx), &es,
                    &cols));
   MergeExtentStats(es, ctx);
+  ctx.rows_evaluated = es.rows_read;
   if (ctx.stats != nullptr) {
     // Pruned extents are I/O the query never did; count only decoded rows
     // and the blocks of extents actually read.
@@ -623,6 +659,7 @@ Result<JoinSide> MakeJoinSide(BatchView view,
   AQP_ASSIGN_OR_RETURN(view, GatherIfUnitReferenced(std::move(view),
                                                     key_names, ctx,
                                                     "join input"));
+  AQP_ASSIGN_OR_RETURN(view, SelectionAsIds(std::move(view), ctx));
   const Schema schema = ViewSchema(view);
   for (const std::string& k : key_names) {
     AQP_ASSIGN_OR_RETURN(size_t idx, schema.FieldIndex(k));
@@ -839,13 +876,41 @@ Result<TablePtr> ExecAggregate(const PlanNode& node, ExecContext& ctx) {
     }
   }
   AQP_ASSIGN_OR_RETURN(BatchView view, Exec(node.child(), ctx));
+  AggregateOptions agg_options;
+  agg_options.exec = &ctx.options;
+  agg_options.run_stats = ctx.run_stats();
+  if (view.ranges != nullptr) {
+    // Keys and arguments that are bare references to base columns are read
+    // over the ranges in place; anything else gathers the view first.
+    const Schema schema = ViewSchema(view);
+    auto base_column = [&](const ExprPtr& e) -> const Column* {
+      if (e->kind() != ExprKind::kColumnRef) return nullptr;
+      Result<size_t> i = schema.FieldIndex(e->column_name());
+      if (!i.ok() || view.col_idx[i.value()] == kUnitColumn) return nullptr;
+      return &view.base->column(view.col_idx[i.value()]);
+    };
+    bool in_place = true;
+    std::vector<const Column*> keys;
+    for (const ExprPtr& e : node.group_exprs()) {
+      keys.push_back(base_column(e));
+      in_place = in_place && keys.back() != nullptr;
+    }
+    std::vector<const Column*> args;
+    for (const AggSpec& a : node.aggs()) {
+      args.push_back(a.arg != nullptr ? base_column(a.arg) : nullptr);
+      in_place = in_place && (a.arg == nullptr || args.back() != nullptr);
+    }
+    if (in_place) {
+      AQP_ASSIGN_OR_RETURN(
+          Table out, AggregateColumns(keys, node.group_names(), node.aggs(),
+                                      args, *view.ranges, agg_options));
+      return TrackTable(std::move(out), ctx, "aggregate output");
+    }
+  }
   AQP_ASSIGN_OR_RETURN(
       TablePtr input,
       MaterializeView(NarrowView(std::move(view), refs), ctx,
                       "batch materialize"));
-  AggregateOptions agg_options;
-  agg_options.exec = &ctx.options;
-  agg_options.run_stats = ctx.run_stats();
   AQP_ASSIGN_OR_RETURN(
       Table out, GroupByAggregate(*input, node.group_exprs(),
                                   node.group_names(), node.aggs(),
@@ -921,14 +986,16 @@ const char* OperatorName(PlanKind kind) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan, filter and project produce BatchViews — selection vectors over the
-// untouched base table — instead of gathered tables; project over bare
-// column references is a pure remap. The join and the aggregate read their
-// children as views and gather only the rows and columns they use; sort,
-// limit and union gather their input once (ExecInput). Results are
-// independent of thread count: sampling draws per-morsel RNG streams,
-// predicate masks are exact (so selection membership is independent of
-// morsel boundaries), and gathers preserve row order.
+// Scan, filter and project produce BatchViews — row ranges or selection
+// vectors over the untouched base table — instead of gathered tables;
+// project over bare column references is a pure remap. The join and the
+// aggregate read their children as views and gather only the rows and
+// columns they use (an aggregate over bare columns of a range view gathers
+// nothing); sort, limit and union gather their input once (ExecInput).
+// Results are independent of thread count: sampling draws per-morsel RNG
+// streams or one block stream, predicate masks are exact (so selection
+// membership is independent of morsel boundaries), and gathers preserve row
+// order.
 // ---------------------------------------------------------------------------
 
 Result<BatchView> ExecScan(const PlanNode& node, ExecContext& ctx) {
@@ -941,31 +1008,45 @@ Result<BatchView> ExecScan(const PlanNode& node, ExecContext& ctx) {
   }
   AQP_ASSIGN_OR_RETURN(ScanInput input, ScanBaseTable(node, ctx));
   if (input.sampled) return IdentityView(std::move(input.table));
-  TablePtr table = std::move(input.table);
+  BatchView v = IdentityView(std::move(input.table));
   if (!spec.is_sampled()) {
     if (ctx.stats != nullptr) {
-      ctx.stats->rows_scanned += table->num_rows();
-      ctx.stats->blocks_read += table->NumBlocks(spec.block_size);
+      ctx.stats->rows_scanned += v.num_rows;
+      ctx.stats->blocks_read += v.base->NumBlocks(spec.block_size);
     }
-    return IdentityView(std::move(table));
+    return v;
   }
-  const bool use_morsels = ctx.options.UseMorsels(table->num_rows());
-  uint64_t blocks_read = 0;
+  // No gather: the sample IS the selection — the kept blocks as row ranges
+  // (SYSTEM), or the kept rows' ids (BERNOULLI).
   SampledUnits drawn;
-  AQP_ASSIGN_OR_RETURN(
-      std::vector<uint32_t> keep,
-      DrawSampleKeep(*table, spec, use_morsels, ctx, &blocks_read, &drawn));
+  uint64_t blocks_read = 0;
+  if (spec.method == SampleSpec::Method::kSystemBlock) {
+    const std::vector<std::pair<uint64_t, uint64_t>> blocks =
+        DrawSampleBlocks(v.num_rows, spec);
+    blocks_read = blocks.size();
+    drawn = DrawnBlocks(blocks);
+    AQP_ASSIGN_OR_RETURN(v.ranges, TrackSel(RowRanges::Coalesce(blocks), ctx,
+                                            "scan selection"));
+    v.num_rows = v.ranges->num_rows();
+    ctx.scan_ranges = v.ranges->ranges().size();
+  } else {
+    AQP_ASSIGN_OR_RETURN(
+        std::vector<uint32_t> keep,
+        DrawBernoulliKeep(v.num_rows, spec, ctx.options.UseMorsels(v.num_rows),
+                          ctx));
+    blocks_read = v.base->NumBlocks(spec.block_size);
+    drawn = SampledUnits{keep.size(), keep.size(), keep.size()};
+    v.num_rows = keep.size();
+    AQP_ASSIGN_OR_RETURN(v.sel,
+                         TrackSel(std::move(keep), ctx, "scan selection"));
+  }
   ctx.scan_units = drawn.units;
   const bool exposes_unit = ExposesUnit(node, ctx);
   if (ctx.stats != nullptr) {
-    ctx.stats->rows_scanned += keep.size();
+    ctx.stats->rows_scanned += v.num_rows;
     ctx.stats->blocks_read += blocks_read;
     if (exposes_unit) ctx.stats->sampled_units.MergeFrom(drawn);
   }
-  // No gather: the sample IS the selection vector.
-  BatchView v = IdentityView(std::move(table));
-  v.num_rows = keep.size();
-  AQP_ASSIGN_OR_RETURN(v.sel, TrackSel(std::move(keep), ctx, "scan selection"));
   if (exposes_unit) {
     // The columns the plan reads, then the units, derived from base rows.
     v.col_idx = ResolveColumns(v.base->schema(), NeededNames(node, ctx));
@@ -981,13 +1062,72 @@ Result<BatchView> ExecScan(const PlanNode& node, ExecContext& ctx) {
   return v;
 }
 
+// Runs `body(begin, end, mask, dst)` over the morsels of [0, total) — serially
+// on the calling thread, or morsel-parallel with an ordered merge — and
+// returns the concatenated selection. `mask` is the worker's mask scratch,
+// grown by the body to what it evaluates; the body returns the rows it
+// evaluated, summed into *evaluated.
+template <typename Body>
+Result<std::vector<uint32_t>> SelectByMorsel(size_t total, size_t morsel_rows,
+                                             bool parallel, ExecContext& ctx,
+                                             uint64_t* evaluated, Body&& body) {
+  std::vector<uint32_t> out;
+  *evaluated = 0;
+  const size_t num_morsels = (total + morsel_rows - 1) / morsel_rows;
+  const size_t num_threads = ctx.options.ResolvedThreads();
+  if (!parallel || num_threads <= 1 || num_morsels <= 1) {
+    std::vector<uint8_t> mask;
+    for (size_t begin = 0; begin < total; begin += morsel_rows) {
+      AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
+      const size_t end = std::min(total, begin + morsel_rows);
+      AQP_ASSIGN_OR_RETURN(uint64_t rows, body(begin, end, mask, &out));
+      *evaluated += rows;
+    }
+    return out;
+  }
+  struct MorselOut {
+    std::vector<uint32_t> sel;
+    uint64_t evaluated = 0;
+    Status status;
+  };
+  std::vector<MorselOut> local(num_morsels);
+  std::vector<std::vector<uint8_t>> masks(num_threads);
+  ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
+      total, morsel_rows, num_threads, ctx.pf_options(),
+      [&](size_t worker, size_t m, size_t begin, size_t end) {
+        Result<uint64_t> rows = body(begin, end, masks[worker], &local[m].sel);
+        if (rows.ok()) {
+          local[m].evaluated = rows.value();
+        } else {
+          local[m].status = rows.status();
+        }
+      });
+  AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
+  size_t selected = 0;
+  for (const MorselOut& m : local) {
+    AQP_RETURN_IF_ERROR(m.status);
+    selected += m.sel.size();
+    *evaluated += m.evaluated;
+  }
+  out.reserve(selected);
+  // Ordered merge: morsel index order IS row order.
+  for (const MorselOut& m : local) {
+    out.insert(out.end(), m.sel.begin(), m.sel.end());
+  }
+  if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
+  return out;
+}
+
 // Filters a view without materializing it: the predicate compiles against
-// the BASE columns (addressed by the view's names), masks evaluate over
-// contiguous base-row spans, and the incoming selection — when present — is
-// intersected morsel by morsel. Morselizing BASE row ranges keeps the
-// per-morsel work at O(span + selected-in-span) and, because masks are
-// exact, makes the output selection independent of morsel boundaries and
-// thread count.
+// the BASE columns (addressed by the view's names) and masks evaluate over
+// contiguous base-row spans. What is evaluated follows the input's form:
+//   - over row ranges (one range of every base row when the view has no
+//     selection), only the kept rows: morsels split the kept rows and cross
+//     range boundaries, each evaluating its base-row pieces;
+//   - over ids, the base-row morsels holding a selected row, each from its
+//     first selected row to its last, intersected with the selection.
+// Masks are exact, so the output ids are independent of morsel boundaries
+// and thread count.
 Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
   if (UseFusedExtentFilter(node, ctx)) {
     // The fused path already gathered exactly the matching rows; the result
@@ -1007,6 +1147,7 @@ Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
                          MaterializeView(child, ctx, "filter input"));
     AQP_ASSIGN_OR_RETURN(std::vector<uint32_t> selected,
                          EvalPredicate(pred_expr, *input));
+    ctx.rows_evaluated = input->num_rows();
     BatchView out = IdentityView(std::move(input));
     out.num_rows = selected.size();
     AQP_ASSIGN_OR_RETURN(
@@ -1034,11 +1175,12 @@ Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
   AQP_ASSIGN_OR_RETURN(BatchPredicate pred,
                        BatchPredicate::Compile(pred_expr, names, cols));
   if (pred.HasFallback() && child.sel != nullptr) {
-    // Scalar-fallback nodes evaluate every row of a span; over a selection
-    // view that would touch non-selected base rows and could raise errors
-    // (e.g. x % y with y = 0 on a filtered-out row) that filtering the rows
-    // one at a time never sees. Materialize first so the fallback evaluates
-    // exactly the selected rows.
+    // Scalar-fallback nodes evaluate every row of a span; over an id
+    // selection the span holds non-selected base rows too, which could raise
+    // errors (e.g. x % y with y = 0 on a filtered-out row) that filtering
+    // the rows one at a time never sees. Materialize first so the fallback
+    // evaluates exactly the selected rows. Row ranges need no such care:
+    // their spans hold only kept rows.
     AQP_ASSIGN_OR_RETURN(TablePtr input,
                          MaterializeView(child, ctx, "filter input"));
     child = IdentityView(std::move(input));
@@ -1047,14 +1189,12 @@ Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
                          BatchPredicate::Compile(pred_expr, names, cols));
   }
   const size_t base_n = child.base->num_rows();
-  const std::vector<uint32_t>* in_sel = child.sel.get();
   size_t morsel_rows = ctx.options.morsel_rows;
   if (morsel_rows == 0) morsel_rows = base_n;
   const size_t num_threads = ctx.options.ResolvedThreads();
   // Parallelize or not by the operator's logical input size, not the base
   // span.
   const bool use_morsels = ctx.options.UseMorsels(child.num_rows);
-  const size_t num_morsels = (base_n + morsel_rows - 1) / morsel_rows;
   // Charge lookup structures (dictionary pages, IN/LIKE bitmaps) plus mask
   // scratch for the evaluation's lifetime; a refused charge surfaces as
   // ResourceExhausted and trips the governor's degradation ladder exactly
@@ -1068,56 +1208,66 @@ Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
       charge, ScopedMemoryCharge::Make(ctx.options.memory,
                                        pred.AuxBytes() + scratch,
                                        "predicate batch buffers"));
-  // Evaluates base rows [begin, end) and appends surviving selection
-  // entries (ascending) to *dst.
-  auto run_span = [&](size_t begin, size_t end, uint8_t* mask,
-                      std::vector<uint32_t>* dst) -> Status {
-    if (in_sel != nullptr) {
-      auto lo = std::lower_bound(in_sel->begin(), in_sel->end(),
-                                 static_cast<uint32_t>(begin));
-      auto hi = std::lower_bound(lo, in_sel->end(),
-                                 static_cast<uint32_t>(end));
-      if (lo == hi) return Status::OK();  // No selected rows in this span.
-      AQP_RETURN_IF_ERROR(pred.EvalSpan(begin, end - begin, mask));
-      for (auto it = lo; it != hi; ++it) {
-        if (mask[*it - begin] == simd::kMaskTrue) dst->push_back(*it);
-      }
-      return Status::OK();
-    }
-    AQP_RETURN_IF_ERROR(pred.EvalSpan(begin, end - begin, mask));
-    simd::SelectTrue(mask, end - begin, static_cast<uint32_t>(begin), dst);
-    return Status::OK();
+  // Evaluates base rows [begin, end) into `mask`, grown to fit.
+  auto eval = [&](size_t begin, size_t end,
+                  std::vector<uint8_t>& mask) -> Status {
+    if (mask.size() < end - begin) mask.resize(end - begin);
+    return pred.EvalSpan(begin, end - begin, mask.data());
   };
   std::vector<uint32_t> out_sel;
-  if (!use_morsels || num_threads <= 1 || num_morsels <= 1) {
-    std::vector<uint8_t> mask(std::min<size_t>(base_n, morsel_rows));
-    for (size_t begin = 0; begin < base_n; begin += morsel_rows) {
-      AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
-      const size_t end = std::min(base_n, begin + morsel_rows);
-      AQP_RETURN_IF_ERROR(run_span(begin, end, mask.data(), &out_sel));
-    }
+  uint64_t evaluated = 0;
+  if (child.sel == nullptr) {
+    // Morsels of kept rows — every base row when the view keeps them all —
+    // each evaluating its base-row pieces.
+    const RowRanges all =
+        child.ranges == nullptr ? RowRanges::All(base_n) : RowRanges();
+    const RowRanges& ranges = child.ranges != nullptr ? *child.ranges : all;
+    AQP_ASSIGN_OR_RETURN(
+        out_sel,
+        SelectByMorsel(
+            child.num_rows, morsel_rows, use_morsels, ctx, &evaluated,
+            [&](size_t first, size_t last, std::vector<uint8_t>& mask,
+                std::vector<uint32_t>* dst) -> Result<uint64_t> {
+              Status status;
+              uint64_t rows = 0;
+              ranges.ForEachPiece(first, last, [&](uint64_t b, uint64_t e,
+                                                   uint64_t) {
+                if (!status.ok()) return;
+                status = eval(b, e, mask);
+                rows += e - b;
+                if (status.ok()) {
+                  simd::SelectTrue(mask.data(), e - b,
+                                   static_cast<uint32_t>(b), dst);
+                }
+              });
+              AQP_RETURN_IF_ERROR(status);
+              return rows;
+            }));
   } else {
-    std::vector<std::vector<uint32_t>> local(num_morsels);
-    std::vector<Status> errors(num_morsels, Status::OK());
-    ParallelRunStats rs = ThreadPool::Shared().ParallelFor(
-        base_n, morsel_rows, num_threads, ctx.pf_options(),
-        [&](size_t, size_t m, size_t begin, size_t end) {
-          std::vector<uint8_t> mask(end - begin);
-          errors[m] = run_span(begin, end, mask.data(), &local[m]);
-        });
-    AQP_RETURN_IF_ERROR(CheckCancelled(ctx.options.cancel));
-    for (const Status& s : errors) {
-      AQP_RETURN_IF_ERROR(s);
-    }
-    size_t total = 0;
-    for (const std::vector<uint32_t>& v : local) total += v.size();
-    out_sel.reserve(total);
-    // Ordered merge: morsel index order IS base-row order.
-    for (const std::vector<uint32_t>& v : local) {
-      out_sel.insert(out_sel.end(), v.begin(), v.end());
-    }
-    if (ctx.run_stats() != nullptr) ctx.run_stats()->MergeFrom(rs);
+    // Base-row morsels, each evaluated only from its first selected row to
+    // its last; a morsel without one costs two binary searches.
+    const std::vector<uint32_t>& in_sel = *child.sel;
+    AQP_ASSIGN_OR_RETURN(
+        out_sel,
+        SelectByMorsel(
+            base_n, morsel_rows, use_morsels, ctx, &evaluated,
+            [&](size_t begin, size_t end, std::vector<uint8_t>& mask,
+                std::vector<uint32_t>* dst) -> Result<uint64_t> {
+              auto lo = std::lower_bound(in_sel.begin(), in_sel.end(),
+                                         static_cast<uint32_t>(begin));
+              auto hi = std::lower_bound(lo, in_sel.end(),
+                                         static_cast<uint32_t>(end));
+              if (lo == hi) return uint64_t{0};
+              const size_t first = *lo;
+              const size_t last = size_t{*(hi - 1)} + 1;
+              AQP_RETURN_IF_ERROR(eval(first, last, mask));
+              for (auto it = lo; it != hi; ++it) {
+                if (mask[*it - first] == simd::kMaskTrue) dst->push_back(*it);
+              }
+              return uint64_t{last - first};
+            }));
   }
+  ctx.rows_evaluated = evaluated;
   BatchView out;
   out.base = child.base;
   out.col_idx = child.col_idx;
@@ -1144,6 +1294,7 @@ Result<BatchView> ExecProject(const PlanNode& node, ExecContext& ctx) {
     BatchView out;
     out.base = child.base;
     out.sel = child.sel;
+    out.ranges = child.ranges;
     out.num_rows = child.num_rows;
     out.unit_rows = child.unit_rows;
     out.col_idx.reserve(node.exprs().size());
@@ -1246,6 +1397,12 @@ Result<BatchView> Exec(const PlanPtr& plan, ExecContext& ctx) {
     span.AddAttr("rows_out", uint64_t{result.value().num_rows});
     if (plan->kind() == PlanKind::kScan && plan->sample().is_sampled()) {
       span.AddAttr("units", ctx.scan_units);
+      if (plan->sample().method == SampleSpec::Method::kSystemBlock) {
+        span.AddAttr("ranges", ctx.scan_ranges);
+      }
+    }
+    if (plan->kind() == PlanKind::kFilter) {
+      span.AddAttr("rows_evaluated", ctx.rows_evaluated);
     }
   }
   if (rs != nullptr && rs->morsels > morsels_before) {

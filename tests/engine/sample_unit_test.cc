@@ -15,6 +15,7 @@
 #include "engine/catalog.h"
 #include "engine/executor.h"
 #include "engine/plan.h"
+#include "engine/row_ranges.h"
 #include "gtest/gtest.h"
 #include "storage/extent/extent_writer.h"
 
@@ -283,17 +284,18 @@ TEST_F(SampleUnitTest, PlanWithoutUnitIsUnchanged) {
     EXPECT_EQ(stats.blocks_read, blocks ? drawn_blocks : all_blocks);
     EXPECT_EQ(stats.sampled_units.units, 0u);
     EXPECT_EQ(stats.sampled_units.rows, 0u);
-    // The only charges: the scan's selection vector (no gather) and the
-    // result's one gather.
-    std::vector<uint32_t> sel;
+    // The only charges: the scan's selection (no gather) and the result's
+    // one gather. SYSTEM keeps its blocks as coalesced row ranges, one per
+    // run of consecutive kept rows; BERNOULLI keeps one id per row.
+    uint64_t selection_bytes = keep.size() * sizeof(uint32_t);
     if (blocks) {
-      for (uint32_t r : keep) sel.push_back(r);
-    } else {
-      sel.reserve(keep.size());
-      sel.insert(sel.end(), keep.begin(), keep.end());
+      uint64_t runs = 0;
+      for (size_t i = 0; i < keep.size(); ++i) {
+        if (i == 0 || keep[i] != keep[i - 1] + 1) ++runs;
+      }
+      selection_bytes = runs * sizeof(RowRanges::Range);
     }
-    EXPECT_EQ(memory.peak(),
-              sel.capacity() * sizeof(uint32_t) + t.ApproxBytes());
+    EXPECT_EQ(memory.peak(), selection_bytes + t.ApproxBytes());
     EXPECT_EQ(memory.used(), 0u);
   }
 }

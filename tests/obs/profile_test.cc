@@ -11,7 +11,10 @@
 
 #include "common/random.h"
 #include "core/approx_executor.h"
+#include "engine/executor.h"
+#include "engine/plan.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sql/binder.h"
 #include "workload/datagen.h"
 
@@ -185,6 +188,39 @@ core::AqpOptions KeyedOptions() {
   opt.block_size = 128;
   opt.min_table_rows = 1000;
   return opt;
+}
+
+// A SYSTEM scan's kept blocks coalesce into row ranges, and the filter
+// above it evaluates exactly the kept rows, not the whole morsels they sit
+// in.
+TEST(ProfileTest, SampledFilterEvaluatesOnlyTheScansRows) {
+  Catalog cat = KeyedCatalog(10);
+  SampleSpec spec;
+  spec.method = SampleSpec::Method::kSystemBlock;
+  spec.rate = 0.03;
+  spec.block_size = 128;
+  for (size_t threads : {1u, 4u}) {
+    ExecOptions options;
+    options.num_threads = threads;
+    QueryTrace trace;
+    ASSERT_TRUE(aqp::Execute(PlanNode::Filter(PlanNode::Scan("t", spec),
+                                              Lt(Col("m"), Lit(1.5))),
+                             cat, nullptr, &trace, options)
+                    .ok());
+    trace.Finish();
+    std::vector<const SpanRecord*> scans;
+    std::vector<const SpanRecord*> filters;
+    FindSpans(trace.root(), "scan", &scans);
+    FindSpans(trace.root(), "filter", &filters);
+    ASSERT_EQ(scans.size(), 1u);
+    ASSERT_EQ(filters.size(), 1u);
+    const uint64_t kept = AttrValue(*scans[0], "rows_out");
+    EXPECT_GT(kept, 0u);
+    EXPECT_EQ(AttrValue(*filters[0], "rows_evaluated"), kept);
+    const uint64_t ranges = AttrValue(*scans[0], "ranges");
+    EXPECT_GT(ranges, 0u);
+    EXPECT_LE(ranges, AttrValue(*scans[0], "units"));
+  }
 }
 
 TEST(ProfileTest, PriceSpanShowsHowThePilotWasSized) {

@@ -10,10 +10,16 @@ across commits:
     committed baseline in bench/baselines/. A renamed column or a silently
     dropped experiment row fails the comparison even if nobody pinned a
     number on it.
-  * PINNED METRICS — bench/baselines/manifest.json lists the cells whose
-    VALUES are stable by design (deterministic seeds, fixed row counts) and
-    the tolerance each is held to. Everything not pinned is structural
-    only: wall-clock columns vary by machine and are meaningless to diff.
+  * SIZES — bench/baselines/manifest.json records, per bench, the run
+    sizes its baseline was generated at ("sizes": {"rows": n, ...}); the
+    bench stamps the sizes it ran at into its artifact's provenance. A run
+    at other sizes is refused ("size mismatch: run at N rows, baseline at
+    M") and none of its cells are compared: a cell measured on another
+    table size is not a regression signal.
+  * PINNED METRICS — the manifest's "pins" list the cells whose VALUES are
+    stable by design (deterministic seeds, fixed row counts) and the
+    tolerance each is held to. Everything not pinned is structural only:
+    wall-clock columns vary by machine and are meaningless to diff.
 
 Tolerances (per pinned metric, first match wins):
   {"exact": true}     string-equal after strip
@@ -94,6 +100,23 @@ def find_cell(doc, tname, rkey, metric):
         if row_key(tab, row) == rkey:
             return row.get(metric)
     return None
+
+
+def check_sizes(name, sizes, fresh, problems):
+    """True when the fresh run's stamped sizes are the baseline's."""
+    stamped = fresh.get("provenance", {}).get("sizes", {})
+    ok = True
+    for key, want in sizes.items():
+        got = stamped.get(key)
+        if got is None:
+            problems.append(f"{name}: fresh artifact does not stamp its "
+                            f"'{key}' size; the baseline is at {want} {key}")
+            ok = False
+        elif got != want:
+            problems.append(f"{name}: size mismatch: run at {got} {key}, "
+                            f"baseline at {want}")
+            ok = False
+    return ok
 
 
 def check_metric(name, pin, fresh, base, problems, report):
@@ -190,9 +213,12 @@ def main():
                 problems.append(f"{name}: no fresh artifact at {fresh_path}")
             continue
         fresh, base = load(fresh_path), load(base_path)
+        entry = pins.get(name, {})
+        if not check_sizes(name, entry.get("sizes", {}), fresh, problems):
+            continue
         compared += 1
         check_structure(name, fresh, base, problems)
-        for pin in pins.get(name, []):
+        for pin in entry.get("pins", []):
             check_metric(name, pin, fresh, base, problems, report)
 
     if report:
