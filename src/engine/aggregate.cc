@@ -715,13 +715,12 @@ class NoKeys {
   }
 };
 
-// Calls fn with the key kernel for `cols` over rows `rows`: NoKeys for none,
-// DirectKeys when one INT64 column spans fewer than `direct_slots` values in
-// those rows, Int64Keys for another single INT64 column, ColumnKeys
-// otherwise.
+// Calls fn with the key kernel for `cols`: NoKeys for none, DirectKeys when
+// one INT64 column spans fewer than `direct_slots` values, Int64Keys for
+// another single INT64 column, ColumnKeys otherwise.
 template <typename Fn>
-auto WithKeyKernel(const std::vector<const Column*>& cols,
-                   const RowRanges& rows, size_t direct_slots, Fn&& fn) {
+auto WithKeyKernel(const std::vector<const Column*>& cols, size_t direct_slots,
+                   Fn&& fn) {
   if (cols.empty()) return fn(NoKeys());
   if (cols.size() == 1 && cols[0]->type() == DataType::kInt64) {
     // NULL slots are scanned too: their stored values can only widen the
@@ -729,12 +728,10 @@ auto WithKeyKernel(const std::vector<const Column*>& cols,
     const int64_t* v = cols[0]->int64_data();
     int64_t lo = 0;
     int64_t hi = 0;
-    if (rows.num_rows() > 0) lo = hi = v[rows.ranges()[0].begin];
-    for (const RowRanges::Range& r : rows.ranges()) {
-      for (uint64_t i = r.begin; i < r.end; ++i) {
-        lo = std::min(lo, v[i]);
-        hi = std::max(hi, v[i]);
-      }
+    if (cols[0]->size() > 0) lo = hi = v[0];
+    for (size_t i = 0; i < cols[0]->size(); ++i) {
+      lo = std::min(lo, v[i]);
+      hi = std::max(hi, v[i]);
     }
     const uint64_t range =
         static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
@@ -840,21 +837,14 @@ Result<Table> FinalizeGroups(const std::vector<const Column*>& key_cols,
   return Table::Make(std::move(schema), std::move(columns));
 }
 
-// The skeleton above, for one key kernel, over rows `rows` of the columns.
-// Morsels split the rows' positions, not the base rows, so they are the
-// morsels of a table holding just those rows; a morsel runs the kernels over
-// each of its base-row pieces in order, and its rows' ids sit at their
-// positions in the morsel. Group keys and first rows are base rows; groups
-// are ranked by their first rows' positions.
+// The skeleton above, for one key kernel.
 template <typename Keys>
 Result<Table> AggregateGroups(const Keys& keys,
                               const std::vector<const Column*>& key_cols,
                               const std::vector<std::string>& group_names,
                               const std::vector<AggSpec>& aggs,
-                              const std::vector<AggPlan>& plans,
-                              const RowRanges& rows,
+                              const std::vector<AggPlan>& plans, size_t n,
                               const AggregateOptions& options) {
-  const size_t n = rows.num_rows();
   const ExecOptions* exec = options.exec;
   const bool use_morsels = exec != nullptr && exec->UseMorsels(n);
   const size_t morsel_rows = use_morsels ? exec->morsel_rows : n;
@@ -888,22 +878,12 @@ Result<Table> AggregateGroups(const Keys& keys,
       gids = s.gids.data();
     }
     MorselState<Keys>& st = morsels[m];
-    // The ids of the piece starting at position `pos`.
-    auto ids_at = [&](uint64_t pos) {
-      return gids != nullptr ? gids + (pos - begin) : nullptr;
-    };
-    // The one group's empty morsel still holds its group.
-    if (begin == end) keys.Group(0, 0, s.table, gids, st.keys);
-    rows.ForEachPiece(begin, end, [&](uint64_t b, uint64_t e, uint64_t pos) {
-      keys.Group(b, e, s.table, ids_at(pos), st.keys);
-    });
+    keys.Group(begin, end, s.table, gids, st.keys);
     if (partitioned) st.OrderByPartition(gids, end - begin, s.id_of);
     st.aggs.resize(plans.size());
     for (size_t a = 0; a < plans.size(); ++a) {
       st.aggs[a].Resize(plans[a], st.keys.size());
-      rows.ForEachPiece(begin, end, [&](uint64_t b, uint64_t e, uint64_t pos) {
-        Accumulate(plans[a], ids_at(pos), b, e, st.aggs[a]);
-      });
+      Accumulate(plans[a], gids, begin, end, st.aggs[a]);
     }
   };
   if (!use_morsels || n == 0) {
@@ -947,11 +927,11 @@ Result<Table> AggregateGroups(const Keys& keys,
 
   // Step 3: each partition folds its groups' partials in morsel order. A
   // group's first insertion comes from the first morsel holding it, so its
-  // Key's first_row is its first row in the input; that row's position is
-  // marked in `firsts`, a bitmap over the input's positions.
+  // Key's first_row is its first row in the input; that row is marked in
+  // `firsts`, a bitmap over the input's rows.
   struct Partition {
     typename Keys::Table table;
-    std::vector<uint32_t> first_pos;  // Each id's first row's position.
+    std::vector<uint32_t> first_rows;  // By id.
     std::vector<FlatStates> aggs;
   };
   std::vector<Partition> parts(kPartitions);
@@ -971,9 +951,8 @@ Result<Table> AggregateGroups(const Keys& keys,
               for (size_t a = 0; a < plans.size(); ++a) {
                 part.aggs[a].Resize(plans[a], g + 1);
               }
-              const uint32_t r =
-                  static_cast<uint32_t>(rows.PositionOf(key.first_row));
-              part.first_pos.push_back(r);
+              const uint32_t r = key.first_row;
+              part.first_rows.push_back(r);
               std::atomic_ref<uint64_t>(firsts[r / 64])
                   .fetch_or(uint64_t{1} << (r % 64), std::memory_order_relaxed);
             }
@@ -987,7 +966,7 @@ Result<Table> AggregateGroups(const Keys& keys,
   uint64_t partition_bytes = 8 * firsts.capacity();
   for (const Partition& part : parts) {
     partition_bytes +=
-        part.table.ApproxBytes() + 4 * part.first_pos.capacity();
+        part.table.ApproxBytes() + 4 * part.first_rows.capacity();
     for (const FlatStates& f : part.aggs) partition_bytes += f.ApproxBytes();
   }
   AQP_ASSIGN_OR_RETURN(
@@ -1008,44 +987,16 @@ Result<Table> AggregateGroups(const Keys& keys,
   std::vector<StateBlock> blocks;
   uint32_t value = 0;
   for (const Partition& part : parts) {
-    blocks.push_back({&part.aggs, part.first_pos.size()});
-    for (uint32_t r : part.first_pos) {
+    blocks.push_back({&part.aggs, part.first_rows.size()});
+    for (uint32_t r : part.first_rows) {
       const uint64_t below = firsts[r / 64] & ((uint64_t{1} << (r % 64)) - 1);
       const uint32_t pos = rank_base[r / 64] + std::popcount(below);
-      first_rows[pos] = static_cast<uint32_t>(rows.RowAt(r));
+      first_rows[pos] = r;
       order[pos] = value++;
     }
   }
   return FinalizeGroups(key_cols, first_rows, group_names, aggs, plans,
                         blocks, &order);
-}
-
-// Resolves an aggregate against its argument column (null for COUNT(*)).
-Result<AggPlan> PlanAggregate(const AggSpec& spec, const Column* arg) {
-  if (spec.kind == AggKind::kCountStar) {
-    return AggPlan{spec.kind, AggKernel::kCount, nullptr, DataType::kInt64};
-  }
-  if (arg == nullptr) {
-    return Status::InvalidArgument("aggregate missing argument: " +
-                                   spec.alias);
-  }
-  AQP_ASSIGN_OR_RETURN(DataType t, AggResultType(spec.kind, arg->type()));
-  return AggPlan{spec.kind, KernelFor(spec.kind, arg), arg, t};
-}
-
-Result<Table> RunAggregate(const std::vector<const Column*>& key_cols,
-                           const std::vector<std::string>& group_names,
-                           const std::vector<AggSpec>& aggs,
-                           const std::vector<AggPlan>& plans,
-                           const RowRanges& rows,
-                           const AggregateOptions& options) {
-  const size_t direct_slots = options.exec != nullptr
-                                  ? options.exec->morsel_rows
-                                  : ExecOptions{}.morsel_rows;
-  return WithKeyKernel(key_cols, rows, direct_slots, [&](const auto& kernel) {
-    return AggregateGroups(kernel, key_cols, group_names, aggs, plans, rows,
-                           options);
-  });
 }
 
 }  // namespace
@@ -1058,14 +1009,13 @@ Result<GroupIndex> BuildGroupIndex(const Table& input,
   AQP_ASSIGN_OR_RETURN(GroupKeyColumns keys, EvalGroupKeys(input, group_exprs));
   // The aggregation's key kernel, run serially as one morsel.
   std::vector<uint32_t> first_rows;
-  WithKeyKernel(keys.cols, RowRanges::All(n), ExecOptions{}.morsel_rows,
-                [&](const auto& kernel) {
-                  using Keys = std::decay_t<decltype(kernel)>;
-                  typename Keys::Table table;
-                  std::vector<typename Keys::Key> groups;
-                  kernel.Group(0, n, table, index.group_ids.data(), groups);
-                  for (const auto& k : groups) first_rows.push_back(k.first_row);
-                });
+  WithKeyKernel(keys.cols, ExecOptions{}.morsel_rows, [&](const auto& kernel) {
+    using Keys = std::decay_t<decltype(kernel)>;
+    typename Keys::Table table;
+    std::vector<typename Keys::Key> groups;
+    kernel.Group(0, n, table, index.group_ids.data(), groups);
+    for (const auto& k : groups) first_rows.push_back(k.first_row);
+  });
   for (const Column* k : keys.cols) {
     index.key_columns.push_back(k->Take(first_rows));
   }
@@ -1081,38 +1031,37 @@ Result<Table> GroupByAggregate(const Table& input,
   if (group_names.size() != group_exprs.size()) {
     return Status::InvalidArgument("group name/expr arity mismatch");
   }
+  const size_t n = input.num_rows();
+
   // Resolve each aggregate's argument once; bare column refs are borrowed.
   std::vector<EvaluatedColumn> args;
   std::vector<AggPlan> plans;
   for (const AggSpec& spec : aggs) {
-    EvaluatedColumn c;
-    if (spec.kind != AggKind::kCountStar && spec.arg != nullptr) {
-      AQP_ASSIGN_OR_RETURN(c, EvalBorrowed(*spec.arg, input));
+    if (spec.kind == AggKind::kCountStar) {
+      args.emplace_back();
+      plans.push_back(
+          {spec.kind, AggKernel::kCount, nullptr, DataType::kInt64});
+      continue;
     }
-    AQP_ASSIGN_OR_RETURN(AggPlan plan, PlanAggregate(spec, c.column));
-    plans.push_back(plan);
+    if (spec.arg == nullptr) {
+      return Status::InvalidArgument("aggregate missing argument: " +
+                                     spec.alias);
+    }
+    AQP_ASSIGN_OR_RETURN(EvaluatedColumn c, EvalBorrowed(*spec.arg, input));
+    AQP_ASSIGN_OR_RETURN(DataType t,
+                         AggResultType(spec.kind, c.column->type()));
+    plans.push_back({spec.kind, KernelFor(spec.kind, c.column), c.column, t});
     args.push_back(std::move(c));
   }
-  AQP_ASSIGN_OR_RETURN(GroupKeyColumns keys, EvalGroupKeys(input, group_exprs));
-  return RunAggregate(keys.cols, group_names, aggs, plans,
-                      RowRanges::All(input.num_rows()), options);
-}
 
-Result<Table> AggregateColumns(const std::vector<const Column*>& key_cols,
-                               const std::vector<std::string>& group_names,
-                               const std::vector<AggSpec>& aggs,
-                               const std::vector<const Column*>& args,
-                               const RowRanges& rows,
-                               const AggregateOptions& options) {
-  if (group_names.size() != key_cols.size() || args.size() != aggs.size()) {
-    return Status::InvalidArgument("group name/expr arity mismatch");
-  }
-  std::vector<AggPlan> plans;
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    AQP_ASSIGN_OR_RETURN(AggPlan plan, PlanAggregate(aggs[a], args[a]));
-    plans.push_back(plan);
-  }
-  return RunAggregate(key_cols, group_names, aggs, plans, rows, options);
+  AQP_ASSIGN_OR_RETURN(GroupKeyColumns keys, EvalGroupKeys(input, group_exprs));
+  const size_t direct_slots = options.exec != nullptr
+                                  ? options.exec->morsel_rows
+                                  : ExecOptions{}.morsel_rows;
+  return WithKeyKernel(keys.cols, direct_slots, [&](const auto& kernel) {
+    return AggregateGroups(kernel, keys.cols, group_names, aggs, plans, n,
+                           options);
+  });
 }
 
 }  // namespace aqp

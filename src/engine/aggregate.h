@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "engine/exec_options.h"
-#include "engine/row_ranges.h"
 #include "expr/expr.h"
 #include "storage/table.h"
 
@@ -87,19 +86,6 @@ Result<Table> GroupByAggregate(const Table& input,
                                const std::vector<ExprPtr>& group_exprs,
                                const std::vector<std::string>& group_names,
                                const std::vector<AggSpec>& aggs,
-                               const AggregateOptions& options = {});
-
-/// GroupByAggregate over columns the caller resolved, reading only rows
-/// `rows` of them, in place: group keys `key_cols` (named `group_names`) and
-/// one argument per aggregate in `args` (null for COUNT(*)). Morsels split
-/// the rows' positions, so they are the morsels GroupByAggregate forms over
-/// a table holding just those rows, and the output is bit-identical to
-/// gathering the rows first and aggregating the copy.
-Result<Table> AggregateColumns(const std::vector<const Column*>& key_cols,
-                               const std::vector<std::string>& group_names,
-                               const std::vector<AggSpec>& aggs,
-                               const std::vector<const Column*>& args,
-                               const RowRanges& rows,
                                const AggregateOptions& options = {});
 
 }  // namespace aqp

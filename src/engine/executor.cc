@@ -99,8 +99,8 @@ struct ExecContext {
 //   - `ranges`: sorted, coalesced [begin, end) row ranges. A SYSTEM sample
 //     keeps whole blocks, so its scan returns the kept blocks this way and
 //     writes nothing per row. The filter evaluates only the rows in the
-//     ranges, the aggregate reads bare column references over them in
-//     place, and gathers copy them range by range.
+//     ranges, and gathers (the aggregate's, the plan root's) copy them
+//     range by range.
 //   - `sel`: a selection vector of row ids, from a filter or a BERNOULLI
 //     sample. The join reads every view through ids; a range view is
 //     expanded to ids for it (SelectionAsIds).
@@ -274,8 +274,8 @@ Column GatherViewColumn(const BatchView& v, size_t i) {
     std::vector<int64_t> units;
     units.reserve(v.num_rows);
     for (const RowRanges::Range& r : ranges) {
-      for (uint64_t row = r.begin; row < r.end; ++row) {
-        units.push_back(static_cast<int64_t>(row / v.unit_rows));
+      for (uint32_t row = r.begin; row < r.end; ++row) {
+        units.push_back(row / v.unit_rows);
       }
     }
     return Column::FromInt64(std::move(units));
@@ -561,9 +561,7 @@ Result<ScanInput> ScanBaseTable(const PlanNode& node, ExecContext& ctx) {
     ctx.stats->blocks_read += blocks.size();
   }
   ctx.scan_units = blocks.size();
-  if (ctx.trace != nullptr) {
-    ctx.scan_ranges = RowRanges::Coalesce(blocks).ranges().size();
-  }
+  ctx.scan_ranges = RowRanges::CountRuns(blocks);
   if (ExposesUnit(node, ctx)) {
     // The rows came back already sampled, so "__unit" is built from the
     // drawn ranges rather than derived from base rows.
@@ -876,41 +874,13 @@ Result<TablePtr> ExecAggregate(const PlanNode& node, ExecContext& ctx) {
     }
   }
   AQP_ASSIGN_OR_RETURN(BatchView view, Exec(node.child(), ctx));
-  AggregateOptions agg_options;
-  agg_options.exec = &ctx.options;
-  agg_options.run_stats = ctx.run_stats();
-  if (view.ranges != nullptr) {
-    // Keys and arguments that are bare references to base columns are read
-    // over the ranges in place; anything else gathers the view first.
-    const Schema schema = ViewSchema(view);
-    auto base_column = [&](const ExprPtr& e) -> const Column* {
-      if (e->kind() != ExprKind::kColumnRef) return nullptr;
-      Result<size_t> i = schema.FieldIndex(e->column_name());
-      if (!i.ok() || view.col_idx[i.value()] == kUnitColumn) return nullptr;
-      return &view.base->column(view.col_idx[i.value()]);
-    };
-    bool in_place = true;
-    std::vector<const Column*> keys;
-    for (const ExprPtr& e : node.group_exprs()) {
-      keys.push_back(base_column(e));
-      in_place = in_place && keys.back() != nullptr;
-    }
-    std::vector<const Column*> args;
-    for (const AggSpec& a : node.aggs()) {
-      args.push_back(a.arg != nullptr ? base_column(a.arg) : nullptr);
-      in_place = in_place && (a.arg == nullptr || args.back() != nullptr);
-    }
-    if (in_place) {
-      AQP_ASSIGN_OR_RETURN(
-          Table out, AggregateColumns(keys, node.group_names(), node.aggs(),
-                                      args, *view.ranges, agg_options));
-      return TrackTable(std::move(out), ctx, "aggregate output");
-    }
-  }
   AQP_ASSIGN_OR_RETURN(
       TablePtr input,
       MaterializeView(NarrowView(std::move(view), refs), ctx,
                       "batch materialize"));
+  AggregateOptions agg_options;
+  agg_options.exec = &ctx.options;
+  agg_options.run_stats = ctx.run_stats();
   AQP_ASSIGN_OR_RETURN(
       Table out, GroupByAggregate(*input, node.group_exprs(),
                                   node.group_names(), node.aggs(),
@@ -990,12 +960,11 @@ const char* OperatorName(PlanKind kind) {
 // vectors over the untouched base table — instead of gathered tables;
 // project over bare column references is a pure remap. The join and the
 // aggregate read their children as views and gather only the rows and
-// columns they use (an aggregate over bare columns of a range view gathers
-// nothing); sort, limit and union gather their input once (ExecInput).
-// Results are independent of thread count: sampling draws per-morsel RNG
-// streams or one block stream, predicate masks are exact (so selection
-// membership is independent of morsel boundaries), and gathers preserve row
-// order.
+// columns they use; sort, limit and union gather their input once
+// (ExecInput). Results are independent of thread count: sampling draws
+// per-morsel RNG streams or one block stream, predicate masks are exact (so
+// selection membership is independent of morsel boundaries), and gathers
+// preserve row order.
 // ---------------------------------------------------------------------------
 
 Result<BatchView> ExecScan(const PlanNode& node, ExecContext& ctx) {
@@ -1230,15 +1199,11 @@ Result<BatchView> ExecFilter(const PlanNode& node, ExecContext& ctx) {
                 std::vector<uint32_t>* dst) -> Result<uint64_t> {
               Status status;
               uint64_t rows = 0;
-              ranges.ForEachPiece(first, last, [&](uint64_t b, uint64_t e,
-                                                   uint64_t) {
+              ranges.ForEachPiece(first, last, [&](uint32_t b, uint32_t e) {
                 if (!status.ok()) return;
                 status = eval(b, e, mask);
                 rows += e - b;
-                if (status.ok()) {
-                  simd::SelectTrue(mask.data(), e - b,
-                                   static_cast<uint32_t>(b), dst);
-                }
+                if (status.ok()) simd::SelectTrue(mask.data(), e - b, b, dst);
               });
               AQP_RETURN_IF_ERROR(status);
               return rows;

@@ -17,26 +17,26 @@ namespace aqp {
 /// binary search and visited as contiguous base-row pieces.
 class RowRanges {
  public:
+  // Row ids are uint32_t throughout the engine, so positions are too.
   struct Range {
-    uint64_t begin;
-    uint64_t end;
-    uint64_t pos;  // Position of row `begin` in the set.
+    uint32_t begin;
+    uint32_t end;
+    uint32_t pos;  // Position of row `begin` in the set.
   };
 
   RowRanges() = default;
 
   /// Every row of an n-row table: one range, or none when n is 0.
-  static RowRanges All(uint64_t n) {
+  static RowRanges All(size_t n) {
     RowRanges r;
-    if (n > 0) r.ranges_.push_back({0, n, 0});
+    if (n > 0) r.ranges_.push_back({0, static_cast<uint32_t>(n), 0});
     r.rows_ = n;
     return r;
   }
 
-  /// The union of ascending, disjoint `spans`, each [first, second), with
-  /// adjacent spans merged and empty ones dropped. The ranges are counted
-  /// before they are stored, so the set holds no spare capacity.
-  static RowRanges Coalesce(
+  /// The number of ranges Coalesce(spans) holds: the runs of adjacent
+  /// non-empty spans.
+  static size_t CountRuns(
       const std::vector<std::pair<uint64_t, uint64_t>>& spans) {
     size_t count = 0;
     uint64_t prev_end = UINT64_MAX;
@@ -45,14 +45,24 @@ class RowRanges {
       if (begin != prev_end) ++count;
       prev_end = end;
     }
+    return count;
+  }
+
+  /// The union of ascending, disjoint `spans`, each [first, second), with
+  /// adjacent spans merged and empty ones dropped. The ranges are counted
+  /// before they are stored, so the set holds no spare capacity.
+  static RowRanges Coalesce(
+      const std::vector<std::pair<uint64_t, uint64_t>>& spans) {
     RowRanges r;
-    r.ranges_.reserve(count);
+    r.ranges_.reserve(CountRuns(spans));
     for (const auto& [begin, end] : spans) {
       if (begin == end) continue;
       if (!r.ranges_.empty() && r.ranges_.back().end == begin) {
-        r.ranges_.back().end = end;
+        r.ranges_.back().end = static_cast<uint32_t>(end);
       } else {
-        r.ranges_.push_back({begin, end, r.rows_});
+        r.ranges_.push_back({static_cast<uint32_t>(begin),
+                             static_cast<uint32_t>(end),
+                             static_cast<uint32_t>(r.rows_)});
       }
       r.rows_ += end - begin;
     }
@@ -60,45 +70,25 @@ class RowRanges {
   }
 
   const std::vector<Range>& ranges() const { return ranges_; }
-  uint64_t num_rows() const { return rows_; }
+  size_t num_rows() const { return rows_; }
 
   /// Heap footprint: what a query charges for holding the set.
   uint64_t ApproxBytes() const { return ranges_.capacity() * sizeof(Range); }
 
-  /// Calls fn(begin, end, pos) for each base-row piece holding the rows at
-  /// positions [first, last), in order: base rows [begin, end) are the
-  /// positions [pos, pos + end - begin).
+  /// Calls fn(begin, end) for each base-row piece [begin, end) holding the
+  /// rows at positions [first, last), in order.
   template <typename Fn>
-  void ForEachPiece(uint64_t first, uint64_t last, Fn&& fn) const {
+  void ForEachPiece(size_t first, size_t last, Fn&& fn) const {
     if (first >= last) return;
     auto it = std::upper_bound(
         ranges_.begin(), ranges_.end(), first,
-        [](uint64_t p, const Range& r) { return p < r.pos; });
+        [](size_t p, const Range& r) { return p < r.pos; });
     for (--it; it != ranges_.end() && it->pos < last; ++it) {
-      const uint64_t lo = std::max(first, it->pos);
-      const uint64_t hi = std::min(last, it->pos + (it->end - it->begin));
-      fn(it->begin + (lo - it->pos), it->begin + (hi - it->pos), lo);
+      const size_t lo = std::max<size_t>(first, it->pos);
+      const size_t hi = std::min<size_t>(last, it->pos + (it->end - it->begin));
+      fn(static_cast<uint32_t>(it->begin + (lo - it->pos)),
+         static_cast<uint32_t>(it->begin + (hi - it->pos)));
     }
-  }
-
-  /// The position of `row`, which must be in the set.
-  uint64_t PositionOf(uint64_t row) const {
-    if (ranges_.size() == 1) return row - ranges_[0].begin;
-    auto it = std::upper_bound(
-        ranges_.begin(), ranges_.end(), row,
-        [](uint64_t r, const Range& range) { return r < range.begin; });
-    --it;
-    return it->pos + (row - it->begin);
-  }
-
-  /// The row at position `pos` < num_rows().
-  uint64_t RowAt(uint64_t pos) const {
-    if (ranges_.size() == 1) return ranges_[0].begin + pos;
-    auto it = std::upper_bound(
-        ranges_.begin(), ranges_.end(), pos,
-        [](uint64_t p, const Range& r) { return p < r.pos; });
-    --it;
-    return it->begin + (pos - it->pos);
   }
 
   /// Every row of the set, ascending: the id form of the same selection.
@@ -106,16 +96,14 @@ class RowRanges {
     std::vector<uint32_t> ids;
     ids.reserve(rows_);
     for (const Range& r : ranges_) {
-      for (uint64_t i = r.begin; i < r.end; ++i) {
-        ids.push_back(static_cast<uint32_t>(i));
-      }
+      for (uint32_t i = r.begin; i < r.end; ++i) ids.push_back(i);
     }
     return ids;
   }
 
  private:
   std::vector<Range> ranges_;
-  uint64_t rows_ = 0;
+  size_t rows_ = 0;
 };
 
 }  // namespace aqp

@@ -1,5 +1,6 @@
-// A SYSTEM-sampled scan returns its kept blocks as row ranges, and the
-// filter, the aggregate and every gather read them in place. Each answer
+// A SYSTEM-sampled scan returns its kept blocks as row ranges; the filter
+// evaluates only the rows in them, and every gather copies them range by
+// range. Each answer
 // must be bit-identical to the gather-first oracle (tests/support/
 // gather_first.h), which copies the kept rows out before any operator runs,
 // at every thread count; ranges straddle 4096-row morsels (block sizes 1000
@@ -327,13 +328,16 @@ TEST_F(RangeSelectionTest, FallbackPredicateEvaluatesOnlyKeptRows) {
 
 TEST_F(RangeSelectionTest, BudgetFitsRangesButNotRowIds) {
   // A 30% sample keeps ~315k rows: 1.2 MB as row ids, a few KB as ranges.
+  // The filter keeps 1% of them, so what the aggregate gathers fits too.
   const SampleSpec spec = System(0.3, 1024);
   const uint64_t budget = 256 << 10;
   ASSERT_GT(testutil::SystemSampleRows(kLargeRows, spec).size() *
                 sizeof(uint32_t),
             budget);
-  const PlanPtr plan = PlanNode::Aggregate(PlanNode::Scan("large", spec),
-                                           {Col("g")}, {"g"}, SumCount());
+  const PlanPtr plan = PlanNode::Aggregate(
+      PlanNode::Filter(PlanNode::Scan("large", spec),
+                       Lt(Col("x"), Lit(int64_t{10}))),
+      {Col("g")}, {"g"}, SumCount());
   Result<Table> want = testutil::ExecuteGatherFirst(plan, *catalog_);
   ASSERT_TRUE(want.ok()) << want.status().message();
   for (size_t threads : {1u, 4u}) {
