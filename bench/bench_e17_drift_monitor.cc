@@ -6,8 +6,9 @@
 // retained mutable handle — no catalog version bump) silently invalidates
 // every cached sample while the cache keeps serving it. A serving tier that
 // answers rung-1 queries from such a synopsis emits confidently-wrong CIs
-// forever. The drift loop (baseline sketches at build → background rescan →
-// score → flag/invalidate) must restore honesty without operator action.
+// forever. The drift loop (baseline column statistics at build → background
+// rescan → score → flag/invalidate) must restore honesty without operator
+// action.
 //
 // Asserted here: with the monitor OFF, post-drift empirical CI coverage of
 // rung-1 answers against CURRENT ground truth collapses below 90% (in

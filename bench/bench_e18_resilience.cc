@@ -447,7 +447,7 @@ void Run() {
     o.drift.period_ms = 0;  // Manual sweeps only.
     service::QueryService svc(&cat, o);
     auto session = svc.OpenSession();
-    // The query builds the synopsis (and its drift baseline sketch)...
+    // The query builds the synopsis (and its drift baseline)...
     AQP_CHECK(svc.Execute(session, {ChaosSql(3)}).ok());
     // ...which the sweep then fails to rescan.
     svc.drift_monitor().CheckNow();

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/random.h"
+#include "core/drift_baseline.h"
 #include "engine/executor.h"
 #include "expr/eval.h"
 #include "sampling/bernoulli.h"
@@ -252,6 +253,49 @@ void BM_SampledAggregate(benchmark::State& state) {
 BENCHMARK(BM_SampledAggregate)
     ->ArgsProduct({{0, 1, 2}, {1000, 30, 100, 300, 600}})
     ->Unit(benchmark::kMillisecond);
+
+// --- Drift baseline ---------------------------------------------------------
+
+// A drift baseline over a 1M-row, 6-column table shaped like perfbench's
+// fact: g10, g1k, sel and fk (1000 values) are below ColumnStats::kMaxValues
+// distinct values, g100k (uniform over [0, 100000)) and m (exponential,
+// mean 100) are above it.
+void BM_DriftBaseline(benchmark::State& state) {
+  constexpr size_t kRows = 1 << 20;
+  Pcg32 rng(5);
+  std::vector<int64_t> g10(kRows), g1k(kRows), g100k(kRows), sel(kRows),
+      fk(kRows);
+  std::vector<double> m(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    g10[i] = rng.UniformUint32(10);
+    g1k[i] = rng.UniformUint32(1000);
+    g100k[i] = rng.UniformUint32(100000);
+    sel[i] = rng.UniformUint32(1000);
+    fk[i] = rng.UniformUint32(1000);
+    m[i] = rng.Exponential(0.01);
+  }
+  const Table table =
+      Table::Make(Schema({{"g10", DataType::kInt64},
+                          {"g1k", DataType::kInt64},
+                          {"g100k", DataType::kInt64},
+                          {"sel", DataType::kInt64},
+                          {"fk", DataType::kInt64},
+                          {"m", DataType::kDouble}}),
+                  {Column::FromInt64(std::move(g10)),
+                   Column::FromInt64(std::move(g1k)),
+                   Column::FromInt64(std::move(g100k)),
+                   Column::FromInt64(std::move(sel)),
+                   Column::FromInt64(std::move(fk)),
+                   Column::FromDouble(std::move(m))})
+          .value();
+  for (auto _ : state) {
+    auto baseline = core::BuildDriftBaseline(table, "fact", 1);
+    AQP_CHECK(baseline.ok());
+    benchmark::DoNotOptimize(baseline);
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_DriftBaseline)->Unit(benchmark::kMillisecond);
 
 // --- Extent chunk decode (docs/STORAGE.md §4) ------------------------------
 // Per-value cost of DecodeChunk, CRC included, on one extent-sized chunk:

@@ -101,7 +101,7 @@ Result<std::shared_ptr<const ColumnStats>> Catalog::ColumnStatistics(
         AQP_ASSIGN_OR_RETURN(size_t index, read->schema().FieldIndex(column));
         AQP_ASSIGN_OR_RETURN(ColumnStats stats,
                              BuildColumnStats(read->column(index), unit_rows,
-                                              exec.memory));
+                                              exec.memory, exec.cancel));
         span.AddAttr("rows", stats.rows);
         span.AddAttr("values", static_cast<uint64_t>(stats.values.size()));
         span.AddAttr("exact", stats.exact ? "true" : "false");

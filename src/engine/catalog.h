@@ -82,7 +82,8 @@ class Catalog {
   /// (engine/column_stats.h). The first request builds them in one pass over
   /// that column alone, read through ReadTable, under a "stats.build" span
   /// of `trace` (may be null), charging the pass's working set (an
-  /// extent-backed column's decode included) to `exec.memory`. They
+  /// extent-backed column's decode included) to `exec.memory` and polling
+  /// `exec.cancel`. They
   /// stay cached until `name`'s version changes; concurrent first requests
   /// build once. A build that fails other than by cancellation or deadline
   /// (say, the pass does not fit `exec.memory`) is not retried until the

@@ -152,11 +152,11 @@ void DriftMonitor::Sweep() {
   // periodic tick mid-flight.
   std::lock_guard<std::mutex> sweep_lock(sweep_mu_);
 
-  const std::vector<SynopsisBaselineInfo> baselines = cache_->Baselines();
+  const std::vector<PersistedSynopsis> baselines = cache_->Baselines();
   // Several specs per table share one rescan verdict: keep the most recent
   // baseline per table (scores apply to every entry via MarkDrifted).
-  std::unordered_map<std::string, const SynopsisBaselineInfo*> by_table;
-  for (const SynopsisBaselineInfo& info : baselines) {
+  std::unordered_map<std::string, const PersistedSynopsis*> by_table;
+  for (const PersistedSynopsis& info : baselines) {
     auto [it, inserted] = by_table.emplace(info.table, &info);
     if (!inserted &&
         info.built_unix_seconds > it->second->built_unix_seconds) {
@@ -178,7 +178,7 @@ void DriftMonitor::Sweep() {
   last_max_score_ = max_score;
 }
 
-void DriftMonitor::CheckTable(const SynopsisBaselineInfo& info,
+void DriftMonitor::CheckTable(const PersistedSynopsis& info,
                               double now_unix_seconds) {
   obs::TraceSpan check_span;  // Inert: times the check, records nothing.
 
@@ -195,25 +195,37 @@ void DriftMonitor::CheckTable(const SynopsisBaselineInfo& info,
 
   // Governed rescan: the monitor's cost is bounded by ITS budget, never the
   // foreground's — an extent-backed table's decode included, which reads
-  // only the extents holding the max_rows leading rows the sketches scan. A
-  // rescan that blows the deadline or the memory budget is abandoned; the
-  // table is retried on the next sweep. A dropped table fails its read: its
-  // versioned keys are unreachable anyway, and the LRU ages the entries out.
+  // only the extents holding the max_rows leading rows the statistics
+  // cover. A rescan that blows the deadline or the memory budget is
+  // abandoned; the table is retried on the next sweep. A dropped table
+  // fails its read: its versioned keys are unreachable anyway, and the LRU
+  // ages the entries out.
   gov::QueryContext ctx(
       gov::Limits{options_.deadline_ms, options_.memory_budget_bytes});
   ctx.Start();
   ExecOptions exec;
   exec.num_threads = 1;  // A background decode leaves the pool to queries.
   ctx.Bind(&exec);
-  core::DriftBaselineOptions rescan;
-  rescan.sketch = options_.sketch;
-  rescan.max_rows = options_.max_rows;
   auto table = ReadTable(*catalog_, info.table, nullptr, exec, nullptr,
-                         rescan.max_rows);
+                         options_.max_rows);
+  // An in-memory name reads whole: copy its leading rows, charged to the
+  // rescan's budget.
+  ScopedMemoryCharge head_charge;
+  if (table.ok() && options_.max_rows > 0 &&
+      table.value()->num_rows() > options_.max_rows) {
+    Table head = table.value()->Slice(0, options_.max_rows);
+    auto charge = ScopedMemoryCharge::Make(exec.memory, head.ApproxBytes(),
+                                           "drift rescan rows");
+    if (charge.ok()) {
+      head_charge = std::move(charge).value();
+      table = std::make_shared<const Table>(std::move(head));
+    } else {
+      table = charge.status();
+    }
+  }
   Result<core::TableDriftBaseline> current =
       table.ok() ? core::BuildDriftBaseline(*table.value(), info.table,
-                                            version, rescan, exec.memory,
-                                            exec.cancel)
+                                            version, exec.memory, exec.cancel)
                  : table.status();
   if (!current.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -254,7 +266,7 @@ void DriftMonitor::CheckTable(const SynopsisBaselineInfo& info,
   PublishVerdict(info, report, action, staleness, check_seconds);
 }
 
-void DriftMonitor::PublishVerdict(const SynopsisBaselineInfo& info,
+void DriftMonitor::PublishVerdict(const PersistedSynopsis& info,
                                   const core::TableDriftReport& report,
                                   const std::string& action,
                                   double staleness_seconds,

@@ -48,9 +48,6 @@ struct DriftMonitorOptions {
   /// Leading rows rescanned per table (0 = all) — bounds sweep cost on
   /// huge tables at some sensitivity loss.
   uint64_t max_rows = 0;
-  /// Sketch sizing for the current-state rescan; must match the cache's
-  /// baseline sizing for the comparison to be apples-to-apples.
-  sketch::DriftSketchOptions sketch;
 
   static DriftMonitorOptions FromEnv(DriftMonitorOptions base);
   static DriftMonitorOptions FromEnv() {
@@ -73,10 +70,11 @@ struct DriftMonitorStats {
 /// append through a retained non-const handle bumps no version), so cached
 /// synopses can silently serve confidently-wrong CIs forever. This monitor
 /// closes the loop: on a periodic schedule (and nudged on catalog version
-/// activity) it enumerates the cache's drift baselines, re-sketches each
-/// table's current state under its own governed deadline/memory budget, and
-/// scores the drift per column (KS statistic, KMV domain churn, heavy-hitter
-/// turnover, moment shift — see sketch/drift.h). Verdicts feed four sinks:
+/// activity) it enumerates the cache's drift baselines, rebuilds each
+/// table's column statistics under its own governed deadline/memory budget,
+/// and scores the drift per column (KS statistic, KMV domain churn,
+/// heavy-hitter turnover, moment shift — see core/drift_baseline.h).
+/// Verdicts feed four sinks:
 ///
 ///   * the cache: scores are written back to entries (soft) or the table's
 ///     entries are invalidated outright (hard, score >= invalidate
@@ -126,8 +124,8 @@ class DriftMonitor {
   /// One sweep over every cached baseline. Callers must NOT hold mu_.
   void Sweep();
   /// Rescan + score one table against `info`'s baseline.
-  void CheckTable(const SynopsisBaselineInfo& info, double now_unix_seconds);
-  void PublishVerdict(const SynopsisBaselineInfo& info,
+  void CheckTable(const PersistedSynopsis& info, double now_unix_seconds);
+  void PublishVerdict(const PersistedSynopsis& info,
                       const core::TableDriftReport& report,
                       const std::string& action, double staleness_seconds,
                       double check_seconds);

@@ -97,7 +97,6 @@ ServiceOptions ResolveOptions(ServiceOptions options) {
 SynopsisCache::Options CacheOptions(const ServiceOptions& options) {
   SynopsisCache::Options o;
   o.capture_baselines = options.drift.enabled;
-  o.baseline.sketch = options.drift.sketch;
   return o;
 }
 

@@ -60,17 +60,21 @@ Result<CachedSynopsis> SynopsisCache::GetOrBuild(const Catalog& catalog,
   ++misses_;
   entries_.emplace(key, Entry{});  // building = true: the claim other
                                    // threads wait on.
+  // One baseline per (table, version): another spec's ready entry built
+  // from the same version already holds it.
+  std::shared_ptr<const core::TableDriftBaseline> baseline =
+      options_.capture_baselines ? ReadyBaseline(table, version) : nullptr;
   lock.unlock();
 
   // The build runs outside the lock — this is the whole point: one table
   // scan, with every concurrent requester parked on the cv, not rescanning.
-  // The one read feeds both the sample and the drift baseline. An in-memory
-  // name is a lookup; an extent-backed name is decoded under a tracker
-  // capped at the cache's byte budget and chained to the cache's, so a file
-  // that does not fit is refused before it is decoded (the query answers at
-  // rung 0). Also the `synopsis.build` chaos site: an injected failure takes
-  // the same path as a real one — not cached, waiters retry.
-  std::shared_ptr<const core::TableDriftBaseline> baseline;
+  // The one read feeds both the sample and, unless one was found above, the
+  // drift baseline. An in-memory name is a lookup; an extent-backed name is
+  // decoded under a tracker capped at the cache's byte budget and chained to
+  // the cache's, so a file that does not fit is refused before it is decoded
+  // (the query answers at rung 0). Also the `synopsis.build` chaos site: an
+  // injected failure takes the same path as a real one — not cached,
+  // waiters retry.
   Result<core::StoredSample> built = [&]() -> Result<core::StoredSample> {
     AQP_RETURN_IF_ERROR(
         gov::FaultInjector::Global().MaybeFail("synopsis.build"));
@@ -83,9 +87,8 @@ Result<CachedSynopsis> SynopsisCache::GetOrBuild(const Catalog& catalog,
         *base, table, spec.strata_column, spec.budget, spec.seed);
     // Drift baseline from the same snapshot; failures are non-fatal (the
     // synopsis serves, just unmonitored).
-    if (sample.ok() && options_.capture_baselines) {
-      auto b = core::BuildDriftBaseline(*base, table, version,
-                                        options_.baseline, tracker_);
+    if (sample.ok() && options_.capture_baselines && baseline == nullptr) {
+      auto b = core::BuildDriftBaseline(*base, table, version, tracker_);
       if (b.ok()) {
         baseline = std::make_shared<const core::TableDriftBaseline>(
             std::move(b).value());
@@ -129,6 +132,18 @@ Result<CachedSynopsis> SynopsisCache::GetOrBuild(const Catalog& catalog,
   }
   Publish(key, it->second, std::move(synopsis));
   return out;
+}
+
+std::shared_ptr<const core::TableDriftBaseline> SynopsisCache::ReadyBaseline(
+    const std::string& table, uint64_t version) const {
+  for (const auto& [key, entry] : entries_) {
+    const PersistedSynopsis& s = entry.synopsis;
+    if (!entry.building && s.baseline != nullptr && s.table == table &&
+        s.catalog_version == version) {
+      return s.baseline;
+    }
+  }
+  return nullptr;
 }
 
 void SynopsisCache::Publish(const std::string& key, Entry& entry,
@@ -189,16 +204,11 @@ size_t SynopsisCache::InvalidateTable(const std::string& table) {
   return dropped;
 }
 
-std::vector<SynopsisBaselineInfo> SynopsisCache::Baselines() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SynopsisBaselineInfo> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    const PersistedSynopsis& s = entry.synopsis;
-    if (entry.building || s.baseline == nullptr) continue;
-    out.push_back({s.table, s.catalog_version, s.baseline, s.drift_score,
-                   s.built_unix_seconds});
-  }
+std::vector<PersistedSynopsis> SynopsisCache::Baselines() const {
+  std::vector<PersistedSynopsis> out = SnapshotForPersist();
+  std::erase_if(out, [](const PersistedSynopsis& s) {
+    return s.baseline == nullptr;
+  });
   return out;
 }
 

@@ -60,8 +60,8 @@ struct CachedSynopsis {
 
 /// One cache entry in durable form: everything SaveSynopses writes to the
 /// synopsis sidecar (docs/STORAGE.md §8) and Preload adopts back after a
-/// restart. The sample/baseline pointers share the live artifacts — taking
-/// a snapshot copies no tables.
+/// restart, and what the DriftMonitor checks. The sample/baseline pointers
+/// share the live artifacts — taking a snapshot copies no tables.
 struct PersistedSynopsis {
   std::string table;
   uint64_t catalog_version = 0;
@@ -70,15 +70,6 @@ struct PersistedSynopsis {
   double drift_score = 0.0;
   std::shared_ptr<const core::StoredSample> sample;
   std::shared_ptr<const core::TableDriftBaseline> baseline;  // May be null.
-};
-
-/// One cached baseline, enumerated by the DriftMonitor.
-struct SynopsisBaselineInfo {
-  std::string table;
-  uint64_t catalog_version = 0;  // Version the entry was built against.
-  std::shared_ptr<const core::TableDriftBaseline> baseline;
-  double drift_score = 0.0;
-  double built_unix_seconds = 0.0;
 };
 
 /// Cross-query cache of pre-computed synopses (stored samples), keyed by
@@ -100,10 +91,12 @@ struct SynopsisBaselineInfo {
 /// non-const handle to a registered table can append without a version
 /// bump, and the cache would keep serving a confidently-wrong synopsis
 /// forever. That hole is what the drift machinery closes: every build
-/// captures a TableDriftBaseline next to the sample, the background
-/// DriftMonitor re-sketches tables and calls MarkDrifted (soft: flag, the
-/// serving path widens CIs or declines) or InvalidateTable (hard: drop, the
-/// next query rebuilds from current data).
+/// captures a TableDriftBaseline (the snapshot's column statistics) next to
+/// the sample, or reuses the one a ready entry of the same (table, version)
+/// holds; the background DriftMonitor rebuilds the statistics of tables and
+/// calls MarkDrifted (soft: flag, the serving path widens CIs or declines)
+/// or InvalidateTable (hard: drop, the next query rebuilds from current
+/// data).
 ///
 /// Entries are shared_ptr-shared: eviction only drops the cache's
 /// reference — queries already holding the synopsis keep it alive.
@@ -111,10 +104,11 @@ struct SynopsisBaselineInfo {
 class SynopsisCache {
  public:
   struct Options {
-    /// Capture a drift baseline with every build (costs one extra scan of
-    /// the snapshot and ~40 KiB/column in the entry's byte accounting).
+    /// Capture a drift baseline with every build: the column statistics of
+    /// the snapshot the sample was drawn from (one more pass over it, and
+    /// up to ColumnStats::kMaxValues values per column in the entry's byte
+    /// accounting). Builds of one (table, version) share one baseline.
     bool capture_baselines = true;
-    core::DriftBaselineOptions baseline;
   };
 
   explicit SynopsisCache(uint64_t byte_budget, MemoryTracker* tracker,
@@ -150,9 +144,9 @@ class SynopsisCache {
   /// against current data. Returns the number of ready entries dropped.
   size_t InvalidateTable(const std::string& table);
 
-  /// Snapshot of every ready entry's baseline for the DriftMonitor (null
-  /// baselines are skipped). Does not touch LRU order.
-  std::vector<SynopsisBaselineInfo> Baselines() const;
+  /// Every ready entry that holds a baseline, for the DriftMonitor. Does
+  /// not touch LRU order.
+  std::vector<PersistedSynopsis> Baselines() const;
 
   /// Every ready entry in durable form, for SaveSynopses at shutdown.
   /// Drifted entries are included (their score rides along, so a restarted
@@ -181,6 +175,11 @@ class SynopsisCache {
     uint64_t bytes = 0;
     std::list<std::string>::iterator lru_it;  // Valid when ready & cached.
   };
+
+  /// The baseline of a ready entry of (`table`, `version`), or null.
+  /// Caller holds mu_.
+  std::shared_ptr<const core::TableDriftBaseline> ReadyBaseline(
+      const std::string& table, uint64_t version) const;
 
   /// Makes the entry claimed under `key` ready with `synopsis`: charges its
   /// bytes, puts it at the LRU front and evicts to budget. Caller holds mu_.

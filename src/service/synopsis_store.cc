@@ -20,7 +20,8 @@ namespace {
 // docs/STORAGE.md §8.1 — sidecar header: magic "AQPS", format version,
 // entry count, reserved. Bumping the record layout bumps this version; a
 // reader seeing a version it does not know refuses the whole file (§9).
-constexpr uint32_t kSidecarVersion = 1;
+// Version 2: a baseline column is its ColumnStats (§8.4).
+constexpr uint32_t kSidecarVersion = 2;
 
 void PutString(ByteWriter& w, const std::string& s) {
   w.PutU32(static_cast<uint32_t>(s.size()));
@@ -80,9 +81,9 @@ std::string SerializeEntry(const PersistedSynopsis& p) {
     w.PutU64(b.rows);
     w.PutDouble(b.built_unix_seconds);
     w.PutU64(b.columns.size());
-    for (const auto& [name, sk] : b.columns) {
+    for (const auto& [name, stats] : b.columns) {
       PutString(w, name);
-      PutString(w, sk.Serialize());
+      WriteColumnStats(stats, &w);
     }
   }
   return w.Take();
@@ -153,10 +154,8 @@ Result<PersistedSynopsis> DeserializeEntry(std::string_view payload) {
     b.columns.reserve(num_columns);
     for (uint64_t i = 0; i < num_columns; ++i) {
       AQP_ASSIGN_OR_RETURN(std::string name, GetString(r));
-      AQP_ASSIGN_OR_RETURN(std::string blob, GetString(r));
-      AQP_ASSIGN_OR_RETURN(sketch::ColumnDriftSketch sk,
-                           sketch::ColumnDriftSketch::Deserialize(blob));
-      b.columns.emplace_back(std::move(name), std::move(sk));
+      AQP_ASSIGN_OR_RETURN(ColumnStats stats, ReadColumnStats(&r));
+      b.columns.emplace_back(std::move(name), std::move(stats));
     }
     p.baseline =
         std::make_shared<const core::TableDriftBaseline>(std::move(b));

@@ -96,22 +96,24 @@ Result<KmvSketch> KmvSketch::Deserialize(std::string_view data) {
   return s;
 }
 
-double KmvSketch::EstimateJaccard(const KmvSketch& a, const KmvSketch& b) {
-  // k minima of the union, then the fraction also present in both.
+double KmvSketch::EstimateContainment(const KmvSketch& a,
+                                      const KmvSketch& b) {
+  // k minima of the union, then the fraction of a's also present in b.
   std::vector<uint64_t> au = a.MinHashes();
   std::vector<uint64_t> bu = b.MinHashes();
   std::vector<uint64_t> unioned;
   std::set_union(au.begin(), au.end(), bu.begin(), bu.end(),
                  std::back_inserter(unioned));
   size_t k = std::min<size_t>(std::min(a.k_, b.k_), unioned.size());
-  if (k == 0) return 0.0;
+  size_t in_a = 0;
   size_t in_both = 0;
   for (size_t i = 0; i < k; ++i) {
-    bool in_a = std::binary_search(au.begin(), au.end(), unioned[i]);
-    bool in_b = std::binary_search(bu.begin(), bu.end(), unioned[i]);
-    if (in_a && in_b) ++in_both;
+    if (!std::binary_search(au.begin(), au.end(), unioned[i])) continue;
+    ++in_a;
+    if (std::binary_search(bu.begin(), bu.end(), unioned[i])) ++in_both;
   }
-  return static_cast<double>(in_both) / static_cast<double>(k);
+  if (in_a == 0) return 1.0;
+  return static_cast<double>(in_both) / static_cast<double>(in_a);
 }
 
 }  // namespace sketch

@@ -37,9 +37,11 @@ class KmvSketch {
   /// Merges another KMV sketch (same k recommended; result uses this k).
   void Merge(const KmvSketch& other);
 
-  /// Jaccard similarity estimate between the distinct sets summarized by
-  /// two sketches (resemblance over the union's k minima).
-  static double EstimateJaccard(const KmvSketch& a, const KmvSketch& b);
+  /// Estimated share of `a`'s distinct set that is also in `b`'s: of the
+  /// union's k minima that are `a`'s, the fraction that are `b`'s too (1
+  /// when `a` is empty). If `b` summarizes a superset of `a`'s set, every
+  /// such minimum is `b`'s, so the estimate is exactly 1.
+  static double EstimateContainment(const KmvSketch& a, const KmvSketch& b);
 
   uint32_t k() const { return k_; }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/bytes.h"
 #include "common/check.h"
 
 namespace aqp {
@@ -105,60 +104,6 @@ Result<double> KllSketch::Quantile(double q) const {
     if (cumulative >= target) return v;
   }
   return items.back().first;
-}
-
-namespace {
-constexpr uint32_t kKllMagic = 0x4b4c4c31;  // "KLL1".
-// Levels grow logarithmically in stream length; 64 covers any uint64 count.
-constexpr uint32_t kKllMaxLevels = 64;
-}  // namespace
-
-std::string KllSketch::Serialize() const {
-  ByteWriter w;
-  w.PutU32(kKllMagic);
-  w.PutU32(k_);
-  w.PutU64(count_);
-  w.PutDouble(min_);
-  w.PutDouble(max_);
-  w.PutU32(static_cast<uint32_t>(levels_.size()));
-  for (const auto& level : levels_) {
-    w.PutU64(level.size());
-    for (double v : level) w.PutDouble(v);
-  }
-  return w.Take();
-}
-
-Result<KllSketch> KllSketch::Deserialize(std::string_view data) {
-  ByteReader r(data);
-  AQP_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
-  if (magic != kKllMagic) {
-    return Status::InvalidArgument("not a serialized KLL sketch");
-  }
-  AQP_ASSIGN_OR_RETURN(uint32_t k, r.GetU32());
-  KllSketch s(k);
-  AQP_ASSIGN_OR_RETURN(s.count_, r.GetU64());
-  AQP_ASSIGN_OR_RETURN(s.min_, r.GetDouble());
-  AQP_ASSIGN_OR_RETURN(s.max_, r.GetDouble());
-  AQP_ASSIGN_OR_RETURN(uint32_t num_levels, r.GetU32());
-  if (num_levels == 0 || num_levels > kKllMaxLevels) {
-    return Status::InvalidArgument("KLL level count out of range");
-  }
-  s.levels_.assign(num_levels, {});
-  for (uint32_t h = 0; h < num_levels; ++h) {
-    AQP_ASSIGN_OR_RETURN(uint64_t n, r.GetU64());
-    if (n * sizeof(double) > r.remaining()) {
-      return Status::InvalidArgument("KLL level larger than its buffer");
-    }
-    s.levels_[h].reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      AQP_ASSIGN_OR_RETURN(double v, r.GetDouble());
-      s.levels_[h].push_back(v);
-    }
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument("trailing bytes after KLL sketch");
-  }
-  return s;
 }
 
 void KllSketch::Merge(const KllSketch& other) {

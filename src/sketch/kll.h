@@ -2,8 +2,6 @@
 #define AQP_SKETCH_KLL_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/random.h"
@@ -44,15 +42,6 @@ class KllSketch {
 
   /// Total buffered items across levels (memory proxy).
   size_t StoredItems() const;
-
-  /// Serializes k, count, min/max, and every level buffer. The compaction
-  /// RNG's position is deliberately not captured: a deserialized sketch
-  /// answers identical quantile/rank/CDF queries, and continues ingesting
-  /// with a fresh RNG — only the random promotion offsets of *future*
-  /// compactions differ, which stays within the sketch's error bound.
-  std::string Serialize() const;
-  /// Inverse of Serialize; rejects corrupt or foreign buffers.
-  static Result<KllSketch> Deserialize(std::string_view data);
 
  private:
   void Compact();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bytes.h"
 #include "common/check.h"
 
 namespace aqp {
@@ -64,56 +63,6 @@ void MisraGries::Merge(const MisraGries& other) {
     counters_[key] += c;
   }
   while (counters_.size() > k_) Shrink();
-}
-
-namespace {
-constexpr uint32_t kMgMagic = 0x4d475331;  // "MGS1".
-}  // namespace
-
-std::string MisraGries::Serialize() const {
-  std::vector<std::pair<uint64_t, uint64_t>> sorted(counters_.begin(),
-                                                    counters_.end());
-  std::sort(sorted.begin(), sorted.end());
-  ByteWriter w;
-  w.PutU32(kMgMagic);
-  w.PutU32(k_);
-  w.PutU64(total_);
-  w.PutU64(decrements_);
-  w.PutU64(sorted.size());
-  for (const auto& [key, c] : sorted) {
-    w.PutU64(key);
-    w.PutU64(c);
-  }
-  return w.Take();
-}
-
-Result<MisraGries> MisraGries::Deserialize(std::string_view data) {
-  ByteReader r(data);
-  AQP_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
-  if (magic != kMgMagic) {
-    return Status::InvalidArgument("not a serialized Misra-Gries summary");
-  }
-  AQP_ASSIGN_OR_RETURN(uint32_t k, r.GetU32());
-  if (k == 0) return Status::InvalidArgument("Misra-Gries k must be > 0");
-  MisraGries s(k);
-  AQP_ASSIGN_OR_RETURN(s.total_, r.GetU64());
-  AQP_ASSIGN_OR_RETURN(s.decrements_, r.GetU64());
-  AQP_ASSIGN_OR_RETURN(uint64_t n, r.GetU64());
-  if (n > k || n * 2 * sizeof(uint64_t) > r.remaining()) {
-    return Status::InvalidArgument("Misra-Gries counter count out of range");
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    AQP_ASSIGN_OR_RETURN(uint64_t key, r.GetU64());
-    AQP_ASSIGN_OR_RETURN(uint64_t count, r.GetU64());
-    if (count == 0 || s.counters_.count(key) > 0) {
-      return Status::InvalidArgument("malformed Misra-Gries counter");
-    }
-    s.counters_[key] = count;
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument("trailing bytes after Misra-Gries");
-  }
-  return s;
 }
 
 }  // namespace sketch

@@ -2,8 +2,6 @@
 #define AQP_SKETCH_MISRA_GRIES_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -41,12 +39,6 @@ class MisraGries {
 
   uint64_t total_count() const { return total_; }
   uint32_t capacity() const { return k_; }
-
-  /// Serializes k, totals, and the counters (sorted by key, so equal-state
-  /// summaries serialize byte-identically).
-  std::string Serialize() const;
-  /// Inverse of Serialize; rejects corrupt or foreign buffers.
-  static Result<MisraGries> Deserialize(std::string_view data);
 
  private:
   void Shrink();

@@ -17,6 +17,17 @@ void Accumulator::Add(double x) {
   max_ = std::max(max_, x);
 }
 
+void Accumulator::Add(double x, uint64_t n) {
+  if (n == 0) return;
+  count_ += n;
+  const double w = static_cast<double>(n);
+  double delta = x - mean_;
+  mean_ += delta * w / static_cast<double>(count_);
+  m2_ += delta * (x - mean_) * w;
+  min_ = std::min(min_, x);
+  max_ = std::max(max_, x);
+}
+
 double Accumulator::sample_variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);

@@ -14,11 +14,15 @@ class Accumulator {
  public:
   /// Adds one observation.
   void Add(double x);
+  /// Adds `n` observations of `x`.
+  void Add(double x, uint64_t n);
 
   uint64_t count() const { return count_; }
   double sum() const { return mean_ * static_cast<double>(count_); }
   /// Mean of observations; 0 when empty.
   double mean() const { return mean_; }
+  /// Sum of squared deviations from the mean.
+  double m2() const { return m2_; }
   /// Unbiased sample variance (n-1 denominator); 0 when count < 2.
   double sample_variance() const;
   /// Population variance (n denominator); 0 when empty.

@@ -4,6 +4,8 @@
 
 #include "engine/column_stats.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <thread>
 
@@ -150,6 +152,167 @@ TEST(ColumnStatsTest, MoreThanMaxValuesIsNotExact) {
   EXPECT_EQ(stats.rows, ColumnStats::kMaxValues + 500);
   EXPECT_EQ(stats.nulls.rows, 0u);
   EXPECT_FALSE(stats.RowsMatching(OpKind::kLt, Value(int64_t{10})));
+}
+
+// Moments by a plain loop over the non-NULL rows.
+Moments BruteMoments(const Column& c) {
+  Moments m;
+  double sum = 0.0;
+  for (size_t i = 0; i < c.size(); ++i) {
+    if (c.IsNull(i)) continue;
+    ++m.count;
+    sum += c.NumericAt(i);
+  }
+  m.mean = m.count > 0 ? sum / static_cast<double>(m.count) : 0.0;
+  for (size_t i = 0; i < c.size(); ++i) {
+    if (c.IsNull(i)) continue;
+    m.m2 += (c.NumericAt(i) - m.mean) * (c.NumericAt(i) - m.mean);
+  }
+  return m;
+}
+
+void ExpectMoments(const Moments& got, const Moments& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_NEAR(got.mean, want.mean, 1e-9 * (1.0 + std::fabs(want.mean)));
+  EXPECT_NEAR(got.m2, want.m2, 1e-9 * (1.0 + want.m2));
+}
+
+TEST(ColumnStatsTest, NumericColumnsCarryTheirMoments) {
+  auto table = MakeTable(ColumnStats::kMaxValues + 500, 40, 3);
+  for (size_t col : {0, 2, 3}) {  // k (exact, NULLs), d (exact), id.
+    const Column& c = table->column(col);
+    ColumnStats stats = BuildColumnStats(c, kBlock, nullptr).value();
+    EXPECT_EQ(stats.exact, col != 3);
+    ExpectMoments(stats.moments, BruteMoments(c));
+  }
+  for (size_t col : {1, 4}) {  // s, b: no moments.
+    EXPECT_EQ(
+        BuildColumnStats(table->column(col), kBlock, nullptr)->moments.count,
+        0u);
+  }
+}
+
+TEST(ColumnStatsTest, SampledColumnKeepsASampleAndASketch) {
+  constexpr size_t kRows = 3 * ColumnStats::kMaxValues;
+  auto table = MakeTable(kRows, 40, 3);
+  const Column& id = table->column(3);
+  ColumnStats stats = BuildColumnStats(id, kBlock, nullptr).value();
+  ASSERT_FALSE(stats.exact);
+  ASSERT_EQ(stats.sample.size(), ColumnStats::kMaxValues);
+  for (size_t i = 1; i < stats.sample.size(); ++i) {
+    EXPECT_LT(stats.sample[i - 1].int64(), stats.sample[i].int64());
+  }
+  // Uniform over the rows: about a third of the draws in each third.
+  const auto below = std::lower_bound(
+      stats.sample.begin(), stats.sample.end(),
+      Value(static_cast<int64_t>(kRows / 3)),
+      [](const Value& a, const Value& b) { return a.int64() < b.int64(); });
+  EXPECT_NEAR(static_cast<double>(below - stats.sample.begin()),
+              ColumnStats::kMaxValues / 3.0, 150.0);
+  EXPECT_NEAR(stats.distinct.Estimate(), static_cast<double>(kRows),
+              0.25 * kRows);
+  // The sample is seeded: a second build draws the same one.
+  EXPECT_EQ(BuildColumnStats(id, kBlock, nullptr)->sample, stats.sample);
+
+  // An exact column's sketch holds its values' hashes.
+  ColumnStats keys =
+      BuildColumnStats(table->column(0), kBlock, nullptr).value();
+  ASSERT_TRUE(keys.exact);
+  EXPECT_EQ(keys.distinct.Estimate(), static_cast<double>(keys.values.size()));
+}
+
+TEST(ColumnStatsTest, CancelledBuildLeavesTheSlotEmpty) {
+  auto table = MakeTable(ColumnStats::kMaxValues + 500, 10, 1);
+  CancellationSource source;
+  source.RequestCancel(StopCause::kUserCancel, "test");
+  const CancellationToken token = source.token();
+  for (size_t col : {0, 3}) {  // An exact and a sampled column.
+    EXPECT_EQ(BuildColumnStats(table->column(col), kBlock, nullptr, &token)
+                  .status()
+                  .code(),
+              StatusCode::kCancelled);
+  }
+  // The catalog passes the query's token, and the next request builds.
+  Catalog cat;
+  ASSERT_TRUE(cat.Register("t", table).ok());
+  ExecOptions exec;
+  exec.cancel = &token;
+  EXPECT_EQ(cat.ColumnStatistics("t", "k", kBlock, exec).status().code(),
+            StatusCode::kCancelled);
+  auto stats = cat.ColumnStatistics("t", "k", kBlock);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats.value()->rows, ColumnStats::kMaxValues + 500);
+}
+
+void ExpectSameStats(const ColumnStats& a, const ColumnStats& b) {
+  EXPECT_EQ(a.rows, b.rows);
+  ExpectSpread(a.nulls, b.nulls, "NULL");
+  EXPECT_EQ(a.moments.count, b.moments.count);
+  EXPECT_EQ(a.moments.mean, b.moments.mean);
+  EXPECT_EQ(a.moments.m2, b.moments.m2);
+  EXPECT_EQ(a.exact, b.exact);
+  EXPECT_EQ(a.values, b.values);
+  ASSERT_EQ(a.spreads.size(), b.spreads.size());
+  for (size_t i = 0; i < a.spreads.size(); ++i) {
+    ExpectSpread(a.spreads[i], b.spreads[i], a.values[i].ToString());
+  }
+  EXPECT_EQ(a.rows_before, b.rows_before);
+  EXPECT_EQ(a.sample, b.sample);
+  EXPECT_EQ(a.distinct.MinHashes(), b.distinct.MinHashes());
+}
+
+TEST(ColumnStatsTest, SerializeRoundTrip) {
+  auto table = MakeTable(ColumnStats::kMaxValues + 500, 40, 3);
+  for (size_t col = 0; col < table->num_columns(); ++col) {
+    ColumnStats stats =
+        BuildColumnStats(table->column(col), kBlock, nullptr).value();
+    ByteWriter w;
+    WriteColumnStats(stats, &w);
+    const std::string bytes = w.Take();
+    ByteReader r(bytes);
+    Result<ColumnStats> back = ReadColumnStats(&r);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_TRUE(r.exhausted());
+    ExpectSameStats(back.value(), stats);
+    ByteWriter again;
+    WriteColumnStats(back.value(), &again);
+    EXPECT_EQ(again.Take(), bytes) << "column " << col;
+  }
+}
+
+TEST(ColumnStatsTest, ReadRejectsCorruptBuffers) {
+  auto table = MakeTable(ColumnStats::kMaxValues + 500, 40, 3);
+  for (size_t col : {0, 3}) {  // Exact, then sampled.
+    ByteWriter w;
+    WriteColumnStats(
+        BuildColumnStats(table->column(col), kBlock, nullptr).value(), &w);
+    const std::string bytes = w.Take();
+    auto read = [](const std::string& b) {
+      ByteReader r(b);
+      return ReadColumnStats(&r).ok();
+    };
+    EXPECT_FALSE(read(""));
+    EXPECT_FALSE(read("bad"));
+    EXPECT_FALSE(read(bytes.substr(0, bytes.size() / 2)));
+    EXPECT_FALSE(read(bytes.substr(0, bytes.size() - 1)));
+    // Header: rows (8), NULL spread (24), moments (24), then the exact flag.
+    std::string flag = bytes;
+    flag[56] = 2;
+    EXPECT_FALSE(read(flag));
+    std::string nulls = bytes;  // More NULLs than rows.
+    nulls[15] = 0x7f;
+    EXPECT_FALSE(read(nulls));
+    // The first two values swapped: out of order. Each is a tag and a
+    // little-endian INT64 after the value count; an exact value is followed
+    // by its spread.
+    const size_t first = 65;
+    const size_t stride = col == 0 ? 9 + 24 : 9;
+    std::string swapped = bytes;
+    for (size_t i = 0; i < 9; ++i) {
+      std::swap(swapped[first + i], swapped[first + stride + i]);
+    }
+    EXPECT_FALSE(read(swapped));
+  }
 }
 
 TEST(ColumnStatsTest, BuildIsChargedAndReleased) {

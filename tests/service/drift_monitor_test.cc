@@ -79,8 +79,8 @@ TEST(DriftMonitorTest, UnchangedTableStaysQuiet) {
   EXPECT_EQ(s.checks, 1u);
   EXPECT_EQ(s.flagged, 0u);
   EXPECT_EQ(s.invalidated, 0u);
-  // Same data, same sketch options: the rescan reproduces the baseline
-  // exactly, so the steady state is EXACTLY zero, not merely small.
+  // Same data, same build: the rescan reproduces the baseline exactly, so
+  // the steady state is EXACTLY zero, not merely small.
   EXPECT_EQ(s.last_max_score, 0.0);
   EXPECT_EQ(monitor.TableScore("t"), 0.0);
   EXPECT_EQ(rig.cache.stats().entries, 1u);  // Nothing was dropped.
@@ -157,8 +157,8 @@ TEST(DriftMonitorTest, ScoresAreDeterministicUnderFixedSeed) {
     scores[run] = monitor.TableScore("t");
     EXPECT_GT(scores[run], 0.0);
   }
-  // Same seeds end to end (table gen, sampling, sketch compaction): the two
-  // runs must agree bit for bit, not approximately.
+  // Same seeds end to end (table gen, synopsis sampling, the statistics'
+  // samples): the two runs must agree bit for bit, not approximately.
   EXPECT_EQ(scores[0], scores[1]);
 }
 
@@ -238,6 +238,26 @@ TEST(DriftMonitorTest, ExtentRescanReadsOnlyTheLeadingRows) {
   EXPECT_EQ(leading.stats().failed, 0u);
   EXPECT_EQ(leading.stats().checks, 1u);
   std::remove(path.c_str());
+}
+
+TEST(DriftMonitorTest, MaxRowsBoundsTheRescan) {
+  // An in-memory table reads whole; the rescan keeps only its max_rows
+  // leading rows, so rows appended past them go unseen.
+  Rig rig(20000, 3);
+  rig.BuildSynopsis();
+  rig.AppendShifted(40000, 500.0);
+
+  DriftMonitorOptions head = TestOptions();
+  head.max_rows = 20000;
+  DriftMonitor leading(&rig.catalog, &rig.cache, head);
+  leading.CheckNow();
+  EXPECT_EQ(leading.stats().checks, 1u);
+  EXPECT_EQ(leading.TableScore("t"), 0.0);
+  EXPECT_EQ(rig.cache.stats().entries, 1u);
+
+  DriftMonitor whole(&rig.catalog, &rig.cache, TestOptions());
+  whole.CheckNow();
+  EXPECT_EQ(whole.stats().invalidated, 1u);
 }
 
 TEST(DriftMonitorTest, VerdictsReachTheQueryLog) {

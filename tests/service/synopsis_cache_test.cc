@@ -219,14 +219,36 @@ TEST(SynopsisCacheTest, BaselinesEnumeratesReadyEntries) {
   b.seed = 7;
   ASSERT_TRUE(cache.GetOrBuild(cat, "t", a).ok());
   ASSERT_TRUE(cache.GetOrBuild(cat, "t", b).ok());
-  std::vector<SynopsisBaselineInfo> infos = cache.Baselines();
+  std::vector<PersistedSynopsis> infos = cache.Baselines();
   ASSERT_EQ(infos.size(), 2u);
-  for (const SynopsisBaselineInfo& info : infos) {
+  for (const PersistedSynopsis& info : infos) {
     EXPECT_EQ(info.table, "t");
     ASSERT_NE(info.baseline, nullptr);
     EXPECT_EQ(info.baseline->rows, 20000u);
     EXPECT_GT(info.built_unix_seconds, 0.0);
   }
+}
+
+TEST(SynopsisCacheTest, SpecsOfOneVersionShareOneBaseline) {
+  Catalog cat = BaseCatalog(20000, 3);
+  SynopsisCache cache(0);
+  SynopsisSpec uniform;
+  uniform.budget = 300;
+  SynopsisSpec stratified = uniform;
+  stratified.strata_column = "g";
+  auto a = cache.GetOrBuild(cat, "t", uniform);
+  auto b = cache.GetOrBuild(cat, "t", stratified);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_NE(a.value().baseline, nullptr);
+  EXPECT_EQ(a.value().baseline, b.value().baseline);
+
+  // A new version captures its own.
+  cat.RegisterOrReplace("t", std::make_shared<Table>(
+                                 testutil::ZipfGroupedTable(20000, 12, 0.8, 4)));
+  auto c = cache.GetOrBuild(cat, "t", uniform);
+  ASSERT_TRUE(c.ok());
+  ASSERT_NE(c.value().baseline, nullptr);
+  EXPECT_NE(c.value().baseline, a.value().baseline);
 }
 
 TEST(SynopsisCacheTest, BaselineCaptureCanBeDisabled) {

@@ -208,6 +208,28 @@ TEST_F(SynopsisStoreTest, HeaderFailuresRejectWholeFile) {
   std::remove(path.c_str());
 }
 
+TEST_F(SynopsisStoreTest, VersionOneFileIsRefusedByName) {
+  // Version 1 held drift baselines in a layout this reader no longer
+  // parses: the whole file is refused, naming its version (docs/STORAGE.md
+  // §8.1, §9), and the service boots cold.
+  gov::ScopedFaultInjection quiet;  // Env-armed matrix off: determinism.
+  const std::string path = TempPath("v1.aqps");
+  ASSERT_TRUE(SaveSynopses(path, {MakeEntry(3, true)}).ok());
+  Result<std::string> bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string v1 = bytes.value();
+  const uint32_t one = 1;
+  std::memcpy(&v1[4], &one, sizeof(one));
+  WriteFileBytes(path, v1);
+  Result<std::vector<PersistedSynopsis>> loaded = LoadSynopses(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(loaded.status().message().find("version 1 unsupported"),
+            std::string::npos)
+      << loaded.status().message();
+  std::remove(path.c_str());
+}
+
 TEST_F(SynopsisStoreTest, SaveFaultSiteLeavesNoFile) {
   const std::string path = TempPath("fault.aqps");
   std::remove(path.c_str());

@@ -54,33 +54,33 @@ TEST(KmvTest, MergeEqualsUnion) {
   EXPECT_NEAR(a.Estimate(), whole.Estimate(), whole.Estimate() * 0.01);
 }
 
-TEST(KmvTest, JaccardEstimate) {
-  // Sets with 50% overlap: A = [0, 20000), B = [10000, 30000).
-  // Jaccard = 10000 / 30000 = 1/3.
+TEST(KmvTest, ContainmentEstimate) {
+  // A = [0, 20000), B = [10000, 30000): half of A is in B.
   KmvSketch a(2048);
   KmvSketch b(2048);
   for (uint64_t k = 0; k < 20000; ++k) a.Add(k);
   for (uint64_t k = 10000; k < 30000; ++k) b.Add(k);
-  double j = KmvSketch::EstimateJaccard(a, b);
-  EXPECT_NEAR(j, 1.0 / 3.0, 0.05);
+  EXPECT_NEAR(KmvSketch::EstimateContainment(a, b), 0.5, 0.05);
 }
 
-TEST(KmvTest, JaccardDisjointNearZero) {
+TEST(KmvTest, ContainmentDisjointNearZero) {
   KmvSketch a(512);
   KmvSketch b(512);
   for (uint64_t k = 0; k < 10000; ++k) a.Add(k);
   for (uint64_t k = 100000; k < 110000; ++k) b.Add(k);
-  EXPECT_LT(KmvSketch::EstimateJaccard(a, b), 0.02);
+  EXPECT_LT(KmvSketch::EstimateContainment(a, b), 0.02);
 }
 
-TEST(KmvTest, JaccardIdenticalIsOne) {
+TEST(KmvTest, ContainmentOfASubsetIsOne) {
   KmvSketch a(512);
   KmvSketch b(512);
   for (uint64_t k = 0; k < 10000; ++k) {
     a.Add(k);
     b.Add(k);
   }
-  EXPECT_NEAR(KmvSketch::EstimateJaccard(a, b), 1.0, 1e-9);
+  for (uint64_t k = 10000; k < 30000; ++k) b.Add(k);
+  EXPECT_EQ(KmvSketch::EstimateContainment(a, b), 1.0);
+  EXPECT_LT(KmvSketch::EstimateContainment(b, a), 0.5);
 }
 
 TEST(KmvTest, MinHashesSortedAndBounded) {

@@ -1,6 +1,8 @@
 #include "stats/descriptive.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,23 @@ TEST(AccumulatorTest, SimpleMoments) {
   EXPECT_NEAR(acc.sample_variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(acc.min(), 2.0);
   EXPECT_DOUBLE_EQ(acc.max(), 9.0);
+}
+
+TEST(AccumulatorTest, RepeatedAddEqualsOneAddPerCopy) {
+  Accumulator once;
+  Accumulator each;
+  const std::vector<std::pair<double, int>> runs = {
+      {2.0, 1}, {4.0, 3}, {5.0, 0}, {5.0, 2}, {7.0, 1}, {9.0, 1}};
+  for (auto [x, n] : runs) {
+    once.Add(x, n);
+    for (int i = 0; i < n; ++i) each.Add(x);
+  }
+  EXPECT_EQ(once.count(), 8u);
+  EXPECT_DOUBLE_EQ(once.mean(), each.mean());
+  EXPECT_DOUBLE_EQ(once.m2(), each.m2());
+  EXPECT_DOUBLE_EQ(once.population_variance(), 4.0);
+  EXPECT_DOUBLE_EQ(once.min(), 2.0);
+  EXPECT_DOUBLE_EQ(once.max(), 9.0);
 }
 
 TEST(AccumulatorTest, SingleValue) {
